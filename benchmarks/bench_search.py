@@ -1,75 +1,87 @@
-"""Benchmark: compiled search kernel vs the pure-Python fallback.
+"""Benchmark: the pruned effective-class search on fixed cases.
 
-The effective-class scan is the only hot loop in the package; everything
-else is small exact linear algebra.  This script times the identical box
-search through both backends and verifies they return the same result.
+Times `torus_defect` (pure Python, the only search path) on E_i x E_i at
+boxes 2 and 3, E_i^3 at boxes 1 and 2, and E_i^4 at box 1, and records per
+case the delta, the box candidates decided (`classes_scanned`), the
+search-tree nodes entered (`nodes_visited`) and the best wall time of
+`--repeat` runs, each on a freshly built torus.  The results are stored in
+BENCH_search.json next to this script as one run under `--label`, replacing
+an earlier run with the same label, so runs of two checkouts sit side by
+side.
 
 Usage:
-    python benchmarks/bench_search.py [--full]
+    PYTHONPATH=src python benchmarks/bench_search.py [--label NAME] [--repeat N]
+        [--skip CASE ...]
 
-Without --full the pure backend skips the largest case (the 5^9-candidate
-scan on the triple CM square lattice), which takes minutes in pure Python;
-the compiled kernel runs it in about a second.
+To time an older checkout with this script, point PYTHONPATH at its `src`
+(`nodes_visited` is then recorded as null if it has no such counter) and
+`--skip` the cases it cannot finish.
 """
 
 import argparse
+import json
+import os
+import platform
 import time
 
-import lefdefect.effectivity as eff
+from lefdefect.effectivity import torus_defect
 from lefdefect.torus import elliptic, product
 
-
-def cases():
-    ei = lambda tag: elliptic(0, 1, label=tag)
-    return [
-        ("E_i x E_i, box 2", product([ei("E1"), ei("E2")]), 2),
-        ("E_i x E_i, box 3", product([ei("E1"), ei("E2")]), 3),
-        ("E_i^3, box 1", product([ei("E1"), ei("E2"), ei("E3")]), 1),
-        ("E_i^3, box 2", product([ei("E1"), ei("E2"), ei("E3")]), 2),
-    ]
+OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_search.json")
 
 
-def run(torus, box, use_compiled):
-    previous = eff.HAVE_COMPILED_KERNELS
-    eff.HAVE_COMPILED_KERNELS = use_compiled and eff._kernels is not None
-    try:
-        started = time.perf_counter()
-        result = eff.torus_defect(torus, box=box)
-        elapsed = time.perf_counter() - started
-    finally:
-        eff.HAVE_COMPILED_KERNELS = previous
-    return result, elapsed
+CASES = (("E_i^2, box 2", 2, 2), ("E_i^2, box 3", 2, 3), ("E_i^3, box 1", 3, 1),
+         ("E_i^3, box 2", 3, 2), ("E_i^4, box 1", 4, 1))
+
+
+def power_of_ei(k):
+    return product([elliptic(0, 1, label=f"E{i}") for i in range(k)])
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--full", action="store_true",
-                        help="run the pure backend on the largest case too")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", default="current")
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--skip", nargs="*", default=[], help="case names to leave out")
     args = parser.parse_args()
 
-    if eff._kernels is None:
-        print("compiled kernel not built; benchmarking the pure backend only")
-    header = f"{'case':<20} {'classes':>9} {'compiled':>10} {'pure':>10} {'speedup':>8}"
-    print(header)
-    print("-" * len(header))
-    for name, torus, box in cases():
-        compiled_result = compiled_time = None
-        if eff._kernels is not None:
-            compiled_result, compiled_time = run(torus, box, use_compiled=True)
-        big = "E_i^3, box 2" in name
-        pure_result = pure_time = None
-        if not big or args.full or eff._kernels is None:
-            pure_result, pure_time = run(torus, box, use_compiled=False)
-        if compiled_result and pure_result:
-            assert compiled_result == pure_result, "backends disagree"
-        scanned = (compiled_result or pure_result).classes_scanned
-        fmt = lambda t: f"{t * 1000:9.1f}ms" if t is not None else "   (skip)"
-        speed = (
-            f"{pure_time / compiled_time:7.1f}x"
-            if compiled_time and pure_time
-            else "       -"
-        )
-        print(f"{name:<20} {scanned:>9} {fmt(compiled_time):>10} {fmt(pure_time):>10} {speed}")
+    rows = []
+    print(f"{'case':<14} {'delta':>5} {'classes':>10} {'nodes':>7} {'seconds':>9}")
+    for name, k, box in CASES:
+        if name in args.skip:
+            continue
+        times = []
+        for _ in range(args.repeat):
+            torus = power_of_ei(k)  # fresh, so every run computes its NS basis
+            started = time.perf_counter()
+            result = torus_defect(torus, box=box)
+            times.append(time.perf_counter() - started)
+        nodes = getattr(result, "nodes_visited", None)
+        rows.append({
+            "case": name,
+            "delta": result.delta,
+            "classes_scanned": result.classes_scanned,
+            "nodes_visited": nodes,
+            "seconds": round(min(times), 4),
+        })
+        print(f"{name:<14} {result.delta:>5} {result.classes_scanned:>10} "
+              f"{'-' if nodes is None else nodes:>7} {min(times):>9.4f}")
+
+    runs = []
+    if os.path.exists(OUT):
+        with open(OUT, encoding="utf-8") as handle:
+            runs = [r for r in json.load(handle)["runs"] if r["label"] != args.label]
+    runs.append({
+        "label": args.label,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "repeat": args.repeat,
+        "cases": rows,
+    })
+    with open(OUT, "w", encoding="utf-8") as handle:
+        json.dump({"runs": runs}, handle, indent=2)
+        handle.write("\n")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ The per-divisor defect is the dimension of the kernel of cup product with
 the divisor class from the Neron-Severi space into H^4; the global defect is
 its maximum over effective classes.  Two independent routes compute it:
 
-* a brute-force search over effective integer classes on an explicit torus
+* a pruned search over effective integer classes on an explicit torus
   (`torus_defect`), and
 * a symbolic classification from the isogeny factorization (`classify`),
 

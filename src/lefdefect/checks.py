@@ -8,7 +8,7 @@ relies on, on a concrete torus, through two independent code paths:
 * kunneth   - Picard number of a product splits as rho(C) + rho(T) + rk Hom.
 * lefschetz - cup product with a polarization is injective on all of H^2
               when the dimension is at least 3.
-* oracle    - the brute-force box search agrees with the symbolic
+* oracle    - the box search agrees with the symbolic
               classification of the inferred isogeny factorization.
 """
 
@@ -26,7 +26,7 @@ from .cohomology import (
     wedge,
     wedge_basis,
 )
-from .effectivity import is_effective_class, torus_defect
+from .effectivity import DefectSearchResult, is_effective_class, torus_defect
 from .exactmath import QMatrix, kernel_basis, rank
 from .torus import (
     AlternatingForm,
@@ -184,12 +184,16 @@ def isogeny_spec_of(A: ComplexTorus) -> Optional[IsogenySpec]:
     return IsogenySpec(tuple(factors))
 
 
-def check_oracle(A: ComplexTorus, box: int = 2, threads: int = 1) -> CheckResult:
+def check_oracle(
+    A: ComplexTorus, box: int = 2, result: Optional[DefectSearchResult] = None
+) -> CheckResult:
+    """Search delta against the classifier; `result` reuses a search at `box`."""
     spec = isogeny_spec_of(A)
     if spec is None:
         return CheckResult("oracle", "skipped", "not a declared product of elliptic curves")
     expected = classify(spec).delta
-    result = torus_defect(A, box=box, threads=threads)
+    if result is None:
+        result = torus_defect(A, box=box)
     detail = (
         f"search delta {result.delta} vs classifier {expected} "
         f"({result.classes_scanned} classes scanned)"
@@ -199,12 +203,14 @@ def check_oracle(A: ComplexTorus, box: int = 2, threads: int = 1) -> CheckResult
     return CheckResult("oracle", "pass", detail)
 
 
-def run_checks(A: ComplexTorus, names, box: int = 2, threads: int = 1):
+def run_checks(
+    A: ComplexTorus, names, box: int = 2, search: Optional[DefectSearchResult] = None
+):
     runners = {
         "voisin": lambda: check_voisin(A),
         "kunneth": lambda: check_kunneth(A),
         "lefschetz": lambda: check_lefschetz(A),
-        "oracle": lambda: check_oracle(A, box=box, threads=threads),
+        "oracle": lambda: check_oracle(A, box=box, result=search),
     }
     results = []
     for name in names:

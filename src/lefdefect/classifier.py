@@ -6,7 +6,7 @@ bigger than one.  An elliptic factor of multiplicity k contributes k (2k - 1
 with complex multiplication); a simple surface factor contributes its Picard
 number minus one; everything of dimension three or more contributes nothing.
 The global defect is the maximum of these per-factor candidates, and the
-brute-force search over explicit tori cross-checks that rule on the test
+box search over explicit tori cross-checks that rule on the test
 corpus.
 
 Albert's classification pins the surface cases: a simple abelian surface has

@@ -8,14 +8,12 @@ Subcommands:
 * ``defect report threefolds``          the dimension-3 classification table
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 input error, 3 internal consistency failure.  DEFECT_THREADS bounds the
-number of concurrent search partitions (default 1).
+2 input error, 3 internal consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -37,14 +35,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-def _threads() -> int:
-    raw = os.environ.get("DEFECT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_report(report: ReportDocument, out_path):
@@ -141,16 +131,18 @@ def cmd_torus(args) -> int:
     A = doc.torus
     if A.n < 2:
         raise SchemaError("$.blocks", "global defect needs dimension at least 2")
-    threads = _threads()
     start = time.monotonic()
     rows = _class_rows(doc, args.class_index)
-    search = torus_defect(A, box=args.box, threads=threads)
-    checks = run_checks(A, ("voisin", "kunneth", "oracle"), box=args.box, threads=threads)
+    search = torus_defect(A, box=args.box)
+    checks = run_checks(A, ("voisin", "kunneth", "oracle"), box=args.box, search=search)
     elapsed = int((time.monotonic() - start) * 1000)
 
     print(_render_rows(rows))
     print()
-    print(f"delta = {search.delta}  (box {args.box}, {search.classes_scanned} classes scanned)")
+    print(
+        f"delta = {search.delta}  (box {args.box}, {search.classes_scanned} classes scanned, "
+        f"{search.nodes_visited} nodes visited)"
+    )
     if search.witness_coefficients is not None:
         print(f"witness coefficients over ns basis: {list(search.witness_coefficients)}")
     failed = False
@@ -187,7 +179,7 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in CHECK_NAMES:
             raise SchemaError("--checks", f"unknown check {name!r}; choose from {CHECK_NAMES}")
-    results = run_checks(doc.torus, names, box=args.box, threads=_threads())
+    results = run_checks(doc.torus, names, box=args.box)
     failed = False
     for result in results:
         print(f"{result.name}: {result.status} ({result.detail})")

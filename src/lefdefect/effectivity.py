@@ -1,30 +1,24 @@
-"""Positivity analysis of divisor classes and the brute-force global defect.
+"""Positivity analysis of divisor classes and the global defect search.
 
 A Neron-Severi class is effective (up to a positive multiple) exactly when
 its symmetric part S(x, y) = E(x, Jy) is positive semidefinite and nonzero:
 an effective divisor is pulled back from a polarization on the quotient by
 its radical, and conversely a semidefinite class descends to a polarization
-there.  Semidefiniteness is decided by the signs of all principal minors;
-leading minors alone would miss the degenerate boundary classes, which are
-precisely the interesting ones here.
+there.  Semidefiniteness (including the degenerate boundary classes, which
+are precisely the interesting ones here) is decided by one exact symmetric
+elimination, `_purekernels.psd_rank`, which also returns the rank.
 
 `torus_defect` maximizes the cup-product kernel dimension over all effective
 integer classes in a coefficient box over the NS basis, plus a structured
 candidate set (Poincare duals of coordinate-factor sublattices and pullbacks
 of quotient polarizations) that is scanned regardless of the box.  The box
-enumeration is partitionable: chunks are scanned independently and combined
-by an associative max, so DEFECT_THREADS-style parallel splits cannot change
-the answer.
-
-The inner loop is served by a compiled kernel when the extension built; a
-pure-Python twin with the identical contract is selected as fallback at
-import time (or when entries outgrow the compiled kernel's integer range).
+is covered by a pruned depth-first search (see `_purekernels`):
+`classes_scanned` counts every box candidate it decides, visited or pruned,
+and `nodes_visited` the search-tree nodes it actually enters.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -55,19 +49,8 @@ from .torus import (
     subtorus,
 )
 
-if os.environ.get("LEFDEFECT_NO_EXT"):
-    _kernels = None
-else:
-    try:
-        from . import _kernels  # compiled extension, optional
-    except ImportError:
-        _kernels = None
-
-HAVE_COMPILED_KERNELS = _kernels is not None
-
-# Stored kernel entries stay below this; the compiled path falls back to
-# exact arithmetic for any candidate that would exceed it.
-_INT64_SAFE = 2**61
+# The search is pure Python; there is no compiled kernel.
+HAVE_COMPILED_KERNELS = False
 
 
 def symmetric_part(A: ComplexTorus, E: AlternatingForm) -> KMatrix:
@@ -99,9 +82,8 @@ def is_effective_class(A: ComplexTorus, E: AlternatingForm) -> bool:
     if E.is_zero():
         return False
     S = symmetric_part(A, E)
-    zero = A.field.zero()
-    table = _purekernels.subsets_by_size(S.nrows)
-    return _purekernels.psd_field(S.rows, table, zero)
+    rows = S.rows
+    return _purekernels.psd_rank(rows, range(len(rows)), nf_sign, _purekernels.field_quotient) >= 0
 
 
 def radical(A: ComplexTorus, E: AlternatingForm) -> Sublattice:
@@ -178,6 +160,7 @@ class DefectSearchResult:
     delta: int
     witness: Optional[AlternatingForm]
     classes_scanned: int
+    nodes_visited: int
     search_box: int
     witness_coefficients: Optional[tuple]
 
@@ -203,22 +186,19 @@ class _SearchData:
         self.rho = len(self.basis)
         self.N = 2 * A.n
         self.m4 = len(wedge_basis(self.N, 4))
-        self.e_int = [
-            [[int(x) for x in row] for row in b.matrix] for b in self.basis
-        ]
+        e_int = [[[int(x) for x in row] for row in b.matrix] for b in self.basis]
         # Cup products of basis pairs: integer coordinate vectors in H^4.
         classes = [class_of_form(b) for b in self.basis]
         self.w_pairs = [
             [[int(x) for x in wedge(ci, cj).coords] for cj in classes] for ci in classes
         ]
-        self.rational_j = A.J.is_rational()
-        if self.rational_j:
+        if A.J.is_rational():
             jden = lcm(
                 *(x.as_rational().denominator for row in A.J.rows for x in row)
             )
             jint = [[int(x.as_rational() * jden) for x in row] for row in A.J.rows]
-            # Positive rescaling of J keeps semidefiniteness intact.
-            self.s_int = [
+            # Positive rescaling of J keeps semidefiniteness and rank intact.
+            s_int = [
                 [
                     [
                         sum(e[r][k] * jint[k][c] for k in range(self.N))
@@ -226,26 +206,16 @@ class _SearchData:
                     ]
                     for r in range(self.N)
                 ]
-                for e in self.e_int
+                for e in e_int
             ]
-            self.pure_search = _purekernels.IntSearch(
-                self.s_int, self.w_pairs, self.rho, self.N, self.m4
+            self.search = _purekernels.IntSearch(
+                s_int, self.w_pairs, self.rho, self.N, self.m4
             )
         else:
-            field_forms = [KMatrix(A.field, b.matrix) for b in self.basis]
-            self.s_field = [(f * A.J).rows for f in field_forms]
-            self.pure_search = _purekernels.FieldSearch(
-                self.s_field, self.e_int, self.w_pairs, self.rho, self.N, self.m4, A.field
+            s_field = [(KMatrix(A.field, e) * A.J).rows for e in e_int]
+            self.search = _purekernels.FieldSearch(
+                s_field, self.w_pairs, self.rho, self.N, self.m4, A.field
             )
-
-    def kernel_ready(self, box: int) -> bool:
-        if not (self.rational_j and HAVE_COMPILED_KERNELS):
-            return False
-        smax = max((abs(v) for m in self.s_int for row in m for v in row), default=0)
-        wmax = max((abs(v) for r in self.w_pairs for vec in r for v in vec), default=0)
-        # Accumulated candidate entries must sit far below the kernel's
-        # storage limit; growth during elimination is caught per candidate.
-        return self.rho * box * max(smax, wmax, 1) < 2**50
 
 
 def _structured_candidate_vectors(A: ComplexTorus, data: _SearchData):
@@ -310,41 +280,6 @@ def _combine(best, candidate):
     return best
 
 
-def _scan_box(data: _SearchData, box: int, threads: int, collect: bool):
-    base = 2 * box + 1
-    total = base**data.rho
-    use_kernel = data.kernel_ready(box)
-    chunk_count = max(1, min(threads, total))
-    bounds = [
-        (total * k // chunk_count, total * (k + 1) // chunk_count)
-        for k in range(chunk_count)
-    ]
-
-    def run(bound):
-        start, stop = bound
-        if use_kernel:
-            return _kernels.scan_range(
-                data.s_int, data.w_pairs, data.rho, data.N, data.m4,
-                box, start, stop, collect, data.pure_search,
-            )
-        return _purekernels.scan_range(data.pure_search, box, start, stop, collect)
-
-    if chunk_count == 1:
-        results = [run(bounds[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=chunk_count) as pool:
-            results = list(pool.map(run, bounds))
-
-    best = (-1, -1)
-    scanned = 0
-    records = []
-    for delta, pos, chunk_scanned, chunk_records in results:
-        best = _combine(best, (delta, pos))
-        scanned += chunk_scanned
-        records.extend(chunk_records)
-    return best, scanned, records, total
-
-
 def _position_coeffs(position: int, rho: int, box: int):
     base = 2 * box + 1
     digits = []
@@ -355,25 +290,28 @@ def _position_coeffs(position: int, rho: int, box: int):
     return tuple(d - box for d in digits)
 
 
-def _run_search(A: ComplexTorus, box: int, threads: int, collect: bool):
+def _run_search(A: ComplexTorus, box: int, collect: bool):
     if box < 1:
         raise ValueError("box must be at least 1")
     data = _SearchData(A)
     if data.rho == 0:
-        return DefectSearchResult(0, None, 0, box, None), []
-    best, scanned, records, total = _scan_box(data, box, threads, collect)
+        return DefectSearchResult(0, None, 0, 0, box, None), []
+    total = (2 * box + 1) ** data.rho
+    delta, pos, scanned, nodes, records = _purekernels.scan_range(data.search, box, collect)
+    best = (delta, pos)
     extras = _structured_candidate_vectors(A, data)
     extras = [v for v in extras if any(abs(c) > box for c in v)]
     if extras:
-        delta, pos, extra_scanned, extra_records = _purekernels.scan_vectors(
-            data.pure_search, extras, total, collect
+        delta, pos, extra_scanned, extra_nodes, extra_records = _purekernels.scan_vectors(
+            data.search, extras, total, collect
         )
         best = _combine(best, (delta, pos))
         scanned += extra_scanned
+        nodes += extra_nodes
         records.extend(extra_records)
 
     if best[0] < 0:
-        result = DefectSearchResult(0, None, scanned, box, None)
+        result = DefectSearchResult(0, None, scanned, nodes, box, None)
         return result, []
     position = best[1]
     if position < total:
@@ -381,7 +319,7 @@ def _run_search(A: ComplexTorus, box: int, threads: int, collect: bool):
     else:
         coeffs = tuple(extras[position - total])
     witness = _form_from_coeffs(A, data.basis, coeffs)
-    result = DefectSearchResult(best[0], witness, scanned, box, coeffs)
+    result = DefectSearchResult(best[0], witness, scanned, nodes, box, coeffs)
     out_records = [EffectiveClassRecord(*r) for r in records] if collect else []
     return result, out_records
 
@@ -394,20 +332,21 @@ def _form_from_coeffs(A, basis, coeffs) -> AlternatingForm:
     return form
 
 
-def torus_defect(A: ComplexTorus, box: int = 2, threads: int = 1) -> DefectSearchResult:
+def torus_defect(A: ComplexTorus, box: int = 2) -> DefectSearchResult:
     """Max defect over all effective classes in the coefficient box.
 
     The result is certified from below: the paper-level classification (see
     the classifier module) provides the matching upper bound on the test
-    corpus.  `classes_scanned` makes the enumeration cost visible.
+    corpus.  `classes_scanned` (candidates decided) and `nodes_visited`
+    (search-tree nodes entered) make the enumeration cost visible.
     """
-    result, _ = _run_search(A, box, threads, collect=False)
+    result, _ = _run_search(A, box, collect=False)
     return result
 
 
-def defect_survey(A: ComplexTorus, box: int = 2, threads: int = 1):
+def defect_survey(A: ComplexTorus, box: int = 2):
     """Like torus_defect, but also returns every effective class seen."""
-    return _run_search(A, box, threads, collect=True)
+    return _run_search(A, box, collect=True)
 
 
 def divisor_case_data(A: ComplexTorus, E: AlternatingForm):

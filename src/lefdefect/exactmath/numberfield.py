@@ -211,7 +211,8 @@ class RealNumberField:
     be square-free and change sign over the isolating interval; a Sturm count
     certifies that the interval contains exactly one root.  Irreducibility is
     a precondition on the caller (division detects violations lazily).
-    Instances are immutable.
+    Instances are immutable apart from the cached refinement of the
+    isolating interval, which never changes what they compare equal to.
     """
 
     def __init__(self, min_poly, root_interval):
@@ -235,6 +236,9 @@ class RealNumberField:
 
         self._min_poly = tuple(coeffs)
         self._interval = (lo, hi)
+        # Tightest interval around alpha found by `nf_sign` so far: a cache
+        # only, so equality and hashing use the declared interval.
+        self._alpha_bounds = (lo, hi)
         d = self._degree = len(coeffs) - 1
         # Reduction rows: alpha^(d+k) on the power basis, for k = 0..d-2
         # (a product of two reduced elements has degree at most 2d-2).
@@ -464,7 +468,9 @@ def nf_sign(x: AlgebraicReal) -> int:
 
     Zero is decided exactly: coefficient-wise for irreducible moduli, with a
     gcd shortcut guarding the square-free-but-reducible case.  Nonzero signs
-    come from interval bisection, which then terminates.
+    come from interval bisection, which then terminates.  Each call starts
+    from the tightest interval around alpha found so far (kept on the field)
+    and refines it further only when the sign is still ambiguous there.
     """
     if x.is_zero():
         return 0
@@ -472,20 +478,23 @@ def nf_sign(x: AlgebraicReal) -> int:
         c = x.coeffs[0]
         return 1 if c > 0 else -1
     field = x.field
-    p = list(field.min_poly)
     xp = poly_trim(list(x.coeffs))
-    g = poly_gcd(xp, p)
-    lo, hi = field.root_interval
-    if poly_degree(g) > 0 and count_real_roots(g, lo, hi) > 0:
-        # alpha is a common root, so x(alpha) = 0 despite nonzero coefficients.
-        return 0
+    lo, hi = field._alpha_bounds
+    zero_ruled_out = False
     while True:
+        if lo == hi:
+            v = poly_eval(xp, lo)
+            return 0 if v == 0 else (1 if v > 0 else -1)
         vlo, vhi = poly_eval_interval(xp, lo, hi)
         if vlo > 0:
             return 1
         if vhi < 0:
             return -1
+        if not zero_ruled_out:
+            g = poly_gcd(xp, list(field.min_poly))
+            if poly_degree(g) > 0 and count_real_roots(g, *field.root_interval) > 0:
+                # alpha is a common root, so x(alpha) = 0 despite nonzero coefficients.
+                return 0
+            zero_ruled_out = True
         lo, hi = field.refine_interval(lo, hi)
-        if lo == hi:
-            v = poly_eval(xp, lo)
-            return 0 if v == 0 else (1 if v > 0 else -1)
+        field._alpha_bounds = (lo, hi)

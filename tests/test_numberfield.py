@@ -75,6 +75,25 @@ class TestSign:
         y = field.element([-3, 1])
         assert nf_sign(y) == -1
 
+    def test_cached_interval_gives_uncached_signs(self):
+        # alpha = 2^(1/4) = 1.18920711500...; the tight values need many
+        # bisection steps, the loose ones none once the interval is refined.
+        declared = ([-2, 0, 0, 0, 1], (F(1), F(3, 2)))
+        field = RealNumberField(*declared)
+        tight = [[F(-1189, 1000), 1], [F(-119, 100), 1], [F(-118920711, 10**8), 1],
+                 [F(-14142, 10**4), 0, 1], [F(-141422, 10**5), 0, 1], [-2, 0, 0, 0]]
+        loose = [[-1, 1], [2, -1], [0, 0, 1, -1], [1, 1, 1, 1], [0, -3, 0, 2]]
+        sequence = tight + loose + tight[::-1] + loose + tight
+        for coeffs in sequence:
+            fresh = RealNumberField(*declared)
+            assert nf_sign(field.element(coeffs)) == nf_sign(fresh.element(coeffs))
+        lo, hi = field._alpha_bounds
+        assert F(1) < lo < hi < F(3, 2) and hi - lo < F(1, 10**6)
+        assert field.root_interval == declared[1]
+        assert field == RealNumberField(*declared)
+        assert hash(field) == hash(RealNumberField(*declared))
+        assert field.element([1, 2]) == RealNumberField(*declared).element([1, 2])
+
 
 class TestArithmetic:
     def test_power_basis_reduction(self, quartic_field):

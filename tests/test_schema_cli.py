@@ -143,18 +143,40 @@ class TestRoundTrip:
             "voisin_check", "kunneth_check", "classifier_vs_search",
         }
 
-    def test_threads_env_does_not_change_result(self, tmp_path, capsys, monkeypatch):
-        outs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("DEFECT_THREADS", threads)
-            out = tmp_path / f"t{threads}.json"
-            assert main(["torus", str(SAMPLES / "torus_ei_ei.json"),
-                         "--box", "2", "--out", str(out)]) == 0
-            capsys.readouterr()
-            payload = json.loads(out.read_text())
-            payload.pop("elapsed_ms")
-            outs.append(payload)
-        assert outs[0] == outs[1]
+    def test_torus_runs_the_search_once(self, tmp_path, capsys, monkeypatch):
+        import lefdefect.checks as checks
+        import lefdefect.cli as cli
+        from lefdefect.effectivity import torus_defect
+
+        sample = str(SAMPLES / "torus_triple_product.json")
+        doc = load_document(sample)
+        expected = torus_defect(doc.torus, box=2)
+        oracle = checks.check_oracle(doc.torus, box=2)
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return torus_defect(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "torus_defect", counted)
+        monkeypatch.setattr(checks, "torus_defect", counted)
+        out = tmp_path / "r.json"
+        assert main(["torus", sample, "--box", "2", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert len(calls) == 1
+        assert f"oracle: {oracle.status} ({oracle.detail})" in text
+        assert (
+            f"delta = {expected.delta}  (box 2, {expected.classes_scanned} classes scanned, "
+            f"{expected.nodes_visited} nodes visited)" in text
+        )
+        report = json.loads(out.read_text())
+        assert report["delta"] == expected.delta == 1
+        assert report["classes_scanned"] == expected.classes_scanned
+        assert report["witness"] == list(expected.witness_coefficients)
+        assert report["verification"]["classifier_vs_search"] == {
+            "status": oracle.status, "detail": oracle.detail,
+        }
 
 
 class TestCli:

@@ -1,0 +1,226 @@
+"""Differential tests: the pruned search and `psd_rank` against a brute force.
+
+The reference scans every point of the coefficient box in position order and
+decides semidefiniteness by the signs of all principal minors, computed by
+Gaussian elimination with exact division (Fractions over Q, field division
+over a number field).  For a PSD matrix the rank is the size of its largest
+nonsingular principal block, so the same minors give the form rank.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lefdefect import _purekernels
+from lefdefect.classifier import classify
+from lefdefect.checks import isogeny_spec_of
+from lefdefect.effectivity import _SearchData, torus_defect
+from lefdefect.exactmath import AlgebraicReal, QMatrix, nf_sign, rank
+from lefdefect.torus import elliptic, product
+
+
+def _sign(x):
+    if isinstance(x, AlgebraicReal):
+        return nf_sign(x)
+    return (x > 0) - (x < 0)
+
+
+def _det(rows):
+    a = [[x if isinstance(x, AlgebraicReal) else Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det = a[c][c] * det
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def reference_psd_rank(M):
+    """Rank of M if all its principal minors are >= 0, else -1."""
+    n = len(M)
+    top = 0
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            s = _sign(_det([[M[i][j] for j in subset] for i in subset]))
+            if s < 0:
+                return -1
+            if s > 0:
+                top = size
+    return top
+
+
+def reference_record(s_basis, w_pairs, coeffs):
+    """(defect, form_rank) of an effective coefficient vector, else None."""
+    rho, N = len(s_basis), len(s_basis[0])
+    S = [[sum((c * m[r][k] for c, m in zip(coeffs, s_basis)), 0) for k in range(N)]
+         for r in range(N)]
+    form_rank = reference_psd_rank(S)
+    if form_rank < 0:
+        return None
+    rows = [[sum(coeffs[i] * w_pairs[i][j][t] for i in range(rho))
+             for t in range(len(w_pairs[0][0]))] for j in range(rho)]
+    return rho - rank(QMatrix(rows)), form_rank
+
+
+def reference_scan(s_basis, w_pairs, box):
+    """(delta, position, scanned, records) of a plain box scan."""
+    best = (-1, -1)
+    scanned = 0
+    records = []
+    span = range(-box, box + 1)
+    for position, coeffs in enumerate(itertools.product(span, repeat=len(s_basis))):
+        if not any(coeffs):
+            continue
+        scanned += 1
+        found = reference_record(s_basis, w_pairs, coeffs)
+        if found is None:
+            continue
+        if found[0] > best[0]:
+            best = (found[0], position)
+        records.append((position, coeffs) + found)
+    return best[0], best[1], scanned, records
+
+
+def assert_search_matches_reference(search, box):
+    delta, position, scanned, nodes, records = _purekernels.scan_range(search, box, True)
+    expected = reference_scan(search.s_basis, search.w_pairs, box)
+    assert (delta, position, scanned, records) == expected
+    assert scanned == (2 * box + 1) ** search.rho - 1
+    assert 0 < nodes
+
+
+@pytest.mark.parametrize(
+    "name, box",
+    [("ei2", 2), ("ei_x_e2i", 2), ("ei3", 1), ("eia2", 2), ("triple", 1), ("ei2_x_nocm", 1)],
+)
+def test_search_matches_reference_on_corpus(corpus, name, box):
+    assert_search_matches_reference(_SearchData(corpus[name]).search, box)
+
+
+@st.composite
+def synthetic_search(draw):
+    """Random symmetric integer S_b with random zero patterns, random w."""
+    rho = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 4))
+    m4 = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    s_basis = []
+    for _ in range(rho):
+        density = rng.choice((0.2, 0.5, 1.0))
+        m = [[0] * N for _ in range(N)]
+        for i in range(N):
+            for j in range(i, N):
+                if rng.random() < density:
+                    m[i][j] = m[j][i] = rng.randint(-3, 3)
+        s_basis.append(m)
+    w_pairs = [[[rng.randint(-2, 2) for _ in range(m4)] for _ in range(rho)]
+               for _ in range(rho)]
+    box = 1 if rho == 4 else draw(st.integers(1, 2))
+    return _purekernels.IntSearch(s_basis, w_pairs, rho, N, m4), box
+
+
+@settings(max_examples=60, deadline=None)
+@given(synthetic_search())
+def test_search_matches_reference_on_synthetic_data(case):
+    search, box = case
+    assert_search_matches_reference(search, box)
+
+
+def test_structured_vectors_match_reference(corpus):
+    search = _SearchData(corpus["ei2_x_nocm"]).search
+    vectors = [(3, 0, 0, 0, 0), (0, -3, 0, 0, 0), (3, 3, 1, 0, 2), (0, 0, 0, 0, 4)]
+    delta, position, scanned, nodes, records = _purekernels.scan_vectors(
+        search, vectors, 100, True
+    )
+    expected = []
+    for offset, coeffs in enumerate(vectors):
+        found = reference_record(search.s_basis, search.w_pairs, coeffs)
+        if found is not None:
+            expected.append((100 + offset, coeffs) + found)
+    assert records == expected
+    assert delta == max(r[2] for r in expected)
+    assert scanned == nodes == len(vectors)
+
+
+def _symmetric(rng, n, entry):
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = entry(rng)
+    return m
+
+
+def _gram(rng, n, weights, entry):
+    """B^T diag(weights) B for a random integer B: PSD of rank rank_int(B)."""
+    k = len(weights)
+    B = [[entry(rng) for _ in range(n)] for _ in range(k)]
+    M = [[sum((weights[t] * (B[t][i] * B[t][j]) for t in range(k)), 0) for j in range(n)]
+         for i in range(n)]
+    return M, B
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_psd_rank_over_q(seed):
+    rng = random.Random(seed)
+    small = lambda r: r.choice((0, 0, 1, -1, 2, -3))
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        M = _symmetric(rng, n, small)
+        got = _purekernels.psd_rank(M, range(n), _purekernels.int_sign, _purekernels.int_quotient)
+        assert got == reference_psd_rank(M)
+        if got >= 0:
+            assert got == _purekernels.rank_int(M)
+        G, B = _gram(rng, n, [rng.randint(1, 4) for _ in range(rng.randint(1, n))], small)
+        got = _purekernels.psd_rank(G, range(n), _purekernels.int_sign, _purekernels.int_quotient)
+        assert got == reference_psd_rank(G) == _purekernels.rank_int(B) == _purekernels.rank_int(G)
+        idx = sorted(rng.sample(range(n), rng.randint(1, n)))
+        block = [[G[i][j] for j in idx] for i in idx]
+        got = _purekernels.psd_rank(G, idx, _purekernels.int_sign, _purekernels.int_quotient)
+        assert got == reference_psd_rank(block) == _purekernels.rank_int(block)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_psd_rank_over_quartic_field(quartic_field, seed):
+    rng = random.Random(seed)
+    K = quartic_field
+    small = lambda r: r.choice((0, 0, 1, -1, 2))
+    field_entry = lambda r: K.element([r.randint(-2, 2), r.choice((0, 0, 1, -1))])
+    positive = [K.alpha(), K.alpha() * K.alpha(), K.one() + K.alpha(), K.from_rational(2)]
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        M = _symmetric(rng, n, field_entry)
+        got = _purekernels.psd_rank(M, range(n), nf_sign, _purekernels.field_quotient)
+        assert got == reference_psd_rank(M)
+        weights = rng.sample(positive, rng.randint(1, min(n, 3)))
+        G, B = _gram(rng, n, weights, small)
+        G = [[x if isinstance(x, AlgebraicReal) else K.from_rational(x) for x in row]
+             for row in G]
+        got = _purekernels.psd_rank(G, range(n), nf_sign, _purekernels.field_quotient)
+        assert got == reference_psd_rank(G) == _purekernels.rank_int(B)
+
+
+def test_psd_rank_rejects_zero_diagonal_with_coupling():
+    M = [[0, 1], [1, 0]]
+    assert _purekernels.psd_rank(M, range(2), _purekernels.int_sign, _purekernels.int_quotient) == -1
+    assert _purekernels.psd_rank([[0, 0], [0, 0]], range(2), _purekernels.int_sign,
+                                 _purekernels.int_quotient) == 0
+
+
+def test_ei4_box1_reaches_2k_minus_1():
+    A = product([elliptic(0, 1, label=f"E{i}") for i in range(4)])
+    result = torus_defect(A, box=1)
+    assert result.delta == 7 == classify(isogeny_spec_of(A)).delta
+    assert result.classes_scanned >= 3**16 - 1
+    assert result.nodes_visited < 10_000

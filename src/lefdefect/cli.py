@@ -8,7 +8,10 @@ Subcommands:
 * ``defect report threefolds``          the dimension-3 classification table
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 input error, 3 internal consistency failure.
+2 input error, 3 internal consistency failure.  Input is validated where it
+is read, so every input problem arrives as a `SchemaError` (or an `OSError`
+from reading the file); any other `ValueError` is an internal failure.  A
+box-limited oracle verdict is not a failure.
 """
 
 from __future__ import annotations
@@ -124,13 +127,19 @@ def _render_rows(rows) -> str:
     return "\n".join(lines)
 
 
+def _check_search_input(A, box):
+    if A.n < 2:
+        raise SchemaError("$.blocks", "global defect needs dimension at least 2")
+    if box < 1:
+        raise SchemaError("--box", "box must be at least 1")
+
+
 def cmd_torus(args) -> int:
     doc = load_document(args.file)
     if doc.kind != "torus":
         raise SchemaError("$.kind", "torus expects a torus document")
     A = doc.torus
-    if A.n < 2:
-        raise SchemaError("$.blocks", "global defect needs dimension at least 2")
+    _check_search_input(A, args.box)
     start = time.monotonic()
     rows = _class_rows(doc, args.class_index)
     search = torus_defect(A, box=args.box)
@@ -179,6 +188,8 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in CHECK_NAMES:
             raise SchemaError("--checks", f"unknown check {name!r}; choose from {CHECK_NAMES}")
+    if "oracle" in names:
+        _check_search_input(doc.torus, args.box)
     results = run_checks(doc.torus, names, box=args.box)
     failed = False
     for result in results:
@@ -269,15 +280,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ConsistencyError as exc:
+    except (ConsistencyError, ValueError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

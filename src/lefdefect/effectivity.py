@@ -10,8 +10,11 @@ elimination, `_purekernels.psd_rank`, which also returns the rank.
 
 `torus_defect` maximizes the cup-product kernel dimension over all effective
 integer classes in a coefficient box over the NS basis, plus a structured
-candidate set (Poincare duals of coordinate-factor sublattices and pullbacks
-of quotient polarizations) that is scanned regardless of the box.  The box
+candidate set that is scanned regardless of the box.  On a declared product
+these are the sums of the blocks' fiber classes over nonempty subsets of
+blocks, when every fiber is an NS class, and the fiber classes of the
+elliptic blocks, which up to sign are the Poincare duals of the corank-2
+coordinate-factor sublattices; all come from one NS solve per block.  The box
 is covered by a pruned depth-first search (see `_purekernels`):
 `classes_scanned` counts every box candidate it decides, visited or pruned,
 and `nodes_visited` the search-tree nodes it actually enters.
@@ -26,7 +29,7 @@ from math import lcm
 from typing import Optional
 
 from . import _purekernels
-from .cohomology import class_of_form, poincare_dual, wedge, wedge_basis
+from .cohomology import class_of_form, wedge, wedge_basis
 from .errors import ConsistencyError, NotHodgeClass
 from .exactmath import (
     KMatrix,
@@ -34,16 +37,16 @@ from .exactmath import (
     integer_kernel_basis,
     nf_sign,
     primitive_integer_vector,
+    solve,
 )
 from .torus import (
     AlternatingForm,
     ComplexTorus,
     Sublattice,
-    coordinate_factor_sublattices,
     factor_blocks,
+    fiber_pairs,
     hom_rank,
     ns_basis,
-    ns_coordinates,
     ns_rank,
     quotient,
     subtorus,
@@ -221,56 +224,45 @@ class _SearchData:
 def _structured_candidate_vectors(A: ComplexTorus, data: _SearchData):
     """Coefficient vectors of the structured candidates over the NS basis.
 
-    For declared products these are the Poincare duals of the corank-2
-    coordinate-factor sublattices together with the pullbacks of the product
-    polarizations of all coordinate quotients (including the torus itself);
-    both signs are offered and the effectivity filter keeps the right one.
+    For declared products these are the sums of the fiber forms over every
+    nonempty subset of blocks (the pullbacks of the product polarizations of
+    all coordinate quotients, the torus itself included), offered only when
+    every fiber form is an NS class, and the Poincare duals of the corank-2
+    coordinate-factor sublattices.  Such a sublattice omits one elliptic
+    block, its Smith projection is unimodular on that block's two
+    coordinates and zero elsewhere, so its dual is +-(that block's fiber
+    form).  Both signs are offered and the effectivity filter keeps the
+    right one.
+
+    Each block's fiber form is solved for once over the NS basis.  The basis
+    spans the J-compatible forms over Q, so a failed solve is exactly a
+    fiber that is not a Hodge class; subset sums add coordinate vectors.
     """
-    blocks = factor_blocks(A)
-    forms = []
-    if blocks is not None:
-        fibers = []
-        for offset, f in blocks:
-            size = 2 * A.n
-            rows = [[0] * size for _ in range(size)]
-            ok = True
-            for t in range(f.n):
-                rows[offset + 2 * t][offset + 2 * t + 1] = 1
-                rows[offset + 2 * t + 1][offset + 2 * t] = -1
-            candidate = AlternatingForm(A, rows)
-            if candidate.is_hodge:
-                fibers.append(candidate)
-            else:
-                ok = False
-            if not ok:
-                fibers = None
-                break
-        if fibers:
-            indices = range(len(fibers))
-            for size in range(1, len(fibers) + 1):
-                for subset in combinations(indices, size):
-                    form = fibers[subset[0]]
-                    for k in subset[1:]:
-                        form = form + fibers[k]
-                    forms.append(form)
-        for _, W in coordinate_factor_sublattices(A, corank=2):
-            dual = poincare_dual(A, W)
-            forms.append(AlternatingForm.from_pair_coords(A, dual.coords))
-    vectors = []
-    seen = set()
-    for form in forms:
-        coords = ns_coordinates(A, form)
-        if coords is None:
-            continue
-        if all(c == 0 for c in coords):
-            continue
-        prim = primitive_integer_vector(coords)
-        for vec in (prim, tuple(-c for c in prim)):
-            if vec not in seen:
-                seen.add(vec)
-                vectors.append(vec)
-    vectors.sort()
-    return vectors
+    pairs = fiber_pairs(A)
+    if pairs is None:
+        return []
+    index = {pair: k for k, pair in enumerate(combinations(range(data.N), 2))}
+    cols = [b.pair_coords() for b in data.basis]
+    matrix = [[col[k] for col in cols] for k in range(len(index))]
+    fibers = []
+    for block in pairs:
+        rhs = [0] * len(index)
+        for pair in block:
+            rhs[index[pair]] = 1
+        fibers.append(solve(matrix, rhs))
+    coords = []
+    if None not in fibers:
+        for size in range(1, len(fibers) + 1):
+            for subset in combinations(fibers, size):
+                coords.append([sum(c) for c in zip(*subset)])
+    if len(pairs) >= 2:
+        coords.extend(f for f, block in zip(fibers, pairs) if f is not None and len(block) == 1)
+    vectors = set()
+    for c in coords:
+        prim = primitive_integer_vector(c)
+        vectors.add(prim)
+        vectors.add(tuple(-x for x in prim))
+    return sorted(vectors)
 
 
 def _combine(best, candidate):

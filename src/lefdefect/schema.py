@@ -74,7 +74,11 @@ def parse_document(data: dict) -> SpecDocument:
 
 def load_document(path) -> SpecDocument:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_document(loads(handle.read()))
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError("$", f"document is not UTF-8 text: {exc}") from exc
+    return parse_document(loads(text))
 
 
 def _parse_isogeny(data: dict) -> SpecDocument:
@@ -164,7 +168,7 @@ def _parse_torus(data: dict) -> SpecDocument:
         label = entry.get("label", f"E{i + 1}")
         try:
             curves.append(elliptic(a, field_obj.element(coeffs), label=label))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(path, str(exc)) from exc
     torus = curves[0] if len(curves) == 1 else product(curves)
     size = 2 * torus.n

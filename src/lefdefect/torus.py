@@ -171,6 +171,22 @@ def factor_blocks(A: ComplexTorus):
     return blocks
 
 
+def fiber_pairs(A: ComplexTorus):
+    """Per declared block, the lattice index pairs of its standard fiber form.
+
+    The fiber form of the block at `offset` with factor dimension d is the
+    sum of e_i ^ e_{i+1} over the pairs (offset + 2t, offset + 2t + 1),
+    t < d: the pullback of the factor's standard form under the projection.
+    None when the torus has no declared factor structure.
+    """
+    blocks = factor_blocks(A)
+    if blocks is None:
+        return None
+    return [
+        [(offset + 2 * t, offset + 2 * t + 1) for t in range(f.n)] for offset, f in blocks
+    ]
+
+
 def hom_rank(A: ComplexTorus, B: ComplexTorus) -> int:
     """Rank of Hom(A, B): rational matrices M with J_B M = M J_A."""
     if A.field != B.field:

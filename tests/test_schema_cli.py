@@ -111,7 +111,7 @@ class TestRoundTrip:
             "voisin_check", "kunneth_check", "classifier_vs_search",
         }
         for entry in payload["verification"].values():
-            assert entry["status"] in ("pass", "fail", "skipped")
+            assert entry["status"] in ("pass", "fail", "skipped", "box_limited")
 
     def test_report_contains_no_floats(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -259,3 +259,101 @@ class TestCli:
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
         monkeypatch.setattr(parser, "parse_args", lambda argv=None: args)
         assert cli.main(["classify", "x.json"]) == 3
+
+
+QUARTIC = {"min_poly": [-2, 0, 0, 0, 1], "root_interval": ["1", "3/2"]}
+
+
+class TestOracleVerdicts:
+    def _search_off_by(self, monkeypatch, shift):
+        """Make `defect torus` see a search delta `shift` away from the real one."""
+        import dataclasses
+
+        import lefdefect.cli as cli
+        from lefdefect.effectivity import torus_defect
+
+        def shifted(A, box):
+            result = torus_defect(A, box=box)
+            return dataclasses.replace(result, delta=result.delta + shift)
+
+        monkeypatch.setattr(cli, "torus_defect", shifted)
+
+    def test_search_below_classifier_is_box_limited(self, tmp_path, capsys, monkeypatch):
+        self._search_off_by(monkeypatch, -1)
+        out = tmp_path / "r.json"
+        assert main(["torus", str(SAMPLES / "torus_ei_ei.json"),
+                     "--box", "1", "--out", str(out)]) == 0
+        assert "oracle: box_limited" in capsys.readouterr().out
+        entry = json.loads(out.read_text())["verification"]["classifier_vs_search"]
+        assert entry["status"] == "box_limited"
+        assert "search delta 2 vs classifier 3" in entry["detail"]
+        assert "box 1" in entry["detail"]
+
+    def test_search_above_classifier_fails(self, capsys, monkeypatch):
+        self._search_off_by(monkeypatch, 1)
+        assert main(["torus", str(SAMPLES / "torus_ei_ei.json"), "--box", "1"]) == 1
+        assert "oracle: fail (search delta 4 vs classifier 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("betas", [(["0", "1"], ["1", "1"]), (["1"], ["0", "1"])])
+    def test_shared_label_on_non_isogenous_curves(self, tmp_path, capsys, betas):
+        # Both curves are labelled "E" but are not isogenous; the inferred
+        # factorization must keep them apart (classifier delta 1).
+        path = write(tmp_path, "same_label.json", {
+            "kind": "torus", "field": QUARTIC,
+            "blocks": [{"a": "0", "beta": beta, "label": "E"} for beta in betas],
+        })
+        assert main(["verify", path, "--checks", "oracle", "--box", "1"]) == 0
+        assert "oracle: pass (search delta 1 vs classifier 1" in capsys.readouterr().out
+
+
+class TestExitCodes:
+    def test_curves_disagreeing_on_cm_is_internal(self, tmp_path, capsys, monkeypatch):
+        import lefdefect.checks as checks
+
+        # A Hom rank that calls E_i and the non-CM E_alpha isogenous puts
+        # curves with different CM flags into one isogeny class.
+        monkeypatch.setattr(checks, "hom_rank", lambda A, B: 1)
+        path = write(tmp_path, "t.json", {
+            "kind": "torus", "field": QUARTIC,
+            "blocks": [{"beta": ["1"], "label": "E_i"}, {"beta": ["0", "1"], "label": "E_a"}],
+        })
+        assert main(["verify", path, "--checks", "oracle", "--box", "1"]) == 3
+        assert "isogenous curves disagree on CM" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["torus", str(SAMPLES / "torus_ei_ei.json"), "--box", "0"],
+        ["verify", str(SAMPLES / "torus_ei_ei.json"), "--checks", "oracle", "--box", "0"],
+    ])
+    def test_bad_box_is_input_error(self, capsys, argv):
+        assert main(argv) == 2
+        assert "input error: --box" in capsys.readouterr().err
+
+    def test_oracle_on_one_curve_is_input_error(self, tmp_path, capsys):
+        path = write(tmp_path, "curve.json", {"kind": "torus", "blocks": [{"beta": ["1"]}]})
+        assert main(["verify", path, "--checks", "oracle"]) == 2
+        assert "input error: $.blocks" in capsys.readouterr().err
+
+    def test_undecodable_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"kind": "isogeny", "label": "\xe9"}'.encode("latin-1"))
+        assert main(["classify", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_zero_divisor_in_document_is_input_error(self, tmp_path, capsys):
+        # x^2 - 1 is square-free but reducible; 1 + alpha is a zero divisor.
+        path = write(tmp_path, "reducible.json", {
+            "kind": "torus", "field": {"min_poly": [-1, 0, 1], "root_interval": ["1/2", "3/2"]},
+            "blocks": [{"beta": ["1", "1"]}, {"beta": ["1"]}],
+        })
+        assert main(["torus", path, "--box", "1"]) == 2
+        assert "input error: $.blocks[0]" in capsys.readouterr().err
+
+    def test_internal_value_error_exits_3(self, capsys, monkeypatch):
+        import lefdefect.cli as cli
+
+        def broken(A, box):
+            raise ValueError("not a complex subtorus")
+
+        monkeypatch.setattr(cli, "torus_defect", broken)
+        assert main(["torus", str(SAMPLES / "torus_ei_ei.json"), "--box", "1"]) == 3
+        assert "internal consistency failure: not a complex subtorus" in capsys.readouterr().err

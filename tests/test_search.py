@@ -5,11 +5,17 @@ decides semidefiniteness by the signs of all principal minors, computed by
 Gaussian elimination with exact division (Fractions over Q, field division
 over a number field).  For a PSD matrix the rank is the size of its largest
 nonsingular principal block, so the same minors give the form rank.
+
+The structured candidates are compared with a reference that builds every
+candidate as a form: the fiber forms with their Hodge test, their subset
+sums, the Poincare duals of the corank-2 coordinate-factor sublattices, and
+one `ns_coordinates` solve per form.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +24,28 @@ from hypothesis import strategies as st
 from lefdefect import _purekernels
 from lefdefect.classifier import classify
 from lefdefect.checks import isogeny_spec_of
-from lefdefect.effectivity import _SearchData, torus_defect
-from lefdefect.exactmath import AlgebraicReal, QMatrix, nf_sign, rank
-from lefdefect.torus import elliptic, product
+from lefdefect.cohomology import poincare_dual
+from lefdefect.effectivity import _SearchData, _structured_candidate_vectors, torus_defect
+from lefdefect.exactmath import (
+    AlgebraicReal,
+    QMatrix,
+    RealNumberField,
+    nf_sign,
+    primitive_integer_vector,
+    rank,
+)
+from lefdefect.schema import load_document
+from lefdefect.torus import (
+    AlternatingForm,
+    ComplexTorus,
+    coordinate_factor_sublattices,
+    elliptic,
+    factor_blocks,
+    ns_coordinates,
+    product,
+)
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
 
 def _sign(x):
@@ -224,3 +249,99 @@ def test_ei4_box1_reaches_2k_minus_1():
     assert result.delta == 7 == classify(isogeny_spec_of(A)).delta
     assert result.classes_scanned >= 3**16 - 1
     assert result.nodes_visited < 10_000
+
+
+def reference_structured_vectors(A):
+    blocks = factor_blocks(A)
+    if blocks is None:
+        return []
+    size = 2 * A.n
+    fibers = []
+    for offset, f in blocks:
+        rows = [[0] * size for _ in range(size)]
+        for t in range(f.n):
+            rows[offset + 2 * t][offset + 2 * t + 1] = 1
+            rows[offset + 2 * t + 1][offset + 2 * t] = -1
+        fibers.append(AlternatingForm(A, rows))
+    forms = []
+    if all(f.is_hodge for f in fibers):
+        for k in range(1, len(fibers) + 1):
+            for subset in itertools.combinations(fibers, k):
+                form = subset[0]
+                for other in subset[1:]:
+                    form = form + other
+                forms.append(form)
+    for _, W in coordinate_factor_sublattices(A, corank=2):
+        forms.append(AlternatingForm.from_pair_coords(A, poincare_dual(A, W).coords))
+    vectors = set()
+    for form in forms:
+        coords = ns_coordinates(A, form)
+        if coords is None or not any(coords):
+            continue
+        prim = primitive_integer_vector(coords)
+        vectors |= {prim, tuple(-c for c in prim)}
+    return sorted(vectors)
+
+
+def assert_structured_vectors_match_reference(A):
+    assert _structured_candidate_vectors(A, _SearchData(A)) == reference_structured_vectors(A)
+
+
+def test_structured_candidates_match_reference_on_corpus(corpus):
+    for A in corpus.values():
+        assert_structured_vectors_match_reference(A)
+
+
+def test_structured_candidates_match_reference_on_samples():
+    tori = [load_document(path).torus for path in sorted(SAMPLES.glob("torus_*.json"))]
+    assert len(tori) >= 2
+    for A in tori:
+        assert_structured_vectors_match_reference(A)
+
+
+def test_structured_candidates_with_undeclared_surface_blocks():
+    # B = E_i x E_tau (tau = 1/2 + 2i) enters as one undeclared 2-dimensional
+    # block, once on its own lattice basis (fiber form a Hodge class) and
+    # once on a basis that mixes the two curves (fiber form not a Hodge
+    # class: no subset sums, only the Poincare dual of the E_i block).
+    B = product([elliptic(0, 1), elliptic(Fraction(1, 2), 2)])
+    U = QMatrix([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    U_inv = QMatrix([[1, 0, -1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert U * U_inv == QMatrix.identity(4)
+    plain = ComplexTorus(B.field, B.J)
+    mixed = ComplexTorus(B.field, U_inv * (B.J * U))
+    fiber = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    assert AlternatingForm(plain, fiber).is_hodge
+    assert not AlternatingForm(mixed, fiber).is_hodge
+    E = elliptic(0, 1, label="E_i")
+    for blocks, count in (([plain, E], 6), ([mixed, E], 2), ([mixed, plain, E], 2)):
+        A = product(blocks)
+        vectors = _structured_candidate_vectors(A, _SearchData(A))
+        assert vectors == reference_structured_vectors(A)
+        assert len(vectors) == count
+
+
+@st.composite
+def elliptic_products(draw):
+    """Products of 2-3 elliptic curves over Q or over Q(2^(1/4))."""
+    K = draw(st.sampled_from(["Q", "K"]))
+    a = st.fractions(min_value=-1, max_value=1, max_denominator=3)
+    scale = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)])
+    count = draw(st.integers(2, 3))
+    if K == "Q":
+        curves = [elliptic(draw(a), draw(scale)) for _ in range(count)]
+    else:
+        G = RealNumberField([-2, 0, 0, 0, 1], (Fraction(1), Fraction(3, 2)))
+        alpha = G.alpha()
+        betas = [G.one(), alpha, alpha * alpha, G.one() + alpha]
+        curves = [
+            elliptic(draw(a), draw(st.sampled_from(betas)) * G.from_rational(draw(scale)))
+            for _ in range(count)
+        ]
+    return product(curves)
+
+
+@settings(max_examples=25, deadline=None)
+@given(elliptic_products())
+def test_structured_candidates_match_reference_on_random_products(A):
+    assert_structured_vectors_match_reference(A)

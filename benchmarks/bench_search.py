@@ -1,13 +1,15 @@
 """Benchmark: the pruned effective-class search on fixed cases.
 
 Times `torus_defect` (pure Python, the only search path) on E_i x E_i at
-boxes 2 and 3, E_i^3 at boxes 1 and 2, and E_i^4 at box 1, and records per
-case the delta, the box candidates decided (`classes_scanned`), the
-search-tree nodes entered (`nodes_visited`) and the best wall time of
-`--repeat` runs, each on a freshly built torus.  The results are stored in
-BENCH_search.json next to this script as one run under `--label`, replacing
-an earlier run with the same label, so runs of two checkouts sit side by
-side.
+boxes 2 and 3, E_i^3 at boxes 1 and 2, and E_i^4 at box 1 over Q, and on
+three products over Q(2^(1/4)) from the test corpus: E_ia x E_ia' at box 2
+and E_i x E_ia x E_ia2 and E_i x E_i' x E_ia at box 1 (a = 2^(1/4)), where
+the search runs on Z[alpha] entries.  It records per case the delta, the
+box candidates decided (`classes_scanned`), the search-tree nodes entered
+(`nodes_visited`) and the best wall time of `--repeat` runs, each on a
+freshly built torus.  The results are stored in BENCH_search.json next to
+this script as one run under `--label`, replacing an earlier run with the
+same label, so runs of two checkouts sit side by side.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_search.py [--label NAME] [--repeat N]
@@ -23,19 +25,34 @@ import json
 import os
 import platform
 import time
+from fractions import Fraction
 
 from lefdefect.effectivity import torus_defect
+from lefdefect.exactmath import RealNumberField
 from lefdefect.torus import elliptic, product
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_search.json")
 
 
-CASES = (("E_i^2, box 2", 2, 2), ("E_i^2, box 3", 2, 3), ("E_i^3, box 1", 3, 1),
-         ("E_i^3, box 2", 3, 2), ("E_i^4, box 1", 4, 1))
-
-
 def power_of_ei(k):
-    return product([elliptic(0, 1, label=f"E{i}") for i in range(k)])
+    return lambda: product([elliptic(0, 1, label=f"E{i}") for i in range(k)])
+
+
+def over_quartic(betas):
+    """Product of the curves tau = i * alpha^k, k in `betas`, over Q(2^(1/4))."""
+    def build():
+        K = RealNumberField([-2, 0, 0, 0, 1], (Fraction(1), Fraction(3, 2)))
+        alpha = K.alpha()
+        return product([elliptic(0, alpha**k, label=f"E{i}") for i, k in enumerate(betas)])
+    return build
+
+
+CASES = (("E_i^2, box 2", power_of_ei(2), 2), ("E_i^2, box 3", power_of_ei(2), 3),
+         ("E_i^3, box 1", power_of_ei(3), 1), ("E_i^3, box 2", power_of_ei(3), 2),
+         ("E_i^4, box 1", power_of_ei(4), 1),
+         ("eia2, box 2", over_quartic((1, 1)), 2),
+         ("triple, box 1", over_quartic((0, 1, 2)), 1),
+         ("ei2_x_nocm, box 1", over_quartic((0, 0, 1)), 1))
 
 
 def main():
@@ -46,13 +63,13 @@ def main():
     args = parser.parse_args()
 
     rows = []
-    print(f"{'case':<14} {'delta':>5} {'classes':>10} {'nodes':>7} {'seconds':>9}")
-    for name, k, box in CASES:
+    print(f"{'case':<18} {'delta':>5} {'classes':>10} {'nodes':>7} {'seconds':>9}")
+    for name, build, box in CASES:
         if name in args.skip:
             continue
         times = []
         for _ in range(args.repeat):
-            torus = power_of_ei(k)  # fresh, so every run computes its NS basis
+            torus = build()  # fresh, so every run computes its NS basis
             started = time.perf_counter()
             result = torus_defect(torus, box=box)
             times.append(time.perf_counter() - started)
@@ -64,7 +81,7 @@ def main():
             "nodes_visited": nodes,
             "seconds": round(min(times), 4),
         })
-        print(f"{name:<14} {result.delta:>5} {result.classes_scanned:>10} "
+        print(f"{name:<18} {result.delta:>5} {result.classes_scanned:>10} "
               f"{'-' if nodes is None else nodes:>7} {min(times):>9.4f}")
 
     runs = []

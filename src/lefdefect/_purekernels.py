@@ -13,14 +13,17 @@ partial-bound pruning).  Leaves that survive get the full test and the
 cup-product kernel dimension.
 
 Semidefiniteness and rank come from one routine, `psd_rank`: symmetric
-fraction-free elimination with diagonal pivoting.  Integer data divides
-with `//`; number-field data uses `nf_sign` and field division, so Q and
-number fields share the search.
+fraction-free elimination with diagonal pivoting.  Over Q the entries are
+plain ints and divide with `//`.  Over a number field they are elements of
+Z[alpha] with integer power-basis coordinates (`IntegralElement`); their
+signs come from an integer interval evaluation at alpha, with `nf_sign` as
+the fallback, and their exact quotients from one adjugate and norm per
+pivot.  So Q and number fields share the search and its integer arithmetic.
 """
 
 from __future__ import annotations
 
-from .exactmath import nf_sign
+from .exactmath import IntegralElement, integral_quotient, integral_sign
 
 
 def rank_int(rows) -> int:
@@ -62,11 +65,13 @@ def psd_rank(M, idx, sign, quotient) -> int:
     the signs are those of the Schur complement.  A negative diagonal entry
     means the block is not PSD; when every remaining diagonal entry is zero,
     the block is PSD only if every remaining entry is zero.  `sign` is the
-    scalar kind's sign and `quotient(d)` its exact division by d.
+    scalar kind's sign and `quotient(d)` its exact division by d, made only
+    for a pivot whose successor has entries left to update.
     """
     a = [[M[i][j] for j in idx] for i in idx]
     rest = list(range(len(a)))
-    divide = None  # by the previous pivot; nothing to divide by before the first
+    previous = None  # pivot; nothing to divide by before the first
+    divide = None
     rank = 0
     while rest:
         pivot = -1
@@ -81,6 +86,8 @@ def psd_rank(M, idx, sign, quotient) -> int:
                 return -1
             return rank
         rest.remove(pivot)
+        if rest and previous is not None:
+            divide = quotient(previous)
         p = a[pivot][pivot]
         row_p = a[pivot]
         for n, i in enumerate(rest):
@@ -89,7 +96,7 @@ def psd_rank(M, idx, sign, quotient) -> int:
             for j in rest[n:]:  # the update keeps the block symmetric
                 v = p * ai[j] - f * row_p[j]
                 ai[j] = a[j][i] = v if divide is None else divide(v)
-        divide = quotient(p)
+        previous = p
         rank += 1
     return rank
 
@@ -202,10 +209,12 @@ class IntSearch(_Search):
 
 
 class FieldSearch(_Search):
-    """Search state when the symmetric parts have number-field entries."""
+    """Search state when the symmetric parts have entries in Z[alpha]
+    (`IntegralElement`s of `field`)."""
 
     def __init__(self, s_basis, w_pairs, rho, N, m4, field):
-        super().__init__(s_basis, w_pairs, rho, N, m4, field.zero(), nf_sign, field_quotient)
+        zero = IntegralElement(field, (0,) * field.degree)
+        super().__init__(s_basis, w_pairs, rho, N, m4, zero, integral_sign, integral_quotient)
 
 
 def scan_range(search, box: int, collect: bool):

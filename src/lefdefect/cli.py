@@ -10,8 +10,9 @@ Subcommands:
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 input error, 3 internal consistency failure.  Input is validated where it
 is read, so every input problem arrives as a `SchemaError` (or an `OSError`
-from reading the file); any other `ValueError` is an internal failure.  A
-box-limited oracle verdict is not a failure.
+from reading the file); any other exception is an internal failure, exit 3,
+never the traceback exit status 1 that would read as a failed verification.
+A box-limited oracle verdict is not a failure.
 """
 
 from __future__ import annotations
@@ -285,6 +286,12 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (ConsistencyError, ValueError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # any other fault is internal, not a failed verification
+        import traceback  # only this error path needs it
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

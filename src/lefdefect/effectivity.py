@@ -18,6 +18,12 @@ coordinate-factor sublattices; all come from one NS solve per block.  The box
 is covered by a pruned depth-first search (see `_purekernels`):
 `classes_scanned` counts every box candidate it decides, visited or pruned,
 and `nodes_visited` the search-tree nodes it actually enters.
+
+The search runs on integer data.  With J = sum_k alpha^k J_k on the power
+basis and D the common denominator of the J_k, it stores each D * S_b as an
+integer matrix over Q and as a matrix of elements of Z[alpha] (integer
+power-basis coordinates) over a number field; alpha is integral because
+`min_poly` is monic with integer coefficients.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from . import _purekernels
 from .cohomology import class_of_form, wedge, wedge_basis
 from .errors import ConsistencyError, NotHodgeClass
 from .exactmath import (
+    IntegralElement,
     KMatrix,
     QMatrix,
     integer_kernel_basis,
@@ -179,7 +186,15 @@ class EffectiveClassRecord:
 
 
 class _SearchData:
-    """Precomputed integer data for scanning one torus."""
+    """Precomputed integer data for scanning one torus.
+
+    With J = sum_k alpha^k J_k on the power basis and D the common
+    denominator of the J_k, each symmetric part is stored as
+    D * S_b = sum_k alpha^k (E_b * D J_k): integer matrices over Q, and
+    matrices of `IntegralElement`s (entries of Z[alpha], alpha integral
+    since min_poly is monic with integer coefficients) over a number field.
+    The positive factor D changes neither semidefiniteness nor rank.
+    """
 
     def __init__(self, A: ComplexTorus):
         if A.n < 2:
@@ -187,37 +202,43 @@ class _SearchData:
         self.torus = A
         self.basis = ns_basis(A)
         self.rho = len(self.basis)
-        self.N = 2 * A.n
-        self.m4 = len(wedge_basis(self.N, 4))
-        e_int = [[[int(x) for x in row] for row in b.matrix] for b in self.basis]
+        N = self.N = 2 * A.n
+        self.m4 = len(wedge_basis(N, 4))
+        self.e_int = [[[int(x) for x in row] for row in b.matrix] for b in self.basis]
         # Cup products of basis pairs: integer coordinate vectors in H^4.
         classes = [class_of_form(b) for b in self.basis]
         self.w_pairs = [
             [[int(x) for x in wedge(ci, cj).coords] for cj in classes] for ci in classes
         ]
-        if A.J.is_rational():
-            jden = lcm(
-                *(x.as_rational().denominator for row in A.J.rows for x in row)
-            )
-            jint = [[int(x.as_rational() * jden) for x in row] for row in A.J.rows]
-            # Positive rescaling of J keeps semidefiniteness and rank intact.
-            s_int = [
+        field = A.field
+        rational = A.J.is_rational()
+        parts = [A.j_component(k) for k in range(1 if rational else field.degree)]
+        jden = lcm(*(x.denominator for Jk in parts for row in Jk for x in row))
+        jint = [[[int(x * jden) for x in row] for row in Jk] for Jk in parts]
+        s_parts = [
+            [
                 [
-                    [
-                        sum(e[r][k] * jint[k][c] for k in range(self.N))
-                        for c in range(self.N)
-                    ]
-                    for r in range(self.N)
+                    [sum(e[r][m] * Jk[m][c] for m in range(N)) for c in range(N)]
+                    for r in range(N)
                 ]
-                for e in e_int
+                for Jk in jint
             ]
+            for e in self.e_int
+        ]
+        if rational:
             self.search = _purekernels.IntSearch(
-                s_int, self.w_pairs, self.rho, self.N, self.m4
+                [s[0] for s in s_parts], self.w_pairs, self.rho, N, self.m4
             )
         else:
-            s_field = [(KMatrix(A.field, e) * A.J).rows for e in e_int]
+            s_alpha = [
+                [
+                    [IntegralElement(field, tuple(Sk[r][c] for Sk in s)) for c in range(N)]
+                    for r in range(N)
+                ]
+                for s in s_parts
+            ]
             self.search = _purekernels.FieldSearch(
-                s_field, self.w_pairs, self.rho, self.N, self.m4, A.field
+                s_alpha, self.w_pairs, self.rho, N, self.m4, field
             )
 
 
@@ -310,18 +331,20 @@ def _run_search(A: ComplexTorus, box: int, collect: bool):
         coeffs = _position_coeffs(position, data.rho, box)
     else:
         coeffs = tuple(extras[position - total])
-    witness = _form_from_coeffs(A, data.basis, coeffs)
+    witness = _form_from_coeffs(A, data.e_int, coeffs)
     result = DefectSearchResult(best[0], witness, scanned, nodes, box, coeffs)
     out_records = [EffectiveClassRecord(*r) for r in records] if collect else []
     return result, out_records
 
 
-def _form_from_coeffs(A, basis, coeffs) -> AlternatingForm:
-    form = None
-    for c, b in zip(coeffs, basis):
-        term = b * c
-        form = term if form is None else form + term
-    return form
+def _form_from_coeffs(A, e_int, coeffs) -> AlternatingForm:
+    """The form sum c_b b, added up on the integer basis matrices and
+    validated once."""
+    N = len(e_int[0])
+    return AlternatingForm(
+        A,
+        [[sum(c * e[r][k] for c, e in zip(coeffs, e_int)) for k in range(N)] for r in range(N)],
+    )
 
 
 def torus_defect(A: ComplexTorus, box: int = 2) -> DefectSearchResult:

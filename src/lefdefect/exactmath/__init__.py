@@ -19,16 +19,20 @@ from .linalg import (
 )
 from .numberfield import (
     AlgebraicReal,
+    IntegralElement,
     Rational,
     RealNumberField,
     count_real_roots,
     format_rational,
+    integral_quotient,
+    integral_sign,
     nf_sign,
     parse_rational,
 )
 
 __all__ = [
     "AlgebraicReal",
+    "IntegralElement",
     "KMatrix",
     "QMatrix",
     "Rational",
@@ -37,6 +41,8 @@ __all__ = [
     "count_real_roots",
     "format_rational",
     "integer_kernel_basis",
+    "integral_quotient",
+    "integral_sign",
     "is_saturated",
     "kernel_basis",
     "lattice_index",

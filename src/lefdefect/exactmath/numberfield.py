@@ -12,11 +12,24 @@ isolating interval eventually yields a definite sign.  Termination for
 square-free (but accidentally reducible) moduli is guaranteed by a gcd-based
 zero shortcut; for the intended use the modulus is irreducible and the
 shortcut never fires.
+
+Because min_poly is monic with integer coefficients, alpha is an algebraic
+integer and sums and products of integer combinations of its powers stay
+integer combinations.  The defect search stores its matrices in this ring
+Z[alpha] (`IntegralElement`: integer power-basis coordinates, integer
+reduction rows).  It decides signs with an integer interval Horner on the
+cached bounds of alpha and falls back to `nf_sign` only when that interval
+straddles zero.  It divides exactly by multiplying with the adjugate and
+dividing by the norm (`integral_quotient`).  So it builds no Fraction outside
+that fallback.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+from ..errors import ConsistencyError
 
 Rational = Fraction
 
@@ -236,13 +249,12 @@ class RealNumberField:
 
         self._min_poly = tuple(coeffs)
         self._interval = (lo, hi)
-        # Tightest interval around alpha found by `nf_sign` so far: a cache
-        # only, so equality and hashing use the declared interval.
-        self._alpha_bounds = (lo, hi)
         d = self._degree = len(coeffs) - 1
+        self._set_alpha_bounds(lo, hi)
         # Reduction rows: alpha^(d+k) on the power basis, for k = 0..d-2
-        # (a product of two reduced elements has degree at most 2d-2).
-        base = [-c for c in coeffs[:d]]
+        # (a product of two reduced elements has degree at most 2d-2).  They
+        # are integers because min_poly is monic with integer coefficients.
+        base = [-int(c) for c in coeffs[:d]]
         rows = []
         current = list(base)
         for _ in range(d - 1):
@@ -250,6 +262,20 @@ class RealNumberField:
             head = current[d - 1]
             current = [head * base[0]] + [current[i - 1] + head * base[i] for i in range(1, d)]
         self._reduction = tuple(rows)
+
+    def _set_alpha_bounds(self, lo, hi):
+        """Record a tighter interval around alpha (a cache only, so equality
+        and hashing use the declared interval).
+
+        `_alpha_int` holds the same bounds over a common denominator q as
+        (q*lo, q*hi, (q, q^2, ..., q^(d-1))), for the integer interval
+        Horner of `integral_sign`.
+        """
+        self._alpha_bounds = (lo, hi)
+        q = lcm(lo.denominator, hi.denominator)
+        scale = tuple(q**k for k in range(1, self._degree))
+        self._alpha_int = (lo.numerator * (q // lo.denominator),
+                           hi.numerator * (q // hi.denominator), scale)
 
     @classmethod
     def rationals(cls) -> "RealNumberField":
@@ -497,4 +523,154 @@ def nf_sign(x: AlgebraicReal) -> int:
                 return 0
             zero_ruled_out = True
         lo, hi = field.refine_interval(lo, hi)
-        field._alpha_bounds = (lo, hi)
+        field._set_alpha_bounds(lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# Elements of Z[alpha] with integer coordinates
+# ---------------------------------------------------------------------------
+
+
+class IntegralElement:
+    """Element of Z[alpha]: integer coordinates on the power basis.
+
+    alpha is integral because min_poly is monic with integer coefficients,
+    so sums and products stay in Z[alpha] and reduce with the field's
+    integer reduction rows.  This is the scalar of the number-field search:
+    it supports +, -, * (by elements and by ints) and comparison with 0;
+    signs come from `integral_sign` and exact division from
+    `integral_quotient`.
+    """
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: RealNumberField, coeffs):
+        self.field = field
+        self.coeffs = coeffs
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            c = self.coeffs
+            return IntegralElement(self.field, (c[0] + other,) + c[1:])
+        return IntegralElement(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return IntegralElement(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __mul__(self, other):
+        a = self.coeffs
+        if isinstance(other, int):
+            return IntegralElement(self.field, tuple(other * x for x in a))
+        b = other.coeffs
+        d = len(a)
+        raw = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    raw[i + j] += x * y
+        out = raw[:d]
+        for c, row in zip(raw[d:], self.field._reduction):
+            if c:
+                for i in range(d):
+                    out[i] += c * row[i]
+        return IntegralElement(self.field, tuple(out))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            c = self.coeffs
+            return c[0] == other and not any(c[1:])
+        if isinstance(other, IntegralElement):
+            return self.field == other.field and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __repr__(self):
+        return f"IntegralElement({self.coeffs})"
+
+
+def _alpha_multiples(field: RealNumberField, coeffs):
+    """Coordinates of x, x*alpha, ..., x*alpha^(d-1): the columns of the
+    matrix of multiplication by x on the power basis."""
+    d = len(coeffs)
+    top = field._reduction[0] if d > 1 else ()  # alpha^d on the power basis
+    cols = [list(coeffs)]
+    for _ in range(d - 1):
+        prev = cols[-1]
+        h = prev[-1]
+        cols.append([h * top[0]] + [prev[i - 1] + h * top[i] for i in range(1, d)])
+    return cols
+
+
+def integral_sign(x: IntegralElement) -> int:
+    """Exact sign (-1, 0, +1) of x at the field's isolated root.
+
+    An integer interval Horner over the field's cached bounds of alpha
+    decides almost every sign; it encloses the same interval as the rational
+    Horner in `nf_sign`, scaled by a positive power of the bounds' common
+    denominator.  Only when that interval cannot decide does `nf_sign` run,
+    with its exact zero test and interval refinement.
+    """
+    c = x.coeffs
+    lo, hi, scale = x.field._alpha_int
+    vlo = vhi = c[-1]
+    for coeff, q in zip(reversed(c[:-1]), scale):
+        products = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        shift = q * coeff
+        vlo = min(products) + shift
+        vhi = max(products) + shift
+    if vlo > 0:
+        return 1
+    if vhi < 0:
+        return -1
+    if not any(c):
+        return 0
+    return nf_sign(x.field.element(c))
+
+
+def integral_quotient(p: IntegralElement):
+    """Exact division by p in Z[alpha]: x -> x * adj(p) / N(p).
+
+    N(p) is the determinant of the matrix M_p of multiplication by p and
+    adj(p) = adj(M_p) e_0, so p * adj(p) = N(p); both come from one
+    fraction-free Gauss-Jordan elimination of [M_p | e_0] (a row swap
+    negates both, which leaves the quotient unchanged).  Multiplication by
+    adj(p) is the matrix adj(M_p), so a division costs one matrix-vector
+    product and d exact integer divisions.  A nonzero remainder, or
+    N(p) = 0 (a zero divisor, possible only for a reducible min_poly),
+    raises `ConsistencyError`.
+    """
+    field = p.field
+    d = len(p.coeffs)
+    cols = _alpha_multiples(field, p.coeffs)
+    m = [[cols[k][i] for k in range(d)] + [int(i == 0)] for i in range(d)]
+    prev = 1
+    for k in range(d):
+        pivot = next((i for i in range(k, d) if m[i][k]), None)
+        if pivot is None:
+            raise ConsistencyError(f"{p} is a zero divisor: min_poly is reducible")
+        m[k], m[pivot] = m[pivot], m[k]
+        row_k = m[k]
+        piv = row_k[k]
+        for i in range(d):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], row_k)]
+        prev = piv
+    norm = prev
+    adj_cols = _alpha_multiples(field, [row[d] for row in m])
+    adj = [[adj_cols[k][i] for k in range(d)] for i in range(d)]
+
+    def divide(x):
+        c = x.coeffs
+        out = []
+        for row in adj:
+            q, r = divmod(sum(a * b for a, b in zip(row, c)), norm)
+            if r:
+                raise ConsistencyError(f"{x} is not divisible by {p} in Z[alpha]")
+            out.append(q)
+        return IntegralElement(field, tuple(out))
+
+    return divide

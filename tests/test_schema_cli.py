@@ -357,3 +357,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "torus_defect", broken)
         assert main(["torus", str(SAMPLES / "torus_ei_ei.json"), "--box", "1"]) == 3
         assert "internal consistency failure: not a complex subtorus" in capsys.readouterr().err
+
+    def test_other_internal_exception_exits_3(self, capsys, monkeypatch):
+        import lefdefect.cli as cli
+
+        def broken(A, box):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "torus_defect", broken)
+        assert main(["torus", str(SAMPLES / "torus_ei_ei.json"), "--box", "1"]) == 3
+        assert "internal error: ZeroDivisionError: division by zero" in capsys.readouterr().err

@@ -4,7 +4,10 @@ The reference scans every point of the coefficient box in position order and
 decides semidefiniteness by the signs of all principal minors, computed by
 Gaussian elimination with exact division (Fractions over Q, field division
 over a number field).  For a PSD matrix the rank is the size of its largest
-nonsingular principal block, so the same minors give the form rank.
+nonsingular principal block, so the same minors give the form rank.  The
+search stores number-field entries in Z[alpha] (`IntegralElement`); the
+reference converts them exactly back to `AlgebraicReal`s, and the Z[alpha]
+product, quotient and sign are compared with the field's own.
 
 The structured candidates are compared with a reference that builds every
 candidate as a form: the fiber forms with their Hodge test, their subset
@@ -26,10 +29,14 @@ from lefdefect.classifier import classify
 from lefdefect.checks import isogeny_spec_of
 from lefdefect.cohomology import poincare_dual
 from lefdefect.effectivity import _SearchData, _structured_candidate_vectors, torus_defect
+from lefdefect.errors import ConsistencyError
 from lefdefect.exactmath import (
     AlgebraicReal,
+    IntegralElement,
     QMatrix,
     RealNumberField,
+    integral_quotient,
+    integral_sign,
     nf_sign,
     primitive_integer_vector,
     rank,
@@ -118,9 +125,15 @@ def reference_scan(s_basis, w_pairs, box):
     return best[0], best[1], scanned, records
 
 
+def as_algebraic(M):
+    """A matrix with its Z[alpha] entries converted exactly to AlgebraicReals."""
+    return [[x.field.element(x.coeffs) if isinstance(x, IntegralElement) else x for x in row]
+            for row in M]
+
+
 def assert_search_matches_reference(search, box):
     delta, position, scanned, nodes, records = _purekernels.scan_range(search, box, True)
-    expected = reference_scan(search.s_basis, search.w_pairs, box)
+    expected = reference_scan([as_algebraic(m) for m in search.s_basis], search.w_pairs, box)
     assert (delta, position, scanned, records) == expected
     assert scanned == (2 * box + 1) ** search.rho - 1
     assert 0 < nodes
@@ -169,9 +182,10 @@ def test_structured_vectors_match_reference(corpus):
     delta, position, scanned, nodes, records = _purekernels.scan_vectors(
         search, vectors, 100, True
     )
+    s_basis = [as_algebraic(m) for m in search.s_basis]
     expected = []
     for offset, coeffs in enumerate(vectors):
-        found = reference_record(search.s_basis, search.w_pairs, coeffs)
+        found = reference_record(s_basis, search.w_pairs, coeffs)
         if found is not None:
             expected.append((100 + offset, coeffs) + found)
     assert records == expected
@@ -234,6 +248,105 @@ def test_psd_rank_over_quartic_field(quartic_field, seed):
              for row in G]
         got = _purekernels.psd_rank(G, range(n), nf_sign, _purekernels.field_quotient)
         assert got == reference_psd_rank(G) == _purekernels.rank_int(B)
+
+
+def integral_psd_rank(M):
+    return _purekernels.psd_rank(M, range(len(M)), integral_sign, integral_quotient)
+
+
+# Z[alpha] arithmetic against AlgebraicReal / nf_sign.  The cubic
+# x^3 - 3x + 1 has its root 0.347... in (0, 1); -sqrt(3) sits in a negative
+# isolating interval.  The near-zero elements (99 - 70 sqrt(2) = 0.00505...,
+# 97 - 56 sqrt(3) = 0.00515...) straddle 0 on the declared interval, so their
+# signs need the refinement in `nf_sign`.
+FIELDS = {
+    "quartic": ([-2, 0, 0, 0, 1], (Fraction(1), Fraction(3, 2))),
+    "sqrt2": ([-2, 0, 1], (Fraction(1), Fraction(2))),
+    "cubic": ([1, -3, 0, 1], (Fraction(0), Fraction(1))),
+    "minus_sqrt3": ([-3, 0, 1], (Fraction(-2), Fraction(-1))),
+}
+NEAR_ZERO = {
+    "quartic": [(99, 0, -70, 0), (-99, 0, 70, 0), (0, 99, 0, -70), (577, 0, -408, 0)],
+    "sqrt2": [(99, -70), (-99, 70), (577, -408), (-3363, 2378)],
+    "cubic": [(-347, 1000, 0), (3473, -10000, 0), (-1, 3, 0), (0, -1, 3)],
+    "minus_sqrt3": [(97, 56), (-97, -56), (1351, 780), (26, 15)],
+}
+
+
+@st.composite
+def integral_elements(draw, name, nonzero=False):
+    d = len(FIELDS[name][0]) - 1
+    plain = st.tuples(*[st.integers(-60, 60)] * d)
+    coeffs = draw(st.one_of(plain, st.sampled_from(NEAR_ZERO[name])))
+    if nonzero and not any(coeffs):
+        coeffs = (1,) + coeffs[1:]
+    return coeffs
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_integral_arithmetic_and_sign_match_field(name, data):
+    K = RealNumberField(*FIELDS[name])
+    a = data.draw(integral_elements(name))
+    b = data.draw(integral_elements(name))
+    x, y = IntegralElement(K, a), IntegralElement(K, b)
+    X, Y = K.element(a), K.element(b)
+    assert K.element((x * y).coeffs) == X * Y
+    assert K.element((x + y).coeffs) == X + Y
+    assert K.element((x - y).coeffs) == X - Y
+    assert K.element((-3 * x).coeffs) == -3 * X
+    fresh = RealNumberField(*FIELDS[name])  # an uncached interval around alpha
+    for z, Z in ((x, X), (x * y, X * Y), (x - y, X - Y)):
+        assert integral_sign(z) == nf_sign(fresh.element(Z.coeffs))
+    assert (x == 0) == X.is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integral_quotient_matches_field_division(name, data):
+    K = RealNumberField(*FIELDS[name])
+    a = data.draw(integral_elements(name))
+    b = data.draw(integral_elements(name, nonzero=True))
+    x, p = IntegralElement(K, a), IntegralElement(K, b)
+    divide = integral_quotient(p)
+    assert divide(x * p).coeffs == a
+    exact = K.element(a) / K.element(b)
+    if all(c.denominator == 1 for c in exact.coeffs):
+        assert K.element(divide(x).coeffs) == exact
+    else:
+        with pytest.raises(ConsistencyError):
+            divide(x)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("seed", range(2))
+def test_psd_rank_on_integral_matrices(name, seed):
+    rng = random.Random(seed)
+    K = RealNumberField(*FIELDS[name])
+    d = K.degree
+    alpha = IntegralElement(K, (0, 1) + (0,) * (d - 2))
+    near = [IntegralElement(K, c) for c in NEAR_ZERO[name]]
+    positive = [z if integral_sign(z) > 0 else -1 * z for z in near + [alpha]]
+    entry = lambda r: IntegralElement(K, tuple(r.choice((0, 0, 1, -1, 2)) for _ in range(d)))
+    one = IntegralElement(K, (1,) + (0,) * (d - 1))
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        M = _symmetric(rng, n, entry)
+        assert integral_psd_rank(M) == reference_psd_rank(as_algebraic(M))
+        weights = rng.sample(positive, rng.randint(1, min(n, 3)))
+        G, B = _gram(rng, n, weights, lambda r: r.choice((0, 0, 1, -1, 2)))
+        G = [[x if isinstance(x, IntegralElement) else x * one for x in row] for row in G]
+        got = integral_psd_rank(G)
+        assert got == reference_psd_rank(as_algebraic(G)) == _purekernels.rank_int(B)
+
+
+def test_integral_quotient_by_zero_divisor_raises():
+    # x^2 - 1 is square-free but reducible: 1 + alpha is a zero divisor.
+    K = RealNumberField([-1, 0, 1], (Fraction(1, 2), Fraction(3, 2)))
+    with pytest.raises(ConsistencyError, match="zero divisor"):
+        integral_quotient(IntegralElement(K, (1, 1)))
 
 
 def test_psd_rank_rejects_zero_diagonal_with_coupling():

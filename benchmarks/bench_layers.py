@@ -1,0 +1,125 @@
+"""Benchmark: the layers that read a torus's complex structure J.
+
+On the tori of `bench_search.py` (E_i^2, E_i^3 and E_i^4 over Q, and three
+products over Q(2^(1/4))) it times, each as the best of `--repeat` runs:
+
+* `build`: constructing the product torus from its curves,
+* `ns_basis`: the NS basis of a freshly built torus (nothing cached),
+* `hom_rank`: Hom ranks between every ordered pair of factors and of the
+  torus with itself,
+* `is_effective_class`: the effectivity test on fresh copies of every NS
+  basis form b, the product polarization h (the sum of the fiber forms) and
+  every h + b.
+
+Counts (Picard number, Hom ranks summed, effective forms) are recorded next to
+the times, so two checkouts can be checked for equal answers.  Results go to
+BENCH_layers.json next to this script as one run under `--label`, replacing
+an earlier run with the same label, so runs of two checkouts sit side by side.
+
+Usage:
+    PYTHONPATH=src python benchmarks/bench_layers.py [--label NAME] [--repeat N]
+
+To time an older checkout with this script, point PYTHONPATH at its `src`.
+"""
+
+import argparse
+import json
+import os
+import platform
+import time
+
+from bench_search import CASES
+from lefdefect.effectivity import is_effective_class
+from lefdefect.torus import AlternatingForm, fiber_pairs, hom_rank, ns_basis
+
+OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_layers.json")
+
+
+def best_time(run, prepare, repeat):
+    """(result of the last run, best wall time of `repeat` runs of
+    run(prepare()); prepare is not timed)."""
+    times = []
+    for _ in range(repeat):
+        arg = prepare()
+        started = time.perf_counter()
+        result = run(arg)
+        times.append(time.perf_counter() - started)
+    return result, min(times)
+
+
+def sample_forms(A):
+    basis = ns_basis(A)
+    size = 2 * A.n
+    h = [[0] * size for _ in range(size)]
+    for block in fiber_pairs(A):
+        for i, j in block:
+            h[i][j], h[j][i] = 1, -1
+    forms = [b.matrix for b in basis] + [h]
+    forms += [[[x + y for x, y in zip(rb, rh)] for rb, rh in zip(b.matrix, h)] for b in basis]
+    return forms
+
+
+def measure(build, repeat):
+    A, build_s = best_time(lambda _: build(), lambda: None, repeat)
+    basis, ns_s = best_time(ns_basis, build, repeat)
+    tori = list(A.factors) + [A]
+    hom_total, hom_s = best_time(
+        lambda pairs: sum(hom_rank(X, Y) for X, Y in pairs),
+        lambda: [(X, Y) for X in tori for Y in tori], repeat)
+    forms = sample_forms(A)
+    effective, effective_s = best_time(
+        lambda fresh: sum(is_effective_class(A, E) for E in fresh),
+        lambda: [AlternatingForm(A, m) for m in forms], repeat)
+    return {
+        "rho": len(basis),
+        "hom_rank_sum": hom_total,
+        "forms": len(forms),
+        "effective_forms": effective,
+        "seconds": {
+            "build": round(build_s, 5),
+            "ns_basis": round(ns_s, 5),
+            "hom_rank": round(hom_s, 5),
+            "is_effective_class": round(effective_s, 5),
+        },
+    }
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", default="current")
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args()
+
+    rows = []
+    seen = set()
+    print(f"{'torus':<12} {'rho':>4} {'build':>9} {'ns_basis':>9} {'hom_rank':>9} {'effective':>9}")
+    for name, build, _ in CASES:
+        torus = name.split(",")[0]
+        if torus in seen:
+            continue
+        seen.add(torus)
+        row = {"torus": torus, **measure(build, args.repeat)}
+        rows.append(row)
+        t = row["seconds"]
+        print(f"{torus:<12} {row['rho']:>4} {t['build']:>9.5f} {t['ns_basis']:>9.5f} "
+              f"{t['hom_rank']:>9.5f} {t['is_effective_class']:>9.5f}")
+
+    runs = []
+    if os.path.exists(OUT):
+        with open(OUT, encoding="utf-8") as handle:
+            runs = [r for r in json.load(handle)["runs"] if r["label"] != args.label]
+    runs.append({
+        "label": args.label,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "repeat": args.repeat,
+        "tori": rows,
+    })
+    with open(OUT, "w", encoding="utf-8") as handle:
+        json.dump({"runs": runs}, handle, indent=2)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    main()

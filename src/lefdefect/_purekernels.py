@@ -24,35 +24,12 @@ pivot.  So Q and number fields share the search and its integer arithmetic.
 from __future__ import annotations
 
 from .exactmath import IntegralElement, integral_quotient, integral_sign
+from .exactmath.linalg import bareiss_echelon
 
 
 def rank_int(rows) -> int:
     """Rank of an integer matrix (row list is copied)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][c]
-        for i in range(r + 1, nrows):
-            # every row below rescales, even with a zero leading entry:
-            # entries must stay the minors Sylvester's identity divides
-            f = m[i][c]
-            mi, mr = m[i], m[r]
-            for j in range(c + 1, ncols):
-                mi[j] = (p * mi[j] - f * mr[j]) // prev
-            mi[c] = 0
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(bareiss_echelon([list(r) for r in rows]))
 
 
 def psd_rank(M, idx, sign, quotient) -> int:
@@ -111,11 +88,6 @@ def int_quotient(d):
     return d.__rfloordiv__
 
 
-def field_quotient(d):
-    """Division by a nonzero field element d: one inverse, then products."""
-    return d.inverse().__mul__
-
-
 def _blocks_fixed_at(fixed, N, depth):
     """Maximal index sets I with S[I, I] fixed at `depth` but not before.
 
@@ -144,18 +116,17 @@ class _Search:
 
     `s_basis[b]` is the N x N symmetric part of basis element b and
     `w_pairs[i][j]` the coordinate vector (length m4) of the cup product of
-    basis elements i and j.
+    basis elements i and j.  Subclasses fix the scalar kind: its `sign` and
+    exact `quotient`, as `psd_rank` takes them.
     """
 
-    def __init__(self, s_basis, w_pairs, rho, N, m4, zero, sign, quotient):
+    def __init__(self, s_basis, w_pairs, rho, N, m4, zero):
         self.s_basis = s_basis
         self.w_pairs = w_pairs
         self.rho = rho
         self.N = N
         self.m4 = m4
         self.zero = zero
-        self.sign = sign
-        self.quotient = quotient
         self.full = tuple(range(N))
         # nonzero entries (r, c, value) of each S_b, in NS order
         self.nonzero = [
@@ -204,17 +175,22 @@ class _Search:
 class IntSearch(_Search):
     """Search state for a torus whose symmetric parts are integer matrices."""
 
+    sign = staticmethod(int_sign)
+    quotient = staticmethod(int_quotient)
+
     def __init__(self, s_basis, w_pairs, rho, N, m4):
-        super().__init__(s_basis, w_pairs, rho, N, m4, 0, int_sign, int_quotient)
+        super().__init__(s_basis, w_pairs, rho, N, m4, 0)
 
 
 class FieldSearch(_Search):
     """Search state when the symmetric parts have entries in Z[alpha]
     (`IntegralElement`s of `field`)."""
 
+    sign = staticmethod(integral_sign)
+    quotient = staticmethod(integral_quotient)
+
     def __init__(self, s_basis, w_pairs, rho, N, m4, field):
-        zero = IntegralElement(field, (0,) * field.degree)
-        super().__init__(s_basis, w_pairs, rho, N, m4, zero, integral_sign, integral_quotient)
+        super().__init__(s_basis, w_pairs, rho, N, m4, IntegralElement(field, (0,) * field.degree))
 
 
 def scan_range(search, box: int, collect: bool):

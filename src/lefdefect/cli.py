@@ -24,7 +24,7 @@ import time
 from .checks import CHECK_NAMES, run_checks
 from .classifier import classify, threefold_catalog
 from .cohomology import defect_of_class
-from .effectivity import is_effective_class, iitaka_dimension, radical, torus_defect
+from .effectivity import is_effective_class, radical, torus_defect
 from .errors import ConsistencyError, SchemaError
 from .schema import (
     ClassRow,
@@ -107,11 +107,9 @@ def _class_rows(doc: SpecDocument, selected) -> list:
         effective = is_effective_class(A, form)
         b = rho_b = None
         if effective:
-            b = iitaka_dimension(A, form)
-            if b < A.n:
-                rho_b = ns_rank(quotient(A, radical(A, form)))
-            else:
-                rho_b = ns_rank(A)
+            W = radical(A, form)
+            b = A.n - W.rank // 2
+            rho_b = ns_rank(quotient(A, W)) if b < A.n else ns_rank(A)
         rows.append(ClassRow(name, effective, b, rho_b, defect_of_class(A, form)))
     return rows
 

@@ -19,11 +19,15 @@ is covered by a pruned depth-first search (see `_purekernels`):
 `classes_scanned` counts every box candidate it decides, visited or pruned,
 and `nodes_visited` the search-tree nodes it actually enters.
 
-The search runs on integer data.  With J = sum_k alpha^k J_k on the power
-basis and D the common denominator of the J_k, it stores each D * S_b as an
-integer matrix over Q and as a matrix of elements of Z[alpha] (integer
-power-basis coordinates) over a number field; alpha is integral because
-`min_poly` is monic with integer coefficients.
+Everything here runs on the torus's integer J data, with one scalar kind per
+torus.  With J = sum_k alpha^k J_k on the power basis and D the common
+denominator of the J_k, J enters only as the integer matrices D * J_k:
+`symmetric_part` returns D * S = sum_k alpha^k (E * D J_k) (times E's
+denominator), as an integer matrix when J is rational and as a matrix of
+elements of Z[alpha] (integer power-basis coordinates) otherwise; alpha is
+integral because `min_poly` is monic with integer coefficients.  The Hodge
+test is the symmetry of E * J.  `is_effective_class` and the search decide
+semidefiniteness on these matrices with the same sign and exact quotient.
 """
 
 from __future__ import annotations
@@ -31,19 +35,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Optional
 
 from . import _purekernels
 from .cohomology import class_of_form, wedge, wedge_basis
 from .errors import ConsistencyError, NotHodgeClass
 from .exactmath import (
-    IntegralElement,
-    KMatrix,
     QMatrix,
     integer_kernel_basis,
-    nf_sign,
     primitive_integer_vector,
+    rank,
     solve,
 )
 from .torus import (
@@ -63,23 +64,30 @@ from .torus import (
 HAVE_COMPILED_KERNELS = False
 
 
-def symmetric_part(A: ComplexTorus, E: AlternatingForm) -> KMatrix:
-    """The symmetric matrix S = E * J of a Neron-Severi class.
+def symmetric_part(A: ComplexTorus, E: AlternatingForm):
+    """The symmetric part S = E * J of a Neron-Severi class, as c * D * S.
 
-    S(x, y) = E(x, Jy) is symmetric precisely because E is J-compatible; on
-    the square lattice with its principal polarization S is the identity.
+    Here D is the common denominator of J's power-basis components and c
+    that of E (1 for the NS basis forms, which are primitive integer forms,
+    so every basis element gets the same scale D).  The matrix holds the
+    search's scalars: ints when J is rational, `IntegralElement`s of Z[alpha]
+    otherwise.  S(x, y) = E(x, Jy) is symmetric exactly when E is
+    J-compatible, so its symmetry is the Hodge test; on the square lattice
+    with its principal polarization S is the identity.
     """
     if E.torus != A:
         raise ValueError("form belongs to a different torus")
+    parts = E.times_dj()
     if not E.is_hodge:
         raise NotHodgeClass("form is not J-compatible")
-    EK = KMatrix(A.field, E.matrix)
-    S = EK * A.J
-    for i in range(S.nrows):
-        for j in range(i + 1, S.ncols):
-            if S.rows[i][j] != S.rows[j][i]:
-                raise ConsistencyError("symmetric part came out asymmetric")
-    return S
+    return A.in_scalars(parts)
+
+
+def _search_class(A: ComplexTorus):
+    """The search class of A's scalar kind, whose `sign` and `quotient` also
+    serve `psd_rank` outside the search: `IntSearch` (ints) when J is
+    rational, `FieldSearch` (Z[alpha]) otherwise."""
+    return _purekernels.IntSearch if A.rational_j else _purekernels.FieldSearch
 
 
 def is_effective_class(A: ComplexTorus, E: AlternatingForm) -> bool:
@@ -92,8 +100,8 @@ def is_effective_class(A: ComplexTorus, E: AlternatingForm) -> bool:
     if E.is_zero():
         return False
     S = symmetric_part(A, E)
-    rows = S.rows
-    return _purekernels.psd_rank(rows, range(len(rows)), nf_sign, _purekernels.field_quotient) >= 0
+    kind = _search_class(A)
+    return _purekernels.psd_rank(S, range(len(S)), kind.sign, kind.quotient) >= 0
 
 
 def radical(A: ComplexTorus, E: AlternatingForm) -> Sublattice:
@@ -149,18 +157,11 @@ class EffectivityReport:
 def effectivity_report(A: ComplexTorus, E: AlternatingForm) -> EffectivityReport:
     effective = is_effective_class(A, E)
     if not effective:
-        rad_rank = 2 * A.n - _purekernels.rank_int(
-            [[int(x * _common_den(E)) for x in row] for row in E.matrix]
-        )
-        return EffectivityReport(E, False, rad_rank, None, None)
+        return EffectivityReport(E, False, 2 * A.n - rank(QMatrix(E.matrix)), None, None)
     W = radical(A, E)
     b = A.n - W.rank // 2
     B = quotient(A, W) if W.rank < 2 * A.n else None
     return EffectivityReport(E, True, W.rank, b, B)
-
-
-def _common_den(E: AlternatingForm) -> int:
-    return lcm(*(x.denominator for row in E.matrix for x in row))
 
 
 @dataclass(frozen=True)
@@ -190,10 +191,11 @@ class _SearchData:
 
     With J = sum_k alpha^k J_k on the power basis and D the common
     denominator of the J_k, each symmetric part is stored as
-    D * S_b = sum_k alpha^k (E_b * D J_k): integer matrices over Q, and
+    D * S_b = sum_k alpha^k (E_b * D J_k), built by `symmetric_part` from
+    the torus's integer J data: integer matrices when J is rational, and
     matrices of `IntegralElement`s (entries of Z[alpha], alpha integral
-    since min_poly is monic with integer coefficients) over a number field.
-    The positive factor D changes neither semidefiniteness nor rank.
+    since min_poly is monic with integer coefficients) otherwise.  The
+    positive factor D changes neither semidefiniteness nor rank.
     """
 
     def __init__(self, A: ComplexTorus):
@@ -210,36 +212,12 @@ class _SearchData:
         self.w_pairs = [
             [[int(x) for x in wedge(ci, cj).coords] for cj in classes] for ci in classes
         ]
-        field = A.field
-        rational = A.J.is_rational()
-        parts = [A.j_component(k) for k in range(1 if rational else field.degree)]
-        jden = lcm(*(x.denominator for Jk in parts for row in Jk for x in row))
-        jint = [[[int(x * jden) for x in row] for row in Jk] for Jk in parts]
-        s_parts = [
-            [
-                [
-                    [sum(e[r][m] * Jk[m][c] for m in range(N)) for c in range(N)]
-                    for r in range(N)
-                ]
-                for Jk in jint
-            ]
-            for e in self.e_int
-        ]
-        if rational:
-            self.search = _purekernels.IntSearch(
-                [s[0] for s in s_parts], self.w_pairs, self.rho, N, self.m4
-            )
+        s_basis = [symmetric_part(A, b) for b in self.basis]
+        search = _search_class(A)
+        if search is _purekernels.IntSearch:
+            self.search = search(s_basis, self.w_pairs, self.rho, N, self.m4)
         else:
-            s_alpha = [
-                [
-                    [IntegralElement(field, tuple(Sk[r][c] for Sk in s)) for c in range(N)]
-                    for r in range(N)
-                ]
-                for s in s_parts
-            ]
-            self.search = _purekernels.FieldSearch(
-                s_alpha, self.w_pairs, self.rho, N, self.m4, field
-            )
+            self.search = search(s_basis, self.w_pairs, self.rho, N, self.m4, A.field)
 
 
 def _structured_candidate_vectors(A: ComplexTorus, data: _SearchData):

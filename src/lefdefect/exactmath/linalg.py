@@ -2,10 +2,11 @@
 
 Rank and kernel computations run through fraction-free (Bareiss) Gaussian
 elimination on integer rows, which keeps intermediate entries at the size of
-minors of the input instead of letting fractions compound.  Systems with
-number-field entries are handled by restriction of scalars: a K-linear
+minors of the input instead of letting fractions compound.  A system with
+number-field entries can be handled by restriction of scalars: a K-linear
 condition on a rational vector splits into `degree` rational conditions, one
-per power-basis coordinate.
+per power-basis coordinate.  The torus code needs no such systems, because
+it splits J into integer power-basis components once per torus.
 """
 
 from __future__ import annotations
@@ -97,18 +98,6 @@ class KMatrix:
         self.nrows = len(rows)
         self.ncols = ncols
 
-    @classmethod
-    def from_rational_rows(cls, field, rows) -> "KMatrix":
-        return cls(field, rows)
-
-    @classmethod
-    def identity(cls, field, n: int) -> "KMatrix":
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def transpose(self) -> "KMatrix":
-        return KMatrix(self.field, list(zip(*self.rows)))
-
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             other = KMatrix(self.field, other.rows)
@@ -125,24 +114,6 @@ class KMatrix:
         if isinstance(other, QMatrix):
             return KMatrix(self.field, other.rows) * self
         return NotImplemented
-
-    def __neg__(self):
-        return KMatrix(self.field, [[-x for x in row] for row in self.rows])
-
-    def apply(self, vec):
-        vec = [
-            v if isinstance(v, AlgebraicReal) else self.field.from_rational(v) for v in vec
-        ]
-        if len(vec) != self.ncols:
-            raise ValueError("shape mismatch")
-        zero = self.field.zero()
-        return tuple(sum((a * b for a, b in zip(row, vec)), zero) for row in self.rows)
-
-    def is_rational(self) -> bool:
-        return all(x.is_rational() for row in self.rows for x in row)
-
-    def to_qmatrix(self) -> QMatrix:
-        return QMatrix([[x.as_rational() for x in row] for row in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, KMatrix):

@@ -2,22 +2,27 @@
 
 A torus of complex dimension n is the data of a rank-2n lattice together
 with the matrix J of multiplication by i in a lattice basis, with entries in
-a fixed real number field and J^2 = -I exactly.  Everything downstream is
-linear in J: the Neron-Severi space is the rational solution space of
-E(Jx, Jy) = E(x, y) on alternating forms, and Hom groups of tori are the
-rational solution spaces of J_B M = M J_A.  Both are computed exactly via
-restriction of scalars, so no complex (or even irrational-looking) numbers
-ever appear.
+a fixed real number field and J^2 = -I exactly.  J enters every computation
+through integer data built once per torus: with J = sum_k alpha^k J_k on the
+power basis and D the common denominator of the J_k, the torus stores the
+integer matrices D*J_k and D*J itself (ints when J is rational, elements of
+Z[alpha] otherwise).  Given J^2 = -I, an alternating form E satisfies
+E(Jx, Jy) = E(x, y) exactly when E*J is symmetric (the Riemann relations), so
+the Hodge test and the Neron-Severi space are integer conditions on the
+E*(D*J_k); Hom groups of tori are the rational solutions of J_B,k M = M J_A,k.
+No complex (or even irrational-looking) numbers ever appear.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import ConsistencyError, NotHodgeClass
 from .exactmath import (
     AlgebraicReal,
+    IntegralElement,
     KMatrix,
     QMatrix,
     RealNumberField,
@@ -25,7 +30,7 @@ from .exactmath import (
     kernel_basis,
     nf_sign,
     primitive_integer_vector,
-    restrict_scalars,
+    rank,
     saturate,
     solve,
 )
@@ -33,11 +38,36 @@ from .exactmath import (
 _ZERO = Fraction(0)
 
 
+def _matmul(a, b):
+    """Product of two square matrices of ints or of `IntegralElement`s."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _is_symmetric(m) -> bool:
+    return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i + 1, len(m)))
+
+
+def _split_j(J: KMatrix):
+    """(D, [D*J_k]) for J = sum_k alpha^k J_k on the power basis, D the
+    common denominator of the J_k: integer matrices, only D*J_0 when J is
+    rational.  The one place J is split into components."""
+    parts = [[[x.coeffs[k] for x in row] for row in J.rows] for k in range(J.field.degree)]
+    if not any(x for Jk in parts[1:] for row in Jk for x in row):
+        parts = parts[:1]
+    den = lcm(*(x.denominator for Jk in parts for row in Jk for x in row))
+    return den, tuple(tuple(tuple(int(x * den) for x in row) for row in Jk) for Jk in parts)
+
+
 class ComplexTorus:
     """Lattice Z^2n with an exact complex structure J (J^2 = -I).
 
-    Instances are immutable; derived data (the NS basis) is cached on the
-    instance, which is safe because recomputation is idempotent.
+    J's integer data is built once here: `j_den` is D, `j_parts` holds the
+    integer matrices D*J_k and `dj` is D*J in the torus's scalars (see
+    `in_scalars`).  Every J computation reads them; J^2 = -I is checked as
+    (D*J)^2 = -D^2 I.  Instances are immutable; derived data (the NS basis)
+    is cached on the instance, which is safe because recomputation is
+    idempotent.
     """
 
     def __init__(self, field: RealNumberField, J: KMatrix, factors=None, label=None):
@@ -46,16 +76,37 @@ class ComplexTorus:
         if J.field != field:
             raise ValueError("field mismatch")
         n = J.nrows // 2
-        minus_identity = -KMatrix.identity(field, 2 * n)
-        if J * J != minus_identity:
-            raise ConsistencyError("inconsistent complex structure: J^2 != -I")
         self.field = field
         self.J = J
+        self.j_den, self.j_parts = _split_j(J)
+        self.dj = self.in_scalars(self.j_parts)
+        minus_d2 = -self.j_den * self.j_den
+        square = _matmul(self.dj, self.dj)
+        if any(square[i][j] != (minus_d2 if i == j else 0)
+               for i in range(2 * n) for j in range(2 * n)):
+            raise ConsistencyError("inconsistent complex structure: J^2 != -I")
         self.n = n
         self.factors = tuple(factors) if factors is not None else None
         self.label = label
         self._elliptic_tau = None  # (a, beta) for curves built by elliptic()
         self._ns_cache = None
+
+    @property
+    def rational_j(self) -> bool:
+        """Whether J has rational entries, so that its scalars are ints."""
+        return len(self.j_parts) == 1
+
+    def in_scalars(self, parts):
+        """One matrix from its power-basis component matrices (one per
+        entry of `j_parts`): the integer matrix itself when J is rational,
+        otherwise the matrix of `IntegralElement`s of Z[alpha]."""
+        if self.rational_j:
+            return parts[0]
+        size = len(parts[0])
+        return [
+            [IntegralElement(self.field, tuple(p[r][c] for p in parts)) for c in range(size)]
+            for r in range(size)
+        ]
 
     @property
     def lattice_rank(self) -> int:
@@ -81,10 +132,6 @@ class ComplexTorus:
             _, beta = self._elliptic_tau
             return (beta * beta).is_rational()
         return hom_rank(self, self) == 2
-
-    def j_component(self, k: int):
-        """Rational matrix of the alpha^k coordinate of J."""
-        return [[x.coeffs[k] for x in row] for row in self.J.rows]
 
     def __eq__(self, other):
         if not isinstance(other, ComplexTorus):
@@ -188,25 +235,30 @@ def fiber_pairs(A: ComplexTorus):
 
 
 def hom_rank(A: ComplexTorus, B: ComplexTorus) -> int:
-    """Rank of Hom(A, B): rational matrices M with J_B M = M J_A."""
+    """Rank of Hom(A, B): rational matrices M with J_B M = M J_A.
+
+    On the power basis the condition is J_B,k M = M J_A,k for every k, so
+    on the integer data it reads D_A (D_B J_B,k) M = D_B M (D_A J_A,k): an
+    integer system in the entries of M, whose nullity is the rank.
+    """
     if A.field != B.field:
         raise ValueError("field mismatch")
-    field = A.field
     na, nb = 2 * A.n, 2 * B.n
-    JA, JB = A.J.rows, B.J.rows
-    zero = field.zero()
-    # Unknowns M[p][q] flattened as p * na + q; one equation per entry (i, j).
+    da, db = A.j_den, B.j_den
     rows = []
-    for i in range(nb):
-        for j in range(na):
-            row = [zero] * (nb * na)
-            for p in range(nb):
-                row[p * na + j] = row[p * na + j] + JB[i][p]
-            for q in range(na):
-                row[i * na + q] = row[i * na + q] - JA[q][j]
-            rows.append(row)
-    system = KMatrix(field, rows)
-    return len(kernel_basis(restrict_scalars(system)))
+    for k in range(max(len(A.j_parts), len(B.j_parts))):
+        JA = A.j_parts[k] if k < len(A.j_parts) else [[0] * na] * na
+        JB = B.j_parts[k] if k < len(B.j_parts) else [[0] * nb] * nb
+        # Unknowns M[p][q] flattened as p * na + q; one equation per entry (i, j).
+        for i in range(nb):
+            for j in range(na):
+                row = [0] * (nb * na)
+                for p in range(nb):
+                    row[p * na + j] += da * JB[i][p]
+                for q in range(na):
+                    row[i * na + q] -= db * JA[q][j]
+                rows.append(row)
+    return nb * na - rank(rows)
 
 
 class AlternatingForm:
@@ -231,13 +283,25 @@ class AlternatingForm:
         self.matrix = rows
         self._hodge = None
 
+    def times_dj(self):
+        """The integer matrices c E (D J_k), one per entry of the torus's
+        `j_parts`, with c the common denominator of E: the power-basis
+        components of c D (E J).  They settle `is_hodge` as well."""
+        c = lcm(*(x.denominator for row in self.matrix for x in row))
+        e = [[int(x * c) for x in row] for row in self.matrix]
+        parts = [_matmul(e, Jk) for Jk in self.torus.j_parts]
+        self._hodge = all(_is_symmetric(m) for m in parts)
+        return parts
+
     @property
     def is_hodge(self) -> bool:
-        """Whether E(Jx, Jy) = E(x, y) holds exactly."""
+        """Whether E(Jx, Jy) = E(x, y) holds exactly.
+
+        Given J^2 = -I this is the symmetry of E J (the Riemann relations),
+        tested as the symmetry of every E (D J_k).
+        """
         if self._hodge is None:
-            J = self.torus.J
-            E = KMatrix(self.torus.field, self.matrix)
-            self._hodge = J.transpose() * E * J == E
+            self.times_dj()
         return self._hodge
 
     def is_zero(self) -> bool:
@@ -297,29 +361,33 @@ class AlternatingForm:
 def ns_basis(A: ComplexTorus):
     """Q-basis of the Neron-Severi space, as primitive integer forms.
 
-    The J-compatibility condition J^T E J = E is linear over the field in
-    the C(2n, 2) free entries of an alternating form; its rational solution
-    space is found by restriction of scalars.  The number of basis elements
-    is the Picard number of A.
+    Given J^2 = -I, an alternating form E is J-compatible exactly when E J
+    is symmetric, that is when every E (D J_k) is.  Each of these is an
+    integer linear condition on the C(2n, 2) free entries of E, and the
+    basis is the kernel of that integer system.  The number of basis
+    elements is the Picard number of A.
     """
     if A._ns_cache is not None:
         return list(A._ns_cache)
-    field = A.field
-    size = 2 * A.n
-    pairs = list(combinations(range(size), 2))
-    J = A.J.rows
-    zero = field.zero()
+    pairs = list(combinations(range(2 * A.n), 2))
     rows = []
-    for (i, j) in pairs:
-        row = []
-        for (p, q) in pairs:
-            coeff = J[p][i] * J[q][j] - J[q][i] * J[p][j]
-            if (p, q) == (i, j):
-                coeff = coeff - field.one()
-            row.append(coeff)
-        rows.append(row)
-    system = KMatrix(field, rows)
-    vectors = kernel_basis(restrict_scalars(system))
+    for Jk in A.j_parts:
+        # (E Jk)[r][c] - (E Jk)[c][r] for r < c, with E[p][q] = x_pq = -E[q][p]
+        for r, c in pairs:
+            row = []
+            for p, q in pairs:
+                v = 0
+                if r == p:
+                    v += Jk[q][c]
+                elif r == q:
+                    v -= Jk[p][c]
+                if c == p:
+                    v -= Jk[q][r]
+                elif c == q:
+                    v += Jk[p][r]
+                row.append(v)
+            rows.append(row)
+    vectors = kernel_basis(rows)
     basis = [
         AlternatingForm.from_pair_coords(A, primitive_integer_vector(v)) for v in vectors
     ]
@@ -400,9 +468,9 @@ class Sublattice:
 def subtorus(A: ComplexTorus, basis_columns) -> Sublattice:
     """Saturate the given columns and certify J-stability.
 
-    J preserves the rational span of W exactly when every power-basis
-    component of J does, because the span is a rational subspace.  A J-stable
-    lattice necessarily has even rank.
+    J preserves the rational span of W exactly when every integer component
+    D J_k does, because the span is a rational subspace.  A J-stable lattice
+    necessarily has even rank.
     """
     N = 2 * A.n
     cols = [tuple(int(x) for x in c) for c in basis_columns]
@@ -412,8 +480,7 @@ def subtorus(A: ComplexTorus, basis_columns) -> Sublattice:
     W = Sublattice(A, sat)
     if sat:
         matrix = QMatrix([[Fraction(sat[j][i]) for j in range(len(sat))] for i in range(N)])
-        for k in range(A.field.degree):
-            Jk = A.j_component(k)
+        for Jk in A.j_parts:
             for col in sat:
                 image = [sum(Jk[i][j] * col[j] for j in range(N)) for i in range(N)]
                 if solve(matrix, image) is None:

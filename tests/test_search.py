@@ -13,6 +13,11 @@ The structured candidates are compared with a reference that builds every
 candidate as a form: the fiber forms with their Hodge test, their subset
 sums, the Poincare duals of the corank-2 coordinate-factor sublattices, and
 one `ns_coordinates` solve per form.
+
+`ns_basis`, `is_hodge`, `hom_rank` and `is_effective_class` read J only as
+its integer components D * J_k; they are compared with the field-level
+constructions they replaced (J^T E J = E and J_B M = M J_A restricted to Q,
+and the AlgebraicReal S = E * J decided by all principal minors).
 """
 
 import itertools
@@ -28,18 +33,26 @@ from lefdefect import _purekernels
 from lefdefect.classifier import classify
 from lefdefect.checks import isogeny_spec_of
 from lefdefect.cohomology import poincare_dual
-from lefdefect.effectivity import _SearchData, _structured_candidate_vectors, torus_defect
+from lefdefect.effectivity import (
+    _SearchData,
+    _structured_candidate_vectors,
+    is_effective_class,
+    torus_defect,
+)
 from lefdefect.errors import ConsistencyError
 from lefdefect.exactmath import (
     AlgebraicReal,
     IntegralElement,
+    KMatrix,
     QMatrix,
     RealNumberField,
     integral_quotient,
     integral_sign,
+    kernel_basis,
     nf_sign,
     primitive_integer_vector,
     rank,
+    restrict_scalars,
 )
 from lefdefect.schema import load_document
 from lefdefect.torus import (
@@ -48,6 +61,9 @@ from lefdefect.torus import (
     coordinate_factor_sublattices,
     elliptic,
     factor_blocks,
+    fiber_pairs,
+    hom_rank,
+    ns_basis,
     ns_coordinates,
     product,
 )
@@ -228,26 +244,6 @@ def test_psd_rank_over_q(seed):
         block = [[G[i][j] for j in idx] for i in idx]
         got = _purekernels.psd_rank(G, idx, _purekernels.int_sign, _purekernels.int_quotient)
         assert got == reference_psd_rank(block) == _purekernels.rank_int(block)
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_psd_rank_over_quartic_field(quartic_field, seed):
-    rng = random.Random(seed)
-    K = quartic_field
-    small = lambda r: r.choice((0, 0, 1, -1, 2))
-    field_entry = lambda r: K.element([r.randint(-2, 2), r.choice((0, 0, 1, -1))])
-    positive = [K.alpha(), K.alpha() * K.alpha(), K.one() + K.alpha(), K.from_rational(2)]
-    for _ in range(12):
-        n = rng.randint(1, 4)
-        M = _symmetric(rng, n, field_entry)
-        got = _purekernels.psd_rank(M, range(n), nf_sign, _purekernels.field_quotient)
-        assert got == reference_psd_rank(M)
-        weights = rng.sample(positive, rng.randint(1, min(n, 3)))
-        G, B = _gram(rng, n, weights, small)
-        G = [[x if isinstance(x, AlgebraicReal) else K.from_rational(x) for x in row]
-             for row in G]
-        got = _purekernels.psd_rank(G, range(n), nf_sign, _purekernels.field_quotient)
-        assert got == reference_psd_rank(G) == _purekernels.rank_int(B)
 
 
 def integral_psd_rank(M):
@@ -458,3 +454,172 @@ def elliptic_products(draw):
 @given(elliptic_products())
 def test_structured_candidates_match_reference_on_random_products(A):
     assert_structured_vectors_match_reference(A)
+
+
+# The torus code reads J only as the integer components D * J_k.  The
+# references below are the constructions it replaced: the J^T E J = E system
+# over the field restricted to Q, the Hodge test as a KMatrix product, the
+# J_B M = M J_A system restricted to Q, and the symmetric part E * J as
+# AlgebraicReals, decided by all principal minors.
+
+
+def reference_ns_basis(A):
+    field = A.field
+    pairs = list(itertools.combinations(range(2 * A.n), 2))
+    J = A.J.rows
+    rows = []
+    for i, j in pairs:
+        row = []
+        for p, q in pairs:
+            coeff = J[p][i] * J[q][j] - J[q][i] * J[p][j]
+            if (p, q) == (i, j):
+                coeff = coeff - field.one()
+            row.append(coeff)
+        rows.append(row)
+    vectors = kernel_basis(restrict_scalars(KMatrix(field, rows)))
+    return [AlternatingForm.from_pair_coords(A, primitive_integer_vector(v)) for v in vectors]
+
+
+def reference_is_hodge(E):
+    J = E.torus.J
+    K = KMatrix(J.field, E.matrix)
+    return KMatrix(J.field, list(zip(*J.rows))) * K * J == K
+
+
+def reference_hom_rank(A, B):
+    field = A.field
+    na, nb = 2 * A.n, 2 * B.n
+    JA, JB = A.J.rows, B.J.rows
+    zero = field.zero()
+    rows = []
+    for i in range(nb):
+        for j in range(na):
+            row = [zero] * (nb * na)
+            for p in range(nb):
+                row[p * na + j] = row[p * na + j] + JB[i][p]
+            for q in range(na):
+                row[i * na + q] = row[i * na + q] - JA[q][j]
+            rows.append(row)
+    return len(kernel_basis(restrict_scalars(KMatrix(field, rows))))
+
+
+def reference_is_effective(A, E):
+    if E.is_zero():
+        return False
+    S = (KMatrix(A.field, E.matrix) * A.J).rows
+    return reference_psd_rank([list(row) for row in S]) >= 0
+
+
+def _combination(basis, coeffs):
+    size = len(basis[0].matrix)
+    return [[sum(c * b.matrix[r][k] for c, b in zip(coeffs, basis)) for k in range(size)]
+            for r in range(size)]
+
+
+def _alternating(rng, size):
+    m = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            m[i][j] = rng.choice((0, 0, 0, 1, -1))
+            m[j][i] = -m[i][j]
+    return m
+
+
+def rebased(A, rng, steps=6):
+    """A on another lattice basis: J -> U^-1 J U for a random unimodular U,
+    which mixes the blocks of a product."""
+    size = 2 * A.n
+    U = [[int(i == j) for j in range(size)] for i in range(size)]
+    U_inv = [row[:] for row in U]
+    for _ in range(steps):
+        i, j = rng.sample(range(size), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        for row in U:  # U <- U (I + k e_ij)
+            row[j] += k * row[i]
+        U_inv[i] = [a - k * b for a, b in zip(U_inv[i], U_inv[j])]  # (I - k e_ij) U_inv
+    return ComplexTorus(A.field, QMatrix(U_inv) * (A.J * QMatrix(U)))
+
+
+def assert_j_data_matches_reference(A, rng, forms=8, effective_checks=12):
+    """ns_basis, is_hodge, is_effective_class and hom_rank against the
+    references, on A and on A in a mixed lattice basis: the NS lists must be
+    equal, and every verdict the same."""
+    B = rebased(A, rng)
+    for X in (A, B):
+        assert_forms_match_reference(X, rng, forms, effective_checks)
+    blocks = [f for _, f in factor_blocks(A) or []]
+    for X, Y in itertools.product(blocks + [A, B], repeat=2):
+        if X.n * Y.n <= 4:  # the reference is slow beyond 16 unknowns
+            assert hom_rank(X, Y) == reference_hom_rank(X, Y)
+
+
+def assert_forms_match_reference(A, rng, forms, effective_checks):
+    basis = ns_basis(A)
+    assert [b.matrix for b in basis] == [b.matrix for b in reference_ns_basis(A)]
+    size = 2 * A.n
+    # The fiber forms and their sum: semidefinite classes when they are
+    # Hodge classes.  Adding multiples of the sum to random NS classes makes
+    # some of them effective too.
+    fibers = []
+    for block in fiber_pairs(A) or []:
+        fiber = [[0] * size for _ in range(size)]
+        for i, j in block:
+            fiber[i][j], fiber[j][i] = 1, -1
+        fibers.append(fiber)
+    polarization = [[sum(f[r][k] for f in fibers) for k in range(size)] for r in range(size)]
+    candidates = [polarization] + fibers
+    weight = 3 if fibers and reference_is_hodge(AlternatingForm(A, polarization)) else 0
+    for _ in range(forms):
+        hodge = _combination(basis, [rng.randint(-2, 2) for _ in basis])
+        shift = rng.choice((0, 0, weight))
+        hodge = [[h + shift * p for h, p in zip(rh, rp)] for rh, rp in zip(hodge, polarization)]
+        noise = _alternating(rng, size)
+        mixed = [[h + x for h, x in zip(rh, rx)] for rh, rx in zip(hodge, noise)]
+        candidates += [hodge, noise, mixed]
+    checked = 0
+    for matrix in candidates:
+        E = AlternatingForm(A, matrix) * rng.choice((1, Fraction(1, 2)))
+        assert E.is_hodge == reference_is_hodge(E)
+        if E.is_hodge and checked < effective_checks:
+            checked += 1
+            assert is_effective_class(A, E) == reference_is_effective(A, E)
+
+
+@pytest.mark.parametrize("name", ["ei2", "ei3", "ei_x_e2i", "eia2", "triple", "ei2_x_nocm"])
+def test_j_data_matches_reference_on_corpus(corpus, name):
+    assert_j_data_matches_reference(corpus[name], random.Random(name))
+
+
+def test_j_data_matches_reference_on_rational_and_field_blocks(quartic_field):
+    # A block with rational J next to blocks whose J has alpha terms, among
+    # them one (beta = 1 + alpha) whose rational part J_0 is nonzero.
+    a = quartic_field.alpha()
+    A = product([elliptic(0, 1, field=quartic_field), elliptic(Fraction(1, 2), a + 1),
+                 elliptic(0, a * a)])
+    assert [f.rational_j for f in A.factors] == [True, False, False]
+    assert_j_data_matches_reference(A, random.Random(7))
+    # J = J_0 + alpha N with J_0 = diag(j, j), N = [[0, X], [0, 0]] and
+    # X j = -j X, so J^2 = -I.  Hom from and to E_i needs the alpha
+    # condition: from the rational part alone both ranks would be 4.
+    nil = ComplexTorus(quartic_field, KMatrix(quartic_field, [
+        [0, -1, a, 0], [1, 0, 0, -a], [0, 0, 0, -1], [0, 0, 1, 0]]))
+    assert_j_data_matches_reference(nil, random.Random(8))
+    E = A.factors[0]
+    for X, Y in ((E, nil), (nil, E)):
+        assert hom_rank(X, Y) == reference_hom_rank(X, Y) == 2
+
+
+@settings(max_examples=15, deadline=None)
+@given(elliptic_products(), st.integers(0, 2**32))
+def test_j_data_matches_reference_on_random_products(A, seed):
+    assert_j_data_matches_reference(A, random.Random(seed), forms=2, effective_checks=2)
+
+
+def test_effective_verdicts_match_reference_on_survey(corpus):
+    # Boundary classes: every box-1 NS combination of E_ia x E_ia', where
+    # the semidefinite but degenerate classes sit next to indefinite ones.
+    A = corpus["eia2"]
+    basis = ns_basis(A)
+    for coeffs in itertools.product(range(-1, 2), repeat=len(basis)):
+        E = AlternatingForm(A, _combination(basis, coeffs))
+        assert is_effective_class(A, E) == reference_is_effective(A, E)

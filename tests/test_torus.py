@@ -62,6 +62,27 @@ class TestElliptic:
         with pytest.raises(ConsistencyError, match="complex structure"):
             ComplexTorus(field, J)
 
+    def test_alpha_terms_of_j_squared_must_cancel(self, quartic_field):
+        # J = J_0 + alpha J_1 with J_0^2 = -I, but J_0 J_1 + J_1 J_0 != 0.
+        a = quartic_field.alpha()
+        J = KMatrix(quartic_field, [[a, -1], [1, 0]])
+        with pytest.raises(ConsistencyError, match="complex structure"):
+            ComplexTorus(quartic_field, J)
+
+    def test_integer_j_data_recombines_to_j(self, quartic_field):
+        a = quartic_field.alpha()
+        for E in (elliptic(F(1, 3), F(2, 5)), elliptic(F(-1, 2), a + F(3, 2)),
+                  elliptic(0, 1, field=quartic_field)):
+            assert E.rational_j == all(x.is_rational() for row in E.J.rows for x in row)
+            D, field = E.j_den, E.field
+            alpha = field.alpha() if field.degree > 1 else field.one()
+            recombined = [
+                [sum((alpha**k * F(Jk[r][c], D) for k, Jk in enumerate(E.j_parts)), field.zero())
+                 for c in range(2)]
+                for r in range(2)
+            ]
+            assert KMatrix(field, recombined) == E.J
+
 
 class TestProduct:
     def test_single_factor_is_identity(self):

@@ -9,10 +9,17 @@ products over Q(2^(1/4))) it times, each as the best of `--repeat` runs:
   torus with itself,
 * `is_effective_class`: the effectivity test on fresh copies of every NS
   basis form b, the product polarization h (the sum of the fiber forms) and
-  every h + b.
+  every h + b,
+* the per-divisor path on the effective ones among these forms:
+  `subtorus` re-certifying the basis of each nonzero radical W, `quotient`
+  by each such W (a fresh `Sublattice`, so its Smith complement is timed
+  too), and `divisor_case_data` and `defect_of_class` on fresh copies of
+  every effective form.
 
-Counts (Picard number, Hom ranks summed, effective forms) are recorded next to
-the times, so two checkouts can be checked for equal answers.  Results go to
+Counts (Picard number, Hom ranks summed, effective forms, nonzero radicals,
+the quotients' Picard numbers summed, the Iitaka dimensions and defects
+summed) are recorded next to the times, so two checkouts can be checked for
+equal answers.  Results go to
 BENCH_layers.json next to this script as one run under `--label`, replacing
 an earlier run with the same label, so runs of two checkouts sit side by side.
 
@@ -29,8 +36,18 @@ import platform
 import time
 
 from bench_search import CASES
-from lefdefect.effectivity import is_effective_class
-from lefdefect.torus import AlternatingForm, fiber_pairs, hom_rank, ns_basis
+from lefdefect.cohomology import defect_of_class
+from lefdefect.effectivity import divisor_case_data, is_effective_class, radical
+from lefdefect.torus import (
+    AlternatingForm,
+    Sublattice,
+    fiber_pairs,
+    hom_rank,
+    ns_basis,
+    ns_rank,
+    quotient,
+    subtorus,
+)
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_layers.json")
 
@@ -70,16 +87,38 @@ def measure(build, repeat):
     effective, effective_s = best_time(
         lambda fresh: sum(is_effective_class(A, E) for E in fresh),
         lambda: [AlternatingForm(A, m) for m in forms], repeat)
+    effective_forms = [m for m in forms if is_effective_class(A, AlternatingForm(A, m))]
+    radicals = [W.basis for W in (radical(A, AlternatingForm(A, m)) for m in effective_forms)
+                if W.rank]
+    _, subtorus_s = best_time(
+        lambda bases: [subtorus(A, basis) for basis in bases], lambda: radicals, repeat)
+    quotients, quotient_s = best_time(
+        lambda lattices: [quotient(A, W) for W in lattices],
+        lambda: [Sublattice(A, basis) for basis in radicals], repeat)
+    case_data, case_s = best_time(
+        lambda fresh: [divisor_case_data(A, E) for E in fresh],
+        lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
+    defects, defect_s = best_time(
+        lambda fresh: [defect_of_class(A, E) for E in fresh],
+        lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
     return {
         "rho": len(basis),
         "hom_rank_sum": hom_total,
         "forms": len(forms),
         "effective_forms": effective,
+        "radicals": len(radicals),
+        "quotient_rho_sum": sum(ns_rank(B) for B in quotients),
+        "iitaka_dim_sum": sum(b for b, *_ in case_data),
+        "defect_sum": sum(defects),
         "seconds": {
             "build": round(build_s, 5),
             "ns_basis": round(ns_s, 5),
             "hom_rank": round(hom_s, 5),
             "is_effective_class": round(effective_s, 5),
+            "subtorus": round(subtorus_s, 5),
+            "quotient": round(quotient_s, 5),
+            "divisor_case_data": round(case_s, 5),
+            "defect_of_class": round(defect_s, 5),
         },
     }
 
@@ -92,7 +131,9 @@ def main():
 
     rows = []
     seen = set()
-    print(f"{'torus':<12} {'rho':>4} {'build':>9} {'ns_basis':>9} {'hom_rank':>9} {'effective':>9}")
+    columns = ("build", "ns_basis", "hom_rank", "is_effective_class", "subtorus", "quotient",
+               "divisor_case_data", "defect_of_class")
+    print(f"{'torus':<12} {'rho':>4} " + " ".join(f"{c[:9]:>9}" for c in columns))
     for name, build, _ in CASES:
         torus = name.split(",")[0]
         if torus in seen:
@@ -101,8 +142,7 @@ def main():
         row = {"torus": torus, **measure(build, args.repeat)}
         rows.append(row)
         t = row["seconds"]
-        print(f"{torus:<12} {row['rho']:>4} {t['build']:>9.5f} {t['ns_basis']:>9.5f} "
-              f"{t['hom_rank']:>9.5f} {t['is_effective_class']:>9.5f}")
+        print(f"{torus:<12} {row['rho']:>4} " + " ".join(f"{t[c]:>9.5f}" for c in columns))
 
     runs = []
     if os.path.exists(OUT):

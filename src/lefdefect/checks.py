@@ -52,21 +52,12 @@ class CheckResult:
     detail: str
 
 
-def _span_contains(span_vectors, vec) -> bool:
-    if not span_vectors:
-        return all(x == 0 for x in vec)
-    base = [list(v) for v in span_vectors]
-    extended = base + [list(vec)]
-    return rank(QMatrix(base)) == rank(QMatrix(extended))
-
-
 def subspaces_equal(vs, ws) -> bool:
-    """Equal dimension and mutual containment, checked exactly."""
+    """Equal length and equal spans, checked exactly: the spans agree when
+    V, W and V together with W all have the same rank."""
     if len(vs) != len(ws):
         return False
-    return all(_span_contains(ws, v) for v in vs) and all(
-        _span_contains(vs, w) for w in ws
-    )
+    return rank(list(vs)) == rank(list(ws)) == rank(list(vs) + list(ws))
 
 
 def restriction_kernel_on_ns(A: ComplexTorus, W):

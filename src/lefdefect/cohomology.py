@@ -14,8 +14,9 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import NotHodgeClass
-from .exactmath import QMatrix, kernel_basis, rank
-from .torus import AlternatingForm, ComplexTorus, Sublattice, ns_basis, ns_coordinates
+from .exactmath import QMatrix, rank
+from .exactmath.linalg import determinant
+from .torus import AlternatingForm, ComplexTorus, Sublattice, ns_basis
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -160,11 +161,18 @@ def cup_matrix(A: ComplexTorus, e: ExteriorClass) -> QMatrix:
     return QMatrix([[cols[j][i] for j in range(n2)] for i in range(n4)])
 
 
+def _in_ns(A: ComplexTorus, form: AlternatingForm) -> bool:
+    """Whether the form lies in the span of ns_basis(A).
+
+    The NS basis spans exactly the J-compatible forms, so this is the Hodge
+    test of the form (cached on it); an empty basis spans no class at all.
+    """
+    return form.is_hodge and bool(ns_basis(A))
+
+
 def _require_ns(A: ComplexTorus, D: AlternatingForm, what: str):
-    coords = ns_coordinates(A, D)
-    if coords is None:
+    if not _in_ns(A, D):
         raise NotHodgeClass(f"{what} is not a Hodge class")
-    return coords
 
 
 def ns_cup_matrix(A: ComplexTorus, D: AlternatingForm) -> QMatrix:
@@ -229,32 +237,10 @@ def poincare_dual(A: ComplexTorus, W: Sublattice) -> ExteriorClass:
     if codim == 0:
         return ExteriorClass.unit(N)
     P = W.projection  # codim x N integer rows
-    coords = []
-    for subset in wedge_basis(N, codim):
-        sub = [[Fraction(P[i][j]) for j in subset] for i in range(codim)]
-        coords.append(_det(sub))
+    coords = [
+        determinant([[row[j] for j in subset] for row in P]) for subset in wedge_basis(N, codim)
+    ]
     return ExteriorClass(N, codim, coords)
-
-
-def _det(rows):
-    """Exact determinant by fraction-free elimination on a small copy."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = _ONE
-    for c in range(n - 1):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return _ZERO
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[c][c] * m[i][j] - m[i][c] * m[c][j]) / prev
-            m[i][c] = _ZERO
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
 
 
 def lambda_defect(A: ComplexTorus, L, D: AlternatingForm) -> int:
@@ -266,7 +252,7 @@ def lambda_defect(A: ComplexTorus, L, D: AlternatingForm) -> int:
     if A.n < 2:
         raise ValueError("H^4 trivial in dimension one")
     for idx, form in enumerate(L):
-        if ns_coordinates(A, form) is None:
+        if not _in_ns(A, form):
             raise NotHodgeClass(f"polarization class {idx} is not inside NS")
     _require_ns(A, D, "the divisor class")
     coord_matrix = [list(form.pair_coords()) for form in L]

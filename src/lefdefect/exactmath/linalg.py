@@ -71,7 +71,8 @@ class QMatrix:
 
 
 class KMatrix:
-    """Immutable matrix over a real number field."""
+    """Immutable matrix over a real number field: a complex structure J as
+    given, before `ComplexTorus` splits it into integer power-basis parts."""
 
     __slots__ = ("field", "rows", "nrows", "ncols")
 
@@ -98,23 +99,6 @@ class KMatrix:
         self.nrows = len(rows)
         self.ncols = ncols
 
-    def __mul__(self, other):
-        if isinstance(other, QMatrix):
-            other = KMatrix(self.field, other.rows)
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows))
-        zero = self.field.zero()
-        out = []
-        for row in self.rows:
-            out.append([sum((a * b for a, b in zip(row, col)), zero) for col in cols])
-        return KMatrix(self.field, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, QMatrix):
-            return KMatrix(self.field, other.rows) * self
-        return NotImplemented
-
     def __eq__(self, other):
         if not isinstance(other, KMatrix):
             return NotImplemented
@@ -133,11 +117,12 @@ class KMatrix:
 
 
 def _integer_rows(matrix) -> list:
-    """Clear denominators row by row; preserves rank and kernel."""
+    """Clear denominators row by row; preserves rank and kernel.  Entries
+    are ints or Fractions, which both carry a `denominator`."""
     rows = matrix.rows if isinstance(matrix, QMatrix) else matrix
     out = []
     for row in rows:
-        den = lcm(*(Fraction(x).denominator for x in row)) if row else 1
+        den = lcm(*(x.denominator for x in row)) if row else 1
         out.append([int(x * den) for x in row])
     return out
 
@@ -177,6 +162,22 @@ def bareiss_echelon(rows):
         if r == nrows:
             break
     return pivots
+
+
+def determinant(rows) -> int:
+    """Exact determinant of a square integer matrix.
+
+    `bareiss_echelon` on a copy leaves the determinant of its row order in
+    the last pivot; it reorders the rows by swapping the row lists, so their
+    identities give the permutation, whose parity fixes the sign.
+    """
+    m = [list(r) for r in rows]
+    origin = {id(r): i for i, r in enumerate(m)}
+    if len(bareiss_echelon(m)) < len(m):
+        return 0
+    order = [origin[id(r)] for r in m]
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return -m[-1][-1] if inversions % 2 else m[-1][-1]
 
 
 def rank(matrix) -> int:

@@ -2,22 +2,28 @@
 
 A torus of complex dimension n is the data of a rank-2n lattice together
 with the matrix J of multiplication by i in a lattice basis, with entries in
-a fixed real number field and J^2 = -I exactly.  J enters every computation
-through integer data built once per torus: with J = sum_k alpha^k J_k on the
-power basis and D the common denominator of the J_k, the torus stores the
-integer matrices D*J_k and D*J itself (ints when J is rational, elements of
-Z[alpha] otherwise).  Given J^2 = -I, an alternating form E satisfies
-E(Jx, Jy) = E(x, y) exactly when E*J is symmetric (the Riemann relations), so
-the Hodge test and the Neron-Severi space are integer conditions on the
-E*(D*J_k); Hom groups of tori are the rational solutions of J_B,k M = M J_A,k.
-No complex (or even irrational-looking) numbers ever appear.
+a fixed real number field and J^2 = -I exactly.  A torus *is* its integer J
+data: with J = sum_k alpha^k J_k on the power basis and D the least common
+denominator of the J_k, it stores D and the integer matrices D*J_k (only
+D*J_0 when J is rational), and equality and hashing use them.  A J given
+as a field matrix (a curve's, or one passed to `ComplexTorus`) is split
+once; products concatenate the blocks' parts and quotients are P*(D*J_k)*S
+for the Smith projection P and section S, so no field matrix is ever
+multiplied.  Given J^2 = -I, an
+alternating form E satisfies E(Jx, Jy) = E(x, y) exactly when E*J is
+symmetric (the Riemann relations), so the Hodge test and the Neron-Severi
+space are integer conditions on the E*(D*J_k); Hom groups of tori are the
+rational solutions of J_B,k M = M J_A,k, and J-stability of a sublattice is
+one integer rank.  No complex (or even irrational-looking) numbers ever
+appear.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+from operator import add, sub
 
 from .errors import ConsistencyError, NotHodgeClass
 from .exactmath import (
@@ -30,16 +36,16 @@ from .exactmath import (
     kernel_basis,
     nf_sign,
     primitive_integer_vector,
-    rank,
     saturate,
     solve,
 )
+from .exactmath.linalg import bareiss_echelon
 
 _ZERO = Fraction(0)
 
 
 def _matmul(a, b):
-    """Product of two square matrices of ints or of `IntegralElement`s."""
+    """Product of two matrices of ints or of `IntegralElement`s."""
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
@@ -50,22 +56,35 @@ def _is_symmetric(m) -> bool:
 
 def _split_j(J: KMatrix):
     """(D, [D*J_k]) for J = sum_k alpha^k J_k on the power basis, D the
-    common denominator of the J_k: integer matrices, only D*J_0 when J is
-    rational.  The one place J is split into components."""
+    common denominator of the J_k: one integer matrix per power of alpha.
+    The one place a field matrix J is split into components."""
     parts = [[[x.coeffs[k] for x in row] for row in J.rows] for k in range(J.field.degree)]
+    den = lcm(*(x.denominator for Jk in parts for row in Jk for x in row))
+    return den, [[[int(x * den) for x in row] for row in Jk] for Jk in parts]
+
+
+def _canonical(den, parts):
+    """The canonical integer J data of J = sum_k alpha^k parts[k] / den:
+    the common factor of D and every entry divided out (so D is the least
+    common denominator of the J_k) and only D*J_0 kept when every higher
+    component vanishes."""
     if not any(x for Jk in parts[1:] for row in Jk for x in row):
         parts = parts[:1]
-    den = lcm(*(x.denominator for Jk in parts for row in Jk for x in row))
-    return den, tuple(tuple(tuple(int(x * den) for x in row) for row in Jk) for Jk in parts)
+    g = gcd(den, *(x for Jk in parts for row in Jk for x in row))
+    return den // g, tuple(tuple(tuple(x // g for x in row) for row in Jk) for Jk in parts)
 
 
 class ComplexTorus:
     """Lattice Z^2n with an exact complex structure J (J^2 = -I).
 
-    J's integer data is built once here: `j_den` is D, `j_parts` holds the
-    integer matrices D*J_k and `dj` is D*J in the torus's scalars (see
-    `in_scalars`).  Every J computation reads them; J^2 = -I is checked as
-    (D*J)^2 = -D^2 I.  Instances are immutable; derived data (the NS basis)
+    The torus is its integer J data in canonical form: `j_den` is D, the
+    least common denominator of J's power-basis components J_k, and
+    `j_parts` holds the integer matrices D*J_k, only D*J_0 when J is
+    rational.  Equality and hashing use (field, j_den, j_parts).  Every J
+    computation reads these parts; J^2 = -I is checked as (D*J)^2 = -D^2 I
+    in the torus's scalars (see `in_scalars`).  `ComplexTorus(field, J)`
+    splits a field matrix J once; `product` and `quotient` build their
+    tori from parts.  Instances are immutable; derived data (the NS basis)
     is cached on the instance, which is safe because recomputation is
     idempotent.
     """
@@ -75,17 +94,27 @@ class ComplexTorus:
             raise ValueError("J must be square of even positive size")
         if J.field != field:
             raise ValueError("field mismatch")
-        n = J.nrows // 2
+        self._init(field, *_split_j(J), factors, label)
+
+    @classmethod
+    def _from_parts(cls, field, den, parts, factors=None, label=None) -> "ComplexTorus":
+        """The torus with J = sum_k alpha^k parts[k] / den (integer square
+        matrices of even size, at most one per power of alpha)."""
+        torus = cls.__new__(cls)
+        torus._init(field, den, parts, factors, label)
+        return torus
+
+    def _init(self, field, den, parts, factors, label):
         self.field = field
-        self.J = J
-        self.j_den, self.j_parts = _split_j(J)
-        self.dj = self.in_scalars(self.j_parts)
+        self.j_den, self.j_parts = _canonical(den, parts)
+        size = len(self.j_parts[0])
+        dj = self.in_scalars(self.j_parts)
         minus_d2 = -self.j_den * self.j_den
-        square = _matmul(self.dj, self.dj)
+        square = _matmul(dj, dj)
         if any(square[i][j] != (minus_d2 if i == j else 0)
-               for i in range(2 * n) for j in range(2 * n)):
+               for i in range(size) for j in range(size)):
             raise ConsistencyError("inconsistent complex structure: J^2 != -I")
-        self.n = n
+        self.n = size // 2
         self.factors = tuple(factors) if factors is not None else None
         self.label = label
         self._elliptic_tau = None  # (a, beta) for curves built by elliptic()
@@ -134,12 +163,14 @@ class ComplexTorus:
         return hom_rank(self, self) == 2
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ComplexTorus):
             return NotImplemented
-        return self.field == other.field and self.J == other.J
+        return (self.field, self.j_den, self.j_parts) == (other.field, other.j_den, other.j_parts)
 
     def __hash__(self):
-        return hash((self.field, self.J))
+        return hash((self.field, self.j_den, self.j_parts))
 
     def __repr__(self):
         name = self.label or "A"
@@ -179,7 +210,12 @@ def elliptic(a, beta, field=None, label=None) -> ComplexTorus:
 
 
 def product(factors) -> ComplexTorus:
-    """Product torus with block-diagonal J; factors must share the field."""
+    """Product torus with block-diagonal J; factors must share the field.
+
+    The blocks' integer J data is concatenated over D, the lcm of their
+    denominators: the k-th part of the product holds (D / D_f) * (D_f J_f,k)
+    on the block of factor f, and zeros where f has no k-th part.
+    """
     factors = list(factors)
     if not factors:
         raise ValueError("empty product")
@@ -191,17 +227,17 @@ def product(factors) -> ComplexTorus:
     atoms = []
     for f in factors:
         atoms.extend(f.factors if f.factors is not None else (f,))
-    total = sum(f.n for f in atoms)
-    zero = field.zero()
-    rows = [[zero] * (2 * total) for _ in range(2 * total)]
+    den = lcm(*(f.j_den for f in atoms))
+    size = 2 * sum(f.n for f in atoms)
+    parts = [[[0] * size for _ in range(size)] for _ in range(max(len(f.j_parts) for f in atoms))]
     offset = 0
     for f in atoms:
-        size = 2 * f.n
-        for i in range(size):
-            for j in range(size):
-                rows[offset + i][offset + j] = f.J.rows[i][j]
-        offset += size
-    return ComplexTorus(field, KMatrix(field, rows), factors=atoms)
+        scale = den // f.j_den
+        for Jk, block in zip(parts, f.j_parts):
+            for i, row in enumerate(block):
+                Jk[offset + i][offset:offset + len(row)] = [scale * x for x in row]
+        offset += 2 * f.n
+    return ComplexTorus._from_parts(field, den, parts, factors=atoms)
 
 
 def factor_blocks(A: ComplexTorus):
@@ -258,7 +294,7 @@ def hom_rank(A: ComplexTorus, B: ComplexTorus) -> int:
                 for q in range(na):
                     row[i * na + q] -= db * JA[q][j]
                 rows.append(row)
-    return nb * na - rank(rows)
+    return nb * na - len(bareiss_echelon(rows))
 
 
 class AlternatingForm:
@@ -282,6 +318,17 @@ class AlternatingForm:
         self.torus = torus
         self.matrix = rows
         self._hodge = None
+
+    @classmethod
+    def _valid(cls, torus: ComplexTorus, rows) -> "AlternatingForm":
+        """A form from rows already known to be a tuple of tuples of
+        Fractions that is antisymmetric of the lattice's size, as every
+        linear combination of validated forms is; nothing is re-checked."""
+        form = cls.__new__(cls)
+        form.torus = torus
+        form.matrix = rows
+        form._hodge = None
+        return form
 
     def times_dj(self):
         """The integer matrices c E (D J_k), one per entry of the torus's
@@ -318,31 +365,27 @@ class AlternatingForm:
         rows = [[_ZERO] * size for _ in range(size)]
         for (i, j), c in zip(combinations(range(size), 2), coords):
             rows[i][j] = Fraction(c)
-            rows[j][i] = -Fraction(c)
-        return cls(torus, rows)
+            rows[j][i] = -rows[i][j]
+        return cls._valid(torus, tuple(map(tuple, rows)))
 
     def __add__(self, other):
         if not isinstance(other, AlternatingForm) or other.torus != self.torus:
             return NotImplemented
-        return AlternatingForm(
-            self.torus,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.matrix, other.matrix)],
-        )
+        rows = zip(self.matrix, other.matrix)
+        return self._valid(self.torus, tuple(tuple(map(add, r1, r2)) for r1, r2 in rows))
 
     def __sub__(self, other):
         if not isinstance(other, AlternatingForm) or other.torus != self.torus:
             return NotImplemented
-        return AlternatingForm(
-            self.torus,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.matrix, other.matrix)],
-        )
+        rows = zip(self.matrix, other.matrix)
+        return self._valid(self.torus, tuple(tuple(map(sub, r1, r2)) for r1, r2 in rows))
 
     def __neg__(self):
-        return AlternatingForm(self.torus, [[-a for a in r] for r in self.matrix])
+        return self._valid(self.torus, tuple(tuple(-a for a in r) for r in self.matrix))
 
     def __mul__(self, scalar):
         s = Fraction(scalar)
-        return AlternatingForm(self.torus, [[a * s for a in r] for r in self.matrix])
+        return self._valid(self.torus, tuple(tuple(a * s for a in r) for r in self.matrix))
 
     __rmul__ = __mul__
 
@@ -469,8 +512,10 @@ def subtorus(A: ComplexTorus, basis_columns) -> Sublattice:
     """Saturate the given columns and certify J-stability.
 
     J preserves the rational span of W exactly when every integer component
-    D J_k does, because the span is a rational subspace.  A J-stable lattice
-    necessarily has even rank.
+    D J_k does, because the span is a rational subspace; so W is a complex
+    subtorus exactly when the basis together with all its images
+    (D J_k) w has the rank of the basis alone: one integer elimination.
+    A J-stable lattice necessarily has even rank.
     """
     N = 2 * A.n
     cols = [tuple(int(x) for x in c) for c in basis_columns]
@@ -479,19 +524,23 @@ def subtorus(A: ComplexTorus, basis_columns) -> Sublattice:
     sat = saturate(cols, N) if cols else []
     W = Sublattice(A, sat)
     if sat:
-        matrix = QMatrix([[Fraction(sat[j][i]) for j in range(len(sat))] for i in range(N)])
+        rows = [list(col) for col in sat]
         for Jk in A.j_parts:
-            for col in sat:
-                image = [sum(Jk[i][j] * col[j] for j in range(N)) for i in range(N)]
-                if solve(matrix, image) is None:
-                    raise ValueError("not a complex subtorus")
+            rows.extend([sum(a * b for a, b in zip(row, col)) for row in Jk] for col in sat)
+        if len(bareiss_echelon(rows)) > len(sat):
+            raise ValueError("not a complex subtorus")
     if len(sat) % 2 != 0:
         raise ConsistencyError("J-stable sublattice with odd rank")
     return W
 
 
 def quotient(A: ComplexTorus, W: Sublattice) -> ComplexTorus:
-    """Quotient torus on the complement basis from the Smith decomposition."""
+    """Quotient torus on the complement basis from the Smith decomposition.
+
+    With P the Smith projection and S the section of W (P S = I), the
+    quotient's J is P J S, so its integer J data is P (D J_k) S for every
+    k over the same D, brought to canonical form.
+    """
     if W.torus != A:
         raise ValueError("sublattice belongs to a different torus")
     if W.rank == 2 * A.n:
@@ -499,10 +548,8 @@ def quotient(A: ComplexTorus, W: Sublattice) -> ComplexTorus:
     if W.rank == 0:
         return A
     P, S = W.projection, W.section
-    Pq = QMatrix([[Fraction(x) for x in row] for row in P])
-    Sq = QMatrix([[Fraction(x) for x in row] for row in S])
-    Jq = Pq * (A.J * Sq)
-    return ComplexTorus(A.field, Jq, factors=None, label=None)
+    parts = [_matmul(P, _matmul(Jk, S)) for Jk in A.j_parts]
+    return ComplexTorus._from_parts(A.field, A.j_den, parts)
 
 
 def coordinate_sublattice(A: ComplexTorus, block_indices) -> Sublattice:

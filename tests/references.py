@@ -1,0 +1,86 @@
+"""Field-level views of a torus and shared inputs for the differential tests.
+
+A torus stores only its integer J data (D and the D * J_k); `field_j`
+rebuilds J as a field matrix and `field_product` multiplies field matrices
+entry by entry, as the package did before it moved onto the integer data.
+`elliptic_products` draws product tori and `rebased` moves a torus to a
+lattice basis that mixes its blocks.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from hypothesis import strategies as st
+
+from lefdefect.exactmath import KMatrix, QMatrix, RealNumberField
+from lefdefect.torus import ComplexTorus, elliptic, product
+
+
+@lru_cache(maxsize=256)
+def field_j(A) -> KMatrix:
+    """J = sum_k alpha^k J_k as a field matrix, from A's integer J data."""
+    size = 2 * A.n
+    return KMatrix(A.field, [
+        [A.field.element([Fraction(Jk[r][c], A.j_den) for Jk in A.j_parts]) for c in range(size)]
+        for r in range(size)
+    ])
+
+
+def field_product(field, *matrices) -> KMatrix:
+    """The product of KMatrix and QMatrix factors, as a KMatrix over `field`."""
+    rows = KMatrix(field, matrices[0].rows).rows
+    for m in matrices[1:]:
+        cols = list(zip(*KMatrix(field, m.rows).rows))
+        rows = [[sum((a * b for a, b in zip(row, col)), field.zero()) for col in cols]
+                for row in rows]
+    return KMatrix(field, rows)
+
+
+def squares_to_minus_identity(A) -> bool:
+    J = field_j(A)
+    size = 2 * A.n
+    return field_product(A.field, J, J) == KMatrix(
+        A.field, [[-1 if i == j else 0 for j in range(size)] for i in range(size)])
+
+
+@st.composite
+def elliptic_products(draw):
+    """Products of 2-3 elliptic curves over Q or over Q(2^(1/4))."""
+    K = draw(st.sampled_from(["Q", "K"]))
+    a = st.fractions(min_value=-1, max_value=1, max_denominator=3)
+    scale = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)])
+    count = draw(st.integers(2, 3))
+    if K == "Q":
+        curves = [elliptic(draw(a), draw(scale)) for _ in range(count)]
+    else:
+        G = RealNumberField([-2, 0, 0, 0, 1], (Fraction(1), Fraction(3, 2)))
+        alpha = G.alpha()
+        betas = [G.one(), alpha, alpha * alpha, G.one() + alpha]
+        curves = [
+            elliptic(draw(a), draw(st.sampled_from(betas)) * G.from_rational(draw(scale)))
+            for _ in range(count)
+        ]
+    return product(curves)
+
+
+def unimodular(size, rng, steps=6):
+    """(U, U^-1) for a random unimodular integer matrix U."""
+    U = [[int(i == j) for j in range(size)] for i in range(size)]
+    U_inv = [row[:] for row in U]
+    for _ in range(steps):
+        i, j = rng.sample(range(size), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        for row in U:  # U <- U (I + k e_ij)
+            row[j] += k * row[i]
+        U_inv[i] = [a - k * b for a, b in zip(U_inv[i], U_inv[j])]  # (I - k e_ij) U_inv
+    return U, U_inv
+
+
+def rebase(A, U, U_inv):
+    """A on the lattice basis given by the columns of U: J -> U^-1 J U."""
+    return ComplexTorus(A.field, field_product(A.field, QMatrix(U_inv), field_j(A), QMatrix(U)))
+
+
+def rebased(A, rng, steps=6):
+    """A on a random other lattice basis, which mixes the blocks of a product."""
+    return rebase(A, *unimodular(2 * A.n, rng, steps))

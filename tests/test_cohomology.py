@@ -213,7 +213,7 @@ class TestRestrictionMap:
     def test_ring_map_on_wedges(self, triple):
         # restriction commutes with wedge: pullback of a product of two
         # 2-classes equals the product of the pullbacks (degree-4 check)
-        from lefdefect.cohomology import _det
+        from lefdefect.exactmath.linalg import determinant
 
         A = triple
         W = coordinate_sublattice(A, (0, 1))  # rank 4
@@ -230,8 +230,8 @@ class TestRestrictionMap:
         for quad, c in zip(wedge_basis(6, 4), full.coords):
             if c == 0:
                 continue
-            sub = [[F(basis[a][i]) for a in range(4)] for i in quad]
-            value += c * _det(sub)
+            sub = [[basis[a][i] for a in range(4)] for i in quad]
+            value += c * determinant(sub)
         assert lhs == ExteriorClass(4, 4, [value])
 
 

@@ -1,0 +1,337 @@
+"""Differential tests: the per-divisor path on integer data against the
+constructions it replaced.
+
+* `quotient` computes P (D J_k) S on integers; the reference is the field
+  product P J S, split again by `ComplexTorus(field, J)`.  The two tori must
+  be equal and hash alike.
+* `subtorus` certifies J-stability with one integer rank; the reference
+  solves for every image (D J_k) w over Q and must fail on the same inputs.
+* Integer J data in any form (a common factor, vanishing alpha-components)
+  gives the torus built from the field matrix.
+* `subspaces_equal` against mutual containment by solving.
+* `poincare_dual` (integer minors) against Leibniz determinants.
+* Form arithmetic against the validating constructor, and the Hodge test
+  as NS membership against `ns_coordinates`.
+
+Inputs are the corpus, hypothesis products of 2-3 curves over Q and
+Q(2^(1/4)), and each of these on a lattice basis mixed by a random
+unimodular matrix.  The sublattices are the radicals of degenerate
+effective classes (fiber forms and their partial sums), the coordinate
+sublattices, and random integer column sets.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lefdefect.checks import subspaces_equal
+from lefdefect.cohomology import defect_of_class, lambda_defect, poincare_dual
+from lefdefect.effectivity import is_effective_class, radical
+from lefdefect.errors import ConsistencyError, NotHodgeClass
+from lefdefect.exactmath import QMatrix, saturate, solve
+from lefdefect.torus import (
+    AlternatingForm,
+    ComplexTorus,
+    coordinate_factor_sublattices,
+    coordinate_sublattice,
+    elliptic,
+    fiber_pairs,
+    ns_basis,
+    ns_coordinates,
+    product,
+    quotient,
+    subtorus,
+)
+from references import elliptic_products, field_j, field_product, rebase, unimodular
+
+CORPUS = ["ei2", "ei3", "ei_x_e2i", "eia2", "triple", "ei2_x_nocm"]
+
+
+def reference_quotient(A, W):
+    P, S = W.projection, W.section
+    return ComplexTorus(A.field, field_product(A.field, QMatrix(P), field_j(A), QMatrix(S)))
+
+
+def reference_subtorus(A, columns):
+    """Basis of the saturated span, certified by one Fraction solve per
+    column and J component."""
+    N = 2 * A.n
+    sat = saturate([tuple(c) for c in columns], N) if columns else []
+    if sat:
+        matrix = QMatrix([[Fraction(sat[j][i]) for j in range(len(sat))] for i in range(N)])
+        for Jk in A.j_parts:
+            for col in sat:
+                image = [sum(Jk[i][j] * col[j] for j in range(N)) for i in range(N)]
+                if solve(matrix, image) is None:
+                    raise ValueError("not a complex subtorus")
+    if len(sat) % 2 != 0:
+        raise ConsistencyError("J-stable sublattice with odd rank")
+    return tuple(sat)
+
+
+def outcome(run, *args):
+    try:
+        return "ok", run(*args)
+    except (ValueError, ConsistencyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_subtorus_matches_reference(A, columns):
+    got = outcome(lambda cols: subtorus(A, cols).basis, columns)
+    assert got == outcome(reference_subtorus, A, columns)
+    return got[0] == "ok"
+
+
+def leibniz(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = sign
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+def reference_poincare_coords(A, W):
+    P = W.projection
+    return [Fraction(leibniz([[row[j] for j in subset] for row in P]))
+            for subset in itertools.combinations(range(2 * A.n), W.corank)]
+
+
+def degenerate_classes(A, U=None):
+    """Fiber forms of A and their partial sums (pulled back to the basis of
+    U's columns when given): degenerate effective classes whose radicals are
+    the sublattices of proper sub-products."""
+    size = 2 * A.n
+    fibers = []
+    for block in fiber_pairs(A):
+        fiber = [[0] * size for _ in range(size)]
+        for i, j in block:
+            fiber[i][j], fiber[j][i] = 1, -1
+        fibers.append(fiber)
+    forms = []
+    for count in range(1, len(fibers)):
+        for subset in itertools.combinations(fibers, count):
+            forms.append([[sum(f[r][c] for f in subset) for c in range(size)]
+                          for r in range(size)])
+    if U is not None:  # E -> U^T E U
+        forms = [[[sum(U[a][r] * E[a][b] * U[b][c] for a in range(size) for b in range(size))
+                   for c in range(size)] for r in range(size)] for E in forms]
+    return forms
+
+
+def assert_divisor_path_matches_reference(A, rng):
+    """Quotients by radicals and coordinate sublattices, and subtorus on
+    their columns and on random columns, on A and on A in a mixed basis."""
+    U, U_inv = unimodular(2 * A.n, rng)
+    mixed = rebase(A, U, U_inv)
+    sublattices = [W for _, W in coordinate_factor_sublattices(A)]
+    for X, matrices in ((A, degenerate_classes(A)), (mixed, degenerate_classes(A, U))):
+        for matrix in matrices:
+            E = AlternatingForm(X, matrix)
+            if E.is_hodge and is_effective_class(X, E):
+                sublattices.append(radical(X, E))
+        for _ in range(4):
+            width = rng.randint(1, 2 * X.n - 1)
+            columns = [[rng.randint(-2, 2) for _ in range(2 * X.n)] for _ in range(width)]
+            assert_subtorus_matches_reference(X, columns)
+    assert sublattices
+    for W in sublattices:
+        X = W.torus
+        assert assert_subtorus_matches_reference(X, [[2 * x for x in c] for c in W.basis])
+        if 0 < W.rank < 2 * X.n:
+            B, R = quotient(X, W), reference_quotient(X, W)
+            assert B == R and hash(B) == hash(R)
+            assert (B.j_den, B.j_parts) == (R.j_den, R.j_parts)
+            assert poincare_dual(X, W).coords == tuple(reference_poincare_coords(X, W))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_divisor_path_matches_reference_on_corpus(corpus, name):
+    assert_divisor_path_matches_reference(corpus[name], random.Random(name))
+
+
+@settings(max_examples=15, deadline=None)
+@given(elliptic_products(), st.integers(0, 2**32))
+def test_divisor_path_matches_reference_on_random_products(A, seed):
+    assert_divisor_path_matches_reference(A, random.Random(seed))
+
+
+def test_quotient_onto_rational_block_drops_alpha_parts(corpus):
+    # E_i x E_ia x E_ia2 over Q(2^(1/4)) modulo the last two curves is E_i,
+    # whose J is rational: the quotient's alpha-components all vanish.
+    A = corpus["triple"]
+    assert not A.rational_j
+    W = coordinate_sublattice(A, (1, 2))
+    B = quotient(A, W)
+    assert B.rational_j and len(B.j_parts) == 1
+    assert B == reference_quotient(A, W)
+
+
+def test_subtorus_errors_match_reference(corpus):
+    A = corpus["eia2"]
+    for columns in ([(1, 0, 0, 0)], [(1, 0, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0), (2, 0, 0, 0)],
+                    [(1, 0, 0, 0), (0, 1, 0, 0)], [(1, 0, 1, 0), (0, 1, 0, 1)]):
+        assert_subtorus_matches_reference(A, columns)
+    with pytest.raises(ValueError, match="not a complex subtorus"):
+        subtorus(A, [(1, 0, 0, 0), (0, 0, 1, 0)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(elliptic_products(), st.sampled_from([1, 2, 6]))
+def test_parts_in_any_form_give_the_torus_of_j(A, scale):
+    # A common factor of D and every entry, and alpha-components padded
+    # with zeros up to the field degree, are normalised away.
+    reference = ComplexTorus(A.field, field_j(A))
+    size = 2 * A.n
+    padded = list(A.j_parts) + [[[0] * size] * size] * (A.field.degree - len(A.j_parts))
+    parts = [[[scale * x for x in row] for row in Jk] for Jk in padded]
+    T = ComplexTorus._from_parts(A.field, scale * A.j_den, parts)
+    assert T == reference and hash(T) == hash(reference)
+    assert (T.j_den, T.j_parts) == (reference.j_den, reference.j_parts)
+    assert T == A and hash(T) == hash(A)
+
+
+def test_parts_of_rational_curve_over_quartic_field(quartic_field):
+    E = elliptic(Fraction(1, 2), 3, field=quartic_field)
+    assert E.rational_j and len(E.j_parts) == 1
+    zero = [[0, 0], [0, 0]]
+    doubled = [[2 * x for x in row] for row in E.j_parts[0]]
+    T = ComplexTorus._from_parts(quartic_field, 2 * E.j_den, [doubled, zero, zero, zero])
+    assert T == E and (T.j_den, T.j_parts) == (E.j_den, E.j_parts)
+
+
+def span_contains(vectors, v):
+    if not vectors:
+        return not any(v)
+    matrix = [[vec[i] for vec in vectors] for i in range(len(v))]
+    return solve(matrix, list(v)) is not None
+
+
+def reference_subspaces_equal(vs, ws):
+    return len(vs) == len(ws) and all(span_contains(ws, v) for v in vs) and all(
+        span_contains(vs, w) for w in ws)
+
+
+@st.composite
+def vector_lists(draw):
+    """Two lists of rational vectors, the second often a rewriting of the
+    first (permuted, rescaled, one vector plus a multiple of another)."""
+    dim = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    vector = st.lists(entry, min_size=dim, max_size=dim).map(tuple)
+    vs = draw(st.lists(vector, max_size=4))
+    if vs and draw(st.booleans()):
+        ws = list(draw(st.permutations(vs)))
+        i, j = draw(st.integers(0, len(ws) - 1)), draw(st.integers(0, len(ws) - 1))
+        c = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3)]))
+        ws[i] = tuple(c * x for x in ws[i]) if i == j else tuple(
+            x + c * y for x, y in zip(ws[i], ws[j]))
+    else:
+        ws = draw(st.lists(vector, max_size=4))
+    return vs, ws
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_lists())
+def test_subspaces_equal_matches_mutual_containment(pair):
+    vs, ws = pair
+    assert subspaces_equal(vs, ws) == reference_subspaces_equal(vs, ws)
+    assert subspaces_equal(ws, vs) == reference_subspaces_equal(ws, vs)
+
+
+@st.composite
+def antisymmetric(draw, size):
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            m[i][j] = draw(entry)
+            m[j][i] = -m[i][j]
+    return m
+
+
+def validated(A, matrix):
+    return AlternatingForm(A, [list(row) for row in matrix])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["ei2", "triple"]), st.data())
+def test_form_arithmetic_matches_validating_constructor(corpus, name, data):
+    A = corpus[name]
+    size = 2 * A.n
+    m1, m2 = data.draw(antisymmetric(size)), data.draw(antisymmetric(size))
+    E, F = AlternatingForm(A, m1), AlternatingForm(A, m2)
+    scalar = data.draw(st.sampled_from([0, 1, -2, Fraction(3, 2), Fraction(-1, 3)]))
+    expected = {
+        "+": [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)],
+        "-": [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)],
+        "neg": [[-a for a in r] for r in m1],
+        "*": [[a * scalar for a in r] for r in m1],
+    }
+    results = {"+": E + F, "-": E - F, "neg": -E, "*": E * scalar}
+    assert scalar * E == results["*"]
+    for op, form in results.items():
+        reference = validated(A, expected[op])
+        assert form == reference and hash(form) == hash(reference)
+        assert form.matrix == reference.matrix
+        assert all(type(x) is Fraction for row in form.matrix for x in row)
+        assert form.is_hodge == reference.is_hodge
+    coords = E.pair_coords()
+    assert AlternatingForm.from_pair_coords(A, coords) == E
+
+
+def test_outside_matrices_are_still_validated(corpus):
+    A = corpus["ei2"]
+    bad = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        AlternatingForm(A, bad)
+    diagonal = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        AlternatingForm(A, diagonal)
+    with pytest.raises(ValueError, match="size"):
+        AlternatingForm(A, [[0, 1], [-1, 0]])
+
+
+@pytest.mark.parametrize("name", ["ei_x_e2i", "eia2", "triple"])
+def test_ns_membership_matches_ns_coordinates(corpus, name):
+    # defect_of_class and lambda_defect take NS membership from the Hodge
+    # test; the reference is a solve over the NS basis.
+    A = corpus[name]
+    rng = random.Random(name)
+    basis = ns_basis(A)
+    size = 2 * A.n
+    polarization = sum(basis[1:], basis[0])
+    for _ in range(12):
+        matrix = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                matrix[i][j] = rng.choice((0, 0, 1, -1))
+                matrix[j][i] = -matrix[i][j]
+        noise = AlternatingForm(A, matrix)
+        for D in (noise, noise + polarization, sum((b * rng.randint(-1, 1) for b in basis),
+                                                   polarization * 0)):
+            in_ns = ns_coordinates(A, D) is not None
+            assert D.is_hodge == in_ns
+            for run in (lambda: defect_of_class(A, D), lambda: lambda_defect(A, [D], basis[0]),
+                        lambda: lambda_defect(A, basis, D)):
+                if in_ns:
+                    run()
+                else:
+                    with pytest.raises(NotHodgeClass):
+                        run()
+
+
+def test_zero_class_is_an_ns_class():
+    # The zero form passes the Hodge test and has coordinates 0 over the NS
+    # basis; cup product with it kills all of NS.
+    A = product([elliptic(0, 1), elliptic(0, 2)])
+    zero = AlternatingForm(A, [[0] * 4 for _ in range(4)])
+    assert zero.is_hodge and ns_coordinates(A, zero) is not None
+    assert defect_of_class(A, zero) == len(ns_basis(A))

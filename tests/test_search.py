@@ -55,6 +55,7 @@ from lefdefect.exactmath import (
     restrict_scalars,
 )
 from lefdefect.schema import load_document
+from references import elliptic_products, field_j, field_product, rebased
 from lefdefect.torus import (
     AlternatingForm,
     ComplexTorus,
@@ -417,8 +418,8 @@ def test_structured_candidates_with_undeclared_surface_blocks():
     U = QMatrix([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     U_inv = QMatrix([[1, 0, -1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert U * U_inv == QMatrix.identity(4)
-    plain = ComplexTorus(B.field, B.J)
-    mixed = ComplexTorus(B.field, U_inv * (B.J * U))
+    plain = ComplexTorus(B.field, field_j(B))
+    mixed = ComplexTorus(B.field, field_product(B.field, U_inv, field_j(B), U))
     fiber = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     assert AlternatingForm(plain, fiber).is_hodge
     assert not AlternatingForm(mixed, fiber).is_hodge
@@ -428,26 +429,6 @@ def test_structured_candidates_with_undeclared_surface_blocks():
         vectors = _structured_candidate_vectors(A, _SearchData(A))
         assert vectors == reference_structured_vectors(A)
         assert len(vectors) == count
-
-
-@st.composite
-def elliptic_products(draw):
-    """Products of 2-3 elliptic curves over Q or over Q(2^(1/4))."""
-    K = draw(st.sampled_from(["Q", "K"]))
-    a = st.fractions(min_value=-1, max_value=1, max_denominator=3)
-    scale = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)])
-    count = draw(st.integers(2, 3))
-    if K == "Q":
-        curves = [elliptic(draw(a), draw(scale)) for _ in range(count)]
-    else:
-        G = RealNumberField([-2, 0, 0, 0, 1], (Fraction(1), Fraction(3, 2)))
-        alpha = G.alpha()
-        betas = [G.one(), alpha, alpha * alpha, G.one() + alpha]
-        curves = [
-            elliptic(draw(a), draw(st.sampled_from(betas)) * G.from_rational(draw(scale)))
-            for _ in range(count)
-        ]
-    return product(curves)
 
 
 @settings(max_examples=25, deadline=None)
@@ -466,7 +447,7 @@ def test_structured_candidates_match_reference_on_random_products(A):
 def reference_ns_basis(A):
     field = A.field
     pairs = list(itertools.combinations(range(2 * A.n), 2))
-    J = A.J.rows
+    J = field_j(A).rows
     rows = []
     for i, j in pairs:
         row = []
@@ -481,15 +462,15 @@ def reference_ns_basis(A):
 
 
 def reference_is_hodge(E):
-    J = E.torus.J
+    J = field_j(E.torus)
     K = KMatrix(J.field, E.matrix)
-    return KMatrix(J.field, list(zip(*J.rows))) * K * J == K
+    return field_product(J.field, KMatrix(J.field, list(zip(*J.rows))), K, J) == K
 
 
 def reference_hom_rank(A, B):
     field = A.field
     na, nb = 2 * A.n, 2 * B.n
-    JA, JB = A.J.rows, B.J.rows
+    JA, JB = field_j(A).rows, field_j(B).rows
     zero = field.zero()
     rows = []
     for i in range(nb):
@@ -506,7 +487,7 @@ def reference_hom_rank(A, B):
 def reference_is_effective(A, E):
     if E.is_zero():
         return False
-    S = (KMatrix(A.field, E.matrix) * A.J).rows
+    S = field_product(A.field, KMatrix(A.field, E.matrix), field_j(A)).rows
     return reference_psd_rank([list(row) for row in S]) >= 0
 
 
@@ -523,21 +504,6 @@ def _alternating(rng, size):
             m[i][j] = rng.choice((0, 0, 0, 1, -1))
             m[j][i] = -m[i][j]
     return m
-
-
-def rebased(A, rng, steps=6):
-    """A on another lattice basis: J -> U^-1 J U for a random unimodular U,
-    which mixes the blocks of a product."""
-    size = 2 * A.n
-    U = [[int(i == j) for j in range(size)] for i in range(size)]
-    U_inv = [row[:] for row in U]
-    for _ in range(steps):
-        i, j = rng.sample(range(size), 2)
-        k = rng.choice((-2, -1, 1, 2))
-        for row in U:  # U <- U (I + k e_ij)
-            row[j] += k * row[i]
-        U_inv[i] = [a - k * b for a, b in zip(U_inv[i], U_inv[j])]  # (I - k e_ij) U_inv
-    return ComplexTorus(A.field, QMatrix(U_inv) * (A.J * QMatrix(U)))
 
 
 def assert_j_data_matches_reference(A, rng, forms=8, effective_checks=12):

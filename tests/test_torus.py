@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,17 +21,15 @@ from lefdefect.torus import (
     subtorus,
 )
 
+from references import field_j, squares_to_minus_identity
+
 F = Fraction
-
-
-def minus_identity(field, n):
-    return KMatrix(field, [[-1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 class TestElliptic:
     def test_gaussian_lattice(self):
         E = elliptic(0, 1)
-        assert [[x.as_rational() for x in row] for row in E.J.rows] == [
+        assert [[x.as_rational() for x in row] for row in field_j(E).rows] == [
             [0, -1],
             [1, 0],
         ]
@@ -39,7 +38,7 @@ class TestElliptic:
     def test_j_squared_is_minus_one(self, quartic_field):
         for a, beta in [(0, 1), (F(1, 2), 3), (-2, F(2, 3))]:
             E = elliptic(a, beta, field=quartic_field)
-            assert E.J * E.J == minus_identity(quartic_field, 2)
+            assert squares_to_minus_identity(E)
 
     def test_quartic_beta_has_no_cm(self, quartic_field):
         E = elliptic(0, quartic_field.alpha())
@@ -70,18 +69,18 @@ class TestElliptic:
             ComplexTorus(quartic_field, J)
 
     def test_integer_j_data_recombines_to_j(self, quartic_field):
-        a = quartic_field.alpha()
-        for E in (elliptic(F(1, 3), F(2, 5)), elliptic(F(-1, 2), a + F(3, 2)),
-                  elliptic(0, 1, field=quartic_field)):
-            assert E.rational_j == all(x.is_rational() for row in E.J.rows for x in row)
-            D, field = E.j_den, E.field
-            alpha = field.alpha() if field.degree > 1 else field.one()
-            recombined = [
-                [sum((alpha**k * F(Jk[r][c], D) for k, Jk in enumerate(E.j_parts)), field.zero())
-                 for c in range(2)]
-                for r in range(2)
-            ]
-            assert KMatrix(field, recombined) == E.J
+        # J = [[-a/b, -b - a^2/b], [1/b, a/b]] on the basis (1, tau).
+        Q = RealNumberField.rationals()
+        alpha = quartic_field.alpha()
+        for a, beta in ((F(1, 3), Q.from_rational(F(2, 5))), (F(-1, 2), alpha + F(3, 2)),
+                        (F(0), quartic_field.one())):
+            E = elliptic(a, beta)
+            inv = beta.inverse()
+            J = KMatrix(beta.field, [[-a * inv, -beta - a * a * inv], [inv, a * inv]])
+            assert field_j(E) == J
+            assert E.rational_j == all(x.is_rational() for row in J.rows for x in row)
+            entries = [x for Jk in E.j_parts for row in Jk for x in row]
+            assert E.j_den > 0 and gcd(E.j_den, *entries) == 1
 
 
 class TestProduct:
@@ -93,7 +92,7 @@ class TestProduct:
         E = elliptic(0, 1)
         A = product([E, E, E])
         assert A.n == 3
-        assert A.J * A.J == minus_identity(A.field, 6)
+        assert squares_to_minus_identity(A)
 
     def test_field_mismatch(self, quartic_field):
         with pytest.raises(ValueError, match="field mismatch"):
@@ -254,7 +253,7 @@ class TestSubtorusQuotient:
         W = subtorus(A, [(1, 0, 2, 0), (0, 1, 0, 1)])
         B = quotient(A, W)
         assert B.n == 1
-        assert B.J * B.J == minus_identity(quartic_field, 2)
+        assert squares_to_minus_identity(B)
 
     def test_coordinate_factor_sublattices(self):
         E = elliptic(0, 1)

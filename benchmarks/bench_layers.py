@@ -14,12 +14,18 @@ products over Q(2^(1/4))) it times, each as the best of `--repeat` runs:
   `subtorus` re-certifying the basis of each nonzero radical W, `quotient`
   by each such W (a fresh `Sublattice`, so its Smith complement is timed
   too), and `divisor_case_data` and `defect_of_class` on fresh copies of
-  every effective form.
+  every effective form,
+* `radical` and `ns_cup_matrix` (the integer cup-product matrix on the NS
+  basis that `defect_of_class` eliminates) on fresh copies of every
+  effective form, and
+* `check_voisin`, the restriction and Poincare-dual kernels on every
+  corank-2 coordinate sublattice.
 
 Counts (Picard number, Hom ranks summed, effective forms, nonzero radicals,
 the quotients' Picard numbers summed, the Iitaka dimensions and defects
-summed) are recorded next to the times, so two checkouts can be checked for
-equal answers.  Results go to
+summed, the radical ranks and NS cup-matrix ranks summed, and the Voisin
+verdict) are recorded next to the times, so two checkouts can be checked
+for equal answers.  Results go to
 BENCH_layers.json next to this script as one run under `--label`, replacing
 an earlier run with the same label, so runs of two checkouts sit side by side.
 
@@ -36,7 +42,9 @@ import platform
 import time
 
 from bench_search import CASES
-from lefdefect.cohomology import defect_of_class
+from lefdefect.checks import check_voisin
+from lefdefect.cohomology import defect_of_class, ns_cup_matrix
+from lefdefect.exactmath import rank
 from lefdefect.effectivity import divisor_case_data, is_effective_class, radical
 from lefdefect.torus import (
     AlternatingForm,
@@ -101,6 +109,13 @@ def measure(build, repeat):
     defects, defect_s = best_time(
         lambda fresh: [defect_of_class(A, E) for E in fresh],
         lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
+    lattices, radical_s = best_time(
+        lambda fresh: [radical(A, E) for E in fresh],
+        lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
+    cup_matrices, cup_s = best_time(
+        lambda fresh: [ns_cup_matrix(A, E) for E in fresh],
+        lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
+    voisin, voisin_s = best_time(lambda _: check_voisin(A), lambda: None, repeat)
     return {
         "rho": len(basis),
         "hom_rank_sum": hom_total,
@@ -110,6 +125,9 @@ def measure(build, repeat):
         "quotient_rho_sum": sum(ns_rank(B) for B in quotients),
         "iitaka_dim_sum": sum(b for b, *_ in case_data),
         "defect_sum": sum(defects),
+        "radical_rank_sum": sum(W.rank for W in lattices),
+        "ns_cup_rank_sum": sum(rank(M) for M in cup_matrices),
+        "voisin": voisin.status,
         "seconds": {
             "build": round(build_s, 5),
             "ns_basis": round(ns_s, 5),
@@ -119,6 +137,9 @@ def measure(build, repeat):
             "quotient": round(quotient_s, 5),
             "divisor_case_data": round(case_s, 5),
             "defect_of_class": round(defect_s, 5),
+            "radical": round(radical_s, 5),
+            "ns_cup_matrix": round(cup_s, 5),
+            "check_voisin": round(voisin_s, 5),
         },
     }
 
@@ -132,7 +153,7 @@ def main():
     rows = []
     seen = set()
     columns = ("build", "ns_basis", "hom_rank", "is_effective_class", "subtorus", "quotient",
-               "divisor_case_data", "defect_of_class")
+               "divisor_case_data", "defect_of_class", "radical", "ns_cup_matrix", "check_voisin")
     print(f"{'torus':<12} {'rho':>4} " + " ".join(f"{c[:9]:>9}" for c in columns))
     for name, build, _ in CASES:
         torus = name.split(",")[0]

@@ -16,20 +16,21 @@ relies on, on a concrete torus, through two independent code paths:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .classifier import IsogenyFactor, IsogenySpec, classify
 from .cohomology import (
-    class_of_form,
-    cup_matrix,
-    poincare_dual,
-    restriction_map,
-    wedge,
+    cup_rows,
+    poincare_dual_coords,
+    restriction_rows,
     wedge_basis,
+    wedge_coords,
 )
 from .effectivity import DefectSearchResult, is_effective_class, torus_defect
 from .errors import ConsistencyError
-from .exactmath import QMatrix, kernel_basis, rank
+from .exactmath import kernel_basis, rank
+from .exactmath.linalg import bareiss_echelon
 from .torus import (
     AlternatingForm,
     ComplexTorus,
@@ -61,19 +62,20 @@ def subspaces_equal(vs, ws) -> bool:
 
 
 def restriction_kernel_on_ns(A: ComplexTorus, W):
-    ns = ns_basis(A)
-    R = restriction_map(A, W)
-    cols = [R.apply(b.pair_coords()) for b in ns]
-    M = QMatrix([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
-    return kernel_basis(M)
+    """Kernel, in NS-basis coordinates, of restriction to W: the integer
+    2x2 minors of W's basis applied to the integer NS basis forms."""
+    ns = [b.pair_num() for b in ns_basis(A)]
+    R = restriction_rows(A, W)
+    return kernel_basis([[sum(map(mul, row, b)) for b in ns] for row in R])
 
 
 def cup_dual_kernel_on_ns(A: ComplexTorus, W):
-    ns = ns_basis(A)
-    dual = poincare_dual(A, W)
-    cols = [wedge(class_of_form(b), dual).coords for b in ns]
-    M = QMatrix([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
-    return kernel_basis(M)
+    """Kernel, in NS-basis coordinates, of cup product with the integer
+    Poincare dual of W."""
+    N = 2 * A.n
+    dual = poincare_dual_coords(A, W)
+    images = [wedge_coords(N, 2, W.corank, b.pair_num(), dual) for b in ns_basis(A)]
+    return kernel_basis([list(col) for col in zip(*images)])
 
 
 def check_voisin(A: ComplexTorus) -> CheckResult:
@@ -136,9 +138,8 @@ def check_lefschetz(A: ComplexTorus) -> CheckResult:
     h = product_polarization(A)
     if h is None:
         return CheckResult("lefschetz", "skipped", "no product polarization available")
-    M = cup_matrix(A, class_of_form(h))
     full = len(wedge_basis(2 * A.n, 2))
-    r = rank(M)
+    r = len(bareiss_echelon(cup_rows(2 * A.n, h.pair_num())))
     if r != full:
         return CheckResult("lefschetz", "fail", f"rank {r} < {full} on H^2")
     return CheckResult("lefschetz", "pass", f"cup with polarization has full rank {full}")

@@ -18,6 +18,7 @@ A box-limited oracle verdict is not a failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -238,7 +239,10 @@ def cmd_report_threefolds(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `defect` argument parser, built once per process (parsing does
+    not change it)."""
     parser = argparse.ArgumentParser(
         prog="defect",
         description="Exact Lefschetz-defect computations for complex abelian varieties.",
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser()  # looked up by name on each call
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -2,9 +2,12 @@
 
 H^k is the k-th wedge power of the dual lattice, with the lexicographic
 k-subsets of lattice indices as basis, so cup products are pure
-combinatorics with shuffle signs.  The central operation is the kernel of
-cup product with a divisor class on the Neron-Severi subspace of H^2: its
-dimension is the per-divisor defect.
+combinatorics with shuffle signs.  Each product H^p x H^q -> H^(p+q) is
+read off one cached table (`wedge_table`), and on a divisor form it runs on
+the form's integer pair coordinates (den * E), which changes no kernel.
+The central operation is the kernel of cup product with a divisor class on
+the Neron-Severi subspace of H^2: its dimension is the per-divisor defect,
+and every such rank is one fraction-free (Bareiss) elimination on ints.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import NotHodgeClass
-from .exactmath import QMatrix, rank
-from .exactmath.linalg import determinant
+from .exactmath import QMatrix
+from .exactmath.linalg import bareiss_echelon, determinant
 from .torus import AlternatingForm, ComplexTorus, Sublattice, ns_basis
 
 _ZERO = Fraction(0)
@@ -111,38 +114,61 @@ class ExteriorClass:
         return " + ".join(terms) if terms else "0"
 
 
+@lru_cache(maxsize=None)
+def wedge_table(N: int, p: int, q: int):
+    """Cup-product table of H^p x H^q -> H^(p+q) on Z^N.
+
+    Row i lists, for every q-subset J (index j) disjoint from the i-th
+    p-subset I, the entry (j, k, sign): k is the index of the sorted union
+    and sign the shuffle sign of I + J.  So u ^ v has coordinate k equal to
+    the sum of sign * u[i] * v[j] over the entries (i, j, k, sign).
+    """
+    index = wedge_index(N, p + q)
+    return tuple(
+        tuple((j, index[tuple(sorted(I + J))], _merge_sign(I, J))
+              for j, J in enumerate(wedge_basis(N, q)) if set(I).isdisjoint(J))
+        for I in wedge_basis(N, p)
+    )
+
+
+def wedge_coords(N: int, p: int, q: int, u, v) -> list:
+    """Coordinates of u ^ v from the coordinates u (degree p) and v
+    (degree q); ints in give ints out."""
+    out = [0] * len(wedge_basis(N, p + q))
+    for a, row in zip(u, wedge_table(N, p, q)):
+        if a:
+            for j, k, sign in row:
+                b = v[j]
+                if b:
+                    out[k] += sign * a * b
+    return out
+
+
 def wedge(u: ExteriorClass, v: ExteriorClass) -> ExteriorClass:
     """Cup product, bilinear with shuffle signs."""
     if u.N != v.N:
         raise ValueError("classes live on different lattices")
-    N = u.N
     k = u.degree + v.degree
-    if k > N:
+    if k > u.N:
         raise ValueError("wedge degree exceeds the top degree")
-    out = [_ZERO] * len(wedge_basis(N, k))
-    index = wedge_index(N, k)
-    ubasis = wedge_basis(N, u.degree)
-    vbasis = wedge_basis(N, v.degree)
-    for i, a in enumerate(u.coords):
-        if a == 0:
-            continue
-        I = ubasis[i]
-        iset = set(I)
-        for j, b in enumerate(v.coords):
-            if b == 0:
-                continue
-            J = vbasis[j]
-            if iset & set(J):
-                continue
-            merged = tuple(sorted(I + J))
-            out[index[merged]] += a * b * _merge_sign(I, J)
-    return ExteriorClass(N, k, out)
+    return ExteriorClass(u.N, k, wedge_coords(u.N, u.degree, v.degree, u.coords, v.coords))
 
 
 def class_of_form(E: AlternatingForm) -> ExteriorClass:
     """The degree-2 class of a divisor form: sum of E(e_i, e_j) over i < j."""
     N = 2 * E.torus.n
     return ExteriorClass(N, 2, E.pair_coords())
+
+
+def cup_rows(N: int, d) -> list:
+    """Rows (one per 4-subset) of the matrix of x -> x ^ d from H^2 to H^4,
+    for the degree-2 coordinates d."""
+    rows = [[0] * len(wedge_basis(N, 2)) for _ in wedge_basis(N, 4)]
+    for i, row in enumerate(wedge_table(N, 2, 2)):
+        for j, k, sign in row:
+            if d[j]:
+                rows[k][i] += sign * d[j]
+    return rows
 
 
 def cup_matrix(A: ComplexTorus, e: ExteriorClass) -> QMatrix:
@@ -152,13 +178,7 @@ def cup_matrix(A: ComplexTorus, e: ExteriorClass) -> QMatrix:
     N = 2 * A.n
     if (e.N, e.degree) != (N, 2):
         raise ValueError("expected a degree-2 class on the same lattice")
-    n2 = len(wedge_basis(N, 2))
-    n4 = len(wedge_basis(N, 4))
-    cols = []
-    for subset in wedge_basis(N, 2):
-        image = wedge(ExteriorClass.basis_element(N, subset), e)
-        cols.append(image.coords)
-    return QMatrix([[cols[j][i] for j in range(n2)] for i in range(n4)])
+    return QMatrix(cup_rows(N, e.coords))
 
 
 def _in_ns(A: ComplexTorus, form: AlternatingForm) -> bool:
@@ -175,14 +195,18 @@ def _require_ns(A: ComplexTorus, D: AlternatingForm, what: str):
         raise NotHodgeClass(f"{what} is not a Hodge class")
 
 
-def ns_cup_matrix(A: ComplexTorus, D: AlternatingForm) -> QMatrix:
-    """Matrix of x -> x ^ [D] restricted to the NS subspace of H^2."""
-    basis = ns_basis(A)
-    d_class = class_of_form(D)
-    N = 2 * A.n
-    n4 = len(wedge_basis(N, 4))
-    cols = [wedge(class_of_form(b), d_class).coords for b in basis]
-    return QMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n4)])
+def _images(N: int, rows, D: AlternatingForm) -> list:
+    """The H^4 coordinates of x ^ (den D) for the integer pair coordinates
+    x of each row."""
+    d = D.pair_num()
+    return [wedge_coords(N, 2, 2, x, d) for x in rows]
+
+
+def ns_cup_matrix(A: ComplexTorus, D: AlternatingForm) -> list:
+    """Integer matrix of x -> x ^ [den D] on the NS subspace of H^2: one
+    row per NS basis class b, the H^4 coordinates of b ^ (den D).  The
+    positive factor den (D's denominator) changes no kernel."""
+    return _images(2 * A.n, [b.pair_num() for b in ns_basis(A)], D)
 
 
 def defect_of_class(A: ComplexTorus, D: AlternatingForm) -> int:
@@ -190,37 +214,52 @@ def defect_of_class(A: ComplexTorus, D: AlternatingForm) -> int:
 
     This is the per-divisor defect: the codimension of the curve classes of D
     inside those of A equals the kernel of cup product with the divisor class
-    from NS(A) to H^4(A).
+    from NS(A) to H^4(A).  The rank is one Bareiss elimination of the
+    integer `ns_cup_matrix`.
     """
     if A.n < 2:
         raise ValueError("H^4 trivial in dimension one")
     _require_ns(A, D, "the divisor class")
-    basis = ns_basis(A)
-    M = ns_cup_matrix(A, D)
-    return len(basis) - rank(M)
+    rows = ns_cup_matrix(A, D)
+    return len(rows) - len(bareiss_echelon(rows))
 
 
-def restriction_map(A: ComplexTorus, W: Sublattice) -> QMatrix:
-    """Pullback of 2-forms along the inclusion of a sublattice.
+def restriction_rows(A: ComplexTorus, W: Sublattice) -> list:
+    """Integer matrix of the pullback of 2-forms to a sublattice.
 
-    Entries are the 2x2 minors of the basis matrix of W: the pullback of
-    e_i* ^ e_j* evaluated on a pair of basis vectors of W.
+    Row (a, b), for basis vectors a < b of W, holds the 2x2 minors of the
+    basis matrix: the pullback of e_i* ^ e_j* evaluated on the pair, in
+    the column of the lattice pair i < j.
     """
     if W.torus != A:
         raise ValueError("sublattice belongs to a different torus")
     if W.rank < 2:
         raise ValueError("restriction to degree 2 needs rank at least 2")
-    N = 2 * A.n
     basis = W.basis
-    rows = []
-    for (a, b) in combinations(range(W.rank), 2):
-        row = []
-        for (i, j) in combinations(range(N), 2):
-            row.append(
-                Fraction(basis[a][i] * basis[b][j] - basis[b][i] * basis[a][j])
-            )
-        rows.append(row)
-    return QMatrix(rows)
+    return [
+        [basis[a][i] * basis[b][j] - basis[b][i] * basis[a][j]
+         for i, j in wedge_basis(2 * A.n, 2)]
+        for a, b in combinations(range(W.rank), 2)
+    ]
+
+
+def restriction_map(A: ComplexTorus, W: Sublattice) -> QMatrix:
+    """Pullback of 2-forms along the inclusion of a sublattice, as a
+    rational matrix (see `restriction_rows`)."""
+    return QMatrix(restriction_rows(A, W))
+
+
+def poincare_dual_coords(A: ComplexTorus, W: Sublattice) -> list:
+    """Integer coordinates of the Poincare dual of W (see `poincare_dual`)."""
+    if W.torus != A:
+        raise ValueError("sublattice belongs to a different torus")
+    if W.corank == 0:
+        return [1]
+    P = W.projection  # codim x N integer rows
+    return [
+        determinant([[row[j] for j in subset] for row in P])
+        for subset in wedge_basis(2 * A.n, W.corank)
+    ]
 
 
 def poincare_dual(A: ComplexTorus, W: Sublattice) -> ExteriorClass:
@@ -230,24 +269,15 @@ def poincare_dual(A: ComplexTorus, W: Sublattice) -> ExteriorClass:
     the quotient projection; the sign convention is the one fixed by the
     ordered Smith complement basis.  W = full lattice gives the degree-0 unit.
     """
-    if W.torus != A:
-        raise ValueError("sublattice belongs to a different torus")
-    N = 2 * A.n
-    codim = W.corank
-    if codim == 0:
-        return ExteriorClass.unit(N)
-    P = W.projection  # codim x N integer rows
-    coords = [
-        determinant([[row[j] for j in subset] for row in P]) for subset in wedge_basis(N, codim)
-    ]
-    return ExteriorClass(N, codim, coords)
+    return ExteriorClass(2 * A.n, W.corank, poincare_dual_coords(A, W))
 
 
 def lambda_defect(A: ComplexTorus, L, D: AlternatingForm) -> int:
     """Defect with the kernel restricted to the span of the given NS classes.
 
     Computing with the span (not the raw list) keeps the number independent
-    of how the subgroup is presented.
+    of how the subgroup is presented: the pivot columns of one elimination
+    of the classes' coordinate columns pick a basis of the span.
     """
     if A.n < 2:
         raise ValueError("H^4 trivial in dimension one")
@@ -255,21 +285,9 @@ def lambda_defect(A: ComplexTorus, L, D: AlternatingForm) -> int:
         if not _in_ns(A, form):
             raise NotHodgeClass(f"polarization class {idx} is not inside NS")
     _require_ns(A, D, "the divisor class")
-    coord_matrix = [list(form.pair_coords()) for form in L]
-    # Reduce the list to a basis of its span.
-    span_basis = []
-    for row in coord_matrix:
-        candidate = span_basis + [row]
-        test = QMatrix([list(r) for r in candidate])
-        if rank(test.transpose()) == len(candidate):
-            span_basis.append(row)
-    if not span_basis:
+    rows = [form.pair_num() for form in L]
+    if not rows:
         return 0
-    d_class = class_of_form(D)
-    N = 2 * A.n
-    n4 = len(wedge_basis(N, 4))
-    cols = [
-        wedge(ExteriorClass(N, 2, row), d_class).coords for row in span_basis
-    ]
-    M = QMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n4)])
-    return len(span_basis) - rank(M)
+    span = [rows[c] for c in bareiss_echelon([list(col) for col in zip(*rows)])]
+    images = _images(2 * A.n, span, D)
+    return len(span) - len(bareiss_echelon(images))

@@ -33,24 +33,18 @@ semidefiniteness on these matrices with the same sign and exact quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 from . import _purekernels
-from .cohomology import class_of_form, wedge, wedge_basis
+from .cohomology import wedge_basis, wedge_coords
 from .errors import ConsistencyError, NotHodgeClass
-from .exactmath import (
-    QMatrix,
-    integer_kernel_basis,
-    primitive_integer_vector,
-    rank,
-    solve,
-)
+from .exactmath import kernel_basis, primitive_integer_vector, rank, solve
 from .torus import (
     AlternatingForm,
     ComplexTorus,
     Sublattice,
+    _matmul,
     factor_blocks,
     fiber_pairs,
     hom_rank,
@@ -108,11 +102,14 @@ def radical(A: ComplexTorus, E: AlternatingForm) -> Sublattice:
     """Saturation of the lattice vectors annihilated by an effective class.
 
     J-compatibility makes the radical J-stable (E(Jx, y) = E(x, -Jy) dies
-    whenever E(x, .) does), so it is a complex subtorus of even rank.
+    whenever E(x, .) does), so it is a complex subtorus of even rank.  The
+    rational kernel of the integer matrix `E.num`, as primitive vectors,
+    goes to `subtorus`, which saturates it once (to the canonical Hermite
+    basis) and certifies J-stability.
     """
     if not is_effective_class(A, E):
         raise ValueError("class is not effective")
-    kernel_cols = integer_kernel_basis(QMatrix(E.matrix))
+    kernel_cols = [primitive_integer_vector(v) for v in kernel_basis(E.num)]
     W = subtorus(A, kernel_cols)
     if W.rank % 2 != 0:
         raise ConsistencyError("radical has odd rank")
@@ -129,18 +126,11 @@ def iitaka_dimension(A: ComplexTorus, E: AlternatingForm) -> int:
 
 
 def induced_quotient_class(A: ComplexTorus, E: AlternatingForm, W: Sublattice) -> AlternatingForm:
-    """The nondegenerate class an effective E induces on quotient(A, W)."""
+    """The nondegenerate class an effective E induces on quotient(A, W):
+    S^T E S for the Smith section S, computed as S^T num S over den."""
     S = W.section
-    N = 2 * A.n
-    m = len(S[0])
-    rows = [
-        [
-            sum(Fraction(S[a][i]) * E.matrix[a][b] * S[b][j] for a in range(N) for b in range(N))
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    return AlternatingForm(quotient(A, W), rows)
+    rows = _matmul(list(zip(*S)), _matmul(E.num, S))
+    return AlternatingForm._from_num(quotient(A, W), E.den, rows)
 
 
 @dataclass(frozen=True)
@@ -157,7 +147,7 @@ class EffectivityReport:
 def effectivity_report(A: ComplexTorus, E: AlternatingForm) -> EffectivityReport:
     effective = is_effective_class(A, E)
     if not effective:
-        return EffectivityReport(E, False, 2 * A.n - rank(QMatrix(E.matrix)), None, None)
+        return EffectivityReport(E, False, 2 * A.n - rank(E.num), None, None)
     W = radical(A, E)
     b = A.n - W.rank // 2
     B = quotient(A, W) if W.rank < 2 * A.n else None
@@ -206,12 +196,11 @@ class _SearchData:
         self.rho = len(self.basis)
         N = self.N = 2 * A.n
         self.m4 = len(wedge_basis(N, 4))
-        self.e_int = [[[int(x) for x in row] for row in b.matrix] for b in self.basis]
+        # The basis forms are primitive integer forms (den 1).
+        self.e_int = [b.num for b in self.basis]
         # Cup products of basis pairs: integer coordinate vectors in H^4.
-        classes = [class_of_form(b) for b in self.basis]
-        self.w_pairs = [
-            [[int(x) for x in wedge(ci, cj).coords] for cj in classes] for ci in classes
-        ]
+        pairs = [b.pair_num() for b in self.basis]
+        self.w_pairs = [[wedge_coords(N, 2, 2, p, q) for q in pairs] for p in pairs]
         s_basis = [symmetric_part(A, b) for b in self.basis]
         search = _search_class(A)
         if search is _purekernels.IntSearch:
@@ -316,11 +305,10 @@ def _run_search(A: ComplexTorus, box: int, collect: bool):
 
 
 def _form_from_coeffs(A, e_int, coeffs) -> AlternatingForm:
-    """The form sum c_b b, added up on the integer basis matrices and
-    validated once."""
+    """The form sum c_b b, added up on the integer basis matrices."""
     N = len(e_int[0])
-    return AlternatingForm(
-        A,
+    return AlternatingForm._from_num(
+        A, 1,
         [[sum(c * e[r][k] for c, e in zip(coeffs, e_int)) for k in range(N)] for r in range(N)],
     )
 

@@ -193,7 +193,9 @@ def kernel_basis(matrix):
 
     Each free column yields one vector with a 1 in that slot and zeros in the
     other free slots; pivot slots are back-substituted.  Deterministic for a
-    given matrix.
+    given matrix.  The back-substitution runs on integers: the vector is
+    kept as integer numerators over the common scale in its free slot,
+    which is divided out once at the end.
     """
     rows = _integer_rows(matrix)
     ncols = len(rows[0]) if rows else 0
@@ -203,13 +205,19 @@ def kernel_basis(matrix):
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [_ZERO] * ncols
-        vec[free] = _ONE
+        vec = [0] * ncols
+        vec[free] = 1
         for i in reversed(range(len(pivots))):
-            p = pivots[i]
-            s = sum((Fraction(rows[i][j]) * vec[j] for j in range(p + 1, ncols)), _ZERO)
-            vec[p] = -s / rows[i][p]
-        basis.append(tuple(vec))
+            p, row = pivots[i], rows[i]
+            s = sum(row[j] * vec[j] for j in range(p + 1, ncols) if vec[j])
+            if s:
+                # vec[p] = -s / row[p]: rescale by row[p] / g to stay integral.
+                g = gcd(row[p], s)
+                scale = row[p] // g
+                if scale != 1:
+                    vec = [x * scale for x in vec]
+                vec[p] = -s // g
+        basis.append(tuple(Fraction(x, vec[free]) for x in vec))
     return basis
 
 
@@ -267,11 +275,10 @@ def restrict_scalars(matrix: KMatrix) -> QMatrix:
 def primitive_integer_vector(vec):
     """Scale a nonzero rational vector by a positive rational to a primitive
     integer vector (content 1).  The direction is preserved."""
-    den = lcm(*(Fraction(x).denominator for x in vec))
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    vec = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)

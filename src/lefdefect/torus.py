@@ -23,7 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, sub
 
 from .errors import ConsistencyError, NotHodgeClass
 from .exactmath import (
@@ -40,8 +39,6 @@ from .exactmath import (
     solve,
 )
 from .exactmath.linalg import bareiss_echelon
-
-_ZERO = Fraction(0)
 
 
 def _matmul(a, b):
@@ -302,9 +299,16 @@ class AlternatingForm:
 
     These are the divisor classes: a form is a Neron-Severi class exactly
     when it is compatible with the complex structure, E(Jx, Jy) = E(x, y).
+
+    Like the torus's J, a form is canonical integer data: `num` holds the
+    integer rows of den * E over the positive denominator `den`, with
+    gcd(den, entries) = 1, so den is the least common denominator of E's
+    entries (1 for the zero form).  Equality and hashing use
+    (torus, den, num), and `+`, `-`, negation and scalar `*` run on ints.
+    `matrix` is the `Fraction` view num / den, built on first use.
     """
 
-    __slots__ = ("torus", "matrix", "_hodge")
+    __slots__ = ("torus", "den", "num", "_matrix", "_pairs", "_hodge")
 
     def __init__(self, torus: ComplexTorus, matrix):
         rows = tuple(tuple(Fraction(x) for x in row) for row in matrix)
@@ -315,28 +319,47 @@ class AlternatingForm:
             for j in range(i, size):
                 if rows[i][j] != -rows[j][i]:
                     raise ValueError("matrix is not antisymmetric")
+        # The lcm of the reduced denominators is coprime to the numerators
+        # it produces, so the result is already canonical.
+        den = lcm(*(x.denominator for row in rows for x in row))
+        self._set(torus, den, tuple(tuple(int(x * den) for x in row) for row in rows))
+        self._matrix = rows
+
+    def _set(self, torus, den, num):
         self.torus = torus
-        self.matrix = rows
+        self.den = den
+        self.num = num
+        self._matrix = None
+        self._pairs = None
         self._hodge = None
 
     @classmethod
-    def _valid(cls, torus: ComplexTorus, rows) -> "AlternatingForm":
-        """A form from rows already known to be a tuple of tuples of
-        Fractions that is antisymmetric of the lattice's size, as every
-        linear combination of validated forms is; nothing is re-checked."""
+    def _from_num(cls, torus: ComplexTorus, den: int, num) -> "AlternatingForm":
+        """The form num / den, for integer rows that are antisymmetric of
+        the lattice's size (as every integer combination of forms is) and a
+        positive den; nothing is re-checked, the common factor is divided
+        out."""
+        g = gcd(den, *(x for row in num for x in row))
+        if g != 1:
+            den //= g
+            num = [[x // g for x in row] for row in num]
         form = cls.__new__(cls)
-        form.torus = torus
-        form.matrix = rows
-        form._hodge = None
+        form._set(torus, den, tuple(map(tuple, num)))
         return form
 
+    @property
+    def matrix(self):
+        """The rows of E as `Fraction`s, num / den."""
+        if self._matrix is None:
+            den = self.den
+            self._matrix = tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+        return self._matrix
+
     def times_dj(self):
-        """The integer matrices c E (D J_k), one per entry of the torus's
-        `j_parts`, with c the common denominator of E: the power-basis
-        components of c D (E J).  They settle `is_hodge` as well."""
-        c = lcm(*(x.denominator for row in self.matrix for x in row))
-        e = [[int(x * c) for x in row] for row in self.matrix]
-        parts = [_matmul(e, Jk) for Jk in self.torus.j_parts]
+        """The integer matrices num (D J_k) = den E (D J_k), one per entry
+        of the torus's `j_parts`: the power-basis components of
+        den D (E J).  They settle `is_hodge` as well."""
+        parts = [_matmul(self.num, Jk) for Jk in self.torus.j_parts]
         self._hodge = all(_is_symmetric(m) for m in parts)
         return parts
 
@@ -352,50 +375,71 @@ class AlternatingForm:
         return self._hodge
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.matrix for x in row)
+        return not any(x for row in self.num for x in row)
+
+    def pair_num(self):
+        """The integer coordinates of num over the lexicographic basis of
+        pairs i < j: den times `pair_coords`."""
+        if self._pairs is None:
+            num = self.num
+            self._pairs = tuple(num[i][j] for i, j in combinations(range(len(num)), 2))
+        return self._pairs
 
     def pair_coords(self):
         """Coordinates over the lexicographic basis of pairs i < j."""
-        size = 2 * self.torus.n
-        return tuple(self.matrix[i][j] for i, j in combinations(range(size), 2))
+        return tuple(Fraction(x, self.den) for x in self.pair_num())
 
     @classmethod
     def from_pair_coords(cls, torus: ComplexTorus, coords) -> "AlternatingForm":
+        coords = [Fraction(c) for c in coords]
+        den = lcm(*(c.denominator for c in coords))
+        return cls._from_pair_num(torus, den, [c.numerator * (den // c.denominator) for c in coords])
+
+    @classmethod
+    def _from_pair_num(cls, torus: ComplexTorus, den: int, pairs) -> "AlternatingForm":
+        """The form with integer pair coordinates `pairs` over den."""
         size = 2 * torus.n
-        rows = [[_ZERO] * size for _ in range(size)]
-        for (i, j), c in zip(combinations(range(size), 2), coords):
-            rows[i][j] = Fraction(c)
-            rows[j][i] = -rows[i][j]
-        return cls._valid(torus, tuple(map(tuple, rows)))
+        num = [[0] * size for _ in range(size)]
+        for (i, j), c in zip(combinations(range(size), 2), pairs):
+            num[i][j], num[j][i] = c, -c
+        return cls._from_num(torus, den, num)
+
+    def _combine(self, other, sign):
+        """self + sign * other over the lcm of the denominators."""
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        rows = zip(self.num, other.num)
+        return self._from_num(
+            self.torus, den, [[a * x + b * y for x, y in zip(r1, r2)] for r1, r2 in rows])
 
     def __add__(self, other):
         if not isinstance(other, AlternatingForm) or other.torus != self.torus:
             return NotImplemented
-        rows = zip(self.matrix, other.matrix)
-        return self._valid(self.torus, tuple(tuple(map(add, r1, r2)) for r1, r2 in rows))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, AlternatingForm) or other.torus != self.torus:
             return NotImplemented
-        rows = zip(self.matrix, other.matrix)
-        return self._valid(self.torus, tuple(tuple(map(sub, r1, r2)) for r1, r2 in rows))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self._valid(self.torus, tuple(tuple(-a for a in r) for r in self.matrix))
+        return self._from_num(self.torus, self.den, [[-x for x in row] for row in self.num])
 
     def __mul__(self, scalar):
         s = Fraction(scalar)
-        return self._valid(self.torus, tuple(tuple(a * s for a in r) for r in self.matrix))
+        p = s.numerator
+        return self._from_num(
+            self.torus, self.den * s.denominator, [[p * x for x in row] for row in self.num])
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, AlternatingForm):
             return NotImplemented
-        return self.torus == other.torus and self.matrix == other.matrix
+        return (self.torus, self.den, self.num) == (other.torus, other.den, other.num)
 
     def __hash__(self):
-        return hash((self.torus, self.matrix))
+        return hash((self.torus, self.den, self.num))
 
     def __repr__(self):
         return f"AlternatingForm({self.matrix})"
@@ -431,9 +475,7 @@ def ns_basis(A: ComplexTorus):
                 row.append(v)
             rows.append(row)
     vectors = kernel_basis(rows)
-    basis = [
-        AlternatingForm.from_pair_coords(A, primitive_integer_vector(v)) for v in vectors
-    ]
+    basis = [AlternatingForm._from_pair_num(A, 1, primitive_integer_vector(v)) for v in vectors]
     A._ns_cache = tuple(basis)
     return list(basis)
 

@@ -3,6 +3,8 @@
 A torus stores only its integer J data (D and the D * J_k); `field_j`
 rebuilds J as a field matrix and `field_product` multiplies field matrices
 entry by entry, as the package did before it moved onto the integer data.
+`reference_wedge` is the cup product as a loop over all subset pairs on
+`Fraction` coordinates, as it was before the cached table.
 `elliptic_products` draws product tori and `rebased` moves a torus to a
 lattice basis that mixes its blocks.
 """
@@ -12,6 +14,7 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
+from lefdefect.cohomology import ExteriorClass, wedge_basis, wedge_index
 from lefdefect.exactmath import KMatrix, QMatrix, RealNumberField
 from lefdefect.torus import ComplexTorus, elliptic, product
 
@@ -41,6 +44,21 @@ def squares_to_minus_identity(A) -> bool:
     size = 2 * A.n
     return field_product(A.field, J, J) == KMatrix(
         A.field, [[-1 if i == j else 0 for j in range(size)] for i in range(size)])
+
+
+def reference_wedge(u, v):
+    """u ^ v summed over every pair of disjoint subsets, each with the sign
+    of the permutation that sorts the concatenation."""
+    N, k = u.N, u.degree + v.degree
+    out = [Fraction(0)] * len(wedge_basis(N, k))
+    index = wedge_index(N, k)
+    for I, a in zip(wedge_basis(N, u.degree), u.coords):
+        for J, b in zip(wedge_basis(N, v.degree), v.coords):
+            if a == 0 or b == 0 or set(I) & set(J):
+                continue
+            inversions = sum(x > y for x in I for y in J)
+            out[index[tuple(sorted(I + J))]] += (-1) ** inversions * a * b
+    return ExteriorClass(N, k, out)
 
 
 @st.composite

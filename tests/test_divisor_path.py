@@ -10,8 +10,15 @@ constructions it replaced.
   gives the torus built from the field matrix.
 * `subspaces_equal` against mutual containment by solving.
 * `poincare_dual` (integer minors) against Leibniz determinants.
-* Form arithmetic against the validating constructor, and the Hodge test
-  as NS membership against `ns_coordinates`.
+* Form arithmetic against the validating constructor, the canonical
+  (den, num) of a form against other presentations of the same matrix, and
+  the Hodge test as NS membership against `ns_coordinates`.
+* The table-driven `wedge` and `cup_rows` against the subset-pair loop
+  (`references.reference_wedge`); `defect_of_class`, `lambda_defect`, the
+  Voisin kernels and `induced_quotient_class` on integer coordinates
+  against their `Fraction` constructions; `radical` (one saturation)
+  against `subtorus` of `integer_kernel_basis`; `kernel_basis` (integer
+  back-substitution) against the `Fraction` one.
 
 Inputs are the corpus, hypothesis products of 2-3 curves over Q and
 Q(2^(1/4)), and each of these on a lattice basis mixed by a random
@@ -23,16 +30,34 @@ sublattices, and random integer column sets.
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefdefect.checks import subspaces_equal
-from lefdefect.cohomology import defect_of_class, lambda_defect, poincare_dual
-from lefdefect.effectivity import is_effective_class, radical
+from lefdefect.checks import cup_dual_kernel_on_ns, restriction_kernel_on_ns, subspaces_equal
+from lefdefect.cohomology import (
+    ExteriorClass,
+    cup_rows,
+    defect_of_class,
+    lambda_defect,
+    poincare_dual,
+    wedge,
+    wedge_basis,
+    wedge_coords,
+)
+from lefdefect.effectivity import induced_quotient_class, is_effective_class, radical
 from lefdefect.errors import ConsistencyError, NotHodgeClass
-from lefdefect.exactmath import QMatrix, saturate, solve
+from lefdefect.exactmath import (
+    QMatrix,
+    integer_kernel_basis,
+    kernel_basis,
+    rank,
+    saturate,
+    solve,
+)
+from lefdefect.exactmath.linalg import _integer_rows, bareiss_echelon
 from lefdefect.torus import (
     AlternatingForm,
     ComplexTorus,
@@ -46,7 +71,14 @@ from lefdefect.torus import (
     quotient,
     subtorus,
 )
-from references import elliptic_products, field_j, field_product, rebase, unimodular
+from references import (
+    elliptic_products,
+    field_j,
+    field_product,
+    rebase,
+    reference_wedge,
+    unimodular,
+)
 
 CORPUS = ["ei2", "ei3", "ei_x_e2i", "eia2", "triple", "ei2_x_nocm"]
 
@@ -335,3 +367,223 @@ def test_zero_class_is_an_ns_class():
     zero = AlternatingForm(A, [[0] * 4 for _ in range(4)])
     assert zero.is_hodge and ns_coordinates(A, zero) is not None
     assert defect_of_class(A, zero) == len(ns_basis(A))
+
+
+def test_equal_matrices_in_other_presentations_are_one_form(corpus):
+    A = corpus["ei2"]
+    half = [[0, Fraction(1, 2), 0, 0], [Fraction(-1, 2), 0, 0, 0], [0] * 4, [0] * 4]
+    strings = [["0", "2/4", "0", "0"], ["-2/4", "0", "0", "0"], ["0"] * 4, ["0"] * 4]
+    E, F = AlternatingForm(A, half), AlternatingForm(A, strings)
+    assert E == F and hash(E) == hash(F)
+    assert (E.den, E.num) == (F.den, F.num) == (2, ((0, 1, 0, 0), (-1, 0, 0, 0),
+                                                     (0, 0, 0, 0), (0, 0, 0, 0)))
+    assert E * 2 == AlternatingForm(A, [[2 * x for x in row] for row in half])
+    assert (E * 2).den == 1 and (E * 2).num == E.num and E * 2 != E
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["ei2", "triple"]), st.data())
+def test_form_is_canonical_integer_data(corpus, name, data):
+    A = corpus[name]
+    m = data.draw(antisymmetric(2 * A.n))
+    E = AlternatingForm(A, m)
+    assert E.den > 0 and gcd(E.den, *(x for row in E.num for x in row)) == 1
+    assert all(type(x) is int for row in E.num for x in row)
+    assert all(type(x) is Fraction for row in E.matrix for x in row)
+    assert E.matrix == tuple(tuple(Fraction(x, E.den) for x in row) for row in E.num)
+    assert E.pair_num() == tuple(E.den * x for x in E.pair_coords())
+    k = data.draw(st.integers(2, 6))
+    s = data.draw(st.sampled_from([Fraction(2), Fraction(-1, 3), Fraction(5, 4), -1]))
+    strings = [[f"{k * x.numerator}/{k * x.denominator}" for x in row] for row in m]
+    presentations = [
+        AlternatingForm(A, strings),
+        (E * s) * (1 / Fraction(s)),
+        s * E * Fraction(1, 1) * (1 / Fraction(s)),
+        -(-E),
+        E + E - E,
+        (E + E) * Fraction(1, 2),
+        AlternatingForm.from_pair_coords(A, E.pair_coords()),
+        AlternatingForm.from_pair_coords(A, [f"{k * x}/{k * E.den}" for x in E.pair_num()]),
+    ]
+    for F in presentations:
+        assert F == E and hash(F) == hash(E)
+        assert (F.den, F.num) == (E.den, E.num) and F.matrix == E.matrix
+    zero = AlternatingForm(A, [[0] * (2 * A.n)] * (2 * A.n))
+    for Z in (E - E, E * 0, 0 * E, E + (-E)):
+        assert Z == zero and hash(Z) == hash(zero) and Z.den == 1 and Z.is_zero()
+
+
+@st.composite
+def exterior_pairs(draw):
+    """(N, p, q, u, v): coordinates of a p-class and a q-class on Z^N, int
+    or Fraction, with many zero coordinates."""
+    N = draw(st.sampled_from([4, 6, 8]))
+    p = draw(st.integers(0, 4))
+    q = draw(st.integers(0, min(4, N - p)))
+    if draw(st.booleans()):
+        entry = st.integers(-3, 3)
+    else:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coords = st.one_of(st.just(0), entry)
+    u = draw(st.lists(coords, min_size=len(wedge_basis(N, p)), max_size=len(wedge_basis(N, p))))
+    v = draw(st.lists(coords, min_size=len(wedge_basis(N, q)), max_size=len(wedge_basis(N, q))))
+    return N, p, q, u, v
+
+
+@settings(max_examples=80, deadline=None)
+@given(exterior_pairs())
+def test_table_wedge_matches_subset_pair_loop(pair):
+    N, p, q, u, v = pair
+    expected = reference_wedge(ExteriorClass(N, p, u), ExteriorClass(N, q, v))
+    assert wedge(ExteriorClass(N, p, u), ExteriorClass(N, q, v)) == expected
+    coords = wedge_coords(N, p, q, u, v)
+    assert coords == list(expected.coords)
+    if all(type(x) is int for x in u + v):
+        assert all(type(x) is int for x in coords)
+
+
+@pytest.mark.parametrize("N", [4, 6, 8])
+def test_cup_rows_match_subset_pair_loop(N):
+    rng = random.Random(N)
+    for _ in range(4):
+        d = [rng.choice((0, 0, 1, -2, 3)) for _ in wedge_basis(N, 2)]
+        rows = cup_rows(N, d)
+        D = ExteriorClass(N, 2, d)
+        for i, subset in enumerate(wedge_basis(N, 2)):
+            image = reference_wedge(ExteriorClass.basis_element(N, subset), D)
+            assert [row[i] for row in rows] == list(image.coords)
+
+
+def reference_class(A, form):
+    return ExteriorClass(2 * A.n, 2, form.pair_coords())
+
+
+def reference_defect(A, D):
+    cols = [reference_wedge(reference_class(A, b), reference_class(A, D)).coords
+            for b in ns_basis(A)]
+    return len(cols) - rank(QMatrix(list(zip(*cols))))
+
+
+def reference_lambda_defect(A, L, D):
+    """The span reduced by one rank per class, as before the echelon."""
+    span = []
+    for form in L:
+        candidate = span + [form.pair_coords()]
+        if rank(QMatrix(candidate).transpose()) == len(candidate):
+            span.append(form.pair_coords())
+    if not span:
+        return 0
+    d = reference_class(A, D)
+    cols = [reference_wedge(ExteriorClass(2 * A.n, 2, row), d).coords for row in span]
+    return len(span) - rank(QMatrix(list(zip(*cols))))
+
+
+def reference_radical(A, E):
+    return subtorus(A, integer_kernel_basis(QMatrix(E.matrix))).basis
+
+
+def reference_induced_class(A, E, W):
+    S, N = W.section, 2 * A.n
+    rows = [[sum(Fraction(S[a][i]) * E.matrix[a][b] * S[b][j]
+                  for a in range(N) for b in range(N)) for j in range(len(S[0]))]
+            for i in range(len(S[0]))]
+    return AlternatingForm(quotient(A, W), rows)
+
+
+def reference_restriction_kernel(A, W):
+    basis = W.basis
+    R = QMatrix([[Fraction(basis[a][i] * basis[b][j] - basis[b][i] * basis[a][j])
+                  for i, j in itertools.combinations(range(2 * A.n), 2)]
+                 for a, b in itertools.combinations(range(W.rank), 2)])
+    cols = [R.apply(b.pair_coords()) for b in ns_basis(A)]
+    return kernel_basis(QMatrix(list(zip(*cols))))
+
+
+def reference_cup_dual_kernel(A, W):
+    dual = ExteriorClass(2 * A.n, W.corank, reference_poincare_coords(A, W))
+    cols = [reference_wedge(reference_class(A, b), dual).coords for b in ns_basis(A)]
+    return kernel_basis(QMatrix(list(zip(*cols))))
+
+
+def assert_voisin_kernels_match_reference(A, W):
+    assert subspaces_equal(restriction_kernel_on_ns(A, W), reference_restriction_kernel(A, W))
+    assert subspaces_equal(cup_dual_kernel_on_ns(A, W), reference_cup_dual_kernel(A, W))
+
+
+def assert_cup_path_matches_reference(A, rng):
+    """Defects, lambda defects, radicals, induced classes and Voisin kernels
+    of degenerate classes, random NS classes and their rescalings, on A and
+    on A in a mixed basis."""
+    U, U_inv = unimodular(2 * A.n, rng)
+    mixed = rebase(A, U, U_inv)
+    for _, W in coordinate_factor_sublattices(A, corank=2):
+        assert_voisin_kernels_match_reference(A, W)
+    for X, matrices in ((A, degenerate_classes(A)), (mixed, degenerate_classes(A, U))):
+        basis = ns_basis(X)
+        forms = [AlternatingForm(X, m) for m in matrices]
+        forms += [sum((b * rng.randint(-1, 2) for b in basis), basis[0] * 0) for _ in range(3)]
+        forms += [D * Fraction(3, 2) for D in forms[:2]]
+        for D in forms:
+            assert defect_of_class(X, D) == reference_defect(X, D)
+            L = [rng.choice(basis + forms) * rng.choice((1, -2, Fraction(1, 3)))
+                 for _ in range(rng.randint(0, 4))]
+            assert lambda_defect(X, L, D) == reference_lambda_defect(X, L, D)
+            if not is_effective_class(X, D):
+                continue
+            W = radical(X, D)
+            assert W.basis == reference_radical(X, D)
+            if 0 < W.rank < 2 * X.n:
+                induced = induced_quotient_class(X, D, W)
+                expected = reference_induced_class(X, D, W)
+                assert induced == expected and hash(induced) == hash(expected)
+            if W.rank >= 2:
+                assert_voisin_kernels_match_reference(X, W)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_cup_path_matches_reference_on_corpus(corpus, name):
+    assert_cup_path_matches_reference(corpus[name], random.Random(name))
+
+
+@settings(max_examples=12, deadline=None)
+@given(elliptic_products(), st.integers(0, 2**32))
+def test_cup_path_matches_reference_on_random_products(A, seed):
+    assert_cup_path_matches_reference(A, random.Random(seed))
+
+
+def reference_kernel_basis(matrix):
+    """Back-substitution on `Fraction`s after the same echelon form."""
+    rows = _integer_rows(matrix)
+    ncols = len(rows[0]) if rows else 0
+    pivots = bareiss_echelon(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for i in reversed(range(len(pivots))):
+            p = pivots[i]
+            s = sum((rows[i][j] * vec[j] for j in range(p + 1, ncols)), Fraction(0))
+            vec[p] = -s / rows[i][p]
+        basis.append(tuple(vec))
+    return basis
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Rational matrices of up to 7 x 8 whose rows combine a few random rows."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    generators = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                               min_size=1, max_size=4))
+    weights = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(generators),
+                                     max_size=len(generators)), min_size=1, max_size=7))
+    return [[sum(w * g[j] for w, g in zip(ws, generators)) for j in range(ncols)]
+            for ws in weights]
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_matrices())
+def test_kernel_basis_matches_fraction_back_substitution(matrix):
+    basis = kernel_basis(matrix)
+    assert basis == reference_kernel_basis(matrix)
+    assert all(type(x) is Fraction for v in basis for x in v)

@@ -3,7 +3,11 @@
 On the tori of `bench_search.py` (E_i^2, E_i^3 and E_i^4 over Q, and three
 products over Q(2^(1/4))) it times, each as the best of `--repeat` runs:
 
+* `elliptic`: constructing the torus's curves from their (a, beta),
 * `build`: constructing the product torus from its curves,
+* `load_document`: parsing one written torus document of the same curves,
+  with every block's fiber class declared (field, curves, product, classes
+  and their Hodge test),
 * `ns_basis`: the NS basis of a freshly built torus (nothing cached),
 * `hom_rank`: Hom ranks between every ordered pair of factors and of the
   torus with itself,
@@ -19,13 +23,18 @@ products over Q(2^(1/4))) it times, each as the best of `--repeat` runs:
   basis that `defect_of_class` eliminates) on fresh copies of every
   effective form, and
 * `check_voisin`, the restriction and Poincare-dual kernels on every
-  corank-2 coordinate sublattice.
+  corank-2 coordinate sublattice, and
+* three micro-benchmarks of the search's scalar layers: `integral_sign`
+  and `nf_sign` on every nonzero entry of the sample forms' symmetric parts
+  (as `IntegralElement`s and as `AlgebraicReal`s), `psd_rank` on those
+  symmetric parts, and `rank` on the integer NS cup matrices.
 
 Counts (Picard number, Hom ranks summed, effective forms, nonzero radicals,
 the quotients' Picard numbers summed, the Iitaka dimensions and defects
-summed, the radical ranks and NS cup-matrix ranks summed, and the Voisin
-verdict) are recorded next to the times, so two checkouts can be checked
-for equal answers.  Results go to
+summed, the radical ranks and NS cup-matrix ranks summed, the Voisin
+verdict, the document's Picard number, the entry signs summed and the
+`psd_rank` values summed) are recorded next to the times, so two checkouts
+can be checked for equal answers.  Results go to
 BENCH_layers.json next to this script as one run under `--label`, replacing
 an earlier run with the same label, so runs of two checkouts sit side by side.
 
@@ -39,16 +48,26 @@ import argparse
 import json
 import os
 import platform
+import tempfile
 import time
 
 from bench_search import CASES
+from lefdefect import _purekernels
 from lefdefect.checks import check_voisin
 from lefdefect.cohomology import defect_of_class, ns_cup_matrix
-from lefdefect.exactmath import rank
-from lefdefect.effectivity import divisor_case_data, is_effective_class, radical
+from lefdefect.exactmath import IntegralElement, format_rational, integral_sign, nf_sign, rank
+from lefdefect.effectivity import (
+    _search_class,
+    divisor_case_data,
+    is_effective_class,
+    radical,
+    symmetric_part,
+)
+from lefdefect.schema import load_document
 from lefdefect.torus import (
     AlternatingForm,
     Sublattice,
+    elliptic,
     fiber_pairs,
     hom_rank,
     ns_basis,
@@ -84,8 +103,44 @@ def sample_forms(A):
     return forms
 
 
+def fiber_forms(A):
+    size = 2 * A.n
+    forms = []
+    for block in fiber_pairs(A):
+        m = [[0] * size for _ in range(size)]
+        for i, j in block:
+            m[i][j], m[j][i] = 1, -1
+        forms.append(m)
+    return forms
+
+
+def torus_document(A):
+    """The CLI document of A's curves, with every block's fiber class."""
+    doc = {
+        "kind": "torus",
+        "blocks": [
+            {"a": format_rational(a), "beta": [format_rational(c) for c in beta.coeffs]}
+            for a, beta in (f._elliptic_tau for f in A.factors)
+        ],
+        "classes": fiber_forms(A),
+    }
+    if A.field.degree > 1:
+        lo, hi = A.field.root_interval
+        doc["field"] = {"min_poly": [int(c) for c in A.field.min_poly],
+                        "root_interval": [format_rational(lo), format_rational(hi)]}
+    return doc
+
+
 def measure(build, repeat):
     A, build_s = best_time(lambda _: build(), lambda: None, repeat)
+    taus = [f._elliptic_tau for f in A.factors]
+    _, elliptic_s = best_time(
+        lambda _: [elliptic(a, beta) for a, beta in taus], lambda: None, repeat)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "torus.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(torus_document(A), handle)
+        doc, load_s = best_time(load_document, lambda: path, repeat)
     basis, ns_s = best_time(ns_basis, build, repeat)
     tori = list(A.factors) + [A]
     hom_total, hom_s = best_time(
@@ -116,6 +171,21 @@ def measure(build, repeat):
         lambda fresh: [ns_cup_matrix(A, E) for E in fresh],
         lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
     voisin, voisin_s = best_time(lambda _: check_voisin(A), lambda: None, repeat)
+    kind = _search_class(A)
+    parts = [symmetric_part(A, AlternatingForm(A, m)) for m in forms]
+    pad = (0,) * (A.field.degree - 1)
+    entries = [x if isinstance(x, IntegralElement) else IntegralElement(A.field, (x,) + pad)
+               for S in parts for row in S for x in row if x != 0]
+    reals = [A.field.element(x.coeffs) for x in entries]
+    int_sign_sum, integral_sign_s = best_time(
+        lambda xs: sum(map(integral_sign, xs)), lambda: entries, repeat)
+    nf_sign_sum, nf_sign_s = best_time(lambda ys: sum(map(nf_sign, ys)), lambda: reals, repeat)
+    psd, psd_s = best_time(
+        lambda ms: sum(_purekernels.psd_rank(S, range(len(S)), kind.sign, kind.quotient)
+                       for S in ms), lambda: parts, repeat)
+    _, rank_s = best_time(lambda ms: [rank(M) for M in ms], lambda: cup_matrices, repeat)
+    if int_sign_sum != nf_sign_sum:
+        raise AssertionError("integral_sign and nf_sign disagree")
     return {
         "rho": len(basis),
         "hom_rank_sum": hom_total,
@@ -128,8 +198,13 @@ def measure(build, repeat):
         "radical_rank_sum": sum(W.rank for W in lattices),
         "ns_cup_rank_sum": sum(rank(M) for M in cup_matrices),
         "voisin": voisin.status,
+        "document_rho": ns_rank(doc.torus),
+        "sign_sum": int_sign_sum,
+        "psd_rank_sum": psd,
         "seconds": {
+            "elliptic": round(elliptic_s, 5),
             "build": round(build_s, 5),
+            "load_document": round(load_s, 5),
             "ns_basis": round(ns_s, 5),
             "hom_rank": round(hom_s, 5),
             "is_effective_class": round(effective_s, 5),
@@ -140,6 +215,10 @@ def measure(build, repeat):
             "radical": round(radical_s, 5),
             "ns_cup_matrix": round(cup_s, 5),
             "check_voisin": round(voisin_s, 5),
+            "integral_sign": round(integral_sign_s, 5),
+            "nf_sign": round(nf_sign_s, 5),
+            "psd_rank": round(psd_s, 5),
+            "rank": round(rank_s, 5),
         },
     }
 
@@ -152,8 +231,10 @@ def main():
 
     rows = []
     seen = set()
-    columns = ("build", "ns_basis", "hom_rank", "is_effective_class", "subtorus", "quotient",
-               "divisor_case_data", "defect_of_class", "radical", "ns_cup_matrix", "check_voisin")
+    columns = ("elliptic", "build", "load_document", "ns_basis", "hom_rank",
+               "is_effective_class", "subtorus", "quotient", "divisor_case_data",
+               "defect_of_class", "radical", "ns_cup_matrix", "check_voisin",
+               "integral_sign", "nf_sign", "psd_rank", "rank")
     print(f"{'torus':<12} {'rho':>4} " + " ".join(f"{c[:9]:>9}" for c in columns))
     for name, build, _ in CASES:
         torus = name.split(",")[0]

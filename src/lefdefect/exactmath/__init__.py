@@ -27,6 +27,7 @@ from .numberfield import (
     integral_quotient,
     integral_sign,
     nf_sign,
+    norm_adjugate,
     parse_rational,
 )
 
@@ -47,6 +48,7 @@ __all__ = [
     "kernel_basis",
     "lattice_index",
     "nf_sign",
+    "norm_adjugate",
     "parse_rational",
     "primitive_integer_vector",
     "rank",

@@ -20,13 +20,14 @@ Z[alpha] (`IntegralElement`: integer power-basis coordinates, integer
 reduction rows).  It decides signs with an integer interval Horner on the
 cached bounds of alpha and falls back to `nf_sign` only when that interval
 straddles zero.  It divides exactly by multiplying with the adjugate and
-dividing by the norm (`integral_quotient`).  So it builds no Fraction outside
-that fallback.
+dividing by the norm (`norm_adjugate`, `integral_quotient`).  So it builds
+no Fraction outside that fallback.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from ..errors import ConsistencyError
@@ -278,8 +279,14 @@ class RealNumberField:
                            hi.numerator * (q // hi.denominator), scale)
 
     @classmethod
+    @cache
     def rationals(cls) -> "RealNumberField":
-        """The degree-1 field Q itself (alpha = 0)."""
+        """The degree-1 field Q itself (alpha = 0), one shared instance.
+
+        Sharing is safe: the only mutable state of a field is its cached
+        refinement of alpha's bounds, and no sign in Q ever refines them
+        (`nf_sign` decides rational elements before any bisection).
+        """
         return cls([0, 1], (Fraction(-1), Fraction(1)))
 
     @property
@@ -630,27 +637,26 @@ def integral_sign(x: IntegralElement) -> int:
     return nf_sign(x.field.element(c))
 
 
-def integral_quotient(p: IntegralElement):
-    """Exact division by p in Z[alpha]: x -> x * adj(p) / N(p).
+def norm_adjugate(p: IntegralElement):
+    """(N(p), adj(p)) for p in Z[alpha], with p * adj(p) = N(p).
 
     N(p) is the determinant of the matrix M_p of multiplication by p and
-    adj(p) = adj(M_p) e_0, so p * adj(p) = N(p); both come from one
-    fraction-free Gauss-Jordan elimination of [M_p | e_0] (a row swap
-    negates both, which leaves the quotient unchanged).  Multiplication by
-    adj(p) is the matrix adj(M_p), so a division costs one matrix-vector
-    product and d exact integer divisions.  A nonzero remainder, or
-    N(p) = 0 (a zero divisor, possible only for a reducible min_poly),
-    raises `ConsistencyError`.
+    adj(p) = adj(M_p) e_0, the integer coordinates of N(p) / p; both come
+    from one fraction-free Gauss-Jordan elimination of [M_p | e_0] (a row
+    swap negates both, which leaves adj(p) / N(p) = 1 / p unchanged).  So
+    1 / p = adj(p) / N(p) with no Fraction (Cohen, A Course in
+    Computational Algebraic Number Theory, 4.2).  A zero divisor p
+    (N(p) = 0, possible only for a reducible min_poly) raises
+    `ZeroDivisionError`.
     """
-    field = p.field
     d = len(p.coeffs)
-    cols = _alpha_multiples(field, p.coeffs)
+    cols = _alpha_multiples(p.field, p.coeffs)
     m = [[cols[k][i] for k in range(d)] + [int(i == 0)] for i in range(d)]
     prev = 1
     for k in range(d):
         pivot = next((i for i in range(k, d) if m[i][k]), None)
         if pivot is None:
-            raise ConsistencyError(f"{p} is a zero divisor: min_poly is reducible")
+            raise ZeroDivisionError("element is a zero divisor (min_poly reducible)")
         m[k], m[pivot] = m[pivot], m[k]
         row_k = m[k]
         piv = row_k[k]
@@ -659,8 +665,25 @@ def integral_quotient(p: IntegralElement):
                 f = m[i][k]
                 m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], row_k)]
         prev = piv
-    norm = prev
-    adj_cols = _alpha_multiples(field, [row[d] for row in m])
+    return prev, tuple(row[d] for row in m)
+
+
+def integral_quotient(p: IntegralElement):
+    """Exact division by p in Z[alpha]: x -> x * adj(p) / N(p).
+
+    N(p) and adj(p) come from `norm_adjugate`.  Multiplication by adj(p)
+    is the matrix adj(M_p), so a division costs one matrix-vector product
+    and d exact integer divisions.  A nonzero remainder, or N(p) = 0 (a
+    zero divisor, possible only for a reducible min_poly), raises
+    `ConsistencyError`.
+    """
+    field = p.field
+    d = len(p.coeffs)
+    try:
+        norm, adj_coeffs = norm_adjugate(p)
+    except ZeroDivisionError as exc:
+        raise ConsistencyError(f"{p} is a zero divisor: min_poly is reducible") from exc
+    adj_cols = _alpha_multiples(field, adj_coeffs)
     adj = [[adj_cols[k][i] for k in range(d)] for i in range(d)]
 
     def divide(x):

@@ -6,10 +6,12 @@ a fixed real number field and J^2 = -I exactly.  A torus *is* its integer J
 data: with J = sum_k alpha^k J_k on the power basis and D the least common
 denominator of the J_k, it stores D and the integer matrices D*J_k (only
 D*J_0 when J is rational), and equality and hashing use them.  A J given
-as a field matrix (a curve's, or one passed to `ComplexTorus`) is split
-once; products concatenate the blocks' parts and quotients are P*(D*J_k)*S
-for the Smith projection P and section S, so no field matrix is ever
-multiplied.  Given J^2 = -I, an
+as a field matrix (one passed to `ComplexTorus`) is split once; a curve's
+parts come straight from the integer inverse of its imaginary part in
+Z[alpha] (`elliptic`), products concatenate the blocks' parts and
+quotients are P*(D*J_k)*S for the Smith projection P and section S, so no
+field matrix is ever multiplied.  J^2 = -I is certified on the parts
+themselves, in Z[alpha].  Given J^2 = -I, an
 alternating form E satisfies E(Jx, Jy) = E(x, y) exactly when E*J is
 symmetric (the Riemann relations), so the Hodge test and the Neron-Severi
 space are integer conditions on the E*(D*J_k); Hom groups of tori are the
@@ -32,8 +34,9 @@ from .exactmath import (
     QMatrix,
     RealNumberField,
     complement_data,
+    integral_sign,
     kernel_basis,
-    nf_sign,
+    norm_adjugate,
     primitive_integer_vector,
     saturate,
     solve,
@@ -42,9 +45,24 @@ from .exactmath.linalg import bareiss_echelon
 
 
 def _matmul(a, b):
-    """Product of two matrices of ints or of `IntegralElement`s."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    """Product of two matrices of ints or of `IntegralElement`s.
+
+    Each row of the product is accumulated over the nonzero entries of the
+    row of a and of the rows of b, so block-diagonal J parts and sparse
+    forms cost only their nonzero products.  (An `IntegralElement` is never
+    skipped, zero or not.)
+    """
+    width = len(b[0]) if b else 0
+    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, entries in zip(row, sparse):
+            if x:
+                for j, y in entries:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def _is_symmetric(m) -> bool:
@@ -71,6 +89,41 @@ def _canonical(den, parts):
     return den // g, tuple(tuple(tuple(x // g for x in row) for row in Jk) for Jk in parts)
 
 
+def _squares_to_minus_d2(field, den, parts) -> bool:
+    """Whether (D J)^2 = -D^2 I in Z[alpha], for D J = sum_k alpha^k parts[k].
+
+    The power-basis components of (D J)^2 are the sums
+    C_e = sum_{i+j=e} parts[i] parts[j], accumulated row by row over
+    nonzero entries as in `_matmul`, but into C_{i+j} directly (one
+    `_matmul` per pair of parts, summed afterwards, costs half as much
+    again on products of curves).  The C_e with e >= d fold onto the power
+    basis with the field's integer reduction rows, and the certificate is
+    -D^2 I at power 0 and zero at every other power: the product of D J
+    with itself in Z[alpha].
+    """
+    size, d = len(parts[0]), field.degree
+    # Row k of every part at once: the nonzero (j, c, parts[j][k][c]).
+    sparse = [[(j, c, y) for j, P in enumerate(parts) for c, y in enumerate(P[k]) if y]
+              for k in range(size)]
+    sums = [[[0] * size for _ in range(size)] for _ in range(2 * len(parts) - 1)]
+    for i, P in enumerate(parts):
+        for t, row in enumerate(P):
+            for x, entries in zip(row, sparse):
+                if x:
+                    for j, c, y in entries:
+                        sums[i + j][t][c] += x * y
+    for e in range(d, len(sums)):
+        for t, c in enumerate(field._reduction[e - d]):
+            if c:
+                sums[t] = [[s + c * x for s, x in zip(trow, erow)]
+                           for trow, erow in zip(sums[t], sums[e])]
+    minus_d2 = -den * den
+    if any(sums[0][i][j] != (minus_d2 if i == j else 0)
+           for i in range(size) for j in range(size)):
+        return False
+    return not any(x for M in sums[1:d] for row in M for x in row)
+
+
 class ComplexTorus:
     """Lattice Z^2n with an exact complex structure J (J^2 = -I).
 
@@ -78,12 +131,12 @@ class ComplexTorus:
     least common denominator of J's power-basis components J_k, and
     `j_parts` holds the integer matrices D*J_k, only D*J_0 when J is
     rational.  Equality and hashing use (field, j_den, j_parts).  Every J
-    computation reads these parts; J^2 = -I is checked as (D*J)^2 = -D^2 I
-    in the torus's scalars (see `in_scalars`).  `ComplexTorus(field, J)`
-    splits a field matrix J once; `product` and `quotient` build their
-    tori from parts.  Instances are immutable; derived data (the NS basis)
-    is cached on the instance, which is safe because recomputation is
-    idempotent.
+    computation reads these parts; J^2 = -I is certified on them as
+    (D*J)^2 = -D^2 I in Z[alpha], for every torus.  `ComplexTorus(field,
+    J)` splits a field matrix J once; `elliptic`, `product` and `quotient`
+    build their tori from parts.  Instances are immutable; derived data
+    (the NS basis) is cached on the instance, which is safe because
+    recomputation is idempotent.
     """
 
     def __init__(self, field: RealNumberField, J: KMatrix, factors=None, label=None):
@@ -104,14 +157,9 @@ class ComplexTorus:
     def _init(self, field, den, parts, factors, label):
         self.field = field
         self.j_den, self.j_parts = _canonical(den, parts)
-        size = len(self.j_parts[0])
-        dj = self.in_scalars(self.j_parts)
-        minus_d2 = -self.j_den * self.j_den
-        square = _matmul(dj, dj)
-        if any(square[i][j] != (minus_d2 if i == j else 0)
-               for i in range(size) for j in range(size)):
+        if not _squares_to_minus_d2(field, self.j_den, self.j_parts):
             raise ConsistencyError("inconsistent complex structure: J^2 != -I")
-        self.n = size // 2
+        self.n = len(self.j_parts[0]) // 2
         self.factors = tuple(factors) if factors is not None else None
         self.label = label
         self._elliptic_tau = None  # (a, beta) for curves built by elliptic()
@@ -180,7 +228,12 @@ def elliptic(a, beta, field=None, label=None) -> ComplexTorus:
 
     On the lattice basis (1, tau) multiplication by i acts by
     J = [[-a/b, -b - a^2/b], [1/b, a/b]], which has trace 0 and determinant 1,
-    hence J^2 = -I.
+    hence J^2 = -I.  The integer J data is built directly, without a field
+    matrix: with beta = b/m for b in Z[alpha], 1/beta = m adj(b) / N(b)
+    (`norm_adjugate`), so for a = p/q every entry of J is an integer
+    combination of adj(b) and b over D = q^2 |N(b)| m.  beta > 0 is decided
+    on b by `integral_sign`; a zero divisor b (reducible min_poly) raises
+    `ZeroDivisionError`.
     """
     a = Fraction(a)
     if isinstance(beta, AlgebraicReal):
@@ -191,17 +244,18 @@ def elliptic(a, beta, field=None, label=None) -> ComplexTorus:
         if field is None:
             field = RealNumberField.rationals()
         beta = field.from_rational(Fraction(beta))
-    if nf_sign(beta) <= 0:
+    m = lcm(*(c.denominator for c in beta.coeffs))
+    b = IntegralElement(field, tuple(c.numerator * (m // c.denominator) for c in beta.coeffs))
+    if integral_sign(b) <= 0:
         raise ValueError("tau not in upper half plane")
-    inv_b = beta.inverse()
-    J = KMatrix(
-        field,
-        [
-            [-a * inv_b, -beta - a * a * inv_b],
-            [inv_b, a * inv_b],
-        ],
-    )
-    curve = ComplexTorus(field, J, factors=None, label=label)
+    norm, adj = norm_adjugate(b)
+    p, q = a.numerator, a.denominator
+    # Over D = q^2 |N| m, with t = m^2 sign(N): D/beta = q^2 t adj and D beta = q^2 |N| b.
+    t = m * m if norm > 0 else -m * m
+    qn = q * q * abs(norm)
+    parts = [[[-p * q * t * x, -qn * y - p * p * t * x], [q * q * t * x, p * q * t * x]]
+             for x, y in zip(adj, b.coeffs)]
+    curve = ComplexTorus._from_parts(field, qn * m, parts, label=label)
     curve._elliptic_tau = (a, beta)
     return curve
 
@@ -311,7 +365,7 @@ class AlternatingForm:
     __slots__ = ("torus", "den", "num", "_matrix", "_pairs", "_hodge")
 
     def __init__(self, torus: ComplexTorus, matrix):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        rows = tuple(tuple(x if type(x) is int else Fraction(x) for x in row) for row in matrix)
         size = 2 * torus.n
         if len(rows) != size or any(len(r) != size for r in rows):
             raise ValueError("form size does not match the lattice rank")
@@ -320,10 +374,10 @@ class AlternatingForm:
                 if rows[i][j] != -rows[j][i]:
                     raise ValueError("matrix is not antisymmetric")
         # The lcm of the reduced denominators is coprime to the numerators
-        # it produces, so the result is already canonical.
+        # it produces, so the result is already canonical.  Int entries stay
+        # ints; `matrix` is built on first use, as for every form.
         den = lcm(*(x.denominator for row in rows for x in row))
         self._set(torus, den, tuple(tuple(int(x * den) for x in row) for row in rows))
-        self._matrix = rows
 
     def _set(self, torus, den, num):
         self.torus = torus

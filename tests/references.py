@@ -1,8 +1,10 @@
 """Field-level views of a torus and shared inputs for the differential tests.
 
 A torus stores only its integer J data (D and the D * J_k); `field_j`
-rebuilds J as a field matrix and `field_product` multiplies field matrices
-entry by entry, as the package did before it moved onto the integer data.
+(and `parts_matrix` for raw parts) rebuilds J as a field matrix and
+`field_product` multiplies field matrices entry by entry, as the package did
+before it moved onto the integer data; `dense_matmul` is the integer matrix
+product without zero skipping.
 `reference_wedge` is the cup product as a loop over all subset pairs on
 `Fraction` coordinates, as it was before the cached table.
 `elliptic_products` draws product tori and `rebased` moves a torus to a
@@ -19,14 +21,19 @@ from lefdefect.exactmath import KMatrix, QMatrix, RealNumberField
 from lefdefect.torus import ComplexTorus, elliptic, product
 
 
+def parts_matrix(field, den, parts) -> KMatrix:
+    """sum_k alpha^k parts[k] / den as a field matrix."""
+    size = len(parts[0])
+    return KMatrix(field, [
+        [field.element([Fraction(Jk[r][c], den) for Jk in parts]) for c in range(size)]
+        for r in range(size)
+    ])
+
+
 @lru_cache(maxsize=256)
 def field_j(A) -> KMatrix:
     """J = sum_k alpha^k J_k as a field matrix, from A's integer J data."""
-    size = 2 * A.n
-    return KMatrix(A.field, [
-        [A.field.element([Fraction(Jk[r][c], A.j_den) for Jk in A.j_parts]) for c in range(size)]
-        for r in range(size)
-    ])
+    return parts_matrix(A.field, A.j_den, A.j_parts)
 
 
 def field_product(field, *matrices) -> KMatrix:
@@ -39,11 +46,21 @@ def field_product(field, *matrices) -> KMatrix:
     return KMatrix(field, rows)
 
 
+def matrix_squares_to_minus_identity(J) -> bool:
+    """J * J == -I, multiplied entry by entry in the field."""
+    size = J.nrows
+    return field_product(J.field, J, J) == KMatrix(
+        J.field, [[-1 if i == j else 0 for j in range(size)] for i in range(size)])
+
+
 def squares_to_minus_identity(A) -> bool:
-    J = field_j(A)
-    size = 2 * A.n
-    return field_product(A.field, J, J) == KMatrix(
-        A.field, [[-1 if i == j else 0 for j in range(size)] for i in range(size)])
+    return matrix_squares_to_minus_identity(field_j(A))
+
+
+def dense_matmul(a, b):
+    """The product as one generator sum per entry, zeros included."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def reference_wedge(u, v):

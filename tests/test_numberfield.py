@@ -39,6 +39,15 @@ class TestFieldConstruction:
         assert Q.degree == 1
         assert Q.from_rational(F(3, 7)).as_rational() == F(3, 7)
 
+    def test_rationals_is_one_shared_instance(self):
+        Q = RealNumberField.rationals()
+        assert Q is RealNumberField.rationals()
+        # Signs in Q never refine the shared instance's bounds of alpha.
+        bounds = Q._alpha_bounds
+        assert [nf_sign(Q.from_rational(x)) for x in (F(-1, 9), 0, F(1, 10**9))] == [-1, 0, 1]
+        assert Q._alpha_bounds == bounds
+        assert Q == RealNumberField([0, 1], (-1, 1))
+
     def test_sturm_count(self):
         # x^3 - 2x: roots -sqrt(2), 0, sqrt(2)
         assert count_real_roots([F(0), F(-2), F(0), F(1)], F(-2), F(2)) == 3

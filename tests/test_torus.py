@@ -3,13 +3,17 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lefdefect.errors import ConsistencyError
-from lefdefect.exactmath import KMatrix, RealNumberField
+from lefdefect.exactmath import KMatrix, RealNumberField, nf_sign
 from lefdefect.torus import (
     AlternatingForm,
     ComplexTorus,
     Sublattice,
+    _canonical,
+    _split_j,
     coordinate_factor_sublattices,
     elliptic,
     hom_rank,
@@ -24,6 +28,8 @@ from lefdefect.torus import (
 from references import field_j, squares_to_minus_identity
 
 F = Fraction
+# alpha^4 = 2, alpha the positive real fourth root (the `quartic_field` fixture).
+QUARTIC = RealNumberField([-2, 0, 0, 0, 1], (F(1), F(3, 2)))
 
 
 class TestElliptic:
@@ -68,19 +74,43 @@ class TestElliptic:
         with pytest.raises(ConsistencyError, match="complex structure"):
             ComplexTorus(quartic_field, J)
 
-    def test_integer_j_data_recombines_to_j(self, quartic_field):
-        # J = [[-a/b, -b - a^2/b], [1/b, a/b]] on the basis (1, tau).
-        Q = RealNumberField.rationals()
-        alpha = quartic_field.alpha()
-        for a, beta in ((F(1, 3), Q.from_rational(F(2, 5))), (F(-1, 2), alpha + F(3, 2)),
-                        (F(0), quartic_field.one())):
-            E = elliptic(a, beta)
-            inv = beta.inverse()
-            J = KMatrix(beta.field, [[-a * inv, -beta - a * a * inv], [inv, a * inv]])
-            assert field_j(E) == J
-            assert E.rational_j == all(x.is_rational() for row in J.rows for x in row)
-            entries = [x for Jk in E.j_parts for row in Jk for x in row]
-            assert E.j_den > 0 and gcd(E.j_den, *entries) == 1
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(["Q", "K"]),
+        a=st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        coeffs=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                        min_size=4, max_size=4),
+    )
+    @example(name="K", a=F(1, 2), coeffs=[-1, 1, 0, 0])  # alpha - 1: N = -1
+    @example(name="K", a=F(-2, 3), coeffs=[F(-1, 3), F(1, 3), 0, 0])  # m = 3, N < 0
+    @example(name="Q", a=F(1, 3), coeffs=[F(2, 5), 0, 0, 0])
+    @example(name="K", a=F(0), coeffs=[1, 0, 0, 0])
+    def test_integer_j_data_recombines_to_j(self, name, a, coeffs):
+        # The reference: J = [[-a/b, -b - a^2/b], [1/b, a/b]] on the basis
+        # (1, tau) as a field matrix, with 1/b from the extended gcd
+        # (`beta.inverse()`), split by `_split_j` and brought to canonical form.
+        field = QUARTIC if name == "K" else RealNumberField.rationals()
+        beta = field.element(coeffs[:field.degree])
+        if nf_sign(beta) <= 0:
+            with pytest.raises(ValueError, match="upper half plane"):
+                elliptic(a, beta)
+            return
+        E = elliptic(a, beta)
+        inv = beta.inverse()
+        J = KMatrix(field, [[-a * inv, -beta - a * a * inv], [inv, a * inv]])
+        assert (E.j_den, E.j_parts) == _canonical(*_split_j(J))
+        assert field_j(E) == J
+        assert E.rational_j == all(x.is_rational() for row in J.rows for x in row)
+        entries = [x for Jk in E.j_parts for row in Jk for x in row]
+        assert E.j_den > 0 and gcd(E.j_den, *entries) == 1
+        assert E == ComplexTorus(field, J) and hash(E) == hash(ComplexTorus(field, J))
+
+    def test_zero_divisor_beta_raises_zero_division(self):
+        # x^2 - 1 is square-free but reducible: beta = 1 + alpha = 2 > 0 at
+        # the root 1, but it is a zero divisor, as with `beta.inverse()`.
+        K = RealNumberField([-1, 0, 1], (F(1, 2), F(3, 2)))
+        with pytest.raises(ZeroDivisionError, match="zero divisor"):
+            elliptic(0, K.element([1, 1]))
 
 
 class TestProduct:

@@ -1,7 +1,8 @@
 """Benchmark: the layers that read a torus's complex structure J.
 
-On the tori of `bench_search.py` (E_i^2, E_i^3 and E_i^4 over Q, and three
-products over Q(2^(1/4))) it times, each as the best of `--repeat` runs:
+On the tori of `bench_search.py` (E_i^2, E_i^3 and E_i^4 over Q, three
+products over Q(2^(1/4)), and a pair of curves over each of Q and
+Q(2^(1/4))) it times, each as the best of `--repeat` runs:
 
 * `elliptic`: constructing the torus's curves from their (a, beta),
 * `build`: constructing the product torus from its curves,
@@ -181,7 +182,7 @@ def measure(build, repeat):
         lambda xs: sum(map(integral_sign, xs)), lambda: entries, repeat)
     nf_sign_sum, nf_sign_s = best_time(lambda ys: sum(map(nf_sign, ys)), lambda: reals, repeat)
     psd, psd_s = best_time(
-        lambda ms: sum(_purekernels.psd_rank(S, range(len(S)), kind.sign, kind.quotient)
+        lambda ms: sum(_purekernels.psd_rank(S, range(len(S)), kind.sign, kind.quotient)[0]
                        for S in ms), lambda: parts, repeat)
     _, rank_s = best_time(lambda ms: [rank(M) for M in ms], lambda: cup_matrices, repeat)
     if int_sign_sum != nf_sign_sum:

@@ -4,10 +4,16 @@ Times `torus_defect` (pure Python, the only search path) on E_i x E_i at
 boxes 2 and 3, E_i^3 at boxes 1 and 2, and E_i^4 at box 1 over Q, and on
 three products over Q(2^(1/4)) from the test corpus: E_ia x E_ia' at box 2
 and E_i x E_ia x E_ia2 and E_i x E_i' x E_ia at box 1 (a = 2^(1/4)), where
-the search runs on Z[alpha] entries.  It records per case the delta, the
-box candidates decided (`classes_scanned`), the search-tree nodes entered
-(`nodes_visited`) and the best wall time of `--repeat` runs, each on a
-freshly built torus.  The results are stored in BENCH_search.json next to
+the search runs on Z[alpha] entries.  Two more cases have the shape of the
+survey workloads: a pair of curves tau = a + i*s over Q with a != 0 and
+scaled imaginary parts at box 3, and a pair of non-isogenous curves over
+Q(2^(1/4)) (tau = 1/2 + i(1 + a) and tau = -1/3 + i*a) at box 2, whose
+symmetric parts split into one block per curve.  It records per case the
+delta, the box candidates decided (`classes_scanned`), the search-tree nodes
+entered (`nodes_visited`), the number of `psd_rank` eliminations and the
+best wall time of `--repeat` runs, each on a freshly built torus.  The
+eliminations are counted in one more, untimed run, by wrapping
+`_purekernels.psd_rank` in this script.  The results are stored in BENCH_search.json next to
 this script as one run under `--label`, replacing an earlier run with the
 same label, so runs of two checkouts sit side by side.
 
@@ -27,6 +33,7 @@ import platform
 import time
 from fractions import Fraction
 
+from lefdefect import _purekernels
 from lefdefect.effectivity import torus_defect
 from lefdefect.exactmath import RealNumberField
 from lefdefect.torus import elliptic, product
@@ -47,12 +54,47 @@ def over_quartic(betas):
     return build
 
 
+def rational_pair():
+    """tau = 1/2 + 2i and tau = -1/3 + (3/2)i: isogenous, rho = 4."""
+    return product([elliptic(Fraction(1, 2), 2, label="E1"),
+                    elliptic(Fraction(-1, 3), Fraction(3, 2), label="E2")])
+
+
+def quartic_pair():
+    """tau = 1/2 + i(1 + alpha) and tau = -1/3 + i*alpha over Q(2^(1/4)):
+    not isogenous, no CM, rho = 2."""
+    K = RealNumberField([-2, 0, 0, 0, 1], (Fraction(1), Fraction(3, 2)))
+    alpha = K.alpha()
+    return product([elliptic(Fraction(1, 2), K.one() + alpha, label="E1"),
+                    elliptic(Fraction(-1, 3), alpha, label="E2")])
+
+
 CASES = (("E_i^2, box 2", power_of_ei(2), 2), ("E_i^2, box 3", power_of_ei(2), 3),
          ("E_i^3, box 1", power_of_ei(3), 1), ("E_i^3, box 2", power_of_ei(3), 2),
          ("E_i^4, box 1", power_of_ei(4), 1),
          ("eia2, box 2", over_quartic((1, 1)), 2),
          ("triple, box 1", over_quartic((0, 1, 2)), 1),
-         ("ei2_x_nocm, box 1", over_quartic((0, 0, 1)), 1))
+         ("ei2_x_nocm, box 1", over_quartic((0, 0, 1)), 1),
+         ("Q pair, box 3", rational_pair, 3),
+         ("quartic pair, box 2", quartic_pair, 2))
+
+
+def count_eliminations(build, box):
+    """psd_rank calls of one search, counted by wrapping the module's
+    function (the search looks it up there on every call)."""
+    original = _purekernels.psd_rank
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    _purekernels.psd_rank = counted
+    try:
+        torus_defect(build(), box=box)
+    finally:
+        _purekernels.psd_rank = original
+    return calls[0]
 
 
 def main():
@@ -63,7 +105,7 @@ def main():
     args = parser.parse_args()
 
     rows = []
-    print(f"{'case':<18} {'delta':>5} {'classes':>10} {'nodes':>7} {'seconds':>9}")
+    print(f"{'case':<20} {'delta':>5} {'classes':>10} {'nodes':>7} {'elims':>7} {'seconds':>9}")
     for name, build, box in CASES:
         if name in args.skip:
             continue
@@ -74,15 +116,17 @@ def main():
             result = torus_defect(torus, box=box)
             times.append(time.perf_counter() - started)
         nodes = getattr(result, "nodes_visited", None)
+        eliminations = count_eliminations(build, box)
         rows.append({
             "case": name,
             "delta": result.delta,
             "classes_scanned": result.classes_scanned,
             "nodes_visited": nodes,
+            "eliminations": eliminations,
             "seconds": round(min(times), 4),
         })
-        print(f"{name:<18} {result.delta:>5} {result.classes_scanned:>10} "
-              f"{'-' if nodes is None else nodes:>7} {min(times):>9.4f}")
+        print(f"{name:<20} {result.delta:>5} {result.classes_scanned:>10} "
+              f"{'-' if nodes is None else nodes:>7} {eliminations:>7} {min(times):>9.4f}")
 
     runs = []
     if os.path.exists(OUT):

@@ -5,12 +5,25 @@ multiple) when its symmetric part S(x) = sum c_b S_b is positive
 semidefinite and nonzero.  `scan_range` covers the box [-box, box]^rho
 depth first, one NS coefficient per level.  Fiber classes (basis elements
 whose S_b has a nonzero diagonal entry) are fixed first, the rest in NS
-order.  S is kept up to date along the path by adding c * S_b, and at every
-level each principal block S[I, I] whose entries have just become fixed is
-tested; a block that is not semidefinite rules out the whole subtree, which
-is counted as decided without being visited (Fincke-Pohst style
-partial-bound pruning).  Leaves that survive get the full test and the
-cup-product kernel dimension.
+order.  S is kept up to date along the path by adding c * S_b.
+
+Every S_b, and so S, is block diagonal on the connected components of the
+joint nonzero pattern of the S_b (on a product, the isogeny classes of the
+factors, or finer).  S is PSD exactly when each component block is, and its
+rank is the sum of theirs.  So within each component, at every level each
+principal block S[I, I] whose entries have just become fixed is tested; a
+block that is not semidefinite rules out the whole subtree, which is
+counted as decided without being visited (Fincke-Pohst style partial-bound
+pruning).  A component is tested whole once, at the depth where all its
+entries become fixed, and its rank is carried down the path: a leaf
+eliminates only the components its own coefficient touches, and the leaves
+that survive get the cup-product kernel dimension.
+
+Siblings differ only in their own coefficient c, and S moves with it by
+c * S_b.  A block that fails before its second pivot comes with a vector v
+that has v^T S v < 0 (see `psd_rank`); v^T S v is linear in c, so it is a
+cut that decides every later sibling where it stays negative without an
+elimination, subtree included.
 
 Semidefiniteness and rank come from one routine, `psd_rank`: symmetric
 fraction-free elimination with diagonal pivoting.  Over Q the entries are
@@ -32,8 +45,9 @@ def rank_int(rows) -> int:
     return len(bareiss_echelon([list(r) for r in rows]))
 
 
-def psd_rank(M, idx, sign, quotient) -> int:
-    """Rank of the principal block M[idx, idx] if it is PSD, else -1.
+def psd_rank(M, idx, sign, quotient):
+    """(rank, certificate) of the principal block M[idx, idx]: rank -1 when
+    the block is not PSD.
 
     Symmetric fraction-free elimination with diagonal pivoting (Bareiss,
     1968): after k pivots every remaining entry is the (k+1)-minor that
@@ -44,9 +58,18 @@ def psd_rank(M, idx, sign, quotient) -> int:
     the block is PSD only if every remaining entry is zero.  `sign` is the
     scalar kind's sign and `quotient(d)` its exact division by d, made only
     for a pivot whose successor has entries left to update.
+
+    A block that fails at a negative diagonal entry a_ii before the second
+    pivot comes with the certificate the elimination already holds: a
+    vector v with at most two entries and q = v^T M v < 0, as
+    (q, ((index, entry), ...)) with indices into M.  Before any pivot
+    v = e_i and q = a_ii; after the first pivot p = a_ff it is
+    v = p e_i - M[i, f] e_f, and q = p * a'_ii, p times the updated entry.
+    Every other outcome has certificate None.
     """
     a = [[M[i][j] for j in idx] for i in idx]
     rest = list(range(len(a)))
+    first = -1  # index of the first pivot
     previous = None  # pivot; nothing to divide by before the first
     divide = None
     rank = 0
@@ -55,16 +78,23 @@ def psd_rank(M, idx, sign, quotient) -> int:
         for i in rest:
             s = sign(a[i][i])
             if s < 0:
-                return -1
+                if rank == 0:
+                    return -1, (a[i][i], ((idx[i], 1),))
+                if rank == 1:  # -1 * x: Z[alpha] elements have no unary minus
+                    p = a[first][first]
+                    return -1, (p * a[i][i], ((idx[i], p), (idx[first], -1 * a[i][first])))
+                return -1, None
             if s > 0 and pivot < 0:
                 pivot = i
         if pivot < 0:
             if any(a[i][j] != 0 for i in rest for j in rest):
-                return -1
-            return rank
+                return -1, None
+            return rank, None
         rest.remove(pivot)
         if rest and previous is not None:
             divide = quotient(previous)
+        if rank == 0:
+            first = pivot
         p = a[pivot][pivot]
         row_p = a[pivot]
         for n, i in enumerate(rest):
@@ -75,7 +105,7 @@ def psd_rank(M, idx, sign, quotient) -> int:
                 ai[j] = a[j][i] = v if divide is None else divide(v)
         previous = p
         rank += 1
-    return rank
+    return rank, None
 
 
 def int_sign(v) -> int:
@@ -88,27 +118,49 @@ def int_quotient(d):
     return d.__rfloordiv__
 
 
-def _blocks_fixed_at(fixed, N, depth):
-    """Maximal index sets I with S[I, I] fixed at `depth` but not before.
+def _blocks_by_depth(fixed, indices, rho):
+    """blocks[d - 1]: the maximal subsets I of `indices` with S[I, I] fixed
+    at depth d but not before, for d = 1..rho.
 
     `fixed[r][c]` is the depth from which entry (r, c) no longer changes.
-    Testing these blocks covers every principal block that becomes fixed at
-    this depth, since semidefiniteness passes to principal sub-blocks.
+    Testing these blocks covers every principal block inside `indices` that
+    becomes fixed at depth d, since semidefiniteness passes to principal
+    sub-blocks.
     """
-    level = [0] * (1 << N)  # depth from which the block of a mask is fixed
-    for mask in range(1, 1 << N):
+    n = len(indices)
+    level = [0] * (1 << n)  # depth from which the block of a mask is fixed
+    for mask in range(1, 1 << n):
         low = (mask & -mask).bit_length() - 1
-        row = fixed[low]
+        row = fixed[indices[low]]
         level[mask] = max(level[mask & (mask - 1)],
-                          max(row[c] for c in range(N) if mask >> c & 1))
-    blocks = []
-    for mask in range(1, 1 << N):
-        if level[mask] != depth:
-            continue
-        if any(level[mask | 1 << k] <= depth for k in range(N) if not mask >> k & 1):
-            continue
-        blocks.append(tuple(k for k in range(N) if mask >> k & 1))
+                          max(row[indices[c]] for c in range(n) if mask >> c & 1))
+    blocks = [[] for _ in range(rho)]
+    for mask in range(1, 1 << n):
+        d = level[mask]
+        if d and all(level[mask | 1 << k] > d for k in range(n) if not mask >> k & 1):
+            blocks[d - 1].append(tuple(indices[k] for k in range(n) if mask >> k & 1))
     return blocks
+
+
+def _components(nonzero, N):
+    """Connected components of the joint sparsity pattern of the S_b, as
+    sorted index tuples: every S_b, and so every S, is block diagonal on
+    them."""
+    label = list(range(N))
+
+    def find(r):
+        while label[r] != r:
+            label[r] = label[label[r]]
+            r = label[r]
+        return r
+
+    for entries in nonzero:
+        for r, c, _ in entries:
+            label[find(r)] = find(c)
+    groups = {}
+    for r in range(N):
+        groups.setdefault(find(r), []).append(r)
+    return sorted(tuple(g) for g in groups.values())
 
 
 class _Search:
@@ -140,9 +192,16 @@ class _Search:
         for depth, entries in enumerate(self.entries, 1):
             for r, c, _ in entries:
                 fixed[r][c] = depth
-        # blocks to test once the coefficient at each depth is set; the last
-        # depth is a leaf, where `evaluate` tests the whole of S
-        self.tests = [_blocks_fixed_at(fixed, N, depth) for depth in range(1, rho)] + [[]]
+        # S is PSD iff its block on every component is, and its rank is the
+        # sum of theirs.  tests[t] lists the blocks (idx, k) to test once the
+        # coefficient at level t is set: within each component, the blocks
+        # that become fixed at depth t + 1.  k is the component's number when
+        # idx is the whole component (its rank is then final), else -1.
+        self.components = _components(self.nonzero, N)
+        self.tests = [[] for _ in range(rho)]
+        for k, K in enumerate(self.components):
+            for tests, blocks in zip(self.tests, _blocks_by_depth(fixed, K, rho)):
+                tests.extend((idx, k if idx == K else -1) for idx in blocks)
 
     def symmetric(self, coeffs):
         """S = sum c_b S_b, built directly from the coefficients."""
@@ -154,9 +213,9 @@ class _Search:
         return S
 
     def evaluate(self, leaf):
-        """(is_effective, defect, form_rank) of a leaf (coeffs, S)."""
-        coeffs, S = leaf
-        form_rank = psd_rank(S, self.full, self.sign, self.quotient)
+        """(is_effective, defect, form_rank) of a leaf (coeffs, form_rank),
+        where form_rank is the rank of S, or -1 when S is not PSD."""
+        coeffs, form_rank = leaf
         if form_rank < 0:
             return False, -1, -1
         rows = []
@@ -193,6 +252,17 @@ class FieldSearch(_Search):
         super().__init__(s_basis, w_pairs, rho, N, m4, IntegralElement(field, (0,) * field.degree))
 
 
+def _cut(certificate, c, S_b):
+    """(q0, q1) with v^T S v = q0 + c' q1 at every sibling c' of the node at
+    coefficient c, for the certificate (q, v) of a block of S there."""
+    q, v = certificate
+    q1 = 0
+    for i, x in v:
+        for j, y in v:
+            q1 = q1 + x * y * S_b[i][j]
+    return q - c * q1, q1
+
+
 def scan_range(search, box: int, collect: bool):
     """Depth-first search of the coefficient box [-box, box]^rho.
 
@@ -201,9 +271,17 @@ def scan_range(search, box: int, collect: bool):
     vector is not a candidate.  Returns (best_delta, best_position, scanned,
     nodes, records): the maximal defect and the smallest position attaining
     it, the number of candidates decided (visited or pruned), the number of
-    search-tree nodes visited, and, when `collect` is set, the
+    search-tree nodes entered, and, when `collect` is set, the
     (position, coeffs, defect, form_rank) of every effective class in
     position order.
+
+    Siblings differ only in the coefficient c of their level, and S moves
+    with it by c * S_b.  When a tested block fails with a certificate
+    (q, v), v^T S v = q0 + c' q1 is linear in the sibling's coefficient c',
+    so every later sibling where it is negative is decided without an
+    elimination, its whole subtree with it; a cut sibling still counts as
+    a node entered.  Once the cut is not negative at some c' it is not
+    negative at any later one, so one cut per level suffices.
     """
     rho, N, order, tests = search.rho, search.N, search.order, search.tests
     sign, quotient = search.sign, search.quotient
@@ -216,38 +294,54 @@ def scan_range(search, box: int, collect: bool):
     ]
     S = [[search.zero] * N for _ in range(N)]
     coeffs = [0] * rho
+    ranks = [0] * len(search.components)  # final ranks along the path
     best = [-1, -1]
     counts = [0, 0]  # candidates decided, nodes visited
     records = []
 
     def descend(t, pos, zero_prefix):
         b = order[t]
+        S_b = search.s_basis[b]
         entries = search.entries[t]
         saved = [S[r][col] for r, col, _ in entries]
         leaf = t + 1 == rho
         blocks = tests[t]
+        decided = below[t]
+        cut = None
         for c, deltas in steps[t]:
+            counts[1] += 1
+            zero = zero_prefix and c == 0
+            if leaf and zero:
+                continue
+            if cut is not None and sign(cut[0] + c * cut[1]) < 0:
+                # every leaf below is decided, except the zero vector
+                counts[0] += decided - zero
+                continue
+            cut = None
             for (r, col, m), s in zip(deltas, saved):
                 S[r][col] = s + m
-            coeffs[b] = c
-            p = pos + (c + box) * weight[t]
-            zero = zero_prefix and c == 0
-            counts[1] += 1
-            if leaf:
-                if zero:
+            for idx, k in blocks:
+                rank, certificate = psd_rank(S, idx, sign, quotient)
+                if rank < 0:
+                    if certificate is not None:
+                        cut = _cut(certificate, c, S_b)
+                    counts[0] += decided - zero
+                    break
+                if k >= 0:
+                    ranks[k] = rank
+            else:
+                coeffs[b] = c
+                p = pos + (c + box) * weight[t]
+                if not leaf:
+                    descend(t + 1, p, zero)
                     continue
                 counts[0] += 1
-                effective, defect, form_rank = search.evaluate((coeffs, S))
+                effective, defect, form_rank = search.evaluate((coeffs, sum(ranks)))
                 if effective:
                     if defect > best[0] or (defect == best[0] and p < best[1]):
                         best[0], best[1] = defect, p
                     if collect:
                         records.append((p, tuple(coeffs), defect, form_rank))
-            elif any(psd_rank(S, idx, sign, quotient) < 0 for idx in blocks):
-                # every leaf below is decided, except the zero vector
-                counts[0] += below[t] - zero
-            else:
-                descend(t + 1, p, zero)
         for (r, col, _), s in zip(entries, saved):
             S[r][col] = s
 
@@ -266,9 +360,9 @@ def scan_vectors(search, vectors, base_position: int, collect: bool):
     best_pos = -1
     records = []
     for offset, coeffs in enumerate(vectors):
-        effective, defect, form_rank = search.evaluate(
-            (list(coeffs), search.symmetric(coeffs))
-        )
+        form_rank, _ = psd_rank(search.symmetric(coeffs), search.full, search.sign,
+                                search.quotient)
+        effective, defect, form_rank = search.evaluate((list(coeffs), form_rank))
         if effective:
             pos = base_position + offset
             if defect > best_delta:

@@ -95,7 +95,7 @@ def is_effective_class(A: ComplexTorus, E: AlternatingForm) -> bool:
         return False
     S = symmetric_part(A, E)
     kind = _search_class(A)
-    return _purekernels.psd_rank(S, range(len(S)), kind.sign, kind.quotient) >= 0
+    return _purekernels.psd_rank(S, range(len(S)), kind.sign, kind.quotient)[0] >= 0
 
 
 def radical(A: ComplexTorus, E: AlternatingForm) -> Sublattice:

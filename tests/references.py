@@ -79,12 +79,12 @@ def reference_wedge(u, v):
 
 
 @st.composite
-def elliptic_products(draw):
-    """Products of 2-3 elliptic curves over Q or over Q(2^(1/4))."""
+def elliptic_products(draw, max_count=3):
+    """Products of 2 to `max_count` elliptic curves over Q or over Q(2^(1/4))."""
     K = draw(st.sampled_from(["Q", "K"]))
     a = st.fractions(min_value=-1, max_value=1, max_denominator=3)
     scale = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)])
-    count = draw(st.integers(2, 3))
+    count = draw(st.integers(2, max_count))
     if K == "Q":
         curves = [elliptic(draw(a), draw(scale)) for _ in range(count)]
     else:

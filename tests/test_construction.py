@@ -8,13 +8,15 @@ replaces (references in `references.py`), and the CLI is run end to end on
 random torus documents.
 """
 
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lefdefect.checks import isogeny_spec_of
@@ -162,12 +164,12 @@ _IMAGINARY = {"Q": [(1,)], "K": [(1,), (0, 1), (0, 0, 1), (1, 1), (0, 0, 0, 1), 
 
 
 @st.composite
-def torus_documents(draw):
-    """Two-block torus documents over Q or Q(2^(1/4)), with or without the
-    blocks' fiber classes declared."""
-    field = draw(st.sampled_from(["Q", "K"]))
+def torus_documents(draw, count=2, fields=("Q", "K")):
+    """Torus documents of `count` blocks over Q or Q(2^(1/4)), with or
+    without the blocks' fiber classes declared."""
+    field = draw(st.sampled_from(fields))
     blocks = []
-    for i in range(2):
+    for i in range(count):
         a = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
         scale = draw(st.sampled_from([F(1), F(2), F(1, 2), F(3, 2), F(2, 3), F(3)]))
         beta = draw(st.sampled_from(_IMAGINARY[field]))
@@ -176,11 +178,20 @@ def torus_documents(draw):
     if field == "K":
         doc["field"] = QUARTIC_DOC
     if draw(st.booleans()):
-        doc["classes"] = [
-            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
-            [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
-        ]
+        size = 2 * count
+        doc["classes"] = []
+        for i in range(count):
+            fiber = [[0] * size for _ in range(size)]
+            fiber[2 * i][2 * i + 1], fiber[2 * i + 1][2 * i] = 1, -1
+            doc["classes"].append(fiber)
     return doc
+
+
+def write_document(tmp_path_factory, doc):
+    tmp = tmp_path_factory.mktemp("doc")
+    path = tmp / "torus.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path, tmp / "report.json"
 
 
 @settings(max_examples=30, deadline=None)
@@ -188,10 +199,25 @@ def torus_documents(draw):
 def test_cli_on_random_torus_documents(tmp_path_factory, doc):
     """`defect torus --box 1` exits 0 with the classifier's delta in its
     report, and `defect verify --checks voisin,kunneth` exits 0."""
-    tmp = tmp_path_factory.mktemp("doc")
-    path, report = tmp / "torus.json", tmp / "report.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path, report = write_document(tmp_path_factory, doc)
     expected = classify(isogeny_spec_of(load_document(path).torus)).delta
     assert main(["torus", str(path), "--box", "1", "--out", str(report)]) == 0
     assert json.loads(report.read_text(encoding="utf-8"))["delta"] == expected
     assert main(["verify", str(path), "--checks", "voisin,kunneth"]) == 0
+
+
+@settings(max_examples=8, deadline=None)
+@given(doc=torus_documents(count=3, fields=("K",)))
+def test_cli_on_three_block_documents(tmp_path_factory, doc):
+    """Three curves over Q(2^(1/4)) from at least two isogeny classes:
+    `defect torus --box 1` exits 0 with the classifier's delta in its
+    report, and `defect verify` with the Lefschetz check exits 0."""
+    path, report = write_document(tmp_path_factory, doc)
+    spec = isogeny_spec_of(load_document(path).torus)
+    assume(len(spec.factors) >= 2)
+    assert main(["torus", str(path), "--box", "1", "--out", str(report)]) == 0
+    assert json.loads(report.read_text(encoding="utf-8"))["delta"] == classify(spec).delta
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", str(path), "--checks", "voisin,kunneth,lefschetz"]) == 0
+    assert "lefschetz: pass" in out.getvalue()

@@ -123,7 +123,7 @@ class TestRadicalIitaka:
         B = quotient(square, W)
         induced = induced_quotient_class(square, f2, W)
         S = symmetric_part(B, induced)
-        rank = _purekernels.psd_rank(
+        rank, _ = _purekernels.psd_rank(
             S, range(len(S)), _purekernels.int_sign, _purekernels.int_quotient
         )
         assert rank == 2 * B.n

@@ -7,7 +7,12 @@ over a number field).  For a PSD matrix the rank is the size of its largest
 nonsingular principal block, so the same minors give the form rank.  The
 search stores number-field entries in Z[alpha] (`IntegralElement`); the
 reference converts them exactly back to `AlgebraicReal`s, and the Z[alpha]
-product, quotient and sign are compared with the field's own.
+product, quotient and sign are compared with the field's own.  The search
+tree is compared too: its node count with the count by definition (every
+child of a prefix whose fixed principal blocks are all PSD), and its test
+plan with the maximal principal blocks, per connected component of the S_b,
+that become fixed at each depth.  `psd_rank`'s failure certificates are
+checked against v^T M v computed directly.
 
 The structured candidates are compared with a reference that builds every
 candidate as a form: the fiber forms with their Hodge test, their subset
@@ -36,6 +41,7 @@ from lefdefect.cohomology import poincare_dual
 from lefdefect.effectivity import (
     _SearchData,
     _structured_candidate_vectors,
+    defect_survey,
     is_effective_class,
     torus_defect,
 )
@@ -142,6 +148,86 @@ def reference_scan(s_basis, w_pairs, box):
     return best[0], best[1], scanned, records
 
 
+def fixed_after(s_basis, order):
+    """last[r][c]: the depth (1-based position in `order`) of the last S_b
+    with a nonzero entry (r, c); 0 when every S_b is zero there."""
+    N = len(s_basis[0])
+    last = [[0] * N for _ in range(N)]
+    for depth, b in enumerate(order, 1):
+        for r in range(N):
+            for c in range(N):
+                if s_basis[b][r][c] != 0:
+                    last[r][c] = depth
+    return last
+
+
+def reference_nodes(s_basis, order, box):
+    """Search-tree nodes by their definition: every child of a live prefix
+    of coefficients (in `order`) is entered, and a prefix of length d is
+    live when every principal block of S whose entries are all fixed by
+    depth d is positive semidefinite (all principal minors >= 0)."""
+    rho, N = len(s_basis), len(s_basis[0])
+    last = fixed_after(s_basis, order)
+    subsets = [I for k in range(1, N + 1) for I in itertools.combinations(range(N), k)]
+    maximal = []
+    for d in range(rho):
+        fixed = [I for I in subsets if all(last[r][c] <= d for r in I for c in I)]
+        maximal.append([I for I in fixed if not any(set(I) < set(J) for J in fixed)])
+    nodes = 0
+
+    def visit(prefix):
+        nonlocal nodes
+        d = len(prefix)
+        if d == rho:
+            return
+        if d:
+            S = [[sum(c * s_basis[b][r][k] for c, b in zip(prefix, order)) for k in range(N)]
+                 for r in range(N)]
+            if any(reference_psd_rank([[S[r][k] for k in I] for r in I]) < 0 for I in maximal[d]):
+                return
+        for c in range(-box, box + 1):
+            nodes += 1
+            visit(prefix + (c,))
+
+    visit(())
+    return nodes
+
+
+def reference_plan(s_basis, order):
+    """Per depth, the (block, component) pairs the search should test: the
+    components are the connected components of the joint nonzero pattern of
+    the S_b; within each, the maximal principal blocks whose entries are all
+    fixed by that depth, some entry only just; the component's number goes
+    with a block that is the whole component, else -1."""
+    rho, N = len(s_basis), len(s_basis[0])
+    last = fixed_after(s_basis, order)
+    linked = [[any(m[r][c] != 0 for m in s_basis) for c in range(N)] for r in range(N)]
+    components, placed = [], set()
+    for start in range(N):
+        if start in placed:
+            continue
+        members, frontier = {start}, [start]
+        while frontier:
+            r = frontier.pop()
+            for c in range(N):
+                if linked[r][c] and c not in members:
+                    members.add(c)
+                    frontier.append(c)
+        placed |= members
+        components.append(tuple(sorted(members)))
+    plan = []
+    for depth in range(1, rho + 1):
+        tests = set()
+        for k, K in enumerate(components):
+            level = {I: max(last[r][c] for r in I for c in I)
+                     for size in range(1, len(K) + 1) for I in itertools.combinations(K, size)}
+            for I, at in level.items():
+                if at == depth and not any(set(I) < set(J) and level[J] <= depth for J in level):
+                    tests.add((I, k if I == K else -1))
+        plan.append(tests)
+    return sorted(components), plan
+
+
 def as_algebraic(M):
     """A matrix with its Z[alpha] entries converted exactly to AlgebraicReals."""
     return [[x.field.element(x.coeffs) if isinstance(x, IntegralElement) else x for x in row]
@@ -166,23 +252,36 @@ def test_search_matches_reference_on_corpus(corpus, name, box):
 
 @st.composite
 def synthetic_search(draw):
-    """Random symmetric integer S_b with random zero patterns, random w."""
+    """Random symmetric integer S_b with random zero patterns, random w.
+
+    Half the draws give every S_b the same block-diagonal pattern of 2-3
+    components on N <= 6 indices (as on a product of non-isogenous factors),
+    and the boxes go up to 3 for rho <= 3, so sibling runs are long enough
+    for cuts to fire at every level.
+    """
     rho = draw(st.integers(1, 4))
-    N = draw(st.integers(1, 4))
-    m4 = draw(st.integers(1, 5))
     rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        N = draw(st.integers(2, 6))
+        parts = draw(st.integers(2, min(3, N)))
+        component = list(range(parts)) + [rng.randrange(parts) for _ in range(N - parts)]
+        rng.shuffle(component)
+    else:
+        N = draw(st.integers(1, 4))
+        component = [0] * N
+    m4 = draw(st.integers(1, 5))
     s_basis = []
     for _ in range(rho):
         density = rng.choice((0.2, 0.5, 1.0))
         m = [[0] * N for _ in range(N)]
         for i in range(N):
             for j in range(i, N):
-                if rng.random() < density:
+                if component[i] == component[j] and rng.random() < density:
                     m[i][j] = m[j][i] = rng.randint(-3, 3)
         s_basis.append(m)
     w_pairs = [[[rng.randint(-2, 2) for _ in range(m4)] for _ in range(rho)]
                for _ in range(rho)]
-    box = 1 if rho == 4 else draw(st.integers(1, 2))
+    box = 1 if rho == 4 else draw(st.integers(1, 3))
     return _purekernels.IntSearch(s_basis, w_pairs, rho, N, m4), box
 
 
@@ -191,6 +290,45 @@ def synthetic_search(draw):
 def test_search_matches_reference_on_synthetic_data(case):
     search, box = case
     assert_search_matches_reference(search, box)
+    components, plan = reference_plan(search.s_basis, search.order)
+    assert search.components == components
+    assert [set(tests) for tests in search.tests] == plan
+    nodes = _purekernels.scan_range(search, box, False)[3]
+    assert nodes == reference_nodes(search.s_basis, search.order, box)
+
+
+@settings(max_examples=12, deadline=None)
+@given(elliptic_products(max_count=2), st.integers(0, 2**32))
+def test_search_matches_reference_on_random_products(A, seed):
+    """Pairs over Q and Q(2^(1/4)), on the declared basis (one component per
+    isogeny class) and on a basis that mixes the blocks.  Triples, whose
+    reference minors are slow over the field, are the corpus cases."""
+    search = _SearchData(A).search
+    box = 2 if search.rho <= 2 else 1
+    assert_search_matches_reference(search, box)
+    assert_search_matches_reference(_SearchData(rebased(A, random.Random(seed))).search, box)
+
+
+def test_patched_evaluate_sees_exactly_the_effective_records(corpus, monkeypatch):
+    """The benchmark's tracer counts effective candidates by patching
+    `evaluate` on `IntSearch` and `FieldSearch`: every effective class a
+    survey records, from the box and from the structured extras, must pass
+    through `evaluate` with a True verdict, and no other leaf may."""
+    seen = []
+    for cls in (_purekernels.IntSearch, _purekernels.FieldSearch):
+        def counted(search, leaf, original=cls.evaluate):
+            verdict = original(search, leaf)
+            if verdict[0]:
+                seen.append(tuple(leaf[0]))
+            return verdict
+        monkeypatch.setattr(cls, "evaluate", counted)
+    pair = product([elliptic(Fraction(1, 2), 2), elliptic(Fraction(-1, 3), Fraction(3, 2))])
+    for A, box in ((pair, 3), (corpus["ei_x_e2i"], 2), (corpus["triple"], 1),
+                   (corpus["ei2_x_nocm"], 1)):
+        seen.clear()
+        _, records = defect_survey(A, box=box)
+        assert records
+        assert sorted(seen) == sorted(r.coefficients for r in records)
 
 
 def test_structured_vectors_match_reference(corpus):
@@ -234,21 +372,21 @@ def test_psd_rank_over_q(seed):
     for _ in range(60):
         n = rng.randint(1, 5)
         M = _symmetric(rng, n, small)
-        got = _purekernels.psd_rank(M, range(n), _purekernels.int_sign, _purekernels.int_quotient)
+        got, _ = _purekernels.psd_rank(M, range(n), _purekernels.int_sign, _purekernels.int_quotient)
         assert got == reference_psd_rank(M)
         if got >= 0:
             assert got == _purekernels.rank_int(M)
         G, B = _gram(rng, n, [rng.randint(1, 4) for _ in range(rng.randint(1, n))], small)
-        got = _purekernels.psd_rank(G, range(n), _purekernels.int_sign, _purekernels.int_quotient)
+        got, _ = _purekernels.psd_rank(G, range(n), _purekernels.int_sign, _purekernels.int_quotient)
         assert got == reference_psd_rank(G) == _purekernels.rank_int(B) == _purekernels.rank_int(G)
         idx = sorted(rng.sample(range(n), rng.randint(1, n)))
         block = [[G[i][j] for j in idx] for i in idx]
-        got = _purekernels.psd_rank(G, idx, _purekernels.int_sign, _purekernels.int_quotient)
+        got, _ = _purekernels.psd_rank(G, idx, _purekernels.int_sign, _purekernels.int_quotient)
         assert got == reference_psd_rank(block) == _purekernels.rank_int(block)
 
 
 def integral_psd_rank(M):
-    return _purekernels.psd_rank(M, range(len(M)), integral_sign, integral_quotient)
+    return _purekernels.psd_rank(M, range(len(M)), integral_sign, integral_quotient)[0]
 
 
 # Z[alpha] arithmetic against AlgebraicReal / nf_sign.  The cubic
@@ -346,11 +484,65 @@ def test_integral_quotient_by_zero_divisor_raises():
         integral_quotient(IntegralElement(K, (1, 1)))
 
 
+def assert_certificates_hold(M, sign, quotient, rng, zero):
+    """psd_rank on M and on a random principal block: a certificate comes
+    only with rank -1, has at most 2 entries, all in the block, and its q is
+    v^T M v < 0.  Returns the number of certificates seen."""
+    n = len(M)
+    seen = 0
+    for idx in (range(n), sorted(rng.sample(range(n), rng.randint(1, n)))):
+        rank, certificate = _purekernels.psd_rank(M, idx, sign, quotient)
+        if certificate is None:
+            continue
+        assert rank == -1
+        q, v = certificate
+        assert 1 <= len(v) <= 2 and {i for i, _ in v} <= set(idx)
+        assert len({i for i, _ in v}) == len(v)
+        brute = zero
+        for i, x in v:
+            for j, y in v:
+                brute = brute + x * y * M[i][j]
+        assert q == brute
+        assert sign(q) < 0
+        seen += 1
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_psd_rank_certificates_over_q(seed):
+    rng = random.Random(seed)
+    small = lambda r: r.choice((0, 1, 1, 2, -1, 3, -3))
+    seen = 0
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        M = _symmetric(rng, n, small)
+        for i in range(n):  # mostly positive diagonals: failures after a pivot too
+            M[i][i] = abs(M[i][i]) if rng.random() < 0.8 else M[i][i]
+        seen += assert_certificates_hold(M, _purekernels.int_sign, _purekernels.int_quotient,
+                                         rng, 0)
+    assert seen > 40
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_psd_rank_certificates_on_integral_matrices(name):
+    rng = random.Random(name)
+    K = RealNumberField(*FIELDS[name])
+    d = K.degree
+    entry = lambda r: IntegralElement(K, tuple(r.choice((0, 0, 1, -1, 2)) for _ in range(d)))
+    zero = IntegralElement(K, (0,) * d)
+    seen = 0
+    for _ in range(25):
+        M = _symmetric(rng, rng.randint(1, 4), entry)
+        seen += assert_certificates_hold(M, integral_sign, integral_quotient, rng, zero)
+    assert seen > 10
+
+
 def test_psd_rank_rejects_zero_diagonal_with_coupling():
     M = [[0, 1], [1, 0]]
-    assert _purekernels.psd_rank(M, range(2), _purekernels.int_sign, _purekernels.int_quotient) == -1
+    assert _purekernels.psd_rank(M, range(2), _purekernels.int_sign,
+                                 _purekernels.int_quotient) == (-1, None)
     assert _purekernels.psd_rank([[0, 0], [0, 0]], range(2), _purekernels.int_sign,
-                                 _purekernels.int_quotient) == 0
+                                 _purekernels.int_quotient) == (0, None)
 
 
 def test_ei4_box1_reaches_2k_minus_1():

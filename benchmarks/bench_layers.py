@@ -24,7 +24,11 @@ Q(2^(1/4))) it times, each as the best of `--repeat` runs:
   basis that `defect_of_class` eliminates) on fresh copies of every
   effective form, and
 * `check_voisin`, the restriction and Poincare-dual kernels on every
-  corank-2 coordinate sublattice, and
+  corank-2 coordinate sublattice,
+* `structured_candidates`: the search's structured candidate vectors
+  (`_structured_candidate_vectors`, on search data whose NS basis is
+  already built), and `ns_coordinates` on fresh copies of the fiber forms,
+  and
 * three micro-benchmarks of the search's scalar layers: `integral_sign`
   and `nf_sign` on every nonzero entry of the sample forms' symmetric parts
   (as `IntegralElement`s and as `AlgebraicReal`s), `psd_rank` on those
@@ -33,9 +37,10 @@ Q(2^(1/4))) it times, each as the best of `--repeat` runs:
 Counts (Picard number, Hom ranks summed, effective forms, nonzero radicals,
 the quotients' Picard numbers summed, the Iitaka dimensions and defects
 summed, the radical ranks and NS cup-matrix ranks summed, the Voisin
-verdict, the document's Picard number, the entry signs summed and the
-`psd_rank` values summed) are recorded next to the times, so two checkouts
-can be checked for equal answers.  Results go to
+verdict, the document's Picard number, the entry signs summed, the
+`psd_rank` values summed, the number of structured candidate vectors and
+the number of fiber forms that are NS classes) are recorded next to the
+times, so two checkouts can be checked for equal answers.  Results go to
 BENCH_layers.json next to this script as one run under `--label`, replacing
 an earlier run with the same label, so runs of two checkouts sit side by side.
 
@@ -58,7 +63,9 @@ from lefdefect.checks import check_voisin
 from lefdefect.cohomology import defect_of_class, ns_cup_matrix
 from lefdefect.exactmath import IntegralElement, format_rational, integral_sign, nf_sign, rank
 from lefdefect.effectivity import (
+    _SearchData,
     _search_class,
+    _structured_candidate_vectors,
     divisor_case_data,
     is_effective_class,
     radical,
@@ -72,6 +79,7 @@ from lefdefect.torus import (
     fiber_pairs,
     hom_rank,
     ns_basis,
+    ns_coordinates,
     ns_rank,
     quotient,
     subtorus,
@@ -172,6 +180,12 @@ def measure(build, repeat):
         lambda fresh: [ns_cup_matrix(A, E) for E in fresh],
         lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
     voisin, voisin_s = best_time(lambda _: check_voisin(A), lambda: None, repeat)
+    data = _SearchData(A)
+    structured, structured_s = best_time(
+        lambda d: _structured_candidate_vectors(A, d), lambda: data, repeat)
+    fiber_coords, coords_s = best_time(
+        lambda fresh: [ns_coordinates(A, E) for E in fresh],
+        lambda: [AlternatingForm(A, m) for m in fiber_forms(A)], repeat)
     kind = _search_class(A)
     parts = [symmetric_part(A, AlternatingForm(A, m)) for m in forms]
     pad = (0,) * (A.field.degree - 1)
@@ -202,6 +216,8 @@ def measure(build, repeat):
         "document_rho": ns_rank(doc.torus),
         "sign_sum": int_sign_sum,
         "psd_rank_sum": psd,
+        "structured_vectors": len(structured),
+        "fiber_ns_classes": sum(c is not None for c in fiber_coords),
         "seconds": {
             "elliptic": round(elliptic_s, 5),
             "build": round(build_s, 5),
@@ -216,6 +232,8 @@ def measure(build, repeat):
             "radical": round(radical_s, 5),
             "ns_cup_matrix": round(cup_s, 5),
             "check_voisin": round(voisin_s, 5),
+            "structured_candidates": round(structured_s, 5),
+            "ns_coordinates": round(coords_s, 5),
             "integral_sign": round(integral_sign_s, 5),
             "nf_sign": round(nf_sign_s, 5),
             "psd_rank": round(psd_s, 5),
@@ -235,7 +253,7 @@ def main():
     columns = ("elliptic", "build", "load_document", "ns_basis", "hom_rank",
                "is_effective_class", "subtorus", "quotient", "divisor_case_data",
                "defect_of_class", "radical", "ns_cup_matrix", "check_voisin",
-               "integral_sign", "nf_sign", "psd_rank", "rank")
+               "structured_candidates", "ns_coordinates", "integral_sign", "nf_sign", "psd_rank", "rank")
     print(f"{'torus':<12} {'rho':>4} " + " ".join(f"{c[:9]:>9}" for c in columns))
     for name, build, _ in CASES:
         torus = name.split(",")[0]

@@ -185,6 +185,8 @@ def cmd_verify(args) -> int:
     if doc.kind != "torus":
         raise SchemaError("$.kind", "verify expects a torus document")
     names = [name.strip() for name in args.checks.split(",") if name.strip()]
+    if not names:
+        raise SchemaError("--checks", f"name at least one check from {CHECK_NAMES}")
     for name in names:
         if name not in CHECK_NAMES:
             raise SchemaError("--checks", f"unknown check {name!r}; choose from {CHECK_NAMES}")

@@ -14,7 +14,8 @@ candidate set that is scanned regardless of the box.  On a declared product
 these are the sums of the blocks' fiber classes over nonempty subsets of
 blocks, when every fiber is an NS class, and the fiber classes of the
 elliptic blocks, which up to sign are the Poincare duals of the corank-2
-coordinate-factor sublattices; all come from one NS solve per block.  The box
+coordinate-factor sublattices; all come from reading each block's fiber
+class off the NS basis once (`ns_coordinates`, no elimination).  The box
 is covered by a pruned depth-first search (see `_purekernels`):
 `classes_scanned` counts every box candidate it decides, visited or pruned,
 and `nodes_visited` the search-tree nodes it actually enters.
@@ -39,7 +40,7 @@ from typing import Optional
 from . import _purekernels
 from .cohomology import wedge_basis, wedge_coords
 from .errors import ConsistencyError, NotHodgeClass
-from .exactmath import kernel_basis, primitive_integer_vector, rank, solve
+from .exactmath import kernel_basis, primitive_integer_vector, rank
 from .torus import (
     AlternatingForm,
     ComplexTorus,
@@ -49,6 +50,7 @@ from .torus import (
     fiber_pairs,
     hom_rank,
     ns_basis,
+    ns_coordinates,
     ns_rank,
     quotient,
     subtorus,
@@ -222,22 +224,21 @@ def _structured_candidate_vectors(A: ComplexTorus, data: _SearchData):
     form).  Both signs are offered and the effectivity filter keeps the
     right one.
 
-    Each block's fiber form is solved for once over the NS basis.  The basis
-    spans the J-compatible forms over Q, so a failed solve is exactly a
-    fiber that is not a Hodge class; subset sums add coordinate vectors.
+    Each block's fiber form, built on its integer pair coordinates, is read
+    off the NS basis once by `ns_coordinates`.  The basis spans the
+    J-compatible forms over Q, so a fiber without coordinates is exactly
+    one that is not a Hodge class; subset sums add coordinate vectors.
     """
     pairs = fiber_pairs(A)
     if pairs is None:
         return []
     index = {pair: k for k, pair in enumerate(combinations(range(data.N), 2))}
-    cols = [b.pair_coords() for b in data.basis]
-    matrix = [[col[k] for col in cols] for k in range(len(index))]
     fibers = []
     for block in pairs:
-        rhs = [0] * len(index)
+        x = [0] * len(index)
         for pair in block:
-            rhs[index[pair]] = 1
-        fibers.append(solve(matrix, rhs))
+            x[index[pair]] = 1
+        fibers.append(ns_coordinates(A, AlternatingForm._from_pair_num(A, 1, x)))
     coords = []
     if None not in fibers:
         for size in range(1, len(fibers) + 1):

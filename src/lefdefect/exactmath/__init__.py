@@ -4,18 +4,15 @@ from .lattice import (
     complement_data,
     integer_kernel_basis,
     is_saturated,
-    lattice_index,
     saturate,
     smith_normal_form,
 )
 from .linalg import (
-    KMatrix,
     QMatrix,
     kernel_basis,
     primitive_integer_vector,
     rank,
     restrict_scalars,
-    solve,
 )
 from .numberfield import (
     AlgebraicReal,
@@ -34,7 +31,6 @@ from .numberfield import (
 __all__ = [
     "AlgebraicReal",
     "IntegralElement",
-    "KMatrix",
     "QMatrix",
     "Rational",
     "RealNumberField",
@@ -46,7 +42,6 @@ __all__ = [
     "integral_sign",
     "is_saturated",
     "kernel_basis",
-    "lattice_index",
     "nf_sign",
     "norm_adjugate",
     "parse_rational",

@@ -9,9 +9,7 @@ the (torsion-free) quotient.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import QMatrix, kernel_basis
+from .linalg import kernel_basis
 
 
 def _identity(n):
@@ -225,28 +223,6 @@ def complement_data(columns, ambient_rank: int):
     P = [U[i][:] for i in range(r, N)]
     S = [[Uinv[i][j] for j in range(r, N)] for i in range(N)]
     return P, S
-
-
-def lattice_index(columns, saturated_columns) -> int:
-    """Index of span_Z(columns) inside span_Z(saturated_columns)."""
-    if not columns:
-        return 1
-    N = len(columns[0])
-    coords = []
-    sat_matrix = QMatrix([[Fraction(saturated_columns[j][i]) for j in range(len(saturated_columns))] for i in range(N)])
-    from .linalg import solve
-
-    for c in columns:
-        x = solve(sat_matrix, [Fraction(v) for v in c])
-        if x is None:
-            raise ValueError("columns not inside the saturated lattice")
-        coords.append([int(v) for v in x])
-    rows = [[coords[j][i] for j in range(len(coords))] for i in range(len(coords[0]))]
-    diag, _, _, _ = smith_normal_form(rows)
-    idx = 1
-    for d in diag:
-        idx *= abs(d) if d else 0
-    return idx
 
 
 def integer_kernel_basis(matrix) -> list:

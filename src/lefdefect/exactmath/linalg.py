@@ -6,7 +6,8 @@ minors of the input instead of letting fractions compound.  A system with
 number-field entries can be handled by restriction of scalars: a K-linear
 condition on a rational vector splits into `degree` rational conditions, one
 per power-basis coordinate.  The torus code needs no such systems, because
-it splits J into integer power-basis components once per torus.
+it works on J's integer power-basis components; a J given as rows is split
+into them by exactly this restriction.
 """
 
 from __future__ import annotations
@@ -68,47 +69,6 @@ class QMatrix:
 
     def __repr__(self):
         return f"QMatrix({self.nrows}x{self.ncols})"
-
-
-class KMatrix:
-    """Immutable matrix over a real number field: a complex structure J as
-    given, before `ComplexTorus` splits it into integer power-basis parts."""
-
-    __slots__ = ("field", "rows", "nrows", "ncols")
-
-    def __init__(self, field: RealNumberField, rows):
-        lifted = []
-        for row in rows:
-            out = []
-            for x in row:
-                if isinstance(x, AlgebraicReal):
-                    if x.field != field:
-                        raise ValueError("mixed number fields")
-                    out.append(x)
-                else:
-                    out.append(field.from_rational(x))
-            lifted.append(tuple(out))
-        rows = tuple(lifted)
-        if not rows or not rows[0]:
-            raise ValueError("matrix dimensions must be positive")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("matrix must be rectangular")
-        self.field = field
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = ncols
-
-    def __eq__(self, other):
-        if not isinstance(other, KMatrix):
-            return NotImplemented
-        return self.field == other.field and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.field, self.rows))
-
-    def __repr__(self):
-        return f"KMatrix({self.nrows}x{self.ncols} over degree {self.field.degree})"
 
 
 # ---------------------------------------------------------------------------
@@ -221,55 +181,26 @@ def kernel_basis(matrix):
     return basis
 
 
-def solve(matrix, rhs):
-    """One rational solution of M x = b, or None if inconsistent.
-
-    Plain Gaussian elimination over Q; used for small coordinate systems, not
-    hot paths.
-    """
-    rows = matrix.rows if isinstance(matrix, QMatrix) else matrix
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    nrows = len(aug)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = _ONE / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [_ZERO] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][ncols]
-    return tuple(sol)
-
-
-def restrict_scalars(matrix: KMatrix) -> QMatrix:
+def restrict_scalars(field: RealNumberField, rows) -> QMatrix:
     """Rational matrix with the same kernel on rational vectors.
 
-    For a rational vector v, (M v)_i has `degree` power-basis coordinates,
-    each a rational linear form in v; stacking those coordinate blocks gives
-    a (degree * nrows) x ncols rational matrix.
+    The rows hold `AlgebraicReal`s of `field` or rationals.  For a rational
+    vector v, (M v)_i has `degree` power-basis coordinates, each a rational
+    linear form in v; stacking those coordinate blocks (all rows for
+    alpha^0, then all rows for alpha^1, ...) gives a (degree * nrows) x
+    ncols rational matrix.
     """
-    d = matrix.field.degree
-    blocks = []
-    for k in range(d):
-        for row in matrix.rows:
-            blocks.append([x.coeffs[k] for x in row])
-    return QMatrix(blocks)
+    coeffs = []
+    for row in rows:
+        out = []
+        for x in row:
+            if not isinstance(x, AlgebraicReal):
+                x = field.from_rational(x)
+            elif x.field != field:
+                raise ValueError("mixed number fields")
+            out.append(x.coeffs)
+        coeffs.append(out)
+    return QMatrix([[c[k] for c in row] for k in range(field.degree) for row in coeffs])
 
 
 def primitive_integer_vector(vec):

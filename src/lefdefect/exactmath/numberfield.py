@@ -77,16 +77,6 @@ def poly_degree(c) -> int:
     return len(c) - 1
 
 
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return poly_trim(out)
-
-
 def poly_sub(a, b):
     n = max(len(a), len(b))
     out = [_ZERO] * n

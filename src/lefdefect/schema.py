@@ -166,6 +166,7 @@ def _parse_torus(data: dict) -> SpecDocument:
             f"at most {field_obj.degree} coefficients for this field",
         )
         label = entry.get("label", f"E{i + 1}")
+        _expect(isinstance(label, str) and label, f"{path}.label", "nonempty string required")
         try:
             curves.append(elliptic(a, field_obj.element(coeffs), label=label))
         except (ValueError, ZeroDivisionError) as exc:

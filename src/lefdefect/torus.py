@@ -6,7 +6,7 @@ a fixed real number field and J^2 = -I exactly.  A torus *is* its integer J
 data: with J = sum_k alpha^k J_k on the power basis and D the least common
 denominator of the J_k, it stores D and the integer matrices D*J_k (only
 D*J_0 when J is rational), and equality and hashing use them.  A J given
-as a field matrix (one passed to `ComplexTorus`) is split once; a curve's
+as rows (one passed to `ComplexTorus`) is split once; a curve's
 parts come straight from the integer inverse of its imaginary part in
 Z[alpha] (`elliptic`), products concatenate the blocks' parts and
 quotients are P*(D*J_k)*S for the Smith projection P and section S, so no
@@ -30,16 +30,14 @@ from .errors import ConsistencyError, NotHodgeClass
 from .exactmath import (
     AlgebraicReal,
     IntegralElement,
-    KMatrix,
-    QMatrix,
     RealNumberField,
     complement_data,
     integral_sign,
     kernel_basis,
     norm_adjugate,
     primitive_integer_vector,
+    restrict_scalars,
     saturate,
-    solve,
 )
 from .exactmath.linalg import bareiss_echelon
 
@@ -69,13 +67,21 @@ def _is_symmetric(m) -> bool:
     return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i + 1, len(m)))
 
 
-def _split_j(J: KMatrix):
+def _split_j(field: RealNumberField, J):
     """(D, [D*J_k]) for J = sum_k alpha^k J_k on the power basis, D the
     common denominator of the J_k: one integer matrix per power of alpha.
-    The one place a field matrix J is split into components."""
-    parts = [[[x.coeffs[k] for x in row] for row in J.rows] for k in range(J.field.degree)]
-    den = lcm(*(x.denominator for Jk in parts for row in Jk for x in row))
-    return den, [[[int(x * den) for x in row] for row in Jk] for Jk in parts]
+
+    J is given as rows of `AlgebraicReal`s of `field` or rationals; this
+    is the one place such rows are read.  The J_k are the row blocks of
+    J's restriction of scalars.
+    """
+    stacked = restrict_scalars(field, J)
+    size = len(stacked.rows) // field.degree
+    if stacked.ncols != size or size % 2:
+        raise ValueError("J must be square of even positive size")
+    den = lcm(*(x.denominator for row in stacked.rows for x in row))
+    rows = [[int(x * den) for x in row] for row in stacked.rows]
+    return den, [rows[k * size:(k + 1) * size] for k in range(field.degree)]
 
 
 def _canonical(den, parts):
@@ -133,18 +139,15 @@ class ComplexTorus:
     rational.  Equality and hashing use (field, j_den, j_parts).  Every J
     computation reads these parts; J^2 = -I is certified on them as
     (D*J)^2 = -D^2 I in Z[alpha], for every torus.  `ComplexTorus(field,
-    J)` splits a field matrix J once; `elliptic`, `product` and `quotient`
-    build their tori from parts.  Instances are immutable; derived data
+    J)` splits J, given as rows of `AlgebraicReal`s of `field` or
+    rationals, once; `elliptic`, `product` and `quotient` build their tori
+    from parts.  Instances are immutable; derived data
     (the NS basis) is cached on the instance, which is safe because
     recomputation is idempotent.
     """
 
-    def __init__(self, field: RealNumberField, J: KMatrix, factors=None, label=None):
-        if J.nrows != J.ncols or J.nrows % 2 != 0 or J.nrows == 0:
-            raise ValueError("J must be square of even positive size")
-        if J.field != field:
-            raise ValueError("field mismatch")
-        self._init(field, *_split_j(J), factors, label)
+    def __init__(self, field: RealNumberField, J, factors=None, label=None):
+        self._init(field, *_split_j(field, J), factors, label)
 
     @classmethod
     def _from_parts(cls, field, den, parts, factors=None, label=None) -> "ComplexTorus":
@@ -181,10 +184,6 @@ class ComplexTorus:
             [IntegralElement(self.field, tuple(p[r][c] for p in parts)) for c in range(size)]
             for r in range(size)
         ]
-
-    @property
-    def lattice_rank(self) -> int:
-        return 2 * self.n
 
     @property
     def labels(self):
@@ -539,13 +538,33 @@ def ns_rank(A: ComplexTorus) -> int:
 
 
 def ns_coordinates(A: ComplexTorus, form: AlternatingForm):
-    """Coordinates of a form over ns_basis(A), or None if not an NS class."""
-    basis = ns_basis(A)
-    if not basis:
+    """Coordinates of a form over ns_basis(A), or None if not an NS class.
+
+    The basis forms are `kernel_basis`'s canonical echelon vectors, scaled
+    to primitive integers: each b_k has a free pair slot f_k, its last
+    nonzero entry, where b_k[f_k] > 0 and every other basis form is 0.  So
+    a form with pair coordinates x over den can only be sum_k c_k b_k with
+    c_k = x[f_k] / (den b_k[f_k]), and it is exactly when
+    L x = sum_k t_k b_k for t_k = x[f_k] (L / b_k[f_k]), L the lcm of the
+    b_k[f_k]: one check on integers, without an elimination.
+    """
+    if A._ns_cache is None:  # read the cached basis, built once by ns_basis
+        ns_basis(A)
+    x = form.pair_num()
+    pairs = [b.pair_num() for b in A._ns_cache]
+    slots = [max(i for i, v in enumerate(p) if v) for p in pairs]
+    pivots = [p[f] for p, f in zip(pairs, slots)]
+    scale = lcm(*pivots)
+    rest = [scale * v for v in x]
+    for p, f, v in zip(pairs, slots, pivots):
+        t = x[f] * (scale // v)
+        if t:
+            for i, y in enumerate(p):
+                if y:
+                    rest[i] -= t * y
+    if any(rest):
         return None
-    cols = [b.pair_coords() for b in basis]
-    matrix = QMatrix([[col[k] for col in cols] for k in range(len(cols[0]))])
-    return solve(matrix, form.pair_coords())
+    return tuple(Fraction(x[f], form.den * v) for f, v in zip(slots, pivots))
 
 
 class Sublattice:
@@ -583,14 +602,6 @@ class Sublattice:
     @property
     def section(self):
         return self._complement()[1]
-
-    def contains_vector(self, vec) -> bool:
-        if not self.basis:
-            return all(x == 0 for x in vec)
-        matrix = QMatrix(
-            [[Fraction(self.basis[j][i]) for j in range(len(self.basis))] for i in range(len(vec))]
-        )
-        return solve(matrix, [Fraction(x) for x in vec]) is not None
 
     def __eq__(self, other):
         if not isinstance(other, Sublattice):

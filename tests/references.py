@@ -1,10 +1,15 @@
-"""Field-level views of a torus and shared inputs for the differential tests.
+"""Field-level views of a torus, reference linear algebra and shared inputs
+for the differential tests.
 
 A torus stores only its integer J data (D and the D * J_k); `field_j`
-(and `parts_matrix` for raw parts) rebuilds J as a field matrix and
-`field_product` multiplies field matrices entry by entry, as the package did
+(and `parts_matrix` for raw parts) rebuilds J as rows of field elements and
+`field_product` multiplies such rows entry by entry, as the package did
 before it moved onto the integer data; `dense_matmul` is the integer matrix
 product without zero skipping.
+`solve` is plain Gauss-Jordan elimination over `Fraction`s, and
+`lattice_index` the index of a lattice in its saturation from one `solve`
+per column and a Smith normal form; the package reads NS coordinates off
+the echelon NS basis instead.
 `reference_wedge` is the cup product as a loop over all subset pairs on
 `Fraction` coordinates, as it was before the cached table.
 `elliptic_products` draws product tori and `rebased` moves a torus to a
@@ -17,44 +22,109 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from lefdefect.cohomology import ExteriorClass, wedge_basis, wedge_index
-from lefdefect.exactmath import KMatrix, QMatrix, RealNumberField
-from lefdefect.torus import ComplexTorus, elliptic, product
+from lefdefect.exactmath import AlgebraicReal, QMatrix, RealNumberField, smith_normal_form
+from lefdefect.torus import ComplexTorus, elliptic, ns_basis, product
 
 
-def parts_matrix(field, den, parts) -> KMatrix:
-    """sum_k alpha^k parts[k] / den as a field matrix."""
+def solve(matrix, rhs):
+    """One rational solution of M x = b, or None if inconsistent (M a
+    `QMatrix` or rows of rationals)."""
+    rows = matrix.rows if isinstance(matrix, QMatrix) else matrix
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    nrows = len(aug)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if aug[i][ncols] != 0:
+            return None
+    sol = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        sol[c] = aug[i][ncols]
+    return tuple(sol)
+
+
+def lattice_index(columns, saturated_columns) -> int:
+    """Index of span_Z(columns) inside span_Z(saturated_columns)."""
+    if not columns:
+        return 1
+    N = len(columns[0])
+    sat_matrix = [[saturated_columns[j][i] for j in range(len(saturated_columns))]
+                  for i in range(N)]
+    coords = []
+    for c in columns:
+        x = solve(sat_matrix, c)
+        if x is None:
+            raise ValueError("columns not inside the saturated lattice")
+        coords.append([int(v) for v in x])
+    rows = [[coords[j][i] for j in range(len(coords))] for i in range(len(coords[0]))]
+    diag, _, _, _ = smith_normal_form(rows)
+    idx = 1
+    for d in diag:
+        idx *= abs(d)
+    return idx
+
+
+def reference_ns_coordinates(A, form):
+    """Coordinates of a form over ns_basis(A) from one `solve`, or None if
+    it is not an NS class."""
+    cols = [b.pair_coords() for b in ns_basis(A)]
+    rhs = form.pair_coords()
+    return solve([[col[k] for col in cols] for k in range(len(rhs))], rhs)
+
+
+def parts_matrix(field, den, parts):
+    """sum_k alpha^k parts[k] / den as rows of field elements."""
     size = len(parts[0])
-    return KMatrix(field, [
-        [field.element([Fraction(Jk[r][c], den) for Jk in parts]) for c in range(size)]
+    return tuple(
+        tuple(field.element([Fraction(Jk[r][c], den) for Jk in parts]) for c in range(size))
         for r in range(size)
-    ])
+    )
 
 
 @lru_cache(maxsize=256)
-def field_j(A) -> KMatrix:
-    """J = sum_k alpha^k J_k as a field matrix, from A's integer J data."""
+def field_j(A):
+    """J = sum_k alpha^k J_k as rows of field elements, from A's integer J
+    data."""
     return parts_matrix(A.field, A.j_den, A.j_parts)
 
 
-def field_product(field, *matrices) -> KMatrix:
-    """The product of KMatrix and QMatrix factors, as a KMatrix over `field`."""
-    rows = KMatrix(field, matrices[0].rows).rows
+def field_product(field, *matrices):
+    """The product of matrices given as rows of field elements or rationals,
+    as rows of elements of `field`."""
+    lift = [[x if isinstance(x, AlgebraicReal) else field.from_rational(x) for x in row]
+            for row in matrices[0]]
     for m in matrices[1:]:
-        cols = list(zip(*KMatrix(field, m.rows).rows))
-        rows = [[sum((a * b for a, b in zip(row, col)), field.zero()) for col in cols]
-                for row in rows]
-    return KMatrix(field, rows)
+        cols = list(zip(*m))
+        lift = [[sum((a * b for a, b in zip(row, col)), field.zero()) for col in cols]
+                for row in lift]
+    return tuple(tuple(row) for row in lift)
 
 
-def matrix_squares_to_minus_identity(J) -> bool:
+def matrix_squares_to_minus_identity(field, J) -> bool:
     """J * J == -I, multiplied entry by entry in the field."""
-    size = J.nrows
-    return field_product(J.field, J, J) == KMatrix(
-        J.field, [[-1 if i == j else 0 for j in range(size)] for i in range(size)])
+    size = len(J)
+    return field_product(field, J, J) == field_product(
+        field, [[-1 if i == j else 0 for j in range(size)] for i in range(size)])
 
 
 def squares_to_minus_identity(A) -> bool:
-    return matrix_squares_to_minus_identity(field_j(A))
+    return matrix_squares_to_minus_identity(A.field, field_j(A))
 
 
 def dense_matmul(a, b):
@@ -113,7 +183,7 @@ def unimodular(size, rng, steps=6):
 
 def rebase(A, U, U_inv):
     """A on the lattice basis given by the columns of U: J -> U^-1 J U."""
-    return ComplexTorus(A.field, field_product(A.field, QMatrix(U_inv), field_j(A), QMatrix(U)))
+    return ComplexTorus(A.field, field_product(A.field, U_inv, field_j(A), U))
 
 
 def rebased(A, rng, steps=6):

@@ -74,7 +74,7 @@ def test_parts_certificate_matches_field_square(A, data):
     parts += [[row[:] for row in zero] for _ in range(k + 1 - len(parts))]
     parts[k][r][c] += shift
     assert not _squares_to_minus_d2(A.field, A.j_den, parts)
-    assert not matrix_squares_to_minus_identity(parts_matrix(A.field, A.j_den, parts))
+    assert not matrix_squares_to_minus_identity(A.field, parts_matrix(A.field, A.j_den, parts))
     with pytest.raises(ConsistencyError, match="complex structure"):
         ComplexTorus._from_parts(A.field, A.j_den, parts)
 

@@ -12,7 +12,8 @@ constructions it replaced.
 * `poincare_dual` (integer minors) against Leibniz determinants.
 * Form arithmetic against the validating constructor, the canonical
   (den, num) of a form against other presentations of the same matrix, and
-  the Hodge test as NS membership against `ns_coordinates`.
+  the Hodge test and `ns_coordinates` against a reference `solve` over the
+  NS basis.
 * The table-driven `wedge` and `cup_rows` against the subset-pair loop
   (`references.reference_wedge`); `defect_of_class`, `lambda_defect`, the
   Voisin kernels and `induced_quotient_class` on integer coordinates
@@ -55,7 +56,6 @@ from lefdefect.exactmath import (
     kernel_basis,
     rank,
     saturate,
-    solve,
 )
 from lefdefect.exactmath.linalg import _integer_rows, bareiss_echelon
 from lefdefect.torus import (
@@ -76,7 +76,9 @@ from references import (
     field_j,
     field_product,
     rebase,
+    reference_ns_coordinates,
     reference_wedge,
+    solve,
     unimodular,
 )
 
@@ -85,7 +87,7 @@ CORPUS = ["ei2", "ei3", "ei_x_e2i", "eia2", "triple", "ei2_x_nocm"]
 
 def reference_quotient(A, W):
     P, S = W.projection, W.section
-    return ComplexTorus(A.field, field_product(A.field, QMatrix(P), field_j(A), QMatrix(S)))
+    return ComplexTorus(A.field, field_product(A.field, P, field_j(A), S))
 
 
 def reference_subtorus(A, columns):
@@ -334,7 +336,8 @@ def test_outside_matrices_are_still_validated(corpus):
 @pytest.mark.parametrize("name", ["ei_x_e2i", "eia2", "triple"])
 def test_ns_membership_matches_ns_coordinates(corpus, name):
     # defect_of_class and lambda_defect take NS membership from the Hodge
-    # test; the reference is a solve over the NS basis.
+    # test; the reference is a solve over the NS basis, which also gives
+    # the coordinates `ns_coordinates` reads off.
     A = corpus[name]
     rng = random.Random(name)
     basis = ns_basis(A)
@@ -349,7 +352,9 @@ def test_ns_membership_matches_ns_coordinates(corpus, name):
         noise = AlternatingForm(A, matrix)
         for D in (noise, noise + polarization, sum((b * rng.randint(-1, 1) for b in basis),
                                                    polarization * 0)):
-            in_ns = ns_coordinates(A, D) is not None
+            coords = reference_ns_coordinates(A, D)
+            assert ns_coordinates(A, D) == coords
+            in_ns = coords is not None
             assert D.is_hodge == in_ns
             for run in (lambda: defect_of_class(A, D), lambda: lambda_defect(A, [D], basis[0]),
                         lambda: lambda_defect(A, basis, D)):

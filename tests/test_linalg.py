@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefdefect.exactmath import (
-    KMatrix,
     QMatrix,
     RealNumberField,
     kernel_basis,
     primitive_integer_vector,
     rank,
     restrict_scalars,
-    solve,
 )
+
+from references import solve
 
 F = Fraction
 
@@ -59,6 +59,17 @@ matrices = st.integers(min_value=1, max_value=5).flatmap(
 )
 
 
+sparse_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda rows: st.integers(min_value=1, max_value=8).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+)
+
+
 class TestRankNullity:
     @given(matrices)
     @settings(max_examples=120, deadline=None)
@@ -73,21 +84,31 @@ class TestRankNullity:
         for v in kernel_basis(M):
             assert all(x == 0 for x in M.apply(v))
 
+    @given(sparse_matrices)
+    @settings(max_examples=120, deadline=None)
+    def test_kernel_basis_is_in_echelon_form(self, rows):
+        # The contract `ns_coordinates` reads coordinates off: each vector's
+        # last nonzero entry is 1, and every other vector is 0 in that slot.
+        basis = kernel_basis(QMatrix(rows))
+        slots = [max(i for i, x in enumerate(v) if x) for v in basis]
+        assert all(v[f] == 1 for v, f in zip(basis, slots))
+        for k, f in enumerate(slots):
+            assert all(v[f] == 0 for j, v in enumerate(basis) if j != k)
+
 
 class TestRestrictScalars:
     def test_alpha_entry(self, sqrt2_field):
         a = sqrt2_field.alpha()
-        R = restrict_scalars(KMatrix(sqrt2_field, [[a]]))
+        R = restrict_scalars(sqrt2_field, [[a]])
         assert R.rows == ((F(0),), (F(1),))
 
     def test_rational_matrix_stacks_zero_blocks(self, sqrt2_field):
-        M = KMatrix(sqrt2_field, [[2, 3]])
-        R = restrict_scalars(M)
+        R = restrict_scalars(sqrt2_field, [[2, 3]])
         assert R.rows == ((F(2), F(3)), (F(0), F(0)))
 
     def test_alpha_minus_two_invertible(self, sqrt2_field):
         a = sqrt2_field.alpha()
-        R = restrict_scalars(KMatrix(sqrt2_field, [[a - 2]]))
+        R = restrict_scalars(sqrt2_field, [[a - 2]])
         assert kernel_basis(R) == []
 
     @given(st.lists(
@@ -101,8 +122,7 @@ class TestRestrictScalars:
         # scalars; cross-check by plugging in a 60-digit numeric alpha.
         field = RealNumberField([-2, 0, 1], (1, 2))
         rows = [[field.element(list(pair)) for pair in row] for row in raw]
-        M = KMatrix(field, rows)
-        vectors = kernel_basis(restrict_scalars(M))
+        vectors = kernel_basis(restrict_scalars(field, rows))
         with mpmath.workdps(60):
             alpha = mpmath.sqrt(2)
             for v in vectors:

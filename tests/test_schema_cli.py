@@ -307,6 +307,23 @@ class TestOracleVerdicts:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["torus", "--box", "1"],
+        ["verify", "--checks", "oracle,kunneth"],
+    ])
+    @pytest.mark.parametrize("label", [["x"], "", 7])
+    def test_block_label_must_be_a_nonempty_string(self, tmp_path, capsys, argv, label):
+        path = write(tmp_path, "label.json", {
+            "kind": "torus", "blocks": [{"beta": ["1"], "label": label}, {"beta": ["2"]}],
+        })
+        assert main([argv[0], path] + argv[1:]) == 2
+        assert "input error: $.blocks[0].label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_verify_without_a_check_is_input_error(self, capsys, checks):
+        assert main(["verify", str(SAMPLES / "torus_ei_ei.json"), "--checks", checks]) == 2
+        assert "input error: --checks" in capsys.readouterr().err
+
     def test_curves_disagreeing_on_cm_is_internal(self, tmp_path, capsys, monkeypatch):
         import lefdefect.checks as checks
 

@@ -17,7 +17,7 @@ checked against v^T M v computed directly.
 The structured candidates are compared with a reference that builds every
 candidate as a form: the fiber forms with their Hodge test, their subset
 sums, the Poincare duals of the corank-2 coordinate-factor sublattices, and
-one `ns_coordinates` solve per form.
+one reference `solve` over the NS basis per form.
 
 `ns_basis`, `is_hodge`, `hom_rank` and `is_effective_class` read J only as
 its integer components D * J_k; they are compared with the field-level
@@ -49,7 +49,6 @@ from lefdefect.errors import ConsistencyError
 from lefdefect.exactmath import (
     AlgebraicReal,
     IntegralElement,
-    KMatrix,
     QMatrix,
     RealNumberField,
     integral_quotient,
@@ -61,7 +60,13 @@ from lefdefect.exactmath import (
     restrict_scalars,
 )
 from lefdefect.schema import load_document
-from references import elliptic_products, field_j, field_product, rebased
+from references import (
+    elliptic_products,
+    field_j,
+    field_product,
+    rebased,
+    reference_ns_coordinates,
+)
 from lefdefect.torus import (
     AlternatingForm,
     ComplexTorus,
@@ -577,7 +582,7 @@ def reference_structured_vectors(A):
         forms.append(AlternatingForm.from_pair_coords(A, poincare_dual(A, W).coords))
     vectors = set()
     for form in forms:
-        coords = ns_coordinates(A, form)
+        coords = reference_ns_coordinates(A, form)
         if coords is None or not any(coords):
             continue
         prim = primitive_integer_vector(coords)
@@ -611,7 +616,7 @@ def test_structured_candidates_with_undeclared_surface_blocks():
     U_inv = QMatrix([[1, 0, -1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert U * U_inv == QMatrix.identity(4)
     plain = ComplexTorus(B.field, field_j(B))
-    mixed = ComplexTorus(B.field, field_product(B.field, U_inv, field_j(B), U))
+    mixed = ComplexTorus(B.field, field_product(B.field, U_inv.rows, field_j(B), U.rows))
     fiber = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     assert AlternatingForm(plain, fiber).is_hodge
     assert not AlternatingForm(mixed, fiber).is_hodge
@@ -631,7 +636,7 @@ def test_structured_candidates_match_reference_on_random_products(A):
 
 # The torus code reads J only as the integer components D * J_k.  The
 # references below are the constructions it replaced: the J^T E J = E system
-# over the field restricted to Q, the Hodge test as a KMatrix product, the
+# over the field restricted to Q, the Hodge test as a field matrix product, the
 # J_B M = M J_A system restricted to Q, and the symmetric part E * J as
 # AlgebraicReals, decided by all principal minors.
 
@@ -639,7 +644,7 @@ def test_structured_candidates_match_reference_on_random_products(A):
 def reference_ns_basis(A):
     field = A.field
     pairs = list(itertools.combinations(range(2 * A.n), 2))
-    J = field_j(A).rows
+    J = field_j(A)
     rows = []
     for i, j in pairs:
         row = []
@@ -649,20 +654,20 @@ def reference_ns_basis(A):
                 coeff = coeff - field.one()
             row.append(coeff)
         rows.append(row)
-    vectors = kernel_basis(restrict_scalars(KMatrix(field, rows)))
+    vectors = kernel_basis(restrict_scalars(field, rows))
     return [AlternatingForm.from_pair_coords(A, primitive_integer_vector(v)) for v in vectors]
 
 
 def reference_is_hodge(E):
-    J = field_j(E.torus)
-    K = KMatrix(J.field, E.matrix)
-    return field_product(J.field, KMatrix(J.field, list(zip(*J.rows))), K, J) == K
+    field, J = E.torus.field, field_j(E.torus)
+    K = field_product(field, E.matrix)
+    return field_product(field, list(zip(*J)), K, J) == K
 
 
 def reference_hom_rank(A, B):
     field = A.field
     na, nb = 2 * A.n, 2 * B.n
-    JA, JB = field_j(A).rows, field_j(B).rows
+    JA, JB = field_j(A), field_j(B)
     zero = field.zero()
     rows = []
     for i in range(nb):
@@ -673,13 +678,13 @@ def reference_hom_rank(A, B):
             for q in range(na):
                 row[i * na + q] = row[i * na + q] - JA[q][j]
             rows.append(row)
-    return len(kernel_basis(restrict_scalars(KMatrix(field, rows))))
+    return len(kernel_basis(restrict_scalars(field, rows)))
 
 
 def reference_is_effective(A, E):
     if E.is_zero():
         return False
-    S = field_product(A.field, KMatrix(A.field, E.matrix), field_j(A)).rows
+    S = field_product(A.field, E.matrix, field_j(A))
     return reference_psd_rank([list(row) for row in S]) >= 0
 
 
@@ -759,8 +764,8 @@ def test_j_data_matches_reference_on_rational_and_field_blocks(quartic_field):
     # J = J_0 + alpha N with J_0 = diag(j, j), N = [[0, X], [0, 0]] and
     # X j = -j X, so J^2 = -I.  Hom from and to E_i needs the alpha
     # condition: from the rational part alone both ranks would be 4.
-    nil = ComplexTorus(quartic_field, KMatrix(quartic_field, [
-        [0, -1, a, 0], [1, 0, 0, -a], [0, 0, 0, -1], [0, 0, 1, 0]]))
+    nil = ComplexTorus(quartic_field, [
+        [0, -1, a, 0], [1, 0, 0, -a], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert_j_data_matches_reference(nil, random.Random(8))
     E = A.factors[0]
     for X, Y in ((E, nil), (nil, E)):
@@ -771,6 +776,25 @@ def test_j_data_matches_reference_on_rational_and_field_blocks(quartic_field):
 @given(elliptic_products(), st.integers(0, 2**32))
 def test_j_data_matches_reference_on_random_products(A, seed):
     assert_j_data_matches_reference(A, random.Random(seed), forms=2, effective_checks=2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(elliptic_products(), st.integers(0, 2**32))
+def test_ns_coordinates_match_reference_solve(A, seed):
+    # Random NS combinations (Hodge), random forms (mostly not Hodge) and
+    # their sums, over den 1, 2, 3 or 6, on A and on A in a mixed lattice
+    # basis: the coordinates read off the echelon basis are the solved ones.
+    rng = random.Random(seed)
+    for X in (A, rebased(A, rng)):
+        basis = ns_basis(X)
+        for _ in range(4):
+            hodge = AlternatingForm(X, _combination(basis, [rng.randint(-2, 2) for _ in basis]))
+            noise = AlternatingForm(X, _alternating(rng, 2 * X.n))
+            for E in (hodge, noise, hodge + noise):
+                E = E * Fraction(1, rng.choice((1, 2, 3, 6)))
+                coords = ns_coordinates(X, E)
+                assert coords == reference_ns_coordinates(X, E)
+                assert (coords is not None) == E.is_hodge
 
 
 def test_effective_verdicts_match_reference_on_survey(corpus):

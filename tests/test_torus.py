@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lefdefect.errors import ConsistencyError
-from lefdefect.exactmath import KMatrix, RealNumberField, nf_sign
+from lefdefect.exactmath import RealNumberField, nf_sign
 from lefdefect.torus import (
     AlternatingForm,
     ComplexTorus,
@@ -35,7 +35,7 @@ QUARTIC = RealNumberField([-2, 0, 0, 0, 1], (F(1), F(3, 2)))
 class TestElliptic:
     def test_gaussian_lattice(self):
         E = elliptic(0, 1)
-        assert [[x.as_rational() for x in row] for row in field_j(E).rows] == [
+        assert [[x.as_rational() for x in row] for row in field_j(E)] == [
             [0, -1],
             [1, 0],
         ]
@@ -62,17 +62,31 @@ class TestElliptic:
             elliptic(0, quartic_field.zero())
 
     def test_bad_complex_structure_rejected(self):
-        field = RealNumberField.rationals()
-        J = KMatrix(field, [[1, 0], [0, 1]])
         with pytest.raises(ConsistencyError, match="complex structure"):
-            ComplexTorus(field, J)
+            ComplexTorus(RealNumberField.rationals(), [[1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("J, message", [
+        ([], "dimensions must be positive"),
+        ([[]], "dimensions must be positive"),
+        ([[0, -1], [1]], "rectangular"),
+        ([[1]], "square of even positive size"),
+        ([[0, -1, 0, 0], [1, 0, 0, 0]], "square of even positive size"),
+        ([[0, -1], [1, 0], [0, 0]], "square of even positive size"),
+    ])
+    def test_malformed_j_rows_rejected(self, J, message):
+        with pytest.raises(ValueError, match=message):
+            ComplexTorus(RealNumberField.rationals(), J)
+
+    def test_j_entries_from_another_field_rejected(self, quartic_field, sqrt2_field):
+        a = sqrt2_field.alpha()
+        with pytest.raises(ValueError, match="mixed number fields"):
+            ComplexTorus(quartic_field, [[0, -a], [1 / a, 0]])
 
     def test_alpha_terms_of_j_squared_must_cancel(self, quartic_field):
         # J = J_0 + alpha J_1 with J_0^2 = -I, but J_0 J_1 + J_1 J_0 != 0.
         a = quartic_field.alpha()
-        J = KMatrix(quartic_field, [[a, -1], [1, 0]])
         with pytest.raises(ConsistencyError, match="complex structure"):
-            ComplexTorus(quartic_field, J)
+            ComplexTorus(quartic_field, [[a, -1], [1, 0]])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -97,10 +111,10 @@ class TestElliptic:
             return
         E = elliptic(a, beta)
         inv = beta.inverse()
-        J = KMatrix(field, [[-a * inv, -beta - a * a * inv], [inv, a * inv]])
-        assert (E.j_den, E.j_parts) == _canonical(*_split_j(J))
+        J = ((-a * inv, -beta - a * a * inv), (inv, a * inv))
+        assert (E.j_den, E.j_parts) == _canonical(*_split_j(field, J))
         assert field_j(E) == J
-        assert E.rational_j == all(x.is_rational() for row in J.rows for x in row)
+        assert E.rational_j == all(x.is_rational() for row in J for x in row)
         entries = [x for Jk in E.j_parts for row in Jk for x in row]
         assert E.j_den > 0 and gcd(E.j_den, *entries) == 1
         assert E == ComplexTorus(field, J) and hash(E) == hash(ComplexTorus(field, J))

@@ -4,9 +4,10 @@ Times `torus_defect` (pure Python, the only search path) on E_i x E_i at
 boxes 2 and 3, E_i^3 at boxes 1 and 2, and E_i^4 at box 1 over Q, and on
 three products over Q(2^(1/4)) from the test corpus: E_ia x E_ia' at box 2
 and E_i x E_ia x E_ia2 and E_i x E_i' x E_ia at box 1 (a = 2^(1/4)), where
-the search runs on Z[alpha] entries.  Two more cases have the shape of the
-survey workloads: a pair of curves tau = a + i*s over Q with a != 0 and
-scaled imaginary parts at box 3, and a pair of non-isogenous curves over
+the search runs on Z[alpha] entries.  Three more cases have the shape of the
+survey workloads: two pairs of curves tau = a + i*s over Q with a != 0 and
+scaled imaginary parts at box 3 (tau = 1/2 + 2i, -1/3 + 3i/2 and
+tau = 2/3 + 3i/2, 1/3 + 2i/3), and a pair of non-isogenous curves over
 Q(2^(1/4)) (tau = 1/2 + i(1 + a) and tau = -1/3 + i*a) at box 2, whose
 symmetric parts split into one block per curve.  It records per case the
 delta, the box candidates decided (`classes_scanned`), the search-tree nodes
@@ -60,6 +61,12 @@ def rational_pair():
                     elliptic(Fraction(-1, 3), Fraction(3, 2), label="E2")])
 
 
+def survey_pair():
+    """tau = 2/3 + (3/2)i and tau = 1/3 + (2/3)i: isogenous, rho = 4."""
+    return product([elliptic(Fraction(2, 3), Fraction(3, 2), label="E1"),
+                    elliptic(Fraction(1, 3), Fraction(2, 3), label="E2")])
+
+
 def quartic_pair():
     """tau = 1/2 + i(1 + alpha) and tau = -1/3 + i*alpha over Q(2^(1/4)):
     not isogenous, no CM, rho = 2."""
@@ -76,6 +83,7 @@ CASES = (("E_i^2, box 2", power_of_ei(2), 2), ("E_i^2, box 3", power_of_ei(2), 3
          ("triple, box 1", over_quartic((0, 1, 2)), 1),
          ("ei2_x_nocm, box 1", over_quartic((0, 0, 1)), 1),
          ("Q pair, box 3", rational_pair, 3),
+         ("survey pair, box 3", survey_pair, 3),
          ("quartic pair, box 2", quartic_pair, 2))
 
 

@@ -19,11 +19,18 @@ entries become fixed, and its rank is carried down the path: a leaf
 eliminates only the components its own coefficient touches, and the leaves
 that survive get the cup-product kernel dimension.
 
-Siblings differ only in their own coefficient c, and S moves with it by
-c * S_b.  A block that fails before its second pivot comes with a vector v
-that has v^T S v < 0 (see `psd_rank`); v^T S v is linear in c, so it is a
-cut that decides every later sibling where it stays negative without an
-elimination, subtree included.
+A block that fails before its second pivot comes with a vector v that has
+v^T S v < 0 (see `psd_rank`).  Every effective x has v^T S(x) v >= 0, and
+v^T S(x) v = sum_l x_l w_l with w_l = v^T S_{order[l]} v, so v is a cut on
+the whole box, not only on the node it came from.  The search keeps every
+cut it finds in one pool: a polyhedral outer approximation of the
+effective cone (Kelley's cutting planes).  Its weights are kept as integer
+bounds: exact over Q, and over a number field the interval evaluation at
+alpha that signs use (`integral_enclosure`).  With the coefficients of the
+levels up to t fixed and the rest anywhere in the box, the largest value
+of sum_l x_l w_l is bounded as in Fincke-Pohst; where that bound is
+negative, no completion of the prefix is effective, and the node is
+decided with its whole subtree without an elimination.
 
 Semidefiniteness and rank come from one routine, `psd_rank`: symmetric
 fraction-free elimination with diagonal pivoting.  Over Q the entries are
@@ -36,7 +43,7 @@ pivot.  So Q and number fields share the search and its integer arithmetic.
 
 from __future__ import annotations
 
-from .exactmath import IntegralElement, integral_quotient, integral_sign
+from .exactmath import IntegralElement, integral_enclosure, integral_quotient, integral_sign
 from .exactmath.linalg import bareiss_echelon
 
 
@@ -240,6 +247,11 @@ class IntSearch(_Search):
     def __init__(self, s_basis, w_pairs, rho, N, m4):
         super().__init__(s_basis, w_pairs, rho, N, m4, 0)
 
+    @staticmethod
+    def enclosures(weights):
+        """(1, [(w, w), ...]): integer weights are their own bounds."""
+        return 1, [(w, w) for w in weights]
+
 
 class FieldSearch(_Search):
     """Search state when the symmetric parts have entries in Z[alpha]
@@ -251,16 +263,46 @@ class FieldSearch(_Search):
     def __init__(self, s_basis, w_pairs, rho, N, m4, field):
         super().__init__(s_basis, w_pairs, rho, N, m4, IntegralElement(field, (0,) * field.degree))
 
+    def enclosures(self, weights):
+        """(scale, [(lo, hi), ...]) with lo <= scale * w(alpha) <= hi, all
+        from one snapshot of the field's bounds of alpha, so one positive
+        scale holds for every weight.  A later refinement of the bounds
+        leaves these enclosures valid."""
+        alpha_int = self.zero.field._alpha_int
+        scale = alpha_int[2][-1] if alpha_int[2] else 1
+        return scale, [integral_enclosure(w.coeffs, alpha_int) for w in weights]
 
-def _cut(certificate, c, S_b):
-    """(q0, q1) with v^T S v = q0 + c' q1 at every sibling c' of the node at
-    coefficient c, for the certificate (q, v) of a block of S there."""
-    q, v = certificate
-    q1 = 0
-    for i, x in v:
-        for j, y in v:
-            q1 = q1 + x * y * S_b[i][j]
-    return q - c * q1, q1
+
+class Cut:
+    """The inequality sum_l x_l w_l >= 0 that a certificate v gives on every
+    effective class x, with w_l = v^T S_{order[l]} v at level l.
+
+    The weights are kept as integer bounds lo[l] <= scale * w_l <= hi[l]
+    (exact on ints), and tail[l] = box * sum_{m >= l} max(hi[m], -lo[m])
+    bounds scale * sum_{m >= l} x_m w_m over the box.
+    """
+
+    __slots__ = ("vector", "scale", "lo", "hi", "tail")
+
+    def __init__(self, vector, scale, bounds, box):
+        self.vector = vector
+        self.scale = scale
+        self.lo = [lo for lo, _ in bounds]
+        self.hi = [hi for _, hi in bounds]
+        self.tail = [0] * (len(bounds) + 1)
+        for l in range(len(bounds) - 1, -1, -1):
+            self.tail[l] = self.tail[l + 1] + box * max(self.hi[l], -self.lo[l])
+
+    def prefix_bound(self, t, level_coeffs):
+        """The part of the upper bound on scale * v^T S(x) v that does not
+        depend on the coefficient at level t: the fixed levels < t, with
+        coefficients `level_coeffs`, and the free levels > t."""
+        bound = self.tail[t + 1]
+        for l in range(t):
+            x = level_coeffs[l]
+            if x:
+                bound += x * (self.hi[l] if x > 0 else self.lo[l])
+        return bound
 
 
 def scan_range(search, box: int, collect: bool):
@@ -275,13 +317,17 @@ def scan_range(search, box: int, collect: bool):
     (position, coeffs, defect, form_rank) of every effective class in
     position order.
 
-    Siblings differ only in the coefficient c of their level, and S moves
-    with it by c * S_b.  When a tested block fails with a certificate
-    (q, v), v^T S v = q0 + c' q1 is linear in the sibling's coefficient c',
-    so every later sibling where it is negative is decided without an
-    elimination, its whole subtree with it; a cut sibling still counts as
-    a node entered.  Once the cut is not negative at some c' it is not
-    negative at any later one, so one cut per level suffices.
+    Every certificate a failed block gives becomes a `Cut` in one pool for
+    the whole search, deduplicated on its bounds and registered at each
+    level where its weight is nonzero.  A node at level t with coefficient
+    c is checked, before S is updated, against the cuts registered at t:
+    when sum_{l <= t} x_l (hi_l if x_l > 0 else lo_l) + tail[t + 1] < 0, no
+    completion inside the box is PSD, and the node is decided with its
+    whole subtree without an elimination; it still counts as a node
+    entered.  A certificate e_i has the nonzero weight S_b[i][i] at the
+    level it came from (else an earlier test would have seen S[i][i] < 0),
+    so its cut also decides the later siblings there.  `search.cuts` keeps
+    the pool of the last scan.
     """
     rho, N, order, tests = search.rho, search.N, search.order, search.tests
     sign, quotient = search.sign, search.quotient
@@ -294,43 +340,75 @@ def scan_range(search, box: int, collect: bool):
     ]
     S = [[search.zero] * N for _ in range(N)]
     coeffs = [0] * rho
+    path = [0] * rho  # coefficients along the path, by level
     ranks = [0] * len(search.components)  # final ranks along the path
     best = [-1, -1]
     counts = [0, 0]  # candidates decided, nodes visited
     records = []
+    pool = search.cuts = {}  # bounds -> Cut
+    at = [[] for _ in range(rho)]  # the cuts registered at each level
+
+    def add_cut(certificate):
+        _, v = certificate
+        # v^T M v = sum over i <= j of (1 or 2) v_i v_j M[i][j], M symmetric
+        terms = [(i, j, x * y if i == j else 2 * x * y)
+                 for n, (i, x) in enumerate(v) for j, y in v[n:]]
+        weights = []
+        for b in order:
+            S_b = search.s_basis[b]
+            w = search.zero
+            for i, j, f in terms:
+                if S_b[i][j] != 0:
+                    w = w + f * S_b[i][j]
+            weights.append(w)
+        scale, bounds = search.enclosures(weights)
+        key = tuple(bounds)
+        cut = pool.get(key)
+        if key not in pool:
+            cut = pool[key] = Cut(v, scale, bounds, box)
+            for l, (lo, hi) in enumerate(bounds):
+                if lo or hi:
+                    at[l].append(cut)
 
     def descend(t, pos, zero_prefix):
         b = order[t]
-        S_b = search.s_basis[b]
         entries = search.entries[t]
         saved = [S[r][col] for r, col, _ in entries]
         leaf = t + 1 == rho
         blocks = tests[t]
         decided = below[t]
-        cut = None
+        registered = at[t]
+        active = []  # (lo_t, hi_t, prefix bound) of the cuts registered at t
         for c, deltas in steps[t]:
             counts[1] += 1
             zero = zero_prefix and c == 0
             if leaf and zero:
                 continue
-            if cut is not None and sign(cut[0] + c * cut[1]) < 0:
+            if len(active) < len(registered):
+                active.extend((cut.lo[t], cut.hi[t], cut.prefix_bound(t, path))
+                              for cut in registered[len(active):])
+            pruned = False
+            for lo, hi, bound in active:
+                if bound + c * (hi if c > 0 else lo) < 0:
+                    pruned = True
+                    break
+            if pruned:
                 # every leaf below is decided, except the zero vector
                 counts[0] += decided - zero
                 continue
-            cut = None
             for (r, col, m), s in zip(deltas, saved):
                 S[r][col] = s + m
             for idx, k in blocks:
                 rank, certificate = psd_rank(S, idx, sign, quotient)
                 if rank < 0:
                     if certificate is not None:
-                        cut = _cut(certificate, c, S_b)
+                        add_cut(certificate)
                     counts[0] += decided - zero
                     break
                 if k >= 0:
                     ranks[k] = rank
             else:
-                coeffs[b] = c
+                coeffs[b] = path[t] = c
                 p = pos + (c + box) * weight[t]
                 if not leaf:
                     descend(t + 1, p, zero)

@@ -25,7 +25,7 @@ import time
 from .checks import CHECK_NAMES, run_checks
 from .classifier import classify, threefold_catalog
 from .cohomology import defect_of_class
-from .effectivity import is_effective_class, radical, torus_defect
+from .effectivity import _radical, is_effective_class, torus_defect
 from .errors import ConsistencyError, SchemaError
 from .schema import (
     ClassRow,
@@ -108,7 +108,7 @@ def _class_rows(doc: SpecDocument, selected) -> list:
         effective = is_effective_class(A, form)
         b = rho_b = None
         if effective:
-            W = radical(A, form)
+            W = _radical(A, form)
             b = A.n - W.rank // 2
             rho_b = ns_rank(quotient(A, W)) if b < A.n else ns_rank(A)
         rows.append(ClassRow(name, effective, b, rho_b, defect_of_class(A, form)))

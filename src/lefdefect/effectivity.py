@@ -111,6 +111,12 @@ def radical(A: ComplexTorus, E: AlternatingForm) -> Sublattice:
     """
     if not is_effective_class(A, E):
         raise ValueError("class is not effective")
+    return _radical(A, E)
+
+
+def _radical(A: ComplexTorus, E: AlternatingForm) -> Sublattice:
+    """`radical` of a class already known to be effective, without testing
+    it again."""
     kernel_cols = [primitive_integer_vector(v) for v in kernel_basis(E.num)]
     W = subtorus(A, kernel_cols)
     if W.rank % 2 != 0:
@@ -150,7 +156,7 @@ def effectivity_report(A: ComplexTorus, E: AlternatingForm) -> EffectivityReport
     effective = is_effective_class(A, E)
     if not effective:
         return EffectivityReport(E, False, 2 * A.n - rank(E.num), None, None)
-    W = radical(A, E)
+    W = _radical(A, E)
     b = A.n - W.rank // 2
     B = quotient(A, W) if W.rank < 2 * A.n else None
     return EffectivityReport(E, True, W.rank, b, B)

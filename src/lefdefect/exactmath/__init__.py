@@ -21,6 +21,7 @@ from .numberfield import (
     RealNumberField,
     count_real_roots,
     format_rational,
+    integral_enclosure,
     integral_quotient,
     integral_sign,
     nf_sign,
@@ -38,6 +39,7 @@ __all__ = [
     "count_real_roots",
     "format_rational",
     "integer_kernel_basis",
+    "integral_enclosure",
     "integral_quotient",
     "integral_sign",
     "is_saturated",

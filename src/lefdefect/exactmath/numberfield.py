@@ -208,6 +208,9 @@ def count_real_roots(p, lo: Fraction, hi: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
+_FIELDS = {}  # (min_poly, lo, hi) -> the one certified field of that key
+
+
 class RealNumberField:
     """Q(alpha) for the unique real root alpha of `min_poly` in `(lo, hi)`.
 
@@ -215,11 +218,16 @@ class RealNumberField:
     be square-free and change sign over the isolating interval; a Sturm count
     certifies that the interval contains exactly one root.  Irreducibility is
     a precondition on the caller (division detects violations lazily).
-    Instances are immutable apart from the cached refinement of the
-    isolating interval, which never changes what they compare equal to.
+
+    A process holds one field per normalized (min_poly, lo, hi): the
+    constructor returns the instance it certified first, so the checks run
+    once and every user shares the refined bounds of alpha.  Invalid input
+    raises before it reaches that cache.  Instances are immutable apart from
+    the cached refinement of the isolating interval, which never changes
+    what they compare equal to.
     """
 
-    def __init__(self, min_poly, root_interval):
+    def __new__(cls, min_poly, root_interval):
         coeffs = [int(c) for c in min_poly]
         if list(min_poly) != coeffs:
             raise ValueError("min_poly must have integer coefficients")
@@ -231,6 +239,15 @@ class RealNumberField:
         lo, hi = (Fraction(x) for x in root_interval)
         if not lo < hi:
             raise ValueError("root_interval must satisfy lo < hi")
+        key = (tuple(coeffs), lo, hi)
+        field = _FIELDS.get(key)
+        if field is None:
+            field = super().__new__(cls)
+            field._certify(coeffs, lo, hi)
+            _FIELDS[key] = field
+        return field
+
+    def _certify(self, coeffs, lo, hi):
         if poly_degree(poly_gcd(coeffs, poly_derivative(coeffs))) > 0:
             raise ValueError("min_poly must be square-free")
         if poly_eval(coeffs, lo) * poly_eval(coeffs, hi) >= 0:
@@ -601,23 +618,34 @@ def _alpha_multiples(field: RealNumberField, coeffs):
     return cols
 
 
-def integral_sign(x: IntegralElement) -> int:
-    """Exact sign (-1, 0, +1) of x at the field's isolated root.
+def integral_enclosure(coeffs, alpha_int):
+    """Integer bounds (vlo, vhi) with vlo <= q^(d-1) x(alpha) <= vhi.
 
-    An integer interval Horner over the field's cached bounds of alpha
-    decides almost every sign; it encloses the same interval as the rational
-    Horner in `nf_sign`, scaled by a positive power of the bounds' common
-    denominator.  Only when that interval cannot decide does `nf_sign` run,
-    with its exact zero test and interval refinement.
+    x has power-basis coordinates `coeffs`, and `alpha_int` is a field's
+    `_alpha_int` (q*lo, q*hi, (q, ..., q^(d-1))) for bounds lo <= alpha <= hi
+    over a common denominator q.  This is the interval Horner of `nf_sign`
+    on the same bounds, scaled by q^(d-1) > 0, so every value stays an int.
     """
-    c = x.coeffs
-    lo, hi, scale = x.field._alpha_int
-    vlo = vhi = c[-1]
-    for coeff, q in zip(reversed(c[:-1]), scale):
+    lo, hi, scale = alpha_int
+    vlo = vhi = coeffs[-1]
+    for coeff, q in zip(reversed(coeffs[:-1]), scale):
         products = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
         shift = q * coeff
         vlo = min(products) + shift
         vhi = max(products) + shift
+    return vlo, vhi
+
+
+def integral_sign(x: IntegralElement) -> int:
+    """Exact sign (-1, 0, +1) of x at the field's isolated root.
+
+    The integer interval Horner of `integral_enclosure` over the field's
+    cached bounds of alpha decides almost every sign.  Only when that
+    interval cannot decide does `nf_sign` run, with its exact zero test and
+    interval refinement.
+    """
+    c = x.coeffs
+    vlo, vhi = integral_enclosure(c, x.field._alpha_int)
     if vlo > 0:
         return 1
     if vhi < 0:

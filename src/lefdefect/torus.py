@@ -677,7 +677,8 @@ def coordinate_sublattice(A: ComplexTorus, block_indices) -> Sublattice:
 
 def coordinate_factor_sublattices(A: ComplexTorus, corank=None):
     """All proper nonempty coordinate-factor sublattices, optionally filtered
-    by lattice corank."""
+    by lattice corank.  The corank of a subset is the rank of the blocks it
+    leaves out, so only the sublattices asked for are built."""
     blocks = factor_blocks(A)
     if blocks is None or len(blocks) < 2:
         return []
@@ -685,7 +686,7 @@ def coordinate_factor_sublattices(A: ComplexTorus, corank=None):
     indices = range(len(blocks))
     for size in range(1, len(blocks)):
         for subset in combinations(indices, size):
-            W = coordinate_sublattice(A, subset)
-            if corank is None or W.corank == corank:
-                result.append((subset, W))
+            left_out = sum(2 * f.n for k, (_, f) in enumerate(blocks) if k not in subset)
+            if corank is None or left_out == corank:
+                result.append((subset, coordinate_sublattice(A, subset)))
     return result

@@ -10,6 +10,9 @@ product without zero skipping.
 `lattice_index` the index of a lattice in its saturation from one `solve`
 per column and a Smith normal form; the package reads NS coordinates off
 the echelon NS basis instead.
+`reference_sign` decides the sign of a field element by bisecting the
+field's declared root interval anew, since the package shares one
+field, and its refined bounds of alpha, per (min_poly, interval).
 `reference_wedge` is the cup product as a loop over all subset pairs on
 `Fraction` coordinates, as it was before the cached table.
 `elliptic_products` draws product tori and `rebased` moves a torus to a
@@ -86,6 +89,43 @@ def reference_ns_coordinates(A, form):
     cols = [b.pair_coords() for b in ns_basis(A)]
     rhs = form.pair_coords()
     return solve([[col[k] for col in cols] for k in range(len(rhs))], rhs)
+
+
+def _power_range(lo, hi, k):
+    """(min, max) of x^k over lo <= x <= hi."""
+    ends = (lo**k, hi**k)
+    if k % 2 == 0 and lo < 0 < hi:
+        return Fraction(0), max(ends)
+    return min(ends), max(ends)
+
+
+def reference_sign(field, coeffs) -> int:
+    """Sign of sum_k coeffs[k] alpha^k, bisecting the declared root interval
+    of `field` until a termwise enclosure of the element excludes 0.  Needs
+    an irreducible `min_poly`, where a nonzero element is nonzero at
+    alpha."""
+    c = [Fraction(x) for x in coeffs]
+    if not any(c):
+        return 0
+    f = field.min_poly
+    lo, hi = field.root_interval
+    while True:
+        vlo = vhi = Fraction(0)
+        for k, a in enumerate(c):
+            p, q = _power_range(lo, hi, k)
+            vlo += min(a * p, a * q)
+            vhi += max(a * p, a * q)
+        if vlo > 0 or vhi < 0:
+            return 1 if vlo > 0 else -1
+        mid = (lo + hi) / 2
+        at_mid = sum(a * mid**k for k, a in enumerate(f))
+        if at_mid == 0:  # alpha = mid
+            value = sum(a * mid**k for k, a in enumerate(c))
+            return (value > 0) - (value < 0)
+        if (sum(a * lo**k for k, a in enumerate(f)) > 0) == (at_mid > 0):
+            lo = mid
+        else:
+            hi = mid
 
 
 def parts_matrix(field, den, parts):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lefdefect import _purekernels
+from lefdefect import _purekernels, effectivity
 from lefdefect.effectivity import (
     _SearchData,
     defect_survey,
@@ -140,6 +140,19 @@ class TestRadicalIitaka:
         bad = effectivity_report(square, fiber_form(square, 0) - fiber_form(square, 1))
         assert not bad.is_effective
         assert bad.quotient is None
+
+    def test_report_tests_effectivity_once(self, square, monkeypatch):
+        calls = []
+        original = effectivity.is_effective_class
+
+        def counted(A, E):
+            calls.append(E)
+            return original(A, E)
+
+        monkeypatch.setattr(effectivity, "is_effective_class", counted)
+        report = effectivity_report(square, fiber_form(square, 0))
+        assert report.is_effective and report.iitaka_dim == 1
+        assert len(calls) == 1
 
 
 class TestTorusDefect:

@@ -11,6 +11,7 @@ from lefdefect.exactmath import (
     nf_sign,
     parse_rational,
 )
+from references import reference_sign
 
 F = Fraction
 
@@ -47,6 +48,15 @@ class TestFieldConstruction:
         assert [nf_sign(Q.from_rational(x)) for x in (F(-1, 9), 0, F(1, 10**9))] == [-1, 0, 1]
         assert Q._alpha_bounds == bounds
         assert Q == RealNumberField([0, 1], (-1, 1))
+
+    def test_one_shared_field_per_normalized_key(self):
+        K = RealNumberField([-2, 0, 0, 0, 1], ("1", "3/2"))
+        assert K is RealNumberField((-2, 0, 0, 0, 1, 0), (F(1), F(3, 2)))
+        assert K is not RealNumberField([-2, 0, 0, 0, 1], (1, F(5, 4)))
+        # Invalid input raises every time: it never reaches the cache.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="square-free"):
+                RealNumberField([1, -2, 1], (0, 2))
 
     def test_sturm_count(self):
         # x^3 - 2x: roots -sqrt(2), 0, sqrt(2)
@@ -94,12 +104,11 @@ class TestSign:
         loose = [[-1, 1], [2, -1], [0, 0, 1, -1], [1, 1, 1, 1], [0, -3, 0, 2]]
         sequence = tight + loose + tight[::-1] + loose + tight
         for coeffs in sequence:
-            fresh = RealNumberField(*declared)
-            assert nf_sign(field.element(coeffs)) == nf_sign(fresh.element(coeffs))
+            assert nf_sign(field.element(coeffs)) == reference_sign(field, coeffs)
         lo, hi = field._alpha_bounds
         assert F(1) < lo < hi < F(3, 2) and hi - lo < F(1, 10**6)
         assert field.root_interval == declared[1]
-        assert field == RealNumberField(*declared)
+        assert field is RealNumberField(*declared)
         assert hash(field) == hash(RealNumberField(*declared))
         assert field.element([1, 2]) == RealNumberField(*declared).element([1, 2])
 

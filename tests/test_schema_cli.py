@@ -180,6 +180,24 @@ class TestRoundTrip:
 
 
 class TestCli:
+    def test_class_rows_test_each_class_once(self, monkeypatch):
+        import lefdefect.cli as cli
+        import lefdefect.effectivity as effectivity
+
+        calls = []
+        original = effectivity.is_effective_class
+
+        def counted(A, E):
+            calls.append(E)
+            return original(A, E)
+
+        monkeypatch.setattr(cli, "is_effective_class", counted)
+        monkeypatch.setattr(effectivity, "is_effective_class", counted)
+        doc = load_document(str(SAMPLES / "torus_triple_product.json"))
+        rows = cli._class_rows(doc, None)
+        assert any(row.is_effective for row in rows)
+        assert len(calls) == len(rows)
+
     def test_classify_sample(self, capsys):
         assert main(["classify", str(SAMPLES / "threefold_ecm3.json")]) == 0
         out = capsys.readouterr().out

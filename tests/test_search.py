@@ -7,12 +7,15 @@ over a number field).  For a PSD matrix the rank is the size of its largest
 nonsingular principal block, so the same minors give the form rank.  The
 search stores number-field entries in Z[alpha] (`IntegralElement`); the
 reference converts them exactly back to `AlgebraicReal`s, and the Z[alpha]
-product, quotient and sign are compared with the field's own.  The search
-tree is compared too: its node count with the count by definition (every
-child of a prefix whose fixed principal blocks are all PSD), and its test
-plan with the maximal principal blocks, per connected component of the S_b,
-that become fixed at each depth.  `psd_rank`'s failure certificates are
-checked against v^T M v computed directly.
+product, quotient and sign are compared with the field's own, and signs
+with a fresh bisection of the declared root interval.  The search
+tree is compared too: its node count is at most the count by definition
+(every child of a prefix whose fixed principal blocks are all PSD), and
+its test plan is the maximal principal blocks, per connected component of
+the S_b, that become fixed at each depth.  `psd_rank`'s failure
+certificates are checked against v^T M v computed directly, and every cut
+in the search's pool against its weights computed exactly and against
+every effective class the reference finds.
 
 The structured candidates are compared with a reference that builds every
 candidate as a form: the fiber forms with their Hodge test, their subset
@@ -66,6 +69,7 @@ from references import (
     field_product,
     rebased,
     reference_ns_coordinates,
+    reference_sign,
 )
 from lefdefect.torus import (
     AlternatingForm,
@@ -239,12 +243,38 @@ def as_algebraic(M):
             for row in M]
 
 
+def assert_pool_holds(search, box, s_basis, records):
+    """Every cut in the pool of the last scan has exact bounds
+    lo_l <= scale * w_l <= hi_l on its weights w_l = v^T S_{order[l]} v (as
+    AlgebraicReals over a number field), the tail its bounds give, and
+    sum_l x_l w_l >= 0 at every effective class x of the reference
+    `records`.  Returns the number of cuts."""
+    rho = search.rho
+    for cut in search.cuts.values():
+        v = [(i, x.field.element(x.coeffs) if isinstance(x, IntegralElement) else x)
+             for i, x in cut.vector]
+        w = [sum((x * y * s_basis[b][i][j] for i, x in v for j, y in v), 0)
+             for b in search.order]
+        for lo, hi, w_l in zip(cut.lo, cut.hi, w):
+            assert _sign(cut.scale * w_l - lo) >= 0 and _sign(hi - cut.scale * w_l) >= 0
+        assert cut.tail == [box * sum(max(hi, -lo) for lo, hi in zip(cut.lo[l:], cut.hi[l:]))
+                            for l in range(rho + 1)]
+        for _, coeffs, _, _ in records:
+            assert _sign(sum((coeffs[b] * w_l for b, w_l in zip(search.order, w)), 0)) >= 0
+    return len(search.cuts)
+
+
 def assert_search_matches_reference(search, box):
+    """The scan against `reference_scan`, and its pool of cuts against the
+    effective classes that the reference finds.  Returns the node count and
+    the number of cuts."""
     delta, position, scanned, nodes, records = _purekernels.scan_range(search, box, True)
-    expected = reference_scan([as_algebraic(m) for m in search.s_basis], search.w_pairs, box)
+    s_basis = [as_algebraic(m) for m in search.s_basis]
+    expected = reference_scan(s_basis, search.w_pairs, box)
     assert (delta, position, scanned, records) == expected
     assert scanned == (2 * box + 1) ** search.rho - 1
     assert 0 < nodes
+    return nodes, assert_pool_holds(search, box, s_basis, expected[3])
 
 
 @pytest.mark.parametrize(
@@ -255,6 +285,20 @@ def test_search_matches_reference_on_corpus(corpus, name, box):
     assert_search_matches_reference(_SearchData(corpus[name]).search, box)
 
 
+class LooseIntSearch(_purekernels.IntSearch):
+    """An integer search whose cuts keep their weights w as the bounds
+    (w - slack, w + slack), as loose as an interval enclosure over a number
+    field can be, so that the search must use hi for a positive coefficient
+    and lo for a negative one."""
+
+    def __init__(self, slack, *args):
+        super().__init__(*args)
+        self.slack = slack
+
+    def enclosures(self, weights):
+        return 1, [(w - self.slack, w + self.slack) for w in weights]
+
+
 @st.composite
 def synthetic_search(draw):
     """Random symmetric integer S_b with random zero patterns, random w.
@@ -262,7 +306,8 @@ def synthetic_search(draw):
     Half the draws give every S_b the same block-diagonal pattern of 2-3
     components on N <= 6 indices (as on a product of non-isogenous factors),
     and the boxes go up to 3 for rho <= 3, so sibling runs are long enough
-    for cuts to fire at every level.
+    for cuts to fire at every level.  Half the searches keep their cuts'
+    weights as loose bounds (`LooseIntSearch`).
     """
     rho = draw(st.integers(1, 4))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -287,19 +332,36 @@ def synthetic_search(draw):
     w_pairs = [[[rng.randint(-2, 2) for _ in range(m4)] for _ in range(rho)]
                for _ in range(rho)]
     box = 1 if rho == 4 else draw(st.integers(1, 3))
+    slack = draw(st.integers(0, 2))
+    if slack:
+        return LooseIntSearch(slack, s_basis, w_pairs, rho, N, m4), box
     return _purekernels.IntSearch(s_basis, w_pairs, rho, N, m4), box
 
 
 @settings(max_examples=60, deadline=None)
 @given(synthetic_search())
 def test_search_matches_reference_on_synthetic_data(case):
+    """Answers as the reference's; nodes at most the definition's count,
+    since the pool of cuts also decides live prefixes with every
+    completion in the box outside the effective cone."""
     search, box = case
-    assert_search_matches_reference(search, box)
+    nodes, _ = assert_search_matches_reference(search, box)
     components, plan = reference_plan(search.s_basis, search.order)
     assert search.components == components
     assert [set(tests) for tests in search.tests] == plan
-    nodes = _purekernels.scan_range(search, box, False)[3]
-    assert nodes == reference_nodes(search.s_basis, search.order, box)
+    assert nodes <= reference_nodes(search.s_basis, search.order, box)
+
+
+def test_pool_prunes_live_prefixes_on_a_survey_pair():
+    """tau = 2/3 + 3i/2 and 1/3 + 2i/3 at box 3, a pair with the shape of
+    the survey workload: cuts found in one subtree decide prefixes
+    elsewhere whose own blocks are all PSD."""
+    pair = product([elliptic(Fraction(2, 3), Fraction(3, 2)),
+                    elliptic(Fraction(1, 3), Fraction(2, 3))])
+    search = _SearchData(pair).search
+    nodes, cuts = assert_search_matches_reference(search, 3)
+    assert cuts > 0
+    assert nodes < reference_nodes(search.s_basis, search.order, 3)
 
 
 @settings(max_examples=12, deadline=None)
@@ -436,9 +498,8 @@ def test_integral_arithmetic_and_sign_match_field(name, data):
     assert K.element((x + y).coeffs) == X + Y
     assert K.element((x - y).coeffs) == X - Y
     assert K.element((-3 * x).coeffs) == -3 * X
-    fresh = RealNumberField(*FIELDS[name])  # an uncached interval around alpha
     for z, Z in ((x, X), (x * y, X * Y), (x - y, X - Y)):
-        assert integral_sign(z) == nf_sign(fresh.element(Z.coeffs))
+        assert integral_sign(z) == reference_sign(K, Z.coeffs)
     assert (x == 0) == X.is_zero()
 
 

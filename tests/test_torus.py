@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lefdefect import torus as torus_module
 from lefdefect.errors import ConsistencyError
 from lefdefect.exactmath import RealNumberField, nf_sign
 from lefdefect.torus import (
@@ -304,7 +305,22 @@ class TestSubtorusQuotient:
         A = product([E, E, E])
         all_subs = coordinate_factor_sublattices(A)
         assert len(all_subs) == 6  # proper nonempty subsets of 3 factors
+        assert all(W.corank == 6 - 2 * len(subset) for subset, W in all_subs)
         corank2 = coordinate_factor_sublattices(A, corank=2)
         assert len(corank2) == 3
         for _, W in corank2:
             assert W.corank == 2
+
+    def test_coordinate_factor_sublattices_builds_only_the_corank_asked_for(
+            self, monkeypatch):
+        built = []
+        original = torus_module.coordinate_sublattice
+
+        def counted(A, subset):
+            built.append(subset)
+            return original(A, subset)
+
+        monkeypatch.setattr(torus_module, "coordinate_sublattice", counted)
+        E = elliptic(0, 1)
+        assert len(coordinate_factor_sublattices(product([E, E, E]), corank=2)) == 3
+        assert sorted(built) == [(0, 1), (0, 2), (1, 2)]

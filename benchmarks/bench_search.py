@@ -9,22 +9,31 @@ survey workloads: two pairs of curves tau = a + i*s over Q with a != 0 and
 scaled imaginary parts at box 3 (tau = 1/2 + 2i, -1/3 + 3i/2 and
 tau = 2/3 + 3i/2, 1/3 + 2i/3), and a pair of non-isogenous curves over
 Q(2^(1/4)) (tau = 1/2 + i(1 + a) and tau = -1/3 + i*a) at box 2, whose
-symmetric parts split into one block per curve.  It records per case the
-delta, the box candidates decided (`classes_scanned`), the search-tree nodes
-entered (`nodes_visited`), the number of `psd_rank` eliminations and the
-best wall time of `--repeat` runs, each on a freshly built torus.  The
-eliminations are counted in one more, untimed run, by wrapping
-`_purekernels.psd_rank` in this script.  The results are stored in BENCH_search.json next to
-this script as one run under `--label`, replacing an earlier run with the
-same label, so runs of two checkouts sit side by side.
+symmetric parts split into one block per curve.
+
+It records per case the delta, the box candidates decided
+(`classes_scanned`), the search-tree nodes entered (`nodes_visited`), the
+number of `psd_rank` eliminations, the number of failure certificates built
+on request (`replays`, by `psd_rank`'s replay of the elimination), the size
+of the search's pool of cuts (`cuts`), and the seconds per search.  Each
+case runs a fixed number of times per batch (`REPETITIONS`: one batch lasts
+about 0.1-0.5 s, so that ms-scale cases are timed over many searches), each
+search on a freshly built torus, so every run computes its NS basis; the
+recorded time is the best batch of `--repeat`, divided by the batch size.
+The counts come from one more, untimed search, with this script wrapping
+`_purekernels.psd_rank` (which the search looks up on every call) and
+`_purekernels.scan_range`.  The results are stored in BENCH_search.json
+next to this script as one run under `--label`, replacing an earlier run
+with the same label, so runs of two checkouts sit side by side.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_search.py [--label NAME] [--repeat N]
         [--skip CASE ...]
 
 To time an older checkout with this script, point PYTHONPATH at its `src`
-(`nodes_visited` is then recorded as null if it has no such counter) and
-`--skip` the cases it cannot finish.
+(`nodes_visited`, `replays` and `cuts` are then recorded as null or 0 if it
+has no such counter, certificate builder or pool) and `--skip` the cases it
+cannot finish.
 """
 
 import argparse
@@ -86,55 +95,84 @@ CASES = (("E_i^2, box 2", power_of_ei(2), 2), ("E_i^2, box 3", power_of_ei(2), 3
          ("survey pair, box 3", survey_pair, 3),
          ("quartic pair, box 2", quartic_pair, 2))
 
+# Searches per timed batch, by case.
+REPETITIONS = {"E_i^2, box 2": 40, "E_i^2, box 3": 20, "E_i^3, box 1": 10, "E_i^3, box 2": 1,
+               "E_i^4, box 1": 1, "eia2, box 2": 40, "triple, box 1": 40,
+               "ei2_x_nocm, box 1": 20, "Q pair, box 3": 40, "survey pair, box 3": 40,
+               "quartic pair, box 2": 40}
 
-def count_eliminations(build, box):
-    """psd_rank calls of one search, counted by wrapping the module's
-    function (the search looks it up there on every call)."""
-    original = _purekernels.psd_rank
-    calls = [0]
+
+def count_search(build, box):
+    """(eliminations, replays, cuts) of one search: `psd_rank` calls, the
+    certificates it built on request, and the size of the pool of cuts
+    (None without a pool), by wrapping the module's functions."""
+    psd_rank, scan_range = _purekernels.psd_rank, _purekernels.scan_range
+    counts = [0, 0]
+    searches = []
+
+    def replay_counted(build_vector):
+        def built():
+            counts[1] += 1
+            return build_vector()
+        return built
 
     def counted(*args):
-        calls[0] += 1
-        return original(*args)
+        counts[0] += 1
+        rank, certificate = psd_rank(*args)
+        if certificate is not None and callable(certificate[1]):
+            certificate = (certificate[0], replay_counted(certificate[1]))
+        return rank, certificate
 
-    _purekernels.psd_rank = counted
+    def scanned(search, *args):
+        searches.append(search)
+        return scan_range(search, *args)
+
+    _purekernels.psd_rank, _purekernels.scan_range = counted, scanned
     try:
         torus_defect(build(), box=box)
     finally:
-        _purekernels.psd_rank = original
-    return calls[0]
+        _purekernels.psd_rank, _purekernels.scan_range = psd_rank, scan_range
+    cuts = getattr(searches[-1], "cuts", None) if searches else None
+    return counts[0], counts[1], None if cuts is None else len(cuts)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="current")
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--skip", nargs="*", default=[], help="case names to leave out")
     args = parser.parse_args()
 
     rows = []
-    print(f"{'case':<20} {'delta':>5} {'classes':>10} {'nodes':>7} {'elims':>7} {'seconds':>9}")
+    print(f"{'case':<20} {'delta':>5} {'classes':>10} {'nodes':>7} {'elims':>7} "
+          f"{'replays':>7} {'cuts':>5} {'seconds':>9}")
     for name, build, box in CASES:
         if name in args.skip:
             continue
+        reps = REPETITIONS[name]
         times = []
         for _ in range(args.repeat):
-            torus = build()  # fresh, so every run computes its NS basis
+            tori = [build() for _ in range(reps)]  # fresh: every run computes its NS basis
             started = time.perf_counter()
-            result = torus_defect(torus, box=box)
-            times.append(time.perf_counter() - started)
+            for torus in tori:
+                result = torus_defect(torus, box=box)
+            times.append((time.perf_counter() - started) / reps)
         nodes = getattr(result, "nodes_visited", None)
-        eliminations = count_eliminations(build, box)
+        eliminations, replays, cuts = count_search(build, box)
         rows.append({
             "case": name,
             "delta": result.delta,
             "classes_scanned": result.classes_scanned,
             "nodes_visited": nodes,
             "eliminations": eliminations,
-            "seconds": round(min(times), 4),
+            "replays": replays,
+            "cuts": cuts,
+            "repetitions": reps,
+            "seconds": round(min(times), 5),
         })
         print(f"{name:<20} {result.delta:>5} {result.classes_scanned:>10} "
-              f"{'-' if nodes is None else nodes:>7} {eliminations:>7} {min(times):>9.4f}")
+              f"{'-' if nodes is None else nodes:>7} {eliminations:>7} {replays:>7} "
+              f"{'-' if cuts is None else cuts:>5} {min(times):>9.5f}")
 
     runs = []
     if os.path.exists(OUT):

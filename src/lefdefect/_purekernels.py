@@ -19,18 +19,26 @@ entries become fixed, and its rank is carried down the path: a leaf
 eliminates only the components its own coefficient touches, and the leaves
 that survive get the cup-product kernel dimension.
 
-A block that fails before its second pivot comes with a vector v that has
-v^T S v < 0 (see `psd_rank`).  Every effective x has v^T S(x) v >= 0, and
-v^T S(x) v = sum_l x_l w_l with w_l = v^T S_{order[l]} v, so v is a cut on
-the whole box, not only on the node it came from.  The search keeps every
-cut it finds in one pool: a polyhedral outer approximation of the
-effective cone (Kelley's cutting planes).  Its weights are kept as integer
-bounds: exact over Q, and over a number field the interval evaluation at
-alpha that signs use (`integral_enclosure`).  With the coefficients of the
-levels up to t fixed and the rest anywhere in the box, the largest value
-of sum_l x_l w_l is bounded as in Fincke-Pohst; where that bound is
-negative, no completion of the prefix is effective, and the node is
-decided with its whole subtree without an elimination.
+Every block that fails comes with a vector v that has v^T S v < 0 (see
+`psd_rank`): at once before the elimination's second pivot, and built on
+request by replaying the elimination after it.  Every effective x has
+v^T S(x) v >= 0, and v^T S(x) v = sum_l x_l w_l with
+w_l = v^T S_{order[l]} v, so v is a cut on the whole box, not only on the
+node it came from.  The search keeps cuts in one pool: a polyhedral outer
+approximation of the effective cone (Kelley's cutting planes).  Every
+certificate given at once joins it; one built on request is asked for
+only at the first coefficient of a sibling range, and joins only when it
+rules out the whole range.  Its weights are kept as integer bounds: exact
+over Q, and over a number field the interval evaluation at alpha that
+signs use (`integral_enclosure`).  With the coefficients of the levels up
+to t fixed and the rest anywhere in the box, the largest value of
+sum_l x_l w_l is bounded as in Fincke-Pohst, from a prefix sum that each
+cut carries down the path; where that bound is negative, no completion of
+the prefix is effective, and the node is decided with its whole subtree
+without an elimination.  A new cut whose bound is negative at an ancestor
+(one that rules out a whole sibling range does so at the parent) is a
+conflict: the search backjumps to the shallowest such ancestor (Prosser's
+conflict-directed backjumping), counting what it skips as decided.
 
 Semidefiniteness and rank come from one routine, `psd_rank`: symmetric
 fraction-free elimination with diagonal pivoting.  Over Q the entries are
@@ -66,42 +74,55 @@ def psd_rank(M, idx, sign, quotient):
     scalar kind's sign and `quotient(d)` its exact division by d, made only
     for a pivot whose successor has entries left to update.
 
-    A block that fails at a negative diagonal entry a_ii before the second
-    pivot comes with the certificate the elimination already holds: a
-    vector v with at most two entries and q = v^T M v < 0, as
-    (q, ((index, entry), ...)) with indices into M.  Before any pivot
-    v = e_i and q = a_ii; after the first pivot p = a_ff it is
-    v = p e_i - M[i, f] e_f, and q = p * a'_ii, p times the updated entry.
-    Every other outcome has certificate None.
+    Every failure comes with a certificate (q, v): a vector v on the block
+    with q = v^T M v < 0, v as ((index into M, entry), ...).  Let P be the
+    pivot block and T_i the combination of rows that the elimination made
+    row i into: T_i has det(P) at i and -adj(P) M[P, i] on P, and
+    T_i^T M T_j = det(P) a'_ij, with det(P) the last pivot (1 before the
+    first).  A negative diagonal entry a'_ii gives v = T_i and
+    q = det(P) a'_ii.  A zero diagonal with a'_ij != 0 gives
+    v = T_i - sign(a'_ij) T_j and q = -2 det(P) |a'_ij|.  Before the second
+    pivot a negative diagonal entry hands v over as the tuple: e_i with
+    q = a_ii, or p e_i - M[i, f] e_f after the first pivot p = a_ff.  In
+    every other case v is a function that builds the tuple on request, by
+    replaying the elimination on the pivot-column entries, which stay
+    frozen in the elimination array once their pivot leaves `rest` (see
+    `_replayed`); no second elimination runs.  A PSD block has certificate
+    None.
     """
     a = [[M[i][j] for j in idx] for i in idx]
     rest = list(range(len(a)))
-    first = -1  # index of the first pivot
+    pivots = []
+    divides = []  # the exact division of each pivot step after the first
     previous = None  # pivot; nothing to divide by before the first
     divide = None
-    rank = 0
     while rest:
         pivot = -1
         for i in rest:
             s = sign(a[i][i])
             if s < 0:
-                if rank == 0:
+                if not pivots:
                     return -1, (a[i][i], ((idx[i], 1),))
-                if rank == 1:  # -1 * x: Z[alpha] elements have no unary minus
-                    p = a[first][first]
-                    return -1, (p * a[i][i], ((idx[i], p), (idx[first], -1 * a[i][first])))
-                return -1, None
+                if len(pivots) == 1:  # -1 * x: Z[alpha] elements have no unary minus
+                    f = pivots[0]
+                    return -1, (previous * a[i][i], ((idx[i], previous), (idx[f], -1 * a[i][f])))
+                return -1, (previous * a[i][i], lambda: _replayed(a, idx, pivots, divides, i))
             if s > 0 and pivot < 0:
                 pivot = i
         if pivot < 0:
-            if any(a[i][j] != 0 for i in rest for j in rest):
-                return -1, None
-            return rank, None
+            for i in rest:
+                for j in rest:
+                    if a[i][j] != 0:
+                        s = sign(a[i][j])
+                        q = -2 * s * a[i][j]
+                        return -1, (q if previous is None else previous * q,
+                                    lambda: _replayed(a, idx, pivots, divides, i, j, s))
+            return len(pivots), None
         rest.remove(pivot)
         if rest and previous is not None:
             divide = quotient(previous)
-        if rank == 0:
-            first = pivot
+            divides.append(divide)
+        pivots.append(pivot)
         p = a[pivot][pivot]
         row_p = a[pivot]
         for n, i in enumerate(rest):
@@ -111,8 +132,40 @@ def psd_rank(M, idx, sign, quotient):
                 v = p * ai[j] - f * row_p[j]
                 ai[j] = a[j][i] = v if divide is None else divide(v)
         previous = p
-        rank += 1
-    return rank, None
+    return len(pivots), None
+
+
+def _replayed(a, idx, pivots, divides, i, j=None, s=0):
+    """The certificate vector T_i - s T_j of a failed elimination, as
+    ((index into M, entry), ...) over its nonzero entries, in pivot order.
+
+    The step with pivot p made every row r still in `rest` into
+    (a_pp T_r - a_rp T_p) / (previous pivot), with T_p as p entered the
+    step; a_pp and a_rp are frozen in `a` from then on, and `divides` holds
+    the elimination's exact divisions of the steps after the first.  One
+    pass replays the steps on T_r = e_r for the pivots and the targets
+    alike.
+    """
+    rows = pivots + ([i] if j is None else [i, j])
+    T = {r: {r: 1} for r in rows}
+    for m, p in enumerate(pivots):
+        pp, R = a[p][p], T[p]
+        divide = divides[m - 1] if m else None
+        for r in rows[m + 1:]:
+            f, Tr = a[r][p], T[r]
+            for k in Tr:
+                Tr[k] = pp * Tr[k]
+            if f != 0:
+                for k, y in R.items():  # -1 * f: Z[alpha] elements have no unary minus
+                    Tr[k] = Tr[k] - f * y if k in Tr else -1 * f * y
+            if divide is not None:
+                for k in Tr:
+                    Tr[k] = divide(Tr[k])
+    v = T[i]
+    if j is not None:
+        for r, y in T[j].items():
+            v[r] = v[r] - s * y if r in v else -s * y
+    return tuple((idx[r], x) for r, x in v.items() if x != 0)
 
 
 def int_sign(v) -> int:
@@ -279,12 +332,16 @@ class Cut:
 
     The weights are kept as integer bounds lo[l] <= scale * w_l <= hi[l]
     (exact on ints), and tail[l] = box * sum_{m >= l} max(hi[m], -lo[m])
-    bounds scale * sum_{m >= l} x_m w_m over the box.
+    bounds scale * sum_{m >= l} x_m w_m over the box.  `acc` is the search's
+    running sum of x_l (hi[l] if x_l > 0 else lo[l]) over the levels fixed
+    on the current path.  `node` holds the coefficients, by level, of the
+    node whose failed block gave v, and `decides_parent` whether the cut
+    rules out every sibling of that node, so that the search backjumped.
     """
 
-    __slots__ = ("vector", "scale", "lo", "hi", "tail")
+    __slots__ = ("vector", "scale", "lo", "hi", "tail", "acc", "node", "decides_parent")
 
-    def __init__(self, vector, scale, bounds, box):
+    def __init__(self, vector, scale, bounds, box, node):
         self.vector = vector
         self.scale = scale
         self.lo = [lo for lo, _ in bounds]
@@ -292,17 +349,9 @@ class Cut:
         self.tail = [0] * (len(bounds) + 1)
         for l in range(len(bounds) - 1, -1, -1):
             self.tail[l] = self.tail[l + 1] + box * max(self.hi[l], -self.lo[l])
-
-    def prefix_bound(self, t, level_coeffs):
-        """The part of the upper bound on scale * v^T S(x) v that does not
-        depend on the coefficient at level t: the fixed levels < t, with
-        coefficients `level_coeffs`, and the free levels > t."""
-        bound = self.tail[t + 1]
-        for l in range(t):
-            x = level_coeffs[l]
-            if x:
-                bound += x * (self.hi[l] if x > 0 else self.lo[l])
-        return bound
+        self.acc = 0
+        self.node = node
+        self.decides_parent = False
 
 
 def scan_range(search, box: int, collect: bool):
@@ -317,16 +366,31 @@ def scan_range(search, box: int, collect: bool):
     (position, coeffs, defect, form_rank) of every effective class in
     position order.
 
-    Every certificate a failed block gives becomes a `Cut` in one pool for
-    the whole search, deduplicated on its bounds and registered at each
-    level where its weight is nonzero.  A node at level t with coefficient
-    c is checked, before S is updated, against the cuts registered at t:
-    when sum_{l <= t} x_l (hi_l if x_l > 0 else lo_l) + tail[t + 1] < 0, no
+    Certificates of failed blocks become `Cut`s in one pool for the whole
+    search, deduplicated on their bounds and registered at each level where
+    their weight is nonzero.  A block tested at level t is fixed from depth
+    t + 1 on, so its certificate's weights vanish beyond t, and at a sibling
+    c' of the failing node (coefficient c) its value is q + (c' - c) w_t.
+    A certificate that `psd_rank` hands over as a tuple (before the second
+    pivot) always joins the pool.  One it builds only on request is asked
+    for only at c = -box, and joins only when it rules out the whole
+    sibling range: q + 2 box w_t < 0, signed exactly (w_t <= 0 is such a
+    case, as q < 0).  Only w_t is computed before that test; the weights
+    at the other levels, the enclosures and the `Cut` only after it.
+
+    Each cut carries its prefix sum `acc` down the path: descending into
+    child c at level t adds c (hi_t if c > 0 else lo_t) to the cuts
+    registered at t, returning subtracts it.  A node at level t with
+    coefficient c is checked, before S is updated, against the cuts
+    registered at t: when acc + tail[t + 1] + c (hi_t or lo_t) < 0, no
     completion inside the box is PSD, and the node is decided with its
     whole subtree without an elimination; it still counts as a node
-    entered.  A certificate e_i has the nonzero weight S_b[i][i] at the
-    level it came from (else an earlier test would have seen S[i][i] < 0),
-    so its cut also decides the later siblings there.  `search.cuts` keeps
+    entered.  A new cut whose bound acc_l + tail[l + 1] over the path's
+    levels up to l < t is negative, or which rules out the whole sibling
+    range, decides an ancestor: the search ends the sibling loop and
+    returns to the shallowest such level l (the bound does not increase
+    along the path), the parent at least, and counts every sibling it skips
+    there as decided with its subtree, not as entered.  `search.cuts` keeps
     the pool of the last scan.
     """
     rho, N, order, tests = search.rho, search.N, search.order, search.tests
@@ -346,31 +410,58 @@ def scan_range(search, box: int, collect: bool):
     counts = [0, 0]  # candidates decided, nodes visited
     records = []
     pool = search.cuts = {}  # bounds -> Cut
-    at = [[] for _ in range(rho)]  # the cuts registered at each level
+    at = [[] for _ in range(rho)]  # (cut, lo_t, hi_t, tail[t + 1]) of the cuts registered at t
 
-    def add_cut(certificate):
-        _, v = certificate
-        # v^T M v = sum over i <= j of (1 or 2) v_i v_j M[i][j], M symmetric
-        terms = [(i, j, x * y if i == j else 2 * x * y)
-                 for n, (i, x) in enumerate(v) for j, y in v[n:]]
-        weights = []
-        for b in order:
-            S_b = search.s_basis[b]
-            w = search.zero
-            for i, j, f in terms:
-                if S_b[i][j] != 0:
-                    w = w + f * S_b[i][j]
-            weights.append(w)
-        scale, bounds = search.enclosures(weights)
+    def quadratic(v, l):
+        """v^T S_{order[l]} v for v as {index: entry}."""
+        w = search.zero
+        for r, col, s in search.entries[l]:
+            if r in v and col in v:
+                w = w + v[r] * v[col] * s
+        return w
+
+    def admit(certificate, t, c):
+        """Add the cut of the failed node (t, c) to the pool if it
+        qualifies.  Returns the shallowest level whose node on the path it
+        decides, t when it decides no ancestor."""
+        q, v = certificate
+        if callable(v):
+            if c != -box:
+                return t
+            v = v()
+            entries = dict(v)
+            # the value at sibling c' is q + (c' + box) w_t: negative on the
+            # whole range iff it is at c' = box (w_t <= 0 included, as q < 0)
+            if sign(q + 2 * box * quadratic(entries, t)) >= 0:
+                return t
+            jump = t - 1
+        else:
+            entries = dict(v)
+            jump = t
+        scale, bounds = search.enclosures([quadratic(entries, l) for l in range(rho)])
         key = tuple(bounds)
         cut = pool.get(key)
-        if key not in pool:
-            cut = pool[key] = Cut(v, scale, bounds, box)
+        new = cut is None
+        if new:
+            cut = pool[key] = Cut(v, scale, bounds, box, tuple(path[:t]) + (c,))
+        acc = 0
+        for l in range(t):
+            x = path[l]
+            if x:
+                acc += x * (cut.hi[l] if x > 0 else cut.lo[l])
+            if l < jump and acc + cut.tail[l + 1] < 0:
+                jump = l
+        if new:
+            cut.acc = acc
+            cut.decides_parent = jump < t
             for l, (lo, hi) in enumerate(bounds):
                 if lo or hi:
-                    at[l].append(cut)
+                    at[l].append((cut, lo, hi, cut.tail[l + 1]))
+        return jump
 
     def descend(t, pos, zero_prefix):
+        """The sibling loop at level t.  Returns the shallowest level < t
+        whose node on the path a new cut decided, else a level >= t."""
         b = order[t]
         entries = search.entries[t]
         saved = [S[r][col] for r, col, _ in entries]
@@ -378,18 +469,15 @@ def scan_range(search, box: int, collect: bool):
         blocks = tests[t]
         decided = below[t]
         registered = at[t]
-        active = []  # (lo_t, hi_t, prefix bound) of the cuts registered at t
+        jump = t
         for c, deltas in steps[t]:
             counts[1] += 1
             zero = zero_prefix and c == 0
             if leaf and zero:
                 continue
-            if len(active) < len(registered):
-                active.extend((cut.lo[t], cut.hi[t], cut.prefix_bound(t, path))
-                              for cut in registered[len(active):])
             pruned = False
-            for lo, hi, bound in active:
-                if bound + c * (hi if c > 0 else lo) < 0:
+            for cut, lo, hi, tail in registered:
+                if cut.acc + tail + c * (hi if c > 0 else lo) < 0:
                     pruned = True
                     break
             if pruned:
@@ -401,9 +489,9 @@ def scan_range(search, box: int, collect: bool):
             for idx, k in blocks:
                 rank, certificate = psd_rank(S, idx, sign, quotient)
                 if rank < 0:
-                    if certificate is not None:
-                        add_cut(certificate)
                     counts[0] += decided - zero
+                    if certificate is not None:
+                        jump = admit(certificate, t, c)
                     break
                 if k >= 0:
                     ranks[k] = rank
@@ -411,17 +499,30 @@ def scan_range(search, box: int, collect: bool):
                 coeffs[b] = path[t] = c
                 p = pos + (c + box) * weight[t]
                 if not leaf:
-                    descend(t + 1, p, zero)
-                    continue
-                counts[0] += 1
-                effective, defect, form_rank = search.evaluate((coeffs, sum(ranks)))
-                if effective:
-                    if defect > best[0] or (defect == best[0] and p < best[1]):
-                        best[0], best[1] = defect, p
-                    if collect:
-                        records.append((p, tuple(coeffs), defect, form_rank))
+                    if c:
+                        for cut, lo, hi, _ in registered:
+                            cut.acc += c * (hi if c > 0 else lo)
+                    jump = descend(t + 1, p, zero)
+                    if c:
+                        for cut, lo, hi, _ in registered:
+                            cut.acc -= c * (hi if c > 0 else lo)
+                else:
+                    counts[0] += 1
+                    effective, defect, form_rank = search.evaluate((coeffs, sum(ranks)))
+                    if effective:
+                        if defect > best[0] or (defect == best[0] and p < best[1]):
+                            best[0], best[1] = defect, p
+                        if collect:
+                            records.append((p, tuple(coeffs), defect, form_rank))
+            if jump < t:
+                # The siblings after c are decided with their subtrees.  None
+                # holds the zero vector: a decided ancestor has a nonzero
+                # prefix, since a cut's bound at a zero prefix is tail >= 0.
+                counts[0] += (box - c) * decided
+                break
         for (r, col, _), s in zip(entries, saved):
             S[r][col] = s
+        return jump
 
     descend(0, 0, True)
     records.sort()

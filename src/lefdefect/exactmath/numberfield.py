@@ -209,6 +209,7 @@ def count_real_roots(p, lo: Fraction, hi: Fraction) -> int:
 
 
 _FIELDS = {}  # (min_poly, lo, hi) -> the one certified field of that key
+_SPELLED = {}  # (tuple(min_poly), tuple(root_interval)) as given -> its field
 
 
 class RealNumberField:
@@ -222,12 +223,22 @@ class RealNumberField:
     A process holds one field per normalized (min_poly, lo, hi): the
     constructor returns the instance it certified first, so the checks run
     once and every user shares the refined bounds of alpha.  Invalid input
-    raises before it reaches that cache.  Instances are immutable apart from
-    the cached refinement of the isolating interval, which never changes
-    what they compare equal to.
+    raises before it reaches that cache.  A repeated call with the same
+    arguments (compared as given, before normalizing) returns the field at
+    once; unhashable arguments are normalized every time.  Instances are
+    immutable apart from the cached refinement of the isolating interval,
+    which never changes what they compare equal to.
     """
 
     def __new__(cls, min_poly, root_interval):
+        min_poly, root_interval = tuple(min_poly), tuple(root_interval)
+        spelled = (min_poly, root_interval)
+        try:
+            field = _SPELLED.get(spelled)
+        except TypeError:
+            spelled = field = None
+        if field is not None:
+            return field
         coeffs = [int(c) for c in min_poly]
         if list(min_poly) != coeffs:
             raise ValueError("min_poly must have integer coefficients")
@@ -245,6 +256,8 @@ class RealNumberField:
             field = super().__new__(cls)
             field._certify(coeffs, lo, hi)
             _FIELDS[key] = field
+        if spelled is not None:
+            _SPELLED[spelled] = field
         return field
 
     def _certify(self, coeffs, lo, hi):

@@ -140,8 +140,9 @@ class ComplexTorus:
     computation reads these parts; J^2 = -I is certified on them as
     (D*J)^2 = -D^2 I in Z[alpha], for every torus.  `ComplexTorus(field,
     J)` splits J, given as rows of `AlgebraicReal`s of `field` or
-    rationals, once; `elliptic`, `product` and `quotient` build their tori
-    from parts.  Instances are immutable; derived data
+    rationals, once; `elliptic` and `quotient` build their tori from parts
+    and certify them, and `product` concatenates its factors' certified
+    data, which needs no check again.  Instances are immutable; derived data
     (the NS basis) is cached on the instance, which is safe because
     recomputation is idempotent.
     """
@@ -157,11 +158,23 @@ class ComplexTorus:
         torus._init(field, den, parts, factors, label)
         return torus
 
+    @classmethod
+    def _from_certified(cls, field, den, parts, factors=None, label=None) -> "ComplexTorus":
+        """The torus whose J data (den, parts) is already canonical, as
+        nested tuples, and known to square to -D^2 I: no checks run."""
+        torus = cls.__new__(cls)
+        torus._set(field, den, parts, factors, label)
+        return torus
+
     def _init(self, field, den, parts, factors, label):
-        self.field = field
-        self.j_den, self.j_parts = _canonical(den, parts)
-        if not _squares_to_minus_d2(field, self.j_den, self.j_parts):
+        den, parts = _canonical(den, parts)
+        if not _squares_to_minus_d2(field, den, parts):
             raise ConsistencyError("inconsistent complex structure: J^2 != -I")
+        self._set(field, den, parts, factors, label)
+
+    def _set(self, field, den, parts, factors, label):
+        self.field = field
+        self.j_den, self.j_parts = den, parts
         self.n = len(self.j_parts[0]) // 2
         self.factors = tuple(factors) if factors is not None else None
         self.label = label
@@ -264,7 +277,12 @@ def product(factors) -> ComplexTorus:
 
     The blocks' integer J data is concatenated over D, the lcm of their
     denominators: the k-th part of the product holds (D / D_f) * (D_f J_f,k)
-    on the block of factor f, and zeros where f has no k-th part.
+    on the block of factor f, and zeros where f has no k-th part.  Every
+    factor's data is canonical and certified, so this is too, and no check
+    runs again: a prime dividing D and every entry would divide D_f and
+    every entry of a factor f whose D_f holds D's full power of it; higher
+    parts appear only when some factor has a nonzero one; and
+    (D J)^2 = -D^2 I holds block by block.
     """
     factors = list(factors)
     if not factors:
@@ -287,7 +305,8 @@ def product(factors) -> ComplexTorus:
             for i, row in enumerate(block):
                 Jk[offset + i][offset:offset + len(row)] = [scale * x for x in row]
         offset += 2 * f.n
-    return ComplexTorus._from_parts(field, den, parts, factors=atoms)
+    parts = tuple(tuple(tuple(row) for row in Jk) for Jk in parts)
+    return ComplexTorus._from_certified(field, den, parts, factors=atoms)
 
 
 def factor_blocks(A: ComplexTorus):

@@ -2,10 +2,11 @@
 
 `elliptic` builds a curve's integer J data from the norm/adjugate inverse of
 its imaginary part in Z[alpha]; every torus certifies J^2 = -I on its
-integer parts; `_matmul` skips zero entries; `AlternatingForm` keeps int
-entries as ints.  Each is checked here against the simple construction it
-replaces (references in `references.py`), and the CLI is run end to end on
-random torus documents.
+integer parts, and `product` keeps its factors' canonical, certified data
+without checking it again; `_matmul` skips zero entries; `AlternatingForm`
+keeps int entries as ints.  Each is checked here against the simple
+construction it replaces (references in `references.py`), and the CLI is
+run end to end on random torus documents.
 """
 
 import contextlib
@@ -25,13 +26,22 @@ from lefdefect.cli import main
 from lefdefect.errors import ConsistencyError
 from lefdefect.exactmath import IntegralElement, RealNumberField, norm_adjugate
 from lefdefect.schema import load_document
-from lefdefect.torus import AlternatingForm, ComplexTorus, _matmul, _squares_to_minus_d2, elliptic
+from lefdefect.torus import (
+    AlternatingForm,
+    ComplexTorus,
+    _canonical,
+    _matmul,
+    _squares_to_minus_d2,
+    elliptic,
+    product,
+)
 
 from references import (
     dense_matmul,
     elliptic_products,
     matrix_squares_to_minus_identity,
     parts_matrix,
+    rebased,
     squares_to_minus_identity,
 )
 
@@ -77,6 +87,21 @@ def test_parts_certificate_matches_field_square(A, data):
     assert not matrix_squares_to_minus_identity(A.field, parts_matrix(A.field, A.j_den, parts))
     with pytest.raises(ConsistencyError, match="complex structure"):
         ComplexTorus._from_parts(A.field, A.j_den, parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(A=elliptic_products(), seed=st.integers(0, 2**32))
+def test_product_data_is_canonical_and_certified(A, seed):
+    """`product` concatenates its factors' certified data without checking
+    it again: on products of curves, of a product with a curve, and of a
+    torus on a mixed lattice basis (no declared factors) with curves, its
+    (j_den, j_parts) is what `_canonical` makes of it and squares to
+    -D^2 I."""
+    curves = list(A.factors)
+    mixed = rebased(product(curves[:2]), random.Random(seed))
+    for P in (A, product([A, curves[-1]]), product([mixed] + curves[2:] + curves[:1])):
+        assert (P.j_den, P.j_parts) == _canonical(P.j_den, P.j_parts)
+        assert _squares_to_minus_d2(P.field, P.j_den, P.j_parts)
 
 
 @settings(max_examples=60, deadline=None)

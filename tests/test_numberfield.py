@@ -53,10 +53,22 @@ class TestFieldConstruction:
         K = RealNumberField([-2, 0, 0, 0, 1], ("1", "3/2"))
         assert K is RealNumberField((-2, 0, 0, 0, 1, 0), (F(1), F(3, 2)))
         assert K is not RealNumberField([-2, 0, 0, 0, 1], (1, F(5, 4)))
-        # Invalid input raises every time: it never reaches the cache.
+        # Repeated calls, with string, Fraction or mixed spellings of the key
+        # and with unhashable numbers, return the same field.
+        class Unhashable(F):
+            __hash__ = None
+
+        for _ in range(2):
+            assert K is RealNumberField([-2, 0, 0, 0, 1], ("1", "3/2"))
+            assert K is RealNumberField((-2, 0, 0, 0, 1), [F(1), F(3, 2)])
+            assert K is RealNumberField([-2, 0, 0, 0, 1], (1, "3/2"))
+            assert K is RealNumberField([-2, 0, 0, 0, 1], (Unhashable(1), Unhashable(3, 2)))
+        # Invalid input raises every time: it never reaches either cache.
         for _ in range(2):
             with pytest.raises(ValueError, match="square-free"):
                 RealNumberField([1, -2, 1], (0, 2))
+            with pytest.raises(ValueError, match="change sign"):
+                RealNumberField([-2, 0, 0, 0, 1], ("-2", "2"))
 
     def test_sturm_count(self):
         # x^3 - 2x: roots -sqrt(2), 0, sqrt(2)

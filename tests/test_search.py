@@ -13,9 +13,11 @@ tree is compared too: its node count is at most the count by definition
 (every child of a prefix whose fixed principal blocks are all PSD), and
 its test plan is the maximal principal blocks, per connected component of
 the S_b, that become fixed at each depth.  `psd_rank`'s failure
-certificates are checked against v^T M v computed directly, and every cut
-in the search's pool against its weights computed exactly and against
-every effective class the reference finds.
+certificates, given at once or built on request, are checked against
+v^T M v computed directly, and every cut in the search's pool against its
+weights computed exactly and against every effective class the reference
+finds; a cut that decided its parent must rule out that node's whole
+sibling range, and no reference class may have the parent's prefix.
 
 The structured candidates are compared with a reference that builds every
 candidate as a form: the fiber forms with their Hodge test, their subset
@@ -246,21 +248,32 @@ def as_algebraic(M):
 def assert_pool_holds(search, box, s_basis, records):
     """Every cut in the pool of the last scan has exact bounds
     lo_l <= scale * w_l <= hi_l on its weights w_l = v^T S_{order[l]} v (as
-    AlgebraicReals over a number field), the tail its bounds give, and
-    sum_l x_l w_l >= 0 at every effective class x of the reference
-    `records`.  Returns the number of cuts."""
-    rho = search.rho
+    AlgebraicReals over a number field), the tail its bounds give, a prefix
+    sum unwound to 0, and sum_l x_l w_l >= 0 at every effective class x of
+    the reference `records`.  Its weights vanish beyond the level of the
+    node it came from, and its value there is negative.  A cut that decides
+    its parent is negative at every sibling of that node, and no reference
+    record has the parent's prefix.  Returns the number of cuts."""
+    rho, order = search.rho, search.order
     for cut in search.cuts.values():
         v = [(i, x.field.element(x.coeffs) if isinstance(x, IntegralElement) else x)
              for i, x in cut.vector]
-        w = [sum((x * y * s_basis[b][i][j] for i, x in v for j, y in v), 0)
-             for b in search.order]
+        w = [sum((x * y * s_basis[b][i][j] for i, x in v for j, y in v), 0) for b in order]
         for lo, hi, w_l in zip(cut.lo, cut.hi, w):
             assert _sign(cut.scale * w_l - lo) >= 0 and _sign(hi - cut.scale * w_l) >= 0
         assert cut.tail == [box * sum(max(hi, -lo) for lo, hi in zip(cut.lo[l:], cut.hi[l:]))
                             for l in range(rho + 1)]
+        assert cut.acc == 0
         for _, coeffs, _, _ in records:
-            assert _sign(sum((coeffs[b] * w_l for b, w_l in zip(search.order, w)), 0)) >= 0
+            assert _sign(sum((coeffs[b] * w_l for b, w_l in zip(order, w)), 0)) >= 0
+        t = len(cut.node) - 1
+        assert all(_sign(w_l) == 0 for w_l in w[t + 1:])
+        prefix = sum((x * w_l for x, w_l in zip(cut.node[:t], w)), 0)
+        assert _sign(prefix + cut.node[t] * w[t]) < 0
+        if cut.decides_parent:
+            assert all(_sign(prefix + c * w[t]) < 0 for c in range(-box, box + 1))
+            assert not any(all(coeffs[order[l]] == cut.node[l] for l in range(t))
+                           for _, coeffs, _, _ in records)
     return len(search.cuts)
 
 
@@ -341,9 +354,10 @@ def synthetic_search(draw):
 @settings(max_examples=60, deadline=None)
 @given(synthetic_search())
 def test_search_matches_reference_on_synthetic_data(case):
-    """Answers as the reference's; nodes at most the definition's count,
-    since the pool of cuts also decides live prefixes with every
-    completion in the box outside the effective cone."""
+    """Answers (`classes_scanned` among them) as the reference's; every cut
+    that decided its parent rules out that node's whole sibling range; nodes
+    at most the definition's count, since the pool of cuts also decides live
+    prefixes with every completion in the box outside the effective cone."""
     search, box = case
     nodes, _ = assert_search_matches_reference(search, box)
     components, plan = reference_plan(search.s_basis, search.order)
@@ -352,15 +366,48 @@ def test_search_matches_reference_on_synthetic_data(case):
     assert nodes <= reference_nodes(search.s_basis, search.order, box)
 
 
+# (node, w_1 > 0) of the cuts that decide their parent x0 = +-1, both from
+# the zero diagonal's certificate at x1 = -1: e0 - sign(a) e1, built on
+# request.  One rules out the range with w_1 <= 0, the other with w_1 > 0
+# and q + 2 w_1 < 0.
+RANGE_CUTS = [((-1, -1), False), ((1, -1), True)]
+
+
+@pytest.mark.parametrize("off_diagonal, ranged", [
+    # S = [[0, a], [a, 0]] with a = -3 x0 + 2 x1: at x0 = -1, a = 3 + 2 x1
+    # (q = -2, w_1 = -4); at x0 = 1, a = -3 + 2 x1 (q = -10, w_1 = 4).
+    ((-3, 2), RANGE_CUTS),
+    # a = 3 x0 - x1: at x0 = -1, a = -3 - x1 (q = -4, w_1 = -2); at x0 = 1,
+    # a = 3 - x1 (q = -8, w_1 = 2).
+    ((3, -1), RANGE_CUTS),
+    # a = x0 - x1: at x0 = 1, x1 = -1 the certificate has q = -4, w_1 = 2 and
+    # q + 2 w_1 = 0, and at x1 = 1 the block is zero: PSD, so x0 = 1 must
+    # not be decided.
+    ((1, -1), []),
+])
+def test_certificates_after_the_elimination_rule_out_sibling_ranges(off_diagonal, ranged):
+    """Certificates that `psd_rank` builds only on request (here: a zero
+    diagonal with coupling) join the pool only when they rule out every
+    sibling at their level, and then decide the parent node."""
+    s_basis = [[[0, a], [a, 0]] for a in off_diagonal]
+    w_pairs = [[[1, i - j] for j in range(2)] for i in range(2)]
+    search = _purekernels.IntSearch(s_basis, w_pairs, 2, 2, 2)
+    assert_search_matches_reference(search, 1)
+    assert sorted((cut.node, cut.hi[1] > 0) for cut in search.cuts.values()
+                  if cut.decides_parent) == ranged
+
+
 def test_pool_prunes_live_prefixes_on_a_survey_pair():
     """tau = 2/3 + 3i/2 and 1/3 + 2i/3 at box 3, a pair with the shape of
     the survey workload: cuts found in one subtree decide prefixes
-    elsewhere whose own blocks are all PSD."""
+    elsewhere whose own blocks are all PSD, and some decide their parent
+    node, so that the search backjumps."""
     pair = product([elliptic(Fraction(2, 3), Fraction(3, 2)),
                     elliptic(Fraction(1, 3), Fraction(2, 3))])
     search = _SearchData(pair).search
     nodes, cuts = assert_search_matches_reference(search, 3)
     assert cuts > 0
+    assert any(cut.decides_parent for cut in search.cuts.values())
     assert nodes < reference_nodes(search.s_basis, search.order, 3)
 
 
@@ -550,19 +597,34 @@ def test_integral_quotient_by_zero_divisor_raises():
         integral_quotient(IntegralElement(K, (1, 1)))
 
 
+def block_rank(block):
+    """Rank of a symmetric matrix: the size of its largest nonsingular
+    principal block."""
+    n = len(block)
+    return max((size for size in range(1, n + 1) for I in itertools.combinations(range(n), size)
+                if _det([[block[i][j] for j in I] for i in I]) != 0), default=0)
+
+
 def assert_certificates_hold(M, sign, quotient, rng, zero):
-    """psd_rank on M and on a random principal block: a certificate comes
-    only with rank -1, has at most 2 entries, all in the block, and its q is
-    v^T M v < 0.  Returns the number of certificates seen."""
+    """psd_rank on M and on a random principal block: every failure, and
+    only a failure, comes with a certificate (q, v), v given at once before
+    the second pivot and else built on request.  v has distinct entries in
+    the block, at most rank + 1 of them (in fact at most the block's rank:
+    k + 1 or k + 2 after k pivots), and q is v^T M v < 0.  Returns the
+    number of certificates built on request."""
     n = len(M)
     seen = 0
     for idx in (range(n), sorted(rng.sample(range(n), rng.randint(1, n)))):
         rank, certificate = _purekernels.psd_rank(M, idx, sign, quotient)
+        assert (rank == -1) == (certificate is not None)
         if certificate is None:
             continue
-        assert rank == -1
         q, v = certificate
-        assert 1 <= len(v) <= 2 and {i for i, _ in v} <= set(idx)
+        if callable(v):
+            v = v()
+            seen += 1
+        block = as_algebraic([[M[i][j] for j in idx] for i in idx])
+        assert 1 <= len(v) <= block_rank(block) and {i for i, _ in v} <= set(idx)
         assert len({i for i, _ in v}) == len(v)
         brute = zero
         for i, x in v:
@@ -570,7 +632,6 @@ def assert_certificates_hold(M, sign, quotient, rng, zero):
                 brute = brute + x * y * M[i][j]
         assert q == brute
         assert sign(q) < 0
-        seen += 1
     return seen
 
 
@@ -586,7 +647,7 @@ def test_psd_rank_certificates_over_q(seed):
             M[i][i] = abs(M[i][i]) if rng.random() < 0.8 else M[i][i]
         seen += assert_certificates_hold(M, _purekernels.int_sign, _purekernels.int_quotient,
                                          rng, 0)
-    assert seen > 40
+    assert seen >= 5
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -596,17 +657,21 @@ def test_psd_rank_certificates_on_integral_matrices(name):
     d = K.degree
     entry = lambda r: IntegralElement(K, tuple(r.choice((0, 0, 1, -1, 2)) for _ in range(d)))
     zero = IntegralElement(K, (0,) * d)
+    one = IntegralElement(K, (1,) + (0,) * (d - 1))
     seen = 0
     for _ in range(25):
-        M = _symmetric(rng, rng.randint(1, 4), entry)
+        M = _symmetric(rng, rng.randint(1, 5), entry)
+        for i in range(len(M)):  # positive diagonals: failures after a pivot too
+            M[i][i] = M[i][i] * M[i][i] + one
         seen += assert_certificates_hold(M, integral_sign, integral_quotient, rng, zero)
-    assert seen > 10
+    assert seen >= 3
 
 
 def test_psd_rank_rejects_zero_diagonal_with_coupling():
     M = [[0, 1], [1, 0]]
-    assert _purekernels.psd_rank(M, range(2), _purekernels.int_sign,
-                                 _purekernels.int_quotient) == (-1, None)
+    rank, (q, v) = _purekernels.psd_rank(M, range(2), _purekernels.int_sign,
+                                         _purekernels.int_quotient)
+    assert (rank, q, v()) == (-1, -2, ((0, 1), (1, -1)))
     assert _purekernels.psd_rank([[0, 0], [0, 0]], range(2), _purekernels.int_sign,
                                  _purekernels.int_quotient) == (0, None)
 

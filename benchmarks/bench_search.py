@@ -14,12 +14,13 @@ symmetric parts split into one block per curve.
 It records per case the delta, the box candidates decided
 (`classes_scanned`), the search-tree nodes entered (`nodes_visited`), the
 number of `psd_rank` eliminations, the number of failure certificates built
-on request (`replays`, by `psd_rank`'s replay of the elimination), the size
-of the search's pool of cuts (`cuts`), and the seconds per search.  Each
-case runs a fixed number of times per batch (`REPETITIONS`: one batch lasts
-about 0.1-0.5 s, so that ms-scale cases are timed over many searches), each
-search on a freshly built torus, so every run computes its NS basis; the
-recorded time is the best batch of `--repeat`, divided by the batch size.
+(`replays`, by `psd_rank`'s replay of the elimination), the size of the
+search's pool of cuts (`cuts`), and the seconds per search.  Each case is
+timed in batches of as many searches as make a batch last BATCH_SECONDS
+(the batch size doubles from 1 until it does, as in `timeit`'s autorange),
+so that ms-scale cases are timed over many searches; each search runs on a
+freshly built torus, so every run computes its NS basis.  The recorded
+time is the best batch of `--repeat`, divided by the batch size.
 The counts come from one more, untimed search, with this script wrapping
 `_purekernels.psd_rank` (which the search looks up on every call) and
 `_purekernels.scan_range`.  The results are stored in BENCH_search.json
@@ -95,11 +96,22 @@ CASES = (("E_i^2, box 2", power_of_ei(2), 2), ("E_i^2, box 3", power_of_ei(2), 3
          ("survey pair, box 3", survey_pair, 3),
          ("quartic pair, box 2", quartic_pair, 2))
 
-# Searches per timed batch, by case.
-REPETITIONS = {"E_i^2, box 2": 40, "E_i^2, box 3": 20, "E_i^3, box 1": 10, "E_i^3, box 2": 1,
-               "E_i^4, box 1": 1, "eia2, box 2": 40, "triple, box 1": 40,
-               "ei2_x_nocm, box 1": 20, "Q pair, box 3": 40, "survey pair, box 3": 40,
-               "quartic pair, box 2": 40}
+# A timed batch runs searches until it lasts at least this long.
+BATCH_SECONDS = 0.2
+
+
+def batch_size(build, box):
+    """Searches per timed batch: doubled from 1 until a batch of searches on
+    fresh tori lasts BATCH_SECONDS (as `timeit`'s autorange)."""
+    reps = 1
+    while True:
+        tori = [build() for _ in range(reps)]
+        started = time.perf_counter()
+        for torus in tori:
+            torus_defect(torus, box=box)
+        if time.perf_counter() - started >= BATCH_SECONDS:
+            return reps
+        reps *= 2
 
 
 def count_search(build, box):
@@ -119,8 +131,8 @@ def count_search(build, box):
     def counted(*args):
         counts[0] += 1
         rank, certificate = psd_rank(*args)
-        if certificate is not None and callable(certificate[1]):
-            certificate = (certificate[0], replay_counted(certificate[1]))
+        if certificate is not None and callable(certificate[-1]):
+            certificate = certificate[:-1] + (replay_counted(certificate[-1]),)
         return rank, certificate
 
     def scanned(search, *args):
@@ -149,7 +161,7 @@ def main():
     for name, build, box in CASES:
         if name in args.skip:
             continue
-        reps = REPETITIONS[name]
+        reps = batch_size(build, box)
         times = []
         for _ in range(args.repeat):
             tori = [build() for _ in range(reps)]  # fresh: every run computes its NS basis

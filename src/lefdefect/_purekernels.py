@@ -20,17 +20,16 @@ eliminates only the components its own coefficient touches, and the leaves
 that survive get the cup-product kernel dimension.
 
 Every block that fails comes with a vector v that has v^T S v < 0 (see
-`psd_rank`): at once before the elimination's second pivot, and built on
-request by replaying the elimination after it.  Every effective x has
-v^T S(x) v >= 0, and v^T S(x) v = sum_l x_l w_l with
+`psd_rank`), built on request by replaying the elimination.  Every
+effective x has v^T S(x) v >= 0, and v^T S(x) v = sum_l x_l w_l with
 w_l = v^T S_{order[l]} v, so v is a cut on the whole box, not only on the
 node it came from.  The search keeps cuts in one pool: a polyhedral outer
 approximation of the effective cone (Kelley's cutting planes).  Every
-certificate given at once joins it; one built on request is asked for
-only at the first coefficient of a sibling range, and joins only when it
-rules out the whole range.  Its weights are kept as integer bounds: exact
-over Q, and over a number field the interval evaluation at alpha that
-signs use (`integral_enclosure`).  With the coefficients of the levels up
+certificate from before the elimination's second pivot joins it; a later
+one is asked for only at the first coefficient of a sibling range, and
+joins only when it rules out the whole range.  Its weights are kept as
+integer bounds: exact over Q, and over a number field the interval
+evaluation at alpha that signs use (`integral_enclosure`).  With the coefficients of the levels up
 to t fixed and the rest anywhere in the box, the largest value of
 sum_l x_l w_l is bounded as in Fincke-Pohst, from a prefix sum that each
 cut carries down the path; where that bound is negative, no completion of
@@ -74,21 +73,19 @@ def psd_rank(M, idx, sign, quotient):
     scalar kind's sign and `quotient(d)` its exact division by d, made only
     for a pivot whose successor has entries left to update.
 
-    Every failure comes with a certificate (q, v): a vector v on the block
-    with q = v^T M v < 0, v as ((index into M, entry), ...).  Let P be the
+    Every failure comes with a certificate (q, k, build): k is the number
+    of pivots made, and build() returns a vector v on the block with
+    q = v^T M v < 0, v as ((index into M, entry), ...).  Let P be the
     pivot block and T_i the combination of rows that the elimination made
     row i into: T_i has det(P) at i and -adj(P) M[P, i] on P, and
     T_i^T M T_j = det(P) a'_ij, with det(P) the last pivot (1 before the
     first).  A negative diagonal entry a'_ii gives v = T_i and
     q = det(P) a'_ii.  A zero diagonal with a'_ij != 0 gives
-    v = T_i - sign(a'_ij) T_j and q = -2 det(P) |a'_ij|.  Before the second
-    pivot a negative diagonal entry hands v over as the tuple: e_i with
-    q = a_ii, or p e_i - M[i, f] e_f after the first pivot p = a_ff.  In
-    every other case v is a function that builds the tuple on request, by
-    replaying the elimination on the pivot-column entries, which stay
-    frozen in the elimination array once their pivot leaves `rest` (see
-    `_replayed`); no second elimination runs.  A PSD block has certificate
-    None.
+    v = T_i - sign(a'_ij) T_j and q = -2 det(P) |a'_ij|.  build() replays
+    the elimination on the pivot-column entries, which stay frozen in the
+    elimination array once their pivot leaves `rest` (see `_replayed`); no
+    second elimination runs.  v has at most k + 2 entries.  A PSD block has
+    certificate None.
     """
     a = [[M[i][j] for j in idx] for i in idx]
     rest = list(range(len(a)))
@@ -101,12 +98,8 @@ def psd_rank(M, idx, sign, quotient):
         for i in rest:
             s = sign(a[i][i])
             if s < 0:
-                if not pivots:
-                    return -1, (a[i][i], ((idx[i], 1),))
-                if len(pivots) == 1:  # -1 * x: Z[alpha] elements have no unary minus
-                    f = pivots[0]
-                    return -1, (previous * a[i][i], ((idx[i], previous), (idx[f], -1 * a[i][f])))
-                return -1, (previous * a[i][i], lambda: _replayed(a, idx, pivots, divides, i))
+                return -1, (a[i][i] if previous is None else previous * a[i][i], len(pivots),
+                            lambda: _replayed(a, idx, pivots, divides, i))
             if s > 0 and pivot < 0:
                 pivot = i
         if pivot < 0:
@@ -115,7 +108,7 @@ def psd_rank(M, idx, sign, quotient):
                     if a[i][j] != 0:
                         s = sign(a[i][j])
                         q = -2 * s * a[i][j]
-                        return -1, (q if previous is None else previous * q,
+                        return -1, (q if previous is None else previous * q, len(pivots),
                                     lambda: _replayed(a, idx, pivots, divides, i, j, s))
             return len(pivots), None
         rest.remove(pivot)
@@ -334,14 +327,12 @@ class Cut:
     (exact on ints), and tail[l] = box * sum_{m >= l} max(hi[m], -lo[m])
     bounds scale * sum_{m >= l} x_m w_m over the box.  `acc` is the search's
     running sum of x_l (hi[l] if x_l > 0 else lo[l]) over the levels fixed
-    on the current path.  `node` holds the coefficients, by level, of the
-    node whose failed block gave v, and `decides_parent` whether the cut
-    rules out every sibling of that node, so that the search backjumped.
+    on the current path.
     """
 
-    __slots__ = ("vector", "scale", "lo", "hi", "tail", "acc", "node", "decides_parent")
+    __slots__ = ("vector", "scale", "lo", "hi", "tail", "acc")
 
-    def __init__(self, vector, scale, bounds, box, node):
+    def __init__(self, vector, scale, bounds, box):
         self.vector = vector
         self.scale = scale
         self.lo = [lo for lo, _ in bounds]
@@ -350,8 +341,6 @@ class Cut:
         for l in range(len(bounds) - 1, -1, -1):
             self.tail[l] = self.tail[l + 1] + box * max(self.hi[l], -self.lo[l])
         self.acc = 0
-        self.node = node
-        self.decides_parent = False
 
 
 def scan_range(search, box: int, collect: bool):
@@ -371,12 +360,13 @@ def scan_range(search, box: int, collect: bool):
     their weight is nonzero.  A block tested at level t is fixed from depth
     t + 1 on, so its certificate's weights vanish beyond t, and at a sibling
     c' of the failing node (coefficient c) its value is q + (c' - c) w_t.
-    A certificate that `psd_rank` hands over as a tuple (before the second
-    pivot) always joins the pool.  One it builds only on request is asked
-    for only at c = -box, and joins only when it rules out the whole
-    sibling range: q + 2 box w_t < 0, signed exactly (w_t <= 0 is such a
-    case, as q < 0).  Only w_t is computed before that test; the weights
-    at the other levels, the enclosures and the `Cut` only after it.
+    The number k of pivots that `psd_rank` made before the failure is the
+    admission policy.  A certificate with k < 2 (at most three entries) is
+    built at once and always joins the pool.  One with k >= 2 is built
+    only at c = -box, and joins only when it rules out the whole sibling
+    range: q + 2 box w_t < 0, signed exactly (w_t <= 0 is such a case, as
+    q < 0).  Only w_t is computed before that test; the weights at the
+    other levels, the enclosures and the `Cut` only after it.
 
     Each cut carries its prefix sum `acc` down the path: descending into
     child c at level t adds c (hi_t if c > 0 else lo_t) to the cuts
@@ -424,26 +414,24 @@ def scan_range(search, box: int, collect: bool):
         """Add the cut of the failed node (t, c) to the pool if it
         qualifies.  Returns the shallowest level whose node on the path it
         decides, t when it decides no ancestor."""
-        q, v = certificate
-        if callable(v):
-            if c != -box:
-                return t
-            v = v()
-            entries = dict(v)
+        q, pivots, build = certificate
+        if pivots >= 2 and c != -box:
+            return t
+        v = build()
+        entries = dict(v)
+        jump = t
+        if pivots >= 2:
             # the value at sibling c' is q + (c' + box) w_t: negative on the
             # whole range iff it is at c' = box (w_t <= 0 included, as q < 0)
             if sign(q + 2 * box * quadratic(entries, t)) >= 0:
                 return t
             jump = t - 1
-        else:
-            entries = dict(v)
-            jump = t
         scale, bounds = search.enclosures([quadratic(entries, l) for l in range(rho)])
         key = tuple(bounds)
         cut = pool.get(key)
         new = cut is None
         if new:
-            cut = pool[key] = Cut(v, scale, bounds, box, tuple(path[:t]) + (c,))
+            cut = pool[key] = Cut(v, scale, bounds, box)
         acc = 0
         for l in range(t):
             x = path[l]
@@ -453,7 +441,6 @@ def scan_range(search, box: int, collect: bool):
                 jump = l
         if new:
             cut.acc = acc
-            cut.decides_parent = jump < t
             for l, (lo, hi) in enumerate(bounds):
                 if lo or hi:
                     at[l].append((cut, lo, hi, cut.tail[l + 1]))

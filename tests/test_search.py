@@ -13,11 +13,11 @@ tree is compared too: its node count is at most the count by definition
 (every child of a prefix whose fixed principal blocks are all PSD), and
 its test plan is the maximal principal blocks, per connected component of
 the S_b, that become fixed at each depth.  `psd_rank`'s failure
-certificates, given at once or built on request, are checked against
-v^T M v computed directly, and every cut in the search's pool against its
-weights computed exactly and against every effective class the reference
-finds; a cut that decided its parent must rule out that node's whole
-sibling range, and no reference class may have the parent's prefix.
+certificates are checked against v^T M v computed directly, and every cut
+in the search's pool against its weights computed exactly and against
+every effective class the reference finds.  Certificates from after the
+elimination's second pivot are recorded by wrapping `psd_rank`, so that
+the ones the sibling-range rule admits can be told apart in the pool.
 
 The structured candidates are compared with a reference that builds every
 candidate as a form: the fiber forms with their Hodge test, their subset
@@ -250,10 +250,7 @@ def assert_pool_holds(search, box, s_basis, records):
     lo_l <= scale * w_l <= hi_l on its weights w_l = v^T S_{order[l]} v (as
     AlgebraicReals over a number field), the tail its bounds give, a prefix
     sum unwound to 0, and sum_l x_l w_l >= 0 at every effective class x of
-    the reference `records`.  Its weights vanish beyond the level of the
-    node it came from, and its value there is negative.  A cut that decides
-    its parent is negative at every sibling of that node, and no reference
-    record has the parent's prefix.  Returns the number of cuts."""
+    the reference `records`.  Returns the number of cuts."""
     rho, order = search.rho, search.order
     for cut in search.cuts.values():
         v = [(i, x.field.element(x.coeffs) if isinstance(x, IntegralElement) else x)
@@ -266,14 +263,6 @@ def assert_pool_holds(search, box, s_basis, records):
         assert cut.acc == 0
         for _, coeffs, _, _ in records:
             assert _sign(sum((coeffs[b] * w_l for b, w_l in zip(order, w)), 0)) >= 0
-        t = len(cut.node) - 1
-        assert all(_sign(w_l) == 0 for w_l in w[t + 1:])
-        prefix = sum((x * w_l for x, w_l in zip(cut.node[:t], w)), 0)
-        assert _sign(prefix + cut.node[t] * w[t]) < 0
-        if cut.decides_parent:
-            assert all(_sign(prefix + c * w[t]) < 0 for c in range(-box, box + 1))
-            assert not any(all(coeffs[order[l]] == cut.node[l] for l in range(t))
-                           for _, coeffs, _, _ in records)
     return len(search.cuts)
 
 
@@ -354,8 +343,7 @@ def synthetic_search(draw):
 @settings(max_examples=60, deadline=None)
 @given(synthetic_search())
 def test_search_matches_reference_on_synthetic_data(case):
-    """Answers (`classes_scanned` among them) as the reference's; every cut
-    that decided its parent rules out that node's whole sibling range; nodes
+    """Answers (`classes_scanned` among them) as the reference's; nodes
     at most the definition's count, since the pool of cuts also decides live
     prefixes with every completion in the box outside the effective cone."""
     search, box = case
@@ -366,48 +354,70 @@ def test_search_matches_reference_on_synthetic_data(case):
     assert nodes <= reference_nodes(search.s_basis, search.order, box)
 
 
-# (node, w_1 > 0) of the cuts that decide their parent x0 = +-1, both from
-# the zero diagonal's certificate at x1 = -1: e0 - sign(a) e1, built on
-# request.  One rules out the range with w_1 <= 0, the other with w_1 > 0
-# and q + 2 w_1 < 0.
-RANGE_CUTS = [((-1, -1), False), ((1, -1), True)]
+def record_replays(monkeypatch):
+    """Wrap `psd_rank` so that every certificate it builds after its second
+    pivot is appended, as (q, v), to the returned list: the search admits
+    those only by the sibling-range rule."""
+    built = []
+    psd_rank = _purekernels.psd_rank
+
+    def recorded(*args):
+        rank, certificate = psd_rank(*args)
+        if certificate is not None and certificate[1] >= 2:
+            q, k, build = certificate
+
+            def built_vector():
+                v = build()
+                built.append((q, v))
+                return v
+
+            certificate = (q, k, built_vector)
+        return rank, certificate
+
+    monkeypatch.setattr(_purekernels, "psd_rank", recorded)
+    return built
 
 
-@pytest.mark.parametrize("off_diagonal, ranged", [
-    # S = [[0, a], [a, 0]] with a = -3 x0 + 2 x1: at x0 = -1, a = 3 + 2 x1
-    # (q = -2, w_1 = -4); at x0 = 1, a = -3 + 2 x1 (q = -10, w_1 = 4).
-    ((-3, 2), RANGE_CUTS),
-    # a = 3 x0 - x1: at x0 = -1, a = -3 - x1 (q = -4, w_1 = -2); at x0 = 1,
-    # a = 3 - x1 (q = -8, w_1 = 2).
-    ((3, -1), RANGE_CUTS),
-    # a = x0 - x1: at x0 = 1, x1 = -1 the certificate has q = -4, w_1 = 2 and
-    # q + 2 w_1 = 0, and at x1 = 1 the block is zero: PSD, so x0 = 1 must
-    # not be decided.
-    ((1, -1), []),
+@pytest.mark.parametrize("A, B, replays, nodes", [
+    # At x = (1, -1) the block fails after two pivots with v = e1 - e0 - e2,
+    # q = -1 and w_1 = v^T B v = -2 <= 0: every sibling is ruled out, and
+    # (1, 0) and (1, 1) are not entered: 7 nodes of the 9 by definition.
+    ([[0, 1, 0], [1, 0, 1], [0, 1, 1]], [[-1, 0, 0], [0, -1, 0], [0, 0, 0]],
+     [(-1, -2, True)], 7),
+    # At x = (-1, -1): v = e2 - 2 e1 - 2 e0, q = -4, w_1 = 1 > 0 and
+    # q + 2 w_1 = -2 < 0: every sibling is ruled out, and (-1, 0) and
+    # (-1, 1) are not entered: 10 nodes of the 12 by definition.
+    ([[0, 1, 0], [1, -1, 0], [0, 0, -1]], [[-1, 0, 0], [0, -1, -2], [0, -2, 1]],
+     [(-4, 1, True)], 10),
+    # At x = (-1, -1): q = -24, w_1 = 12 and q + 2 w_1 = 0, and S at
+    # x = (-1, 1) is PSD of rank 1, an effective class: not admitted.
+    ([[-2, 1, -1], [1, -1, -1], [-1, -1, -2]], [[-1, 1, 1], [1, -1, -1], [1, -1, 2]],
+     [(-24, 12, False)], 9),
 ])
-def test_certificates_after_the_elimination_rule_out_sibling_ranges(off_diagonal, ranged):
-    """Certificates that `psd_rank` builds only on request (here: a zero
-    diagonal with coupling) join the pool only when they rule out every
-    sibling at their level, and then decide the parent node."""
-    s_basis = [[[0, a], [a, 0]] for a in off_diagonal]
+def test_certificates_after_the_second_pivot_rule_out_sibling_ranges(A, B, replays, nodes,
+                                                                       monkeypatch):
+    """A certificate from after the elimination's second pivot is built at
+    the first sibling of a range only, and joins the pool only when it rules
+    out every sibling: q + 2 box w_1 < 0 at box 1, with w_1 = v^T B v.  The
+    search then backjumps past the siblings."""
+    built = record_replays(monkeypatch)
     w_pairs = [[[1, i - j] for j in range(2)] for i in range(2)]
-    search = _purekernels.IntSearch(s_basis, w_pairs, 2, 2, 2)
-    assert_search_matches_reference(search, 1)
-    assert sorted((cut.node, cut.hi[1] > 0) for cut in search.cuts.values()
-                  if cut.decides_parent) == ranged
+    search = _purekernels.IntSearch([A, B], w_pairs, 2, 3, 2)
+    assert assert_search_matches_reference(search, 1)[0] == nodes
+    pool = {cut.vector for cut in search.cuts.values()}
+    assert [(q, sum(x * y * B[i][j] for i, x in v for j, y in v), v in pool)
+            for q, v in built] == replays
 
 
 def test_pool_prunes_live_prefixes_on_a_survey_pair():
     """tau = 2/3 + 3i/2 and 1/3 + 2i/3 at box 3, a pair with the shape of
     the survey workload: cuts found in one subtree decide prefixes
-    elsewhere whose own blocks are all PSD, and some decide their parent
-    node, so that the search backjumps."""
+    elsewhere whose own blocks are all PSD."""
     pair = product([elliptic(Fraction(2, 3), Fraction(3, 2)),
                     elliptic(Fraction(1, 3), Fraction(2, 3))])
     search = _SearchData(pair).search
     nodes, cuts = assert_search_matches_reference(search, 3)
     assert cuts > 0
-    assert any(cut.decides_parent for cut in search.cuts.values())
     assert nodes < reference_nodes(search.s_basis, search.order, 3)
 
 
@@ -607,24 +617,22 @@ def block_rank(block):
 
 def assert_certificates_hold(M, sign, quotient, rng, zero):
     """psd_rank on M and on a random principal block: every failure, and
-    only a failure, comes with a certificate (q, v), v given at once before
-    the second pivot and else built on request.  v has distinct entries in
-    the block, at most rank + 1 of them (in fact at most the block's rank:
-    k + 1 or k + 2 after k pivots), and q is v^T M v < 0.  Returns the
-    number of certificates built on request."""
+    only a failure, comes with a certificate (q, k, build), k the number of
+    pivots made.  build() gives v with distinct entries in the block, at
+    most k + 2 of them and at most rank + 1 (in fact at most the block's
+    rank), and q is v^T M v < 0.  Returns the k of every certificate."""
     n = len(M)
-    seen = 0
+    pivots = []
     for idx in (range(n), sorted(rng.sample(range(n), rng.randint(1, n)))):
         rank, certificate = _purekernels.psd_rank(M, idx, sign, quotient)
         assert (rank == -1) == (certificate is not None)
         if certificate is None:
             continue
-        q, v = certificate
-        if callable(v):
-            v = v()
-            seen += 1
+        q, k, build = certificate
+        pivots.append(k)
+        v = build()
         block = as_algebraic([[M[i][j] for j in idx] for i in idx])
-        assert 1 <= len(v) <= block_rank(block) and {i for i, _ in v} <= set(idx)
+        assert 1 <= len(v) <= min(k + 2, block_rank(block)) and {i for i, _ in v} <= set(idx)
         assert len({i for i, _ in v}) == len(v)
         brute = zero
         for i, x in v:
@@ -632,22 +640,23 @@ def assert_certificates_hold(M, sign, quotient, rng, zero):
                 brute = brute + x * y * M[i][j]
         assert q == brute
         assert sign(q) < 0
-    return seen
+    return pivots
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_psd_rank_certificates_over_q(seed):
     rng = random.Random(seed)
     small = lambda r: r.choice((0, 1, 1, 2, -1, 3, -3))
-    seen = 0
+    pivots = []
     for _ in range(80):
         n = rng.randint(1, 5)
         M = _symmetric(rng, n, small)
         for i in range(n):  # mostly positive diagonals: failures after a pivot too
             M[i][i] = abs(M[i][i]) if rng.random() < 0.8 else M[i][i]
-        seen += assert_certificates_hold(M, _purekernels.int_sign, _purekernels.int_quotient,
-                                         rng, 0)
-    assert seen >= 5
+        pivots += assert_certificates_hold(M, _purekernels.int_sign, _purekernels.int_quotient,
+                                           rng, 0)
+    assert len(pivots) > 40
+    assert sum(k >= 2 for k in pivots) >= 5  # replayed past the second pivot
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -658,20 +667,25 @@ def test_psd_rank_certificates_on_integral_matrices(name):
     entry = lambda r: IntegralElement(K, tuple(r.choice((0, 0, 1, -1, 2)) for _ in range(d)))
     zero = IntegralElement(K, (0,) * d)
     one = IntegralElement(K, (1,) + (0,) * (d - 1))
-    seen = 0
+    pivots = []
+    for _ in range(25):
+        M = _symmetric(rng, rng.randint(1, 4), entry)
+        pivots += assert_certificates_hold(M, integral_sign, integral_quotient, rng, zero)
+    assert len(pivots) > 10
+    pivots = []
     for _ in range(25):
         M = _symmetric(rng, rng.randint(1, 5), entry)
         for i in range(len(M)):  # positive diagonals: failures after a pivot too
             M[i][i] = M[i][i] * M[i][i] + one
-        seen += assert_certificates_hold(M, integral_sign, integral_quotient, rng, zero)
-    assert seen >= 3
+        pivots += assert_certificates_hold(M, integral_sign, integral_quotient, rng, zero)
+    assert sum(k >= 2 for k in pivots) >= 3  # replayed past the second pivot
 
 
 def test_psd_rank_rejects_zero_diagonal_with_coupling():
     M = [[0, 1], [1, 0]]
-    rank, (q, v) = _purekernels.psd_rank(M, range(2), _purekernels.int_sign,
-                                         _purekernels.int_quotient)
-    assert (rank, q, v()) == (-1, -2, ((0, 1), (1, -1)))
+    rank, (q, k, build) = _purekernels.psd_rank(M, range(2), _purekernels.int_sign,
+                                                _purekernels.int_quotient)
+    assert (rank, q, k, build()) == (-1, -2, 0, ((0, 1), (1, -1)))
     assert _purekernels.psd_rank([[0, 0], [0, 0]], range(2), _purekernels.int_sign,
                                  _purekernels.int_quotient) == (0, None)
 

@@ -1,7 +1,7 @@
 """Benchmark: the pruned effective-class search on fixed cases.
 
 Times `torus_defect` (pure Python, the only search path) on E_i x E_i at
-boxes 2 and 3, E_i^3 at boxes 1 and 2, and E_i^4 at box 1 over Q, and on
+boxes 2 and 3, E_i^3 at boxes 1, 2 and 3, and E_i^4 at box 1 over Q, and on
 three products over Q(2^(1/4)) from the test corpus: E_ia x E_ia' at box 2
 and E_i x E_ia x E_ia2 and E_i x E_i' x E_ia at box 1 (a = 2^(1/4)), where
 the search runs on Z[alpha] entries.  Three more cases have the shape of the
@@ -9,13 +9,15 @@ survey workloads: two pairs of curves tau = a + i*s over Q with a != 0 and
 scaled imaginary parts at box 3 (tau = 1/2 + 2i, -1/3 + 3i/2 and
 tau = 2/3 + 3i/2, 1/3 + 2i/3), and a pair of non-isogenous curves over
 Q(2^(1/4)) (tau = 1/2 + i(1 + a) and tau = -1/3 + i*a) at box 2, whose
-symmetric parts split into one block per curve.
+symmetric parts split into one block per curve.  One case puts E_i^3 on a
+fixed mixed lattice basis (columns of a unimodular U, J -> U^-1 J U), at
+box 1: on it the NS basis, and so the box and the pruning, no longer
+follow the factors.
 
 It records per case the delta, the box candidates decided
 (`classes_scanned`), the search-tree nodes entered (`nodes_visited`), the
-number of `psd_rank` eliminations, the number of failure certificates built
-(`replays`, by `psd_rank`'s replay of the elimination), the size of the
-search's pool of cuts (`cuts`), and the seconds per search.  Each case is
+number of `psd_rank` eliminations, the size of the search's pool of cuts
+(`cuts`), and the seconds per search.  Each case is
 timed in batches of as many searches as make a batch last BATCH_SECONDS
 (the batch size doubles from 1 until it does, as in `timeit`'s autorange),
 so that ms-scale cases are timed over many searches; each search runs on a
@@ -32,9 +34,8 @@ Usage:
         [--skip CASE ...]
 
 To time an older checkout with this script, point PYTHONPATH at its `src`
-(`nodes_visited`, `replays` and `cuts` are then recorded as null or 0 if it
-has no such counter, certificate builder or pool) and `--skip` the cases it
-cannot finish.
+(`nodes_visited` and `cuts` are then recorded as null if it has no such
+counter or pool) and `--skip` the cases it cannot finish.
 """
 
 import argparse
@@ -47,13 +48,38 @@ from fractions import Fraction
 from lefdefect import _purekernels
 from lefdefect.effectivity import torus_defect
 from lefdefect.exactmath import RealNumberField
-from lefdefect.torus import elliptic, product
+from lefdefect.torus import ComplexTorus, elliptic, product
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_search.json")
 
 
 def power_of_ei(k):
     return lambda: product([elliptic(0, 1, label=f"E{i}") for i in range(k)])
+
+
+# (i, j, k): U <- U (I + k e_ij), as `tests/references.unimodular` draws
+# them (its six steps from random.Random(0) on size 6).
+MIXING = ((3, 5, -2), (2, 4, 2), (3, 2, 2), (2, 4, -1), (4, 1, 1), (1, 0, 1))
+
+
+def mixed(build, steps):
+    """build()'s torus, whose J must be rational, on the lattice basis given
+    by the columns of U = prod (I + k e_ij) over `steps`: J -> U^-1 J U."""
+    def matmul(A, B):
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+    def rebuilt():
+        A = build()
+        size = 2 * A.n
+        U = [[int(i == j) for j in range(size)] for i in range(size)]
+        U_inv = [row[:] for row in U]
+        for i, j, k in steps:
+            for row in U:
+                row[j] += k * row[i]
+            U_inv[i] = [a - k * b for a, b in zip(U_inv[i], U_inv[j])]
+        J = [[Fraction(x, A.j_den) for x in row] for row in A.j_parts[0]]
+        return ComplexTorus(A.field, matmul(U_inv, matmul(J, U)))
+    return rebuilt
 
 
 def over_quartic(betas):
@@ -88,7 +114,8 @@ def quartic_pair():
 
 CASES = (("E_i^2, box 2", power_of_ei(2), 2), ("E_i^2, box 3", power_of_ei(2), 3),
          ("E_i^3, box 1", power_of_ei(3), 1), ("E_i^3, box 2", power_of_ei(3), 2),
-         ("E_i^4, box 1", power_of_ei(4), 1),
+         ("E_i^3, box 3", power_of_ei(3), 3), ("E_i^4, box 1", power_of_ei(4), 1),
+         ("E_i^3 mixed basis, box 1", mixed(power_of_ei(3), MIXING), 1),
          ("eia2, box 2", over_quartic((1, 1)), 2),
          ("triple, box 1", over_quartic((0, 1, 2)), 1),
          ("ei2_x_nocm, box 1", over_quartic((0, 0, 1)), 1),
@@ -115,25 +142,16 @@ def batch_size(build, box):
 
 
 def count_search(build, box):
-    """(eliminations, replays, cuts) of one search: `psd_rank` calls, the
-    certificates it built on request, and the size of the pool of cuts
-    (None without a pool), by wrapping the module's functions."""
+    """(eliminations, cuts) of one search: `psd_rank` calls and the size of
+    the pool of cuts (None without a pool), by wrapping the module's
+    functions."""
     psd_rank, scan_range = _purekernels.psd_rank, _purekernels.scan_range
-    counts = [0, 0]
+    eliminations = [0]
     searches = []
 
-    def replay_counted(build_vector):
-        def built():
-            counts[1] += 1
-            return build_vector()
-        return built
-
     def counted(*args):
-        counts[0] += 1
-        rank, certificate = psd_rank(*args)
-        if certificate is not None and callable(certificate[-1]):
-            certificate = certificate[:-1] + (replay_counted(certificate[-1]),)
-        return rank, certificate
+        eliminations[0] += 1
+        return psd_rank(*args)
 
     def scanned(search, *args):
         searches.append(search)
@@ -145,7 +163,7 @@ def count_search(build, box):
     finally:
         _purekernels.psd_rank, _purekernels.scan_range = psd_rank, scan_range
     cuts = getattr(searches[-1], "cuts", None) if searches else None
-    return counts[0], counts[1], None if cuts is None else len(cuts)
+    return eliminations[0], None if cuts is None else len(cuts)
 
 
 def main():
@@ -156,8 +174,8 @@ def main():
     args = parser.parse_args()
 
     rows = []
-    print(f"{'case':<20} {'delta':>5} {'classes':>10} {'nodes':>7} {'elims':>7} "
-          f"{'replays':>7} {'cuts':>5} {'seconds':>9}")
+    print(f"{'case':<24} {'delta':>5} {'classes':>10} {'nodes':>7} {'elims':>7} "
+          f"{'cuts':>5} {'seconds':>9}")
     for name, build, box in CASES:
         if name in args.skip:
             continue
@@ -170,20 +188,19 @@ def main():
                 result = torus_defect(torus, box=box)
             times.append((time.perf_counter() - started) / reps)
         nodes = getattr(result, "nodes_visited", None)
-        eliminations, replays, cuts = count_search(build, box)
+        eliminations, cuts = count_search(build, box)
         rows.append({
             "case": name,
             "delta": result.delta,
             "classes_scanned": result.classes_scanned,
             "nodes_visited": nodes,
             "eliminations": eliminations,
-            "replays": replays,
             "cuts": cuts,
             "repetitions": reps,
             "seconds": round(min(times), 5),
         })
-        print(f"{name:<20} {result.delta:>5} {result.classes_scanned:>10} "
-              f"{'-' if nodes is None else nodes:>7} {eliminations:>7} {replays:>7} "
+        print(f"{name:<24} {result.delta:>5} {result.classes_scanned:>10} "
+              f"{'-' if nodes is None else nodes:>7} {eliminations:>7} "
               f"{'-' if cuts is None else cuts:>5} {min(times):>9.5f}")
 
     runs = []

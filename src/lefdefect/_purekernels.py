@@ -19,23 +19,24 @@ entries become fixed, and its rank is carried down the path: a leaf
 eliminates only the components its own coefficient touches, and the leaves
 that survive get the cup-product kernel dimension.
 
-Every block that fails comes with a vector v that has v^T S v < 0 (see
-`psd_rank`), built on request by replaying the elimination.  Every
-effective x has v^T S(x) v >= 0, and v^T S(x) v = sum_l x_l w_l with
+A block that fails before the elimination's second pivot comes with a
+vector v of at most three entries that has v^T S v < 0, read off the
+elimination in closed form (see `psd_rank`).  Every effective x has
+v^T S(x) v >= 0, and v^T S(x) v = sum_l x_l w_l with
 w_l = v^T S_{order[l]} v, so v is a cut on the whole box, not only on the
-node it came from.  The search keeps cuts in one pool: a polyhedral outer
-approximation of the effective cone (Kelley's cutting planes).  Every
-certificate from before the elimination's second pivot joins it; a later
-one is asked for only at the first coefficient of a sibling range, and
-joins only when it rules out the whole range.  Its weights are kept as
-integer bounds: exact over Q, and over a number field the interval
-evaluation at alpha that signs use (`integral_enclosure`).  With the coefficients of the levels up
-to t fixed and the rest anywhere in the box, the largest value of
-sum_l x_l w_l is bounded as in Fincke-Pohst, from a prefix sum that each
-cut carries down the path; where that bound is negative, no completion of
-the prefix is effective, and the node is decided with its whole subtree
-without an elimination.  A new cut whose bound is negative at an ancestor
-(one that rules out a whole sibling range does so at the parent) is a
+node it came from.  The search keeps every such cut in one pool: a
+polyhedral outer approximation of the effective cone (Kelley's cutting
+planes).  A failure after the second pivot gives no cut: its certificate
+needs the elimination replayed, and on the declared products measured none
+of them ruled out even a whole sibling range.
+A cut's weights are kept as integer bounds: exact over Q, and over a
+number field the interval evaluation at alpha that signs use
+(`integral_enclosure`).  With the coefficients of the levels up to t fixed
+and the rest anywhere in the box, the largest value of sum_l x_l w_l is
+bounded as in Fincke-Pohst, from a prefix sum that each cut carries down
+the path; where that bound is negative, no completion of the prefix is
+effective, and the node is decided with its whole subtree without an
+elimination.  A new cut whose bound is negative at an ancestor is a
 conflict: the search backjumps to the shallowest such ancestor (Prosser's
 conflict-directed backjumping), counting what it skips as decided.
 
@@ -73,24 +74,16 @@ def psd_rank(M, idx, sign, quotient):
     scalar kind's sign and `quotient(d)` its exact division by d, made only
     for a pivot whose successor has entries left to update.
 
-    Every failure comes with a certificate (q, k, build): k is the number
-    of pivots made, and build() returns a vector v on the block with
-    q = v^T M v < 0, v as ((index into M, entry), ...).  Let P be the
-    pivot block and T_i the combination of rows that the elimination made
-    row i into: T_i has det(P) at i and -adj(P) M[P, i] on P, and
-    T_i^T M T_j = det(P) a'_ij, with det(P) the last pivot (1 before the
-    first).  A negative diagonal entry a'_ii gives v = T_i and
-    q = det(P) a'_ii.  A zero diagonal with a'_ij != 0 gives
-    v = T_i - sign(a'_ij) T_j and q = -2 det(P) |a'_ij|.  build() replays
-    the elimination on the pivot-column entries, which stay frozen in the
-    elimination array once their pivot leaves `rest` (see `_replayed`); no
-    second elimination runs.  v has at most k + 2 entries.  A PSD block has
-    certificate None.
+    A block that fails before the second pivot comes with a certificate
+    (q, v): a vector v on the block with q = v^T M v < 0, as
+    ((index into M, entry), ...) over its nonzero entries, at most three
+    (see `_certificate`).  A later failure and a PSD block have certificate
+    None.
     """
     a = [[M[i][j] for j in idx] for i in idx]
     rest = list(range(len(a)))
-    pivots = []
-    divides = []  # the exact division of each pivot step after the first
+    rank = 0
+    first = -1  # the first pivot
     previous = None  # pivot; nothing to divide by before the first
     divide = None
     while rest:
@@ -98,8 +91,7 @@ def psd_rank(M, idx, sign, quotient):
         for i in rest:
             s = sign(a[i][i])
             if s < 0:
-                return -1, (a[i][i] if previous is None else previous * a[i][i], len(pivots),
-                            lambda: _replayed(a, idx, pivots, divides, i))
+                return -1, _certificate(a, idx, rank, first, a[i][i], i)
             if s > 0 and pivot < 0:
                 pivot = i
         if pivot < 0:
@@ -107,15 +99,13 @@ def psd_rank(M, idx, sign, quotient):
                 for j in rest:
                     if a[i][j] != 0:
                         s = sign(a[i][j])
-                        q = -2 * s * a[i][j]
-                        return -1, (q if previous is None else previous * q, len(pivots),
-                                    lambda: _replayed(a, idx, pivots, divides, i, j, s))
-            return len(pivots), None
+                        return -1, _certificate(a, idx, rank, first, -2 * s * a[i][j], i, j, s)
+            return rank, None
         rest.remove(pivot)
         if rest and previous is not None:
             divide = quotient(previous)
-            divides.append(divide)
-        pivots.append(pivot)
+        if previous is None:
+            first = pivot
         p = a[pivot][pivot]
         row_p = a[pivot]
         for n, i in enumerate(rest):
@@ -125,40 +115,35 @@ def psd_rank(M, idx, sign, quotient):
                 v = p * ai[j] - f * row_p[j]
                 ai[j] = a[j][i] = v if divide is None else divide(v)
         previous = p
-    return len(pivots), None
+        rank += 1
+    return rank, None
 
 
-def _replayed(a, idx, pivots, divides, i, j=None, s=0):
-    """The certificate vector T_i - s T_j of a failed elimination, as
-    ((index into M, entry), ...) over its nonzero entries, in pivot order.
+def _certificate(a, idx, rank, first, q, i, j=None, s=0):
+    """The certificate (q, v) of an elimination that failed after `rank`
+    pivots, at a negative diagonal entry a'_ii (q = a'_ii) or at a zero
+    diagonal with a'_ij != 0 (q = -2 |a'_ij|, s = sign(a'_ij)); None after
+    two pivots or more.
 
-    The step with pivot p made every row r still in `rest` into
-    (a_pp T_r - a_rp T_p) / (previous pivot), with T_p as p entered the
-    step; a_pp and a_rp are frozen in `a` from then on, and `divides` holds
-    the elimination's exact divisions of the steps after the first.  One
-    pass replays the steps on T_r = e_r for the pivots and the targets
-    alike.
+    Before any pivot, v = e_i or e_i - s e_j.  After the first pivot p,
+    with d = a_pp, row r of the elimination is T_r = d e_r - a_rp e_p, where
+    a_rp is M's entry (the first step leaves the pivot column alone), and
+    T_r^T M T_s = d a'_rs.  So v = T_i = d e_i - a_ip e_p, or
+    v = T_i - s T_j = d (e_i - s e_j) + (s a_jp - a_ip) e_p, and q is d times
+    the value above.
     """
-    rows = pivots + ([i] if j is None else [i, j])
-    T = {r: {r: 1} for r in rows}
-    for m, p in enumerate(pivots):
-        pp, R = a[p][p], T[p]
-        divide = divides[m - 1] if m else None
-        for r in rows[m + 1:]:
-            f, Tr = a[r][p], T[r]
-            for k in Tr:
-                Tr[k] = pp * Tr[k]
-            if f != 0:
-                for k, y in R.items():  # -1 * f: Z[alpha] elements have no unary minus
-                    Tr[k] = Tr[k] - f * y if k in Tr else -1 * f * y
-            if divide is not None:
-                for k in Tr:
-                    Tr[k] = divide(Tr[k])
-    v = T[i]
-    if j is not None:
-        for r, y in T[j].items():
-            v[r] = v[r] - s * y if r in v else -s * y
-    return tuple((idx[r], x) for r, x in v.items() if x != 0)
+    if rank > 1:
+        return None
+    if rank == 0:
+        return q, ((idx[i], 1),) if j is None else ((idx[i], 1), (idx[j], -s))
+    d = a[first][first]
+    v = {i: d}
+    if j is None:
+        v[first] = -1 * a[i][first]  # Z[alpha] elements have no unary minus
+    else:
+        v[j] = -s * d
+        v[first] = s * a[j][first] - a[i][first]
+    return d * q, tuple((idx[r], x) for r, x in v.items() if x != 0)
 
 
 def int_sign(v) -> int:
@@ -355,18 +340,11 @@ def scan_range(search, box: int, collect: bool):
     (position, coeffs, defect, form_rank) of every effective class in
     position order.
 
-    Certificates of failed blocks become `Cut`s in one pool for the whole
-    search, deduplicated on their bounds and registered at each level where
-    their weight is nonzero.  A block tested at level t is fixed from depth
-    t + 1 on, so its certificate's weights vanish beyond t, and at a sibling
-    c' of the failing node (coefficient c) its value is q + (c' - c) w_t.
-    The number k of pivots that `psd_rank` made before the failure is the
-    admission policy.  A certificate with k < 2 (at most three entries) is
-    built at once and always joins the pool.  One with k >= 2 is built
-    only at c = -box, and joins only when it rules out the whole sibling
-    range: q + 2 box w_t < 0, signed exactly (w_t <= 0 is such a case, as
-    q < 0).  Only w_t is computed before that test; the weights at the
-    other levels, the enclosures and the `Cut` only after it.
+    Every certificate of a failed block (one from before the elimination's
+    second pivot, see `psd_rank`) becomes a `Cut` in one pool for the whole
+    search, deduplicated on its bounds and registered at each level where
+    its weight is nonzero.  A block tested at level t is fixed from depth
+    t + 1 on, so its certificate's weights vanish beyond t.
 
     Each cut carries its prefix sum `acc` down the path: descending into
     child c at level t adds c (hi_t if c > 0 else lo_t) to the cuts
@@ -376,11 +354,10 @@ def scan_range(search, box: int, collect: bool):
     completion inside the box is PSD, and the node is decided with its
     whole subtree without an elimination; it still counts as a node
     entered.  A new cut whose bound acc_l + tail[l + 1] over the path's
-    levels up to l < t is negative, or which rules out the whole sibling
-    range, decides an ancestor: the search ends the sibling loop and
-    returns to the shallowest such level l (the bound does not increase
-    along the path), the parent at least, and counts every sibling it skips
-    there as decided with its subtree, not as entered.  `search.cuts` keeps
+    levels up to l < t is negative decides an ancestor: the search ends the
+    sibling loop and returns to the shallowest such level l (the bound does
+    not increase along the path), and counts every sibling it skips there
+    as decided with its subtree, not as entered.  `search.cuts` keeps
     the pool of the last scan.
     """
     rho, N, order, tests = search.rho, search.N, search.order, search.tests
@@ -410,28 +387,18 @@ def scan_range(search, box: int, collect: bool):
                 w = w + v[r] * v[col] * s
         return w
 
-    def admit(certificate, t, c):
-        """Add the cut of the failed node (t, c) to the pool if it
-        qualifies.  Returns the shallowest level whose node on the path it
-        decides, t when it decides no ancestor."""
-        q, pivots, build = certificate
-        if pivots >= 2 and c != -box:
-            return t
-        v = build()
+    def admit(v, t):
+        """Add the cut of certificate vector v, from a node that failed at
+        level t, to the pool.  Returns the shallowest level whose node on
+        the path it decides, t when it decides no ancestor."""
         entries = dict(v)
-        jump = t
-        if pivots >= 2:
-            # the value at sibling c' is q + (c' + box) w_t: negative on the
-            # whole range iff it is at c' = box (w_t <= 0 included, as q < 0)
-            if sign(q + 2 * box * quadratic(entries, t)) >= 0:
-                return t
-            jump = t - 1
         scale, bounds = search.enclosures([quadratic(entries, l) for l in range(rho)])
         key = tuple(bounds)
         cut = pool.get(key)
         new = cut is None
         if new:
             cut = pool[key] = Cut(v, scale, bounds, box)
+        jump = t
         acc = 0
         for l in range(t):
             x = path[l]
@@ -478,7 +445,7 @@ def scan_range(search, box: int, collect: bool):
                 if rank < 0:
                     counts[0] += decided - zero
                     if certificate is not None:
-                        jump = admit(certificate, t, c)
+                        jump = admit(certificate[1], t)
                     break
                 if k >= 0:
                     ranks[k] = rank

@@ -29,7 +29,7 @@ from .cohomology import (
 )
 from .effectivity import DefectSearchResult, is_effective_class, torus_defect
 from .errors import ConsistencyError
-from .exactmath import kernel_basis, primitive_integer_vector, rank
+from .exactmath import kernel_basis, rank
 from .exactmath.linalg import bareiss_echelon
 from .torus import (
     AlternatingForm,
@@ -85,8 +85,8 @@ def check_voisin(A: ComplexTorus) -> CheckResult:
     if not lattices:
         return CheckResult("voisin", "skipped", "no corank-2 factor sublattices declared")
     for subset, W in lattices:
-        k_restrict = [primitive_integer_vector(v) for v in restriction_kernel_on_ns(A, W)]
-        k_cup = [primitive_integer_vector(v) for v in cup_dual_kernel_on_ns(A, W)]
+        k_restrict = restriction_kernel_on_ns(A, W)
+        k_cup = cup_dual_kernel_on_ns(A, W)
         if not subspaces_equal(k_restrict, k_cup):
             return CheckResult(
                 "voisin",

@@ -117,8 +117,7 @@ def radical(A: ComplexTorus, E: AlternatingForm) -> Sublattice:
 def _radical(A: ComplexTorus, E: AlternatingForm) -> Sublattice:
     """`radical` of a class already known to be effective, without testing
     it again."""
-    kernel_cols = [primitive_integer_vector(v) for v in kernel_basis(E.num)]
-    W = subtorus(A, kernel_cols)
+    W = subtorus(A, kernel_basis(E.num))
     if W.rank % 2 != 0:
         raise ConsistencyError("radical has odd rank")
     return W

@@ -228,10 +228,6 @@ def complement_data(columns, ambient_rank: int):
 def integer_kernel_basis(matrix) -> list:
     """Primitive integer vectors spanning ker(M) over Q (saturated span)."""
     basis = kernel_basis(matrix)
-    from .linalg import primitive_integer_vector
-
-    prim = [primitive_integer_vector(v) for v in basis]
-    if not prim:
+    if not basis:
         return []
-    N = len(prim[0])
-    return saturate(prim, N)
+    return saturate(basis, len(basis[0]))

@@ -149,13 +149,15 @@ def rank(matrix) -> int:
 
 
 def kernel_basis(matrix):
-    """Basis of the right kernel over Q, in the canonical echelon form.
+    """Basis of the right kernel over Q, in the canonical echelon form, as
+    primitive integer vectors.
 
-    Each free column yields one vector with a 1 in that slot and zeros in the
-    other free slots; pivot slots are back-substituted.  Deterministic for a
-    given matrix.  The back-substitution runs on integers: the vector is
-    kept as integer numerators over the common scale in its free slot,
-    which is divided out once at the end.
+    Each free column yields one vector that is positive in that slot and
+    zero in the other free slots; pivot slots are back-substituted.
+    Deterministic for a given matrix.  The back-substitution runs on
+    integers: the vector is kept as integer numerators over the common
+    scale in its free slot, and divided by their gcd, signed to keep the
+    free slot positive, once at the end.
     """
     rows = _integer_rows(matrix)
     ncols = len(rows[0]) if rows else 0
@@ -177,7 +179,8 @@ def kernel_basis(matrix):
                 if scale != 1:
                     vec = [x * scale for x in vec]
                 vec[p] = -s // g
-        basis.append(tuple(Fraction(x, vec[free]) for x in vec))
+        g = gcd(*vec)
+        basis.append(tuple(x // (g if vec[free] > 0 else -g) for x in vec))
     return basis
 
 

@@ -35,7 +35,6 @@ from .exactmath import (
     integral_sign,
     kernel_basis,
     norm_adjugate,
-    primitive_integer_vector,
     restrict_scalars,
     saturate,
 )
@@ -546,8 +545,7 @@ def ns_basis(A: ComplexTorus):
                     v += Jk[p][r]
                 row.append(v)
             rows.append(row)
-    vectors = kernel_basis(rows)
-    basis = [AlternatingForm._from_pair_num(A, 1, primitive_integer_vector(v)) for v in vectors]
+    basis = [AlternatingForm._from_pair_num(A, 1, v) for v in kernel_basis(rows)]
     A._ns_cache = tuple(basis)
     return list(basis)
 
@@ -559,8 +557,8 @@ def ns_rank(A: ComplexTorus) -> int:
 def ns_coordinates(A: ComplexTorus, form: AlternatingForm):
     """Coordinates of a form over ns_basis(A), or None if not an NS class.
 
-    The basis forms are `kernel_basis`'s canonical echelon vectors, scaled
-    to primitive integers: each b_k has a free pair slot f_k, its last
+    The basis forms are `kernel_basis`'s canonical echelon vectors, which
+    are primitive integer vectors: each b_k has a free pair slot f_k, its last
     nonzero entry, where b_k[f_k] > 0 and every other basis form is 0.  So
     a form with pair coordinates x over den can only be sum_k c_k b_k with
     c_k = x[f_k] / (den b_k[f_k]), and it is exactly when

@@ -88,10 +88,12 @@ class TestRankNullity:
     @settings(max_examples=120, deadline=None)
     def test_kernel_basis_is_in_echelon_form(self, rows):
         # The contract `ns_coordinates` reads coordinates off: each vector's
-        # last nonzero entry is 1, and every other vector is 0 in that slot.
+        # last nonzero entry is positive, and every other vector is 0 in that
+        # slot.  The vectors are primitive integer vectors.
         basis = kernel_basis(QMatrix(rows))
         slots = [max(i for i, x in enumerate(v) if x) for v in basis]
-        assert all(v[f] == 1 for v, f in zip(basis, slots))
+        assert all(v[f] > 0 for v, f in zip(basis, slots))
+        assert all(primitive_integer_vector(v) == v for v in basis)
         for k, f in enumerate(slots):
             assert all(v[f] == 0 for j, v in enumerate(basis) if j != k)
 

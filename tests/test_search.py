@@ -15,9 +15,7 @@ its test plan is the maximal principal blocks, per connected component of
 the S_b, that become fixed at each depth.  `psd_rank`'s failure
 certificates are checked against v^T M v computed directly, and every cut
 in the search's pool against its weights computed exactly and against
-every effective class the reference finds.  Certificates from after the
-elimination's second pivot are recorded by wrapping `psd_rank`, so that
-the ones the sibling-range rule admits can be told apart in the pool.
+every effective class the reference finds.
 
 The structured candidates are compared with a reference that builds every
 candidate as a form: the fiber forms with their Hodge test, their subset
@@ -36,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lefdefect import _purekernels
@@ -342,6 +340,10 @@ def synthetic_search(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(synthetic_search())
+# S = x_0 + x_1 at box 1: at x = (-1, -1) the cut of v = e_0 has bound 0 at
+# the prefix x_0 = -1, and (-1, 1), on that bound, is effective; a backjump
+# on a bound that is not negative would skip it.
+@example((_purekernels.IntSearch([[[1]], [[1]]], [[[1], [0]], [[0], [1]]], 2, 1, 1), 1))
 def test_search_matches_reference_on_synthetic_data(case):
     """Answers (`classes_scanned` among them) as the reference's; nodes
     at most the definition's count, since the pool of cuts also decides live
@@ -352,61 +354,6 @@ def test_search_matches_reference_on_synthetic_data(case):
     assert search.components == components
     assert [set(tests) for tests in search.tests] == plan
     assert nodes <= reference_nodes(search.s_basis, search.order, box)
-
-
-def record_replays(monkeypatch):
-    """Wrap `psd_rank` so that every certificate it builds after its second
-    pivot is appended, as (q, v), to the returned list: the search admits
-    those only by the sibling-range rule."""
-    built = []
-    psd_rank = _purekernels.psd_rank
-
-    def recorded(*args):
-        rank, certificate = psd_rank(*args)
-        if certificate is not None and certificate[1] >= 2:
-            q, k, build = certificate
-
-            def built_vector():
-                v = build()
-                built.append((q, v))
-                return v
-
-            certificate = (q, k, built_vector)
-        return rank, certificate
-
-    monkeypatch.setattr(_purekernels, "psd_rank", recorded)
-    return built
-
-
-@pytest.mark.parametrize("A, B, replays, nodes", [
-    # At x = (1, -1) the block fails after two pivots with v = e1 - e0 - e2,
-    # q = -1 and w_1 = v^T B v = -2 <= 0: every sibling is ruled out, and
-    # (1, 0) and (1, 1) are not entered: 7 nodes of the 9 by definition.
-    ([[0, 1, 0], [1, 0, 1], [0, 1, 1]], [[-1, 0, 0], [0, -1, 0], [0, 0, 0]],
-     [(-1, -2, True)], 7),
-    # At x = (-1, -1): v = e2 - 2 e1 - 2 e0, q = -4, w_1 = 1 > 0 and
-    # q + 2 w_1 = -2 < 0: every sibling is ruled out, and (-1, 0) and
-    # (-1, 1) are not entered: 10 nodes of the 12 by definition.
-    ([[0, 1, 0], [1, -1, 0], [0, 0, -1]], [[-1, 0, 0], [0, -1, -2], [0, -2, 1]],
-     [(-4, 1, True)], 10),
-    # At x = (-1, -1): q = -24, w_1 = 12 and q + 2 w_1 = 0, and S at
-    # x = (-1, 1) is PSD of rank 1, an effective class: not admitted.
-    ([[-2, 1, -1], [1, -1, -1], [-1, -1, -2]], [[-1, 1, 1], [1, -1, -1], [1, -1, 2]],
-     [(-24, 12, False)], 9),
-])
-def test_certificates_after_the_second_pivot_rule_out_sibling_ranges(A, B, replays, nodes,
-                                                                       monkeypatch):
-    """A certificate from after the elimination's second pivot is built at
-    the first sibling of a range only, and joins the pool only when it rules
-    out every sibling: q + 2 box w_1 < 0 at box 1, with w_1 = v^T B v.  The
-    search then backjumps past the siblings."""
-    built = record_replays(monkeypatch)
-    w_pairs = [[[1, i - j] for j in range(2)] for i in range(2)]
-    search = _purekernels.IntSearch([A, B], w_pairs, 2, 3, 2)
-    assert assert_search_matches_reference(search, 1)[0] == nodes
-    pool = {cut.vector for cut in search.cuts.values()}
-    assert [(q, sum(x * y * B[i][j] for i, x in v for j, y in v), v in pool)
-            for q, v in built] == replays
 
 
 def test_pool_prunes_live_prefixes_on_a_survey_pair():
@@ -615,48 +562,67 @@ def block_rank(block):
                 if _det([[block[i][j] for j in I] for i in I]) != 0), default=0)
 
 
+def fails_before_second_pivot(block):
+    """Whether the elimination of a block that is not PSD fails before its
+    second pivot, decided on the block itself: some diagonal entry is
+    negative or every one is zero, or else, with p the first positive
+    diagonal entry, the Schur complement a_pp a_ij - a_ip a_jp (i, j != p)
+    has a negative diagonal entry or every one zero."""
+    n = len(block)
+    signs = [_sign(block[i][i]) for i in range(n)]
+    if min(signs) < 0 or max(signs) == 0:
+        return True
+    p = signs.index(1)
+    signs = [_sign(block[p][p] * block[i][i] - block[i][p] * block[i][p])
+             for i in range(n) if i != p]
+    return min(signs) < 0 or max(signs) == 0
+
+
 def assert_certificates_hold(M, sign, quotient, rng, zero):
-    """psd_rank on M and on a random principal block: every failure, and
-    only a failure, comes with a certificate (q, k, build), k the number of
-    pivots made.  build() gives v with distinct entries in the block, at
-    most k + 2 of them and at most rank + 1 (in fact at most the block's
-    rank), and q is v^T M v < 0.  Returns the k of every certificate."""
+    """psd_rank on M and on a random principal block: a PSD block and a
+    failure after the elimination's second pivot have certificate None.
+    Every failure before it comes with (q, v): v has distinct nonzero
+    entries in the block, at most three of them and at most the block's
+    rank, and q is v^T M v < 0.  Returns, per failure, whether it came with
+    a certificate."""
     n = len(M)
-    pivots = []
+    kinds = []
     for idx in (range(n), sorted(rng.sample(range(n), rng.randint(1, n)))):
         rank, certificate = _purekernels.psd_rank(M, idx, sign, quotient)
-        assert (rank == -1) == (certificate is not None)
+        if rank >= 0:
+            assert certificate is None
+            continue
+        block = as_algebraic([[M[i][j] for j in idx] for i in idx])
+        kinds.append(certificate is not None)
+        assert (certificate is not None) == fails_before_second_pivot(block)
         if certificate is None:
             continue
-        q, k, build = certificate
-        pivots.append(k)
-        v = build()
-        block = as_algebraic([[M[i][j] for j in idx] for i in idx])
-        assert 1 <= len(v) <= min(k + 2, block_rank(block)) and {i for i, _ in v} <= set(idx)
-        assert len({i for i, _ in v}) == len(v)
+        q, v = certificate
+        assert 1 <= len(v) <= min(3, block_rank(block)) and {i for i, _ in v} <= set(idx)
+        assert len({i for i, _ in v}) == len(v) and all(x != 0 for _, x in v)
         brute = zero
         for i, x in v:
             for j, y in v:
                 brute = brute + x * y * M[i][j]
         assert q == brute
         assert sign(q) < 0
-    return pivots
+    return kinds
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_psd_rank_certificates_over_q(seed):
     rng = random.Random(seed)
     small = lambda r: r.choice((0, 1, 1, 2, -1, 3, -3))
-    pivots = []
+    kinds = []
     for _ in range(80):
         n = rng.randint(1, 5)
         M = _symmetric(rng, n, small)
         for i in range(n):  # mostly positive diagonals: failures after a pivot too
             M[i][i] = abs(M[i][i]) if rng.random() < 0.8 else M[i][i]
-        pivots += assert_certificates_hold(M, _purekernels.int_sign, _purekernels.int_quotient,
-                                           rng, 0)
-    assert len(pivots) > 40
-    assert sum(k >= 2 for k in pivots) >= 5  # replayed past the second pivot
+        kinds += assert_certificates_hold(M, _purekernels.int_sign, _purekernels.int_quotient,
+                                          rng, 0)
+    assert sum(kinds) > 40
+    assert kinds.count(False) >= 5  # failures after the second pivot
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -667,25 +633,24 @@ def test_psd_rank_certificates_on_integral_matrices(name):
     entry = lambda r: IntegralElement(K, tuple(r.choice((0, 0, 1, -1, 2)) for _ in range(d)))
     zero = IntegralElement(K, (0,) * d)
     one = IntegralElement(K, (1,) + (0,) * (d - 1))
-    pivots = []
+    kinds = []
     for _ in range(25):
         M = _symmetric(rng, rng.randint(1, 4), entry)
-        pivots += assert_certificates_hold(M, integral_sign, integral_quotient, rng, zero)
-    assert len(pivots) > 10
-    pivots = []
+        kinds += assert_certificates_hold(M, integral_sign, integral_quotient, rng, zero)
+    assert sum(kinds) > 10
+    kinds = []
     for _ in range(25):
         M = _symmetric(rng, rng.randint(1, 5), entry)
         for i in range(len(M)):  # positive diagonals: failures after a pivot too
             M[i][i] = M[i][i] * M[i][i] + one
-        pivots += assert_certificates_hold(M, integral_sign, integral_quotient, rng, zero)
-    assert sum(k >= 2 for k in pivots) >= 3  # replayed past the second pivot
+        kinds += assert_certificates_hold(M, integral_sign, integral_quotient, rng, zero)
+    assert sum(kinds) >= 3 and kinds.count(False) >= 3  # failures on both sides of it
 
 
 def test_psd_rank_rejects_zero_diagonal_with_coupling():
     M = [[0, 1], [1, 0]]
-    rank, (q, k, build) = _purekernels.psd_rank(M, range(2), _purekernels.int_sign,
-                                                _purekernels.int_quotient)
-    assert (rank, q, k, build()) == (-1, -2, 0, ((0, 1), (1, -1)))
+    assert _purekernels.psd_rank(M, range(2), _purekernels.int_sign,
+                                 _purekernels.int_quotient) == (-1, (-2, ((0, 1), (1, -1))))
     assert _purekernels.psd_rank([[0, 0], [0, 0]], range(2), _purekernels.int_sign,
                                  _purekernels.int_quotient) == (0, None)
 

@@ -1,8 +1,10 @@
 """Benchmark: the layers that read a torus's complex structure J.
 
-On the tori of `bench_search.py` (E_i^2, E_i^3 and E_i^4 over Q, three
-products over Q(2^(1/4)), and a pair of curves over each of Q and
-Q(2^(1/4))) it times, each as the best of `--repeat` runs:
+On the declared products of `bench_search.py` (E_i^2, E_i^3 and E_i^4 over
+Q, three products over Q(2^(1/4)), and a pair of curves over each of Q and
+Q(2^(1/4)); not the mixed-basis E_i^3, which has no declared curves to
+rebuild or write as a document) it times, each as the best of `--repeat`
+runs:
 
 * `elliptic`: constructing the torus's curves from their (a, beta),
 * `build`: constructing the product torus from its curves,
@@ -25,6 +27,9 @@ Q(2^(1/4))) it times, each as the best of `--repeat` runs:
   effective form, and
 * `check_voisin`, the restriction and Poincare-dual kernels on every
   corank-2 coordinate sublattice,
+* `search_data`: the search's set-up (`_SearchData`: the symmetric parts'
+  nonzero entries, the cup products of basis pairs and the test plan) on
+  the torus, whose NS basis is already built,
 * `structured_candidates`: the search's structured candidate vectors
   (`_structured_candidate_vectors`, on search data whose NS basis is
   already built), and `ns_coordinates` on fresh copies of the fiber forms,
@@ -38,8 +43,9 @@ Counts (Picard number, Hom ranks summed, effective forms, nonzero radicals,
 the quotients' Picard numbers summed, the Iitaka dimensions and defects
 summed, the radical ranks and NS cup-matrix ranks summed, the Voisin
 verdict, the document's Picard number, the entry signs summed, the
-`psd_rank` values summed, the number of structured candidate vectors and
-the number of fiber forms that are NS classes) are recorded next to the
+`psd_rank` values summed, the nonzero entries of the search's symmetric
+parts, the number of structured candidate vectors and the number of fiber
+forms that are NS classes) are recorded next to the
 times, so two checkouts can be checked for equal answers.  Results go to
 BENCH_layers.json next to this script as one run under `--label`, replacing
 an earlier run with the same label, so runs of two checkouts sit side by side.
@@ -180,7 +186,7 @@ def measure(build, repeat):
         lambda fresh: [ns_cup_matrix(A, E) for E in fresh],
         lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
     voisin, voisin_s = best_time(lambda _: check_voisin(A), lambda: None, repeat)
-    data = _SearchData(A)
+    data, search_data_s = best_time(_SearchData, lambda: A, repeat)
     structured, structured_s = best_time(
         lambda d: _structured_candidate_vectors(A, d), lambda: data, repeat)
     fiber_coords, coords_s = best_time(
@@ -216,6 +222,7 @@ def measure(build, repeat):
         "document_rho": ns_rank(doc.torus),
         "sign_sum": int_sign_sum,
         "psd_rank_sum": psd,
+        "search_entries": sum(len(entries) for entries in data.search.nonzero),
         "structured_vectors": len(structured),
         "fiber_ns_classes": sum(c is not None for c in fiber_coords),
         "seconds": {
@@ -232,6 +239,7 @@ def measure(build, repeat):
             "radical": round(radical_s, 5),
             "ns_cup_matrix": round(cup_s, 5),
             "check_voisin": round(voisin_s, 5),
+            "search_data": round(search_data_s, 5),
             "structured_candidates": round(structured_s, 5),
             "ns_coordinates": round(coords_s, 5),
             "integral_sign": round(integral_sign_s, 5),
@@ -253,11 +261,11 @@ def main():
     columns = ("elliptic", "build", "load_document", "ns_basis", "hom_rank",
                "is_effective_class", "subtorus", "quotient", "divisor_case_data",
                "defect_of_class", "radical", "ns_cup_matrix", "check_voisin",
-               "structured_candidates", "ns_coordinates", "integral_sign", "nf_sign", "psd_rank", "rank")
+               "search_data", "structured_candidates", "ns_coordinates", "integral_sign", "nf_sign", "psd_rank", "rank")
     print(f"{'torus':<12} {'rho':>4} " + " ".join(f"{c[:9]:>9}" for c in columns))
     for name, build, _ in CASES:
         torus = name.split(",")[0]
-        if torus in seen:
+        if torus in seen or build().factors is None:
             continue
         seen.add(torus)
         row = {"torus": torus, **measure(build, args.repeat)}

@@ -17,15 +17,17 @@ follow the factors.
 It records per case the delta, the box candidates decided
 (`classes_scanned`), the search-tree nodes entered (`nodes_visited`), the
 number of `psd_rank` eliminations, the size of the search's pool of cuts
-(`cuts`), and the seconds per search.  Each case is
+(`cuts`), the number of leaves that `evaluate` found effective (`leaves`,
+from the box and the structured extras), and the seconds per search.  Each case is
 timed in batches of as many searches as make a batch last BATCH_SECONDS
 (the batch size doubles from 1 until it does, as in `timeit`'s autorange),
 so that ms-scale cases are timed over many searches; each search runs on a
 freshly built torus, so every run computes its NS basis.  The recorded
 time is the best batch of `--repeat`, divided by the batch size.
 The counts come from one more, untimed search, with this script wrapping
-`_purekernels.psd_rank` (which the search looks up on every call) and
-`_purekernels.scan_range`.  The results are stored in BENCH_search.json
+`_purekernels.psd_rank` (which the search looks up on every call),
+`_purekernels.scan_range` and the `evaluate` method of the search
+classes.  The results are stored in BENCH_search.json
 next to this script as one run under `--label`, replacing an earlier run
 with the same label, so runs of two checkouts sit side by side.
 
@@ -142,11 +144,15 @@ def batch_size(build, box):
 
 
 def count_search(build, box):
-    """(eliminations, cuts) of one search: `psd_rank` calls and the size of
-    the pool of cuts (None without a pool), by wrapping the module's
-    functions."""
+    """(eliminations, cuts, leaves) of one search: `psd_rank` calls, the
+    size of the pool of cuts (None without a pool) and the leaves that
+    `evaluate` found effective, by wrapping the module's functions and the
+    search classes' `evaluate`."""
     psd_rank, scan_range = _purekernels.psd_rank, _purekernels.scan_range
+    classes = (_purekernels.IntSearch, _purekernels.FieldSearch)
+    evaluates = [cls.evaluate for cls in classes]
     eliminations = [0]
+    leaves = [0]
     searches = []
 
     def counted(*args):
@@ -157,13 +163,24 @@ def count_search(build, box):
         searches.append(search)
         return scan_range(search, *args)
 
+    def counting(evaluate):
+        def counted_leaf(search, leaf):
+            verdict = evaluate(search, leaf)
+            leaves[0] += bool(verdict[0])
+            return verdict
+        return counted_leaf
+
     _purekernels.psd_rank, _purekernels.scan_range = counted, scanned
+    for cls, evaluate in zip(classes, evaluates):
+        cls.evaluate = counting(evaluate)
     try:
         torus_defect(build(), box=box)
     finally:
         _purekernels.psd_rank, _purekernels.scan_range = psd_rank, scan_range
+        for cls, evaluate in zip(classes, evaluates):
+            cls.evaluate = evaluate
     cuts = getattr(searches[-1], "cuts", None) if searches else None
-    return eliminations[0], None if cuts is None else len(cuts)
+    return eliminations[0], None if cuts is None else len(cuts), leaves[0]
 
 
 def main():
@@ -175,7 +192,7 @@ def main():
 
     rows = []
     print(f"{'case':<24} {'delta':>5} {'classes':>10} {'nodes':>7} {'elims':>7} "
-          f"{'cuts':>5} {'seconds':>9}")
+          f"{'cuts':>5} {'leaves':>7} {'seconds':>9}")
     for name, build, box in CASES:
         if name in args.skip:
             continue
@@ -188,7 +205,7 @@ def main():
                 result = torus_defect(torus, box=box)
             times.append((time.perf_counter() - started) / reps)
         nodes = getattr(result, "nodes_visited", None)
-        eliminations, cuts = count_search(build, box)
+        eliminations, cuts, leaves = count_search(build, box)
         rows.append({
             "case": name,
             "delta": result.delta,
@@ -196,12 +213,13 @@ def main():
             "nodes_visited": nodes,
             "eliminations": eliminations,
             "cuts": cuts,
+            "leaves": leaves,
             "repetitions": reps,
             "seconds": round(min(times), 5),
         })
         print(f"{name:<24} {result.delta:>5} {result.classes_scanned:>10} "
               f"{'-' if nodes is None else nodes:>7} {eliminations:>7} "
-              f"{'-' if cuts is None else cuts:>5} {min(times):>9.5f}")
+              f"{'-' if cuts is None else cuts:>5} {leaves:>7} {min(times):>9.5f}")
 
     runs = []
     if os.path.exists(OUT):

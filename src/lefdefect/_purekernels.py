@@ -5,7 +5,9 @@ multiple) when its symmetric part S(x) = sum c_b S_b is positive
 semidefinite and nonzero.  `scan_range` covers the box [-box, box]^rho
 depth first, one NS coefficient per level.  Fiber classes (basis elements
 whose S_b has a nonzero diagonal entry) are fixed first, the rest in NS
-order.  S is kept up to date along the path by adding c * S_b.
+order.  S is kept up to date along the path by adding c * S_b, over the
+nonzero entries of S_b only; each multiple c * S_b is computed the first
+time its sibling is entered.
 
 Every S_b, and so S, is block diagonal on the connected components of the
 joint nonzero pattern of the S_b (on a product, the isogeny classes of the
@@ -74,11 +76,10 @@ def psd_rank(M, idx, sign, quotient):
     scalar kind's sign and `quotient(d)` its exact division by d, made only
     for a pivot whose successor has entries left to update.
 
-    A block that fails before the second pivot comes with a certificate
-    (q, v): a vector v on the block with q = v^T M v < 0, as
-    ((index into M, entry), ...) over its nonzero entries, at most three
-    (see `_certificate`).  A later failure and a PSD block have certificate
-    None.
+    A block that fails before the second pivot comes with a certificate v:
+    a vector on the block with v^T M v < 0, as ((index into M, entry), ...)
+    over its nonzero entries, at most three (see `_certificate`).  A later
+    failure and a PSD block have certificate None.
     """
     a = [[M[i][j] for j in idx] for i in idx]
     rest = list(range(len(a)))
@@ -91,15 +92,14 @@ def psd_rank(M, idx, sign, quotient):
         for i in rest:
             s = sign(a[i][i])
             if s < 0:
-                return -1, _certificate(a, idx, rank, first, a[i][i], i)
+                return -1, _certificate(a, idx, rank, first, i)
             if s > 0 and pivot < 0:
                 pivot = i
         if pivot < 0:
             for i in rest:
                 for j in rest:
                     if a[i][j] != 0:
-                        s = sign(a[i][j])
-                        return -1, _certificate(a, idx, rank, first, -2 * s * a[i][j], i, j, s)
+                        return -1, _certificate(a, idx, rank, first, i, j, sign(a[i][j]))
             return rank, None
         rest.remove(pivot)
         if rest and previous is not None:
@@ -119,23 +119,23 @@ def psd_rank(M, idx, sign, quotient):
     return rank, None
 
 
-def _certificate(a, idx, rank, first, q, i, j=None, s=0):
-    """The certificate (q, v) of an elimination that failed after `rank`
-    pivots, at a negative diagonal entry a'_ii (q = a'_ii) or at a zero
-    diagonal with a'_ij != 0 (q = -2 |a'_ij|, s = sign(a'_ij)); None after
-    two pivots or more.
+def _certificate(a, idx, rank, first, i, j=None, s=0):
+    """The certificate v of an elimination that failed after `rank` pivots,
+    at a negative diagonal entry a'_ii or at a zero diagonal with
+    a'_ij != 0 (s = sign(a'_ij)); None after two pivots or more.
 
-    Before any pivot, v = e_i or e_i - s e_j.  After the first pivot p,
-    with d = a_pp, row r of the elimination is T_r = d e_r - a_rp e_p, where
-    a_rp is M's entry (the first step leaves the pivot column alone), and
-    T_r^T M T_s = d a'_rs.  So v = T_i = d e_i - a_ip e_p, or
-    v = T_i - s T_j = d (e_i - s e_j) + (s a_jp - a_ip) e_p, and q is d times
-    the value above.
+    Before any pivot, v = e_i or e_i - s e_j, with v^T M v = a'_ii or
+    -2 |a'_ij|.  After the first pivot p, with d = a_pp, row r of the
+    elimination is T_r = d e_r - a_rp e_p, where a_rp is M's entry (the
+    first step leaves the pivot column alone), and T_r^T M T_s = d a'_rs.
+    So v = T_i = d e_i - a_ip e_p, or
+    v = T_i - s T_j = d (e_i - s e_j) + (s a_jp - a_ip) e_p, and v^T M v is
+    d times the value above.
     """
     if rank > 1:
         return None
     if rank == 0:
-        return q, ((idx[i], 1),) if j is None else ((idx[i], 1), (idx[j], -s))
+        return ((idx[i], 1),) if j is None else ((idx[i], 1), (idx[j], -s))
     d = a[first][first]
     v = {i: d}
     if j is None:
@@ -143,7 +143,7 @@ def _certificate(a, idx, rank, first, q, i, j=None, s=0):
     else:
         v[j] = -s * d
         v[first] = s * a[j][first] - a[i][first]
-    return d * q, tuple((idx[r], x) for r, x in v.items() if x != 0)
+    return tuple((idx[r], x) for r, x in v.items() if x != 0)
 
 
 def int_sign(v) -> int:
@@ -204,25 +204,22 @@ def _components(nonzero, N):
 class _Search:
     """Search data of one torus: symmetric parts, cup products, pruning plan.
 
-    `s_basis[b]` is the N x N symmetric part of basis element b and
-    `w_pairs[i][j]` the coordinate vector (length m4) of the cup product of
-    basis elements i and j.  Subclasses fix the scalar kind: its `sign` and
-    exact `quotient`, as `psd_rank` takes them.
+    `nonzero[b]` lists the nonzero entries (r, c, value) of the N x N
+    symmetric part S_b of basis element b, both (r, c) and (c, r), row by
+    row; no dense S_b is kept.  `w_pairs[i][j]` is the coordinate vector
+    (length m4) of the cup product of basis elements i and j.  Subclasses
+    fix the scalar kind: its `sign` and exact `quotient`, as `psd_rank`
+    takes them.
     """
 
-    def __init__(self, s_basis, w_pairs, rho, N, m4, zero):
-        self.s_basis = s_basis
+    def __init__(self, nonzero, w_pairs, rho, N, m4, zero):
+        self.nonzero = nonzero
         self.w_pairs = w_pairs
         self.rho = rho
         self.N = N
         self.m4 = m4
         self.zero = zero
         self.full = tuple(range(N))
-        # nonzero entries (r, c, value) of each S_b, in NS order
-        self.nonzero = [
-            [(r, c, m[r][c]) for r in range(N) for c in range(N) if m[r][c] != 0]
-            for m in s_basis
-        ]
         fibers = [b for b in range(rho) if any(r == c for r, c, _ in self.nonzero[b])]
         self.order = fibers + [b for b in range(rho) if b not in fibers]
         self.entries = [self.nonzero[b] for b in self.order]
@@ -275,8 +272,8 @@ class IntSearch(_Search):
     sign = staticmethod(int_sign)
     quotient = staticmethod(int_quotient)
 
-    def __init__(self, s_basis, w_pairs, rho, N, m4):
-        super().__init__(s_basis, w_pairs, rho, N, m4, 0)
+    def __init__(self, nonzero, w_pairs, rho, N, m4):
+        super().__init__(nonzero, w_pairs, rho, N, m4, 0)
 
     @staticmethod
     def enclosures(weights):
@@ -291,8 +288,8 @@ class FieldSearch(_Search):
     sign = staticmethod(integral_sign)
     quotient = staticmethod(integral_quotient)
 
-    def __init__(self, s_basis, w_pairs, rho, N, m4, field):
-        super().__init__(s_basis, w_pairs, rho, N, m4, IntegralElement(field, (0,) * field.degree))
+    def __init__(self, nonzero, w_pairs, rho, N, m4, field):
+        super().__init__(nonzero, w_pairs, rho, N, m4, IntegralElement(field, (0,) * field.degree))
 
     def enclosures(self, weights):
         """(scale, [(lo, hi), ...]) with lo <= scale * w(alpha) <= hi, all
@@ -346,6 +343,11 @@ def scan_range(search, box: int, collect: bool):
     its weight is nonzero.  A block tested at level t is fixed from depth
     t + 1 on, so its certificate's weights vanish beyond t.
 
+    Entering sibling c at level t sets the entries of S_{order[t]} to their
+    saved values plus c times its entries.  Those multiples are computed
+    the first time the sibling is entered (most siblings are pruned first,
+    or never reached), and c = 0 restores the saved values.
+
     Each cut carries its prefix sum `acc` down the path: descending into
     child c at level t adds c (hi_t if c > 0 else lo_t) to the cuts
     registered at t, returning subtracts it.  A node at level t with
@@ -365,10 +367,7 @@ def scan_range(search, box: int, collect: bool):
     base = 2 * box + 1
     weight = [base ** (rho - 1 - b) for b in order]
     below = [base ** (rho - 1 - t) for t in range(rho)]
-    steps = [
-        [(c, [(r, col, c * v) for r, col, v in entries]) for c in range(-box, box + 1)]
-        for entries in search.entries
-    ]
+    steps = [[None] * base for _ in range(rho)]  # steps[t][c + box]: c * v per entry
     S = [[search.zero] * N for _ in range(N)]
     coeffs = [0] * rho
     path = [0] * rho  # coefficients along the path, by level
@@ -423,8 +422,9 @@ def scan_range(search, box: int, collect: bool):
         blocks = tests[t]
         decided = below[t]
         registered = at[t]
+        multiples = steps[t]
         jump = t
-        for c, deltas in steps[t]:
+        for c in range(-box, box + 1):
             counts[1] += 1
             zero = zero_prefix and c == 0
             if leaf and zero:
@@ -438,14 +438,21 @@ def scan_range(search, box: int, collect: bool):
                 # every leaf below is decided, except the zero vector
                 counts[0] += decided - zero
                 continue
-            for (r, col, m), s in zip(deltas, saved):
-                S[r][col] = s + m
+            if c:
+                deltas = multiples[c + box]
+                if deltas is None:
+                    deltas = multiples[c + box] = [c * v for _, _, v in entries]
+                for (r, col, _), s, m in zip(entries, saved, deltas):
+                    S[r][col] = s + m
+            else:
+                for (r, col, _), s in zip(entries, saved):
+                    S[r][col] = s
             for idx, k in blocks:
                 rank, certificate = psd_rank(S, idx, sign, quotient)
                 if rank < 0:
                     counts[0] += decided - zero
                     if certificate is not None:
-                        jump = admit(certificate[1], t)
+                        jump = admit(certificate, t)
                     break
                 if k >= 0:
                     ranks[k] = rank

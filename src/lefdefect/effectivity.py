@@ -9,14 +9,16 @@ are precisely the interesting ones here) is decided by one exact symmetric
 elimination, `_purekernels.psd_rank`, which also returns the rank.
 
 `torus_defect` maximizes the cup-product kernel dimension over all effective
-integer classes in a coefficient box over the NS basis, plus a structured
-candidate set that is scanned regardless of the box.  On a declared product
+integer classes in a coefficient box over the NS basis, plus the structured
+candidates that lie outside the box.  On a declared product
 these are the sums of the blocks' fiber classes over nonempty subsets of
 blocks, when every fiber is an NS class, and the fiber classes of the
 elliptic blocks, which up to sign are the Poincare duals of the corank-2
 coordinate-factor sublattices; all come from reading each block's fiber
-class off the NS basis once (`ns_coordinates`, no elimination).  The box
-is covered by a pruned depth-first search (see `_purekernels`):
+class off the NS basis once (`ns_coordinates`, no elimination), and none
+is built when those coordinates show that every one lies in the box
+(`_extras_inside_box`).  The box is covered by a pruned depth-first search
+(see `_purekernels`):
 `classes_scanned` counts every box candidate it decides, visited or pruned,
 and `nodes_visited` the search-tree nodes it actually enters.
 
@@ -28,7 +30,8 @@ denominator), as an integer matrix when J is rational and as a matrix of
 elements of Z[alpha] (integer power-basis coordinates) otherwise; alpha is
 integral because `min_poly` is monic with integer coefficients.  The Hodge
 test is the symmetry of E * J.  `is_effective_class` and the search decide
-semidefiniteness on these matrices with the same sign and exact quotient.
+semidefiniteness on these matrices with the same sign and exact quotient;
+the search keeps only their nonzero entries (`_symmetric_entries`).
 """
 
 from __future__ import annotations
@@ -40,17 +43,17 @@ from typing import Optional
 from . import _purekernels
 from .cohomology import wedge_basis, wedge_coords
 from .errors import ConsistencyError, NotHodgeClass
-from .exactmath import kernel_basis, primitive_integer_vector, rank
+from .exactmath import IntegralElement, kernel_basis, primitive_integer_vector, rank
 from .torus import (
     AlternatingForm,
     ComplexTorus,
     Sublattice,
     _matmul,
+    _ns_pair_coordinates,
     factor_blocks,
     fiber_pairs,
     hom_rank,
     ns_basis,
-    ns_coordinates,
     ns_rank,
     quotient,
     subtorus,
@@ -183,16 +186,34 @@ class EffectiveClassRecord:
     form_rank: int
 
 
+def _symmetric_entries(A: ComplexTorus, E: AlternatingForm):
+    """The nonzero entries (r, c, value) of `symmetric_part(A, E)`, row by
+    row, without the dense matrix: each entry is decided zero on the
+    integer products E * (D J_k), and only a nonzero one over a number
+    field becomes an `IntegralElement`.  Raises `NotHodgeClass` as
+    `symmetric_part` does."""
+    parts = E.times_dj()
+    if not E.is_hodge:
+        raise NotHodgeClass("form is not J-compatible")
+    if A.rational_j:
+        return [(r, c, x) for r, row in enumerate(parts[0]) for c, x in enumerate(row) if x]
+    field = A.field
+    return [(r, c, IntegralElement(field, coeffs))
+            for r, rows in enumerate(zip(*parts))
+            for c, coeffs in enumerate(zip(*rows)) if any(coeffs)]
+
+
 class _SearchData:
     """Precomputed integer data for scanning one torus.
 
     With J = sum_k alpha^k J_k on the power basis and D the common
-    denominator of the J_k, each symmetric part is stored as
-    D * S_b = sum_k alpha^k (E_b * D J_k), built by `symmetric_part` from
-    the torus's integer J data: integer matrices when J is rational, and
-    matrices of `IntegralElement`s (entries of Z[alpha], alpha integral
-    since min_poly is monic with integer coefficients) otherwise.  The
-    positive factor D changes neither semidefiniteness nor rank.
+    denominator of the J_k, each symmetric part D * S_b =
+    sum_k alpha^k (E_b * D J_k) is kept as its nonzero entries
+    (`_symmetric_entries`): ints when J is rational, and `IntegralElement`s
+    (entries of Z[alpha], alpha integral since min_poly is monic with
+    integer coefficients) otherwise.  The positive factor D changes neither
+    semidefiniteness nor rank.  The cup products of basis pairs are
+    computed once per unordered pair, since degree-2 classes commute.
     """
 
     def __init__(self, A: ComplexTorus):
@@ -200,50 +221,48 @@ class _SearchData:
             raise ValueError("global defect search needs dimension at least 2")
         self.torus = A
         self.basis = ns_basis(A)
-        self.rho = len(self.basis)
+        rho = self.rho = len(self.basis)
         N = self.N = 2 * A.n
         self.m4 = len(wedge_basis(N, 4))
         # The basis forms are primitive integer forms (den 1).
         self.e_int = [b.num for b in self.basis]
         # Cup products of basis pairs: integer coordinate vectors in H^4.
         pairs = [b.pair_num() for b in self.basis]
-        self.w_pairs = [[wedge_coords(N, 2, 2, p, q) for q in pairs] for p in pairs]
-        s_basis = [symmetric_part(A, b) for b in self.basis]
-        search = _search_class(A)
-        if search is _purekernels.IntSearch:
-            self.search = search(s_basis, self.w_pairs, self.rho, N, self.m4)
+        w = self.w_pairs = [[None] * rho for _ in range(rho)]
+        for i, p in enumerate(pairs):
+            for j in range(i, rho):
+                w[i][j] = w[j][i] = wedge_coords(N, 2, 2, p, pairs[j])
+        nonzero = [_symmetric_entries(A, b) for b in self.basis]
+        if A.rational_j:
+            self.search = _purekernels.IntSearch(nonzero, w, rho, N, self.m4)
         else:
-            self.search = search(s_basis, self.w_pairs, self.rho, N, self.m4, A.field)
+            self.search = _purekernels.FieldSearch(nonzero, w, rho, N, self.m4, A.field)
 
 
-def _structured_candidate_vectors(A: ComplexTorus, data: _SearchData):
-    """Coefficient vectors of the structured candidates over the NS basis.
+def _fiber_coordinates(A: ComplexTorus, pairs, N: int):
+    """Per declared block (its `fiber_pairs`), the coordinates of its fiber
+    form over the NS basis, or None when the fiber is not an NS class.
 
-    For declared products these are the sums of the fiber forms over every
-    nonempty subset of blocks (the pullbacks of the product polarizations of
-    all coordinate quotients, the torus itself included), offered only when
-    every fiber form is an NS class, and the Poincare duals of the corank-2
-    coordinate-factor sublattices.  Such a sublattice omits one elliptic
-    block, its Smith projection is unimodular on that block's two
-    coordinates and zero elsewhere, so its dual is +-(that block's fiber
-    form).  Both signs are offered and the effectivity filter keeps the
-    right one.
-
-    Each block's fiber form, built on its integer pair coordinates, is read
-    off the NS basis once by `ns_coordinates`.  The basis spans the
-    J-compatible forms over Q, so a fiber without coordinates is exactly
-    one that is not a Hodge class; subset sums add coordinate vectors.
+    Each block's fiber form is read off the NS basis once, on its integer
+    pair coordinates (`ns_coordinates` without building the form).  The
+    basis spans the J-compatible forms over Q, so a fiber without
+    coordinates is exactly one that is not a Hodge class.
     """
-    pairs = fiber_pairs(A)
-    if pairs is None:
-        return []
-    index = {pair: k for k, pair in enumerate(combinations(range(data.N), 2))}
+    index = {pair: k for k, pair in enumerate(combinations(range(N), 2))}
     fibers = []
     for block in pairs:
         x = [0] * len(index)
         for pair in block:
             x[index[pair]] = 1
-        fibers.append(ns_coordinates(A, AlternatingForm._from_pair_num(A, 1, x)))
+        fibers.append(_ns_pair_coordinates(A, x, 1))
+    return fibers
+
+
+def _candidates_from_fibers(pairs, fibers):
+    """The structured candidate vectors, both signs, sorted, from the
+    blocks' `fiber_pairs` and their fibers' coordinates: the primitive
+    forms of every nonempty subset sum, when every fiber is an NS class,
+    and, on two or more blocks, of each elliptic block's fiber."""
     coords = []
     if None not in fibers:
         for size in range(1, len(fibers) + 1):
@@ -257,6 +276,52 @@ def _structured_candidate_vectors(A: ComplexTorus, data: _SearchData):
         vectors.add(prim)
         vectors.add(tuple(-x for x in prim))
     return sorted(vectors)
+
+
+def _extras_inside_box(fibers, box: int) -> bool:
+    """Whether every structured candidate built from these fiber
+    coordinates lies in the box, decided without building one: when the
+    coordinates of the NS-class fibers are integral and, entry by entry,
+    the sum of their absolute values is at most `box`.  Every candidate is
+    a subset sum of these fibers, or one of them, so its entries are
+    bounded by that sum, and its primitive form only divides by its
+    content.  (On a declared product an elliptic block's fiber is a single
+    pair slot, a free slot of the echelon NS basis, so its coordinates are
+    a unit vector.)  False means only that the candidates must be built."""
+    known = [f for f in fibers if f is not None]
+    if any(x.denominator != 1 for f in known for x in f):
+        return False
+    return all(sum(abs(x.numerator) for x in column) <= box for column in zip(*known))
+
+
+def _structured_candidate_vectors(A: ComplexTorus, data: _SearchData):
+    """Coefficient vectors of the structured candidates over the NS basis.
+
+    For declared products these are the sums of the fiber forms over every
+    nonempty subset of blocks (the pullbacks of the product polarizations of
+    all coordinate quotients, the torus itself included), offered only when
+    every fiber form is an NS class, and the Poincare duals of the corank-2
+    coordinate-factor sublattices.  Such a sublattice omits one elliptic
+    block, its Smith projection is unimodular on that block's two
+    coordinates and zero elsewhere, so its dual is +-(that block's fiber
+    form).  Both signs are offered and the effectivity filter keeps the
+    right one.  Subset sums add the fibers' coordinate vectors
+    (`_fiber_coordinates`).
+    """
+    pairs = fiber_pairs(A)
+    if pairs is None:
+        return []
+    return _candidates_from_fibers(pairs, _fiber_coordinates(A, pairs, data.N))
+
+
+def _box_extras(pairs, fibers, box: int):
+    """The structured candidates, from the blocks' `fiber_pairs` and their
+    fibers' coordinates, that lie outside the box, which the box search
+    does not cover; none is built when `_extras_inside_box` shows that
+    every one lies inside."""
+    if _extras_inside_box(fibers, box):
+        return []
+    return [v for v in _candidates_from_fibers(pairs, fibers) if any(abs(c) > box for c in v)]
 
 
 def _combine(best, candidate):
@@ -285,8 +350,8 @@ def _run_search(A: ComplexTorus, box: int, collect: bool):
     total = (2 * box + 1) ** data.rho
     delta, pos, scanned, nodes, records = _purekernels.scan_range(data.search, box, collect)
     best = (delta, pos)
-    extras = _structured_candidate_vectors(A, data)
-    extras = [v for v in extras if any(abs(c) > box for c in v)]
+    pairs = fiber_pairs(A)
+    extras = [] if pairs is None else _box_extras(pairs, _fiber_coordinates(A, pairs, data.N), box)
     if extras:
         delta, pos, extra_scanned, extra_nodes, extra_records = _purekernels.scan_vectors(
             data.search, extras, total, collect

@@ -78,11 +78,15 @@ class QMatrix:
 
 def _integer_rows(matrix) -> list:
     """Clear denominators row by row; preserves rank and kernel.  Entries
-    are ints or Fractions, which both carry a `denominator`."""
+    are ints or Fractions, which both carry a `denominator`; a row without
+    a Fraction is copied as it is."""
     rows = matrix.rows if isinstance(matrix, QMatrix) else matrix
     out = []
     for row in rows:
-        den = lcm(*(x.denominator for x in row)) if row else 1
+        if Fraction not in map(type, row):
+            out.append(list(row))
+            continue
+        den = lcm(*(x.denominator for x in row))
         out.append([int(x * den) for x in row])
     return out
 
@@ -154,8 +158,10 @@ def kernel_basis(matrix):
 
     Each free column yields one vector that is positive in that slot and
     zero in the other free slots; pivot slots are back-substituted.
-    Deterministic for a given matrix.  The back-substitution runs on
-    integers: the vector is kept as integer numerators over the common
+    Deterministic for a given matrix, and it depends only on the row space:
+    zero or repeated rows change nothing.  Rows of ints enter the
+    elimination as they are, without a pass that clears denominators.  The
+    back-substitution runs on integers: the vector is kept as integer numerators over the common
     scale in its free slot, and divided by their gcd, signed to keep the
     free slot positive, once at the end.
     """

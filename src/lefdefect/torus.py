@@ -46,16 +46,20 @@ def _matmul(a, b):
 
     Each row of the product is accumulated over the nonzero entries of the
     row of a and of the rows of b, so block-diagonal J parts and sparse
-    forms cost only their nonzero products.  (An `IntegralElement` is never
-    skipped, zero or not.)
+    forms cost only their nonzero products.  A row of b is read for its
+    nonzero entries only when some row of a needs it.  (An
+    `IntegralElement` is never skipped, zero or not.)
     """
     width = len(b[0]) if b else 0
-    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    sparse = [None] * len(b)
     out = []
     for row in a:
         acc = [0] * width
-        for x, entries in zip(row, sparse):
+        for k, x in enumerate(row):
             if x:
+                entries = sparse[k]
+                if entries is None:
+                    entries = sparse[k] = [(j, y) for j, y in enumerate(b[k]) if y]
                 for j, y in entries:
                     acc[j] += x * y
         out.append(acc)
@@ -63,7 +67,7 @@ def _matmul(a, b):
 
 
 def _is_symmetric(m) -> bool:
-    return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i + 1, len(m)))
+    return list(map(tuple, m)) == list(zip(*m))
 
 
 def _split_j(field: RealNumberField, J):
@@ -410,10 +414,11 @@ class AlternatingForm:
         the lattice's size (as every integer combination of forms is) and a
         positive den; nothing is re-checked, the common factor is divided
         out."""
-        g = gcd(den, *(x for row in num for x in row))
-        if g != 1:
-            den //= g
-            num = [[x // g for x in row] for row in num]
+        if den != 1:  # over den 1 there is no common factor to divide out
+            g = gcd(den, *(x for row in num for x in row))
+            if g != 1:
+                den //= g
+                num = [[x // g for x in row] for row in num]
         form = cls.__new__(cls)
         form._set(torus, den, tuple(map(tuple, num)))
         return form
@@ -524,28 +529,43 @@ def ns_basis(A: ComplexTorus):
     integer linear condition on the C(2n, 2) free entries of E, and the
     basis is the kernel of that integer system.  The number of basis
     elements is the Picard number of A.
+
+    The condition at (r, c) reads sum_x E[r][x] J_k[x][c] =
+    sum_x E[c][x] J_k[x][r], so its row is nonzero only on the 4n - 3
+    pairs that hold r or c, and is built there alone.  A part J_k that is
+    zero adds no condition, and zero and repeated rows are left out: the
+    canonical echelon kernel depends only on the row space.
     """
     if A._ns_cache is not None:
         return list(A._ns_cache)
-    pairs = list(combinations(range(2 * A.n), 2))
-    rows = []
+    N = 2 * A.n
+    pairs = list(combinations(range(N), 2))
+    M = len(pairs)
+    # touch[r]: (k, x, s) for each pair k = {r, x}, with E[r][x] = s * x_k
+    touch = [[] for _ in range(N)]
+    for k, (p, q) in enumerate(pairs):
+        touch[p].append((k, q, 1))
+        touch[q].append((k, p, -1))
+    rows = {}
     for Jk in A.j_parts:
-        # (E Jk)[r][c] - (E Jk)[c][r] for r < c, with E[p][q] = x_pq = -E[q][p]
+        if not any(map(any, Jk)):
+            continue
+        columns = list(zip(*Jk))
         for r, c in pairs:
-            row = []
-            for p, q in pairs:
-                v = 0
-                if r == p:
-                    v += Jk[q][c]
-                elif r == q:
-                    v -= Jk[p][c]
-                if c == p:
-                    v -= Jk[q][r]
-                elif c == q:
-                    v += Jk[p][r]
-                row.append(v)
-            rows.append(row)
-    basis = [AlternatingForm._from_pair_num(A, 1, v) for v in kernel_basis(rows)]
+            row = [0] * M
+            column = columns[c]
+            for k, x, s in touch[r]:
+                if column[x]:
+                    row[k] += s * column[x]
+            column = columns[r]
+            for k, x, s in touch[c]:
+                if column[x]:
+                    row[k] -= s * column[x]
+            if any(row):
+                rows[tuple(row)] = None
+    # With no condition at all (J^2 = -I on a curve) every form is Hodge.
+    vectors = kernel_basis(list(rows) or [[0] * M])
+    basis = [AlternatingForm._from_pair_num(A, 1, v) for v in vectors]
     A._ns_cache = tuple(basis)
     return list(basis)
 
@@ -565,9 +585,14 @@ def ns_coordinates(A: ComplexTorus, form: AlternatingForm):
     L x = sum_k t_k b_k for t_k = x[f_k] (L / b_k[f_k]), L the lcm of the
     b_k[f_k]: one check on integers, without an elimination.
     """
+    return _ns_pair_coordinates(A, form.pair_num(), form.den)
+
+
+def _ns_pair_coordinates(A: ComplexTorus, x, den: int):
+    """`ns_coordinates` of the form with integer pair coordinates x over
+    den, without building the form."""
     if A._ns_cache is None:  # read the cached basis, built once by ns_basis
         ns_basis(A)
-    x = form.pair_num()
     pairs = [b.pair_num() for b in A._ns_cache]
     slots = [max(i for i, v in enumerate(p) if v) for p in pairs]
     pivots = [p[f] for p, f in zip(pairs, slots)]
@@ -581,7 +606,7 @@ def ns_coordinates(A: ComplexTorus, form: AlternatingForm):
                     rest[i] -= t * y
     if any(rest):
         return None
-    return tuple(Fraction(x[f], form.den * v) for f, v in zip(slots, pivots))
+    return tuple(Fraction(x[f], den * v) for f, v in zip(slots, pivots))
 
 
 class Sublattice:

@@ -17,8 +17,13 @@ certificates are checked against v^T M v computed directly, and every cut
 in the search's pool against its weights computed exactly and against
 every effective class the reference finds.
 
-The structured candidates are compared with a reference that builds every
-candidate as a form: the fiber forms with their Hodge test, their subset
+The search's set-up (`_SearchData`, which keeps the S_b as nonzero entries
+read off the integer products E_b * (D J_k)) is compared with one built
+from the dense `symmetric_part` matrices.  The rule that skips the
+structured extras when every one lies in the box is checked on synthetic
+fiber coordinates and against the candidates a search would otherwise
+build.  The structured candidates are compared with a reference that
+builds every candidate as a form: the fiber forms with their Hodge test, their subset
 sums, the Poincare duals of the corank-2 coordinate-factor sublattices, and
 one reference `solve` over the NS basis per form.
 
@@ -34,18 +39,22 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lefdefect import _purekernels
 from lefdefect.classifier import classify
 from lefdefect.checks import isogeny_spec_of
-from lefdefect.cohomology import poincare_dual
+from lefdefect.cohomology import poincare_dual, wedge_basis, wedge_coords
 from lefdefect.effectivity import (
+    _box_extras,
+    _candidates_from_fibers,
+    _extras_inside_box,
     _SearchData,
     _structured_candidate_vectors,
     defect_survey,
     is_effective_class,
+    symmetric_part,
     torus_defect,
 )
 from lefdefect.errors import ConsistencyError
@@ -237,6 +246,25 @@ def reference_plan(s_basis, order):
     return sorted(components), plan
 
 
+def sparse_parts(s_basis):
+    """The nonzero entries (r, c, value) of dense matrices S_b, row by row,
+    as the search takes them."""
+    return [[(r, c, x) for r, row in enumerate(m) for c, x in enumerate(row) if x != 0]
+            for m in s_basis]
+
+
+def dense_parts(search):
+    """The search's S_b as dense matrices: its nonzero entries, and its zero
+    scalar everywhere else."""
+    out = []
+    for entries in search.nonzero:
+        m = [[search.zero] * search.N for _ in range(search.N)]
+        for r, c, x in entries:
+            m[r][c] = x
+        out.append(m)
+    return out
+
+
 def as_algebraic(M):
     """A matrix with its Z[alpha] entries converted exactly to AlgebraicReals."""
     return [[x.field.element(x.coeffs) if isinstance(x, IntegralElement) else x for x in row]
@@ -269,7 +297,7 @@ def assert_search_matches_reference(search, box):
     effective classes that the reference finds.  Returns the node count and
     the number of cuts."""
     delta, position, scanned, nodes, records = _purekernels.scan_range(search, box, True)
-    s_basis = [as_algebraic(m) for m in search.s_basis]
+    s_basis = [as_algebraic(m) for m in dense_parts(search)]
     expected = reference_scan(s_basis, search.w_pairs, box)
     assert (delta, position, scanned, records) == expected
     assert scanned == (2 * box + 1) ** search.rho - 1
@@ -334,8 +362,8 @@ def synthetic_search(draw):
     box = 1 if rho == 4 else draw(st.integers(1, 3))
     slack = draw(st.integers(0, 2))
     if slack:
-        return LooseIntSearch(slack, s_basis, w_pairs, rho, N, m4), box
-    return _purekernels.IntSearch(s_basis, w_pairs, rho, N, m4), box
+        return LooseIntSearch(slack, sparse_parts(s_basis), w_pairs, rho, N, m4), box
+    return _purekernels.IntSearch(sparse_parts(s_basis), w_pairs, rho, N, m4), box
 
 
 @settings(max_examples=60, deadline=None)
@@ -343,17 +371,18 @@ def synthetic_search(draw):
 # S = x_0 + x_1 at box 1: at x = (-1, -1) the cut of v = e_0 has bound 0 at
 # the prefix x_0 = -1, and (-1, 1), on that bound, is effective; a backjump
 # on a bound that is not negative would skip it.
-@example((_purekernels.IntSearch([[[1]], [[1]]], [[[1], [0]], [[0], [1]]], 2, 1, 1), 1))
+@example((_purekernels.IntSearch([[(0, 0, 1)], [(0, 0, 1)]], [[[1], [0]], [[0], [1]]], 2, 1, 1), 1))
 def test_search_matches_reference_on_synthetic_data(case):
     """Answers (`classes_scanned` among them) as the reference's; nodes
     at most the definition's count, since the pool of cuts also decides live
     prefixes with every completion in the box outside the effective cone."""
     search, box = case
     nodes, _ = assert_search_matches_reference(search, box)
-    components, plan = reference_plan(search.s_basis, search.order)
+    s_basis = dense_parts(search)
+    components, plan = reference_plan(s_basis, search.order)
     assert search.components == components
     assert [set(tests) for tests in search.tests] == plan
-    assert nodes <= reference_nodes(search.s_basis, search.order, box)
+    assert nodes <= reference_nodes(s_basis, search.order, box)
 
 
 def test_pool_prunes_live_prefixes_on_a_survey_pair():
@@ -365,7 +394,7 @@ def test_pool_prunes_live_prefixes_on_a_survey_pair():
     search = _SearchData(pair).search
     nodes, cuts = assert_search_matches_reference(search, 3)
     assert cuts > 0
-    assert nodes < reference_nodes(search.s_basis, search.order, 3)
+    assert nodes < reference_nodes(dense_parts(search), search.order, 3)
 
 
 @settings(max_examples=12, deadline=None)
@@ -378,6 +407,48 @@ def test_search_matches_reference_on_random_products(A, seed):
     box = 2 if search.rho <= 2 else 1
     assert_search_matches_reference(search, box)
     assert_search_matches_reference(_SearchData(rebased(A, random.Random(seed))).search, box)
+
+
+def dense_search(A):
+    """The search of A built from dense `symmetric_part` matrices, with the
+    cup product of every ordered pair of basis elements."""
+    basis = ns_basis(A)
+    N, rho = 2 * A.n, len(basis)
+    pairs = [b.pair_num() for b in basis]
+    w_pairs = [[wedge_coords(N, 2, 2, p, q) for q in pairs] for p in pairs]
+    nonzero = sparse_parts([symmetric_part(A, b) for b in basis])
+    m4 = len(wedge_basis(N, 4))
+    if A.rational_j:
+        return _purekernels.IntSearch(nonzero, w_pairs, rho, N, m4)
+    return _purekernels.FieldSearch(nonzero, w_pairs, rho, N, m4, A.field)
+
+
+def assert_search_data_matches_dense(A):
+    """`_SearchData` reads the S_b off the integer products E_b * (D J_k)
+    and computes each unordered pair's cup product once; its search must
+    equal the one built from the dense matrices."""
+    search, expected = _SearchData(A).search, dense_search(A)
+    assert type(search) is type(expected)
+    assert search.nonzero == expected.nonzero
+    assert [[type(x) for _, _, x in e] for e in search.nonzero] == \
+        [[type(x) for _, _, x in e] for e in expected.nonzero]
+    assert search.order == expected.order
+    assert search.entries == expected.entries
+    assert search.components == expected.components
+    assert search.tests == expected.tests
+    assert search.w_pairs == expected.w_pairs
+
+
+def test_search_data_matches_dense_set_up_on_corpus(corpus):
+    for A in corpus.values():
+        assert_search_data_matches_dense(A)
+
+
+@settings(max_examples=12, deadline=None)
+@given(elliptic_products(), st.integers(0, 2**32))
+def test_search_data_matches_dense_set_up_on_random_products(A, seed):
+    assert_search_data_matches_dense(A)
+    assert_search_data_matches_dense(rebased(A, random.Random(seed)))
 
 
 def test_patched_evaluate_sees_exactly_the_effective_records(corpus, monkeypatch):
@@ -408,7 +479,7 @@ def test_structured_vectors_match_reference(corpus):
     delta, position, scanned, nodes, records = _purekernels.scan_vectors(
         search, vectors, 100, True
     )
-    s_basis = [as_algebraic(m) for m in search.s_basis]
+    s_basis = [as_algebraic(m) for m in dense_parts(search)]
     expected = []
     for offset, coeffs in enumerate(vectors):
         found = reference_record(s_basis, search.w_pairs, coeffs)
@@ -581,10 +652,10 @@ def fails_before_second_pivot(block):
 def assert_certificates_hold(M, sign, quotient, rng, zero):
     """psd_rank on M and on a random principal block: a PSD block and a
     failure after the elimination's second pivot have certificate None.
-    Every failure before it comes with (q, v): v has distinct nonzero
+    Every failure before it comes with a vector v: v has distinct nonzero
     entries in the block, at most three of them and at most the block's
-    rank, and q is v^T M v < 0.  Returns, per failure, whether it came with
-    a certificate."""
+    rank, and v^T M v < 0, computed here from v itself.  Returns, per
+    failure, whether it came with a certificate."""
     n = len(M)
     kinds = []
     for idx in (range(n), sorted(rng.sample(range(n), rng.randint(1, n)))):
@@ -597,15 +668,14 @@ def assert_certificates_hold(M, sign, quotient, rng, zero):
         assert (certificate is not None) == fails_before_second_pivot(block)
         if certificate is None:
             continue
-        q, v = certificate
+        v = certificate
         assert 1 <= len(v) <= min(3, block_rank(block)) and {i for i, _ in v} <= set(idx)
         assert len({i for i, _ in v}) == len(v) and all(x != 0 for _, x in v)
         brute = zero
         for i, x in v:
             for j, y in v:
                 brute = brute + x * y * M[i][j]
-        assert q == brute
-        assert sign(q) < 0
+        assert sign(brute) < 0
     return kinds
 
 
@@ -650,7 +720,7 @@ def test_psd_rank_certificates_on_integral_matrices(name):
 def test_psd_rank_rejects_zero_diagonal_with_coupling():
     M = [[0, 1], [1, 0]]
     assert _purekernels.psd_rank(M, range(2), _purekernels.int_sign,
-                                 _purekernels.int_quotient) == (-1, (-2, ((0, 1), (1, -1))))
+                                 _purekernels.int_quotient) == (-1, ((0, 1), (1, -1)))
     assert _purekernels.psd_rank([[0, 0], [0, 0]], range(2), _purekernels.int_sign,
                                  _purekernels.int_quotient) == (0, None)
 
@@ -737,6 +807,94 @@ def test_structured_candidates_with_undeclared_surface_blocks():
 @given(elliptic_products())
 def test_structured_candidates_match_reference_on_random_products(A):
     assert_structured_vectors_match_reference(A)
+
+
+F = Fraction
+
+
+ELLIPTIC_PAIR = [[(0, 1)], [(2, 3)]]
+
+
+@pytest.mark.parametrize("pairs, fibers, box, inside, outside", [
+    # unit vectors, as the fibers of declared elliptic blocks are
+    (ELLIPTIC_PAIR, [(F(1), F(0)), (F(0), F(1))], 1, True, []),
+    ([[(0, 1)], [(2, 3), (4, 5)]], [(F(1), F(0)), None], 1, True, []),
+    (ELLIPTIC_PAIR, [(F(1), F(1)), (F(0), F(-1))], 2, True, []),
+    # a column sum of 2: built, and every candidate is inside after all
+    (ELLIPTIC_PAIR, [(F(1), F(0)), (F(1), F(0))], 1, False, []),
+    # the primitive form of (1/2, 1) is (1, 2), outside box 1
+    (ELLIPTIC_PAIR, [(F(1, 2), F(0)), (F(0), F(1))], 1, False, [(-1, -2), (1, 2)]),
+    (ELLIPTIC_PAIR, [(F(2), F(0)), (F(0), F(1))], 1, False, [(-2, -1), (2, 1)]),
+])
+def test_box_rule_on_synthetic_fiber_coordinates(pairs, fibers, box, inside, outside):
+    """`_box_extras` builds nothing when `_extras_inside_box` holds, and
+    otherwise keeps exactly the candidates outside the box."""
+    assert _extras_inside_box(fibers, box) == inside
+    candidates = _candidates_from_fibers(pairs, fibers)
+    assert [v for v in candidates if max(map(abs, v)) > box] == outside
+    assert _box_extras(pairs, fibers, box) == outside
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.lists(
+    st.fractions(min_value=-2, max_value=2, max_denominator=3), min_size=3, max_size=3)),
+    min_size=1, max_size=4), st.integers(1, 3), st.data())
+def test_box_rule_is_sound(fibers, box, data):
+    """Whenever the rule says every candidate lies in the box, every one
+    does; otherwise `_box_extras` keeps exactly the ones outside."""
+    fibers = [None if f is None else tuple(f) for f in fibers]
+    known = [f for f in fibers if f is not None]
+    # Fiber forms are linearly independent: no subset sums to zero.
+    assume(all(any(map(sum, zip(*subset))) for size in range(1, len(known) + 1)
+               for subset in itertools.combinations(known, size)))
+    sizes = [data.draw(st.integers(1, 2)) for _ in fibers]
+    pairs = [[(2 * t, 2 * t + 1)] * size for t, size in enumerate(sizes)]
+    candidates = _candidates_from_fibers(pairs, fibers)
+    if _extras_inside_box(fibers, box):
+        assert all(max(map(abs, v)) <= box for v in candidates)
+    assert _box_extras(pairs, fibers, box) == [v for v in candidates if max(map(abs, v)) > box]
+
+
+@st.composite
+def products_with_surface_blocks(draw):
+    """A product of curves, or a pair of curves entered as one undeclared
+    2-dimensional block (on its own lattice basis or on one that mixes the
+    curves) next to one of its curves, in either order."""
+    B = draw(elliptic_products(max_count=2))
+    shape = draw(st.sampled_from(["curves", "plain", "mixed"]))
+    if shape == "curves":
+        return B, draw(st.integers(1, 2))
+    surface = ComplexTorus(B.field, field_j(B))
+    if shape == "mixed":
+        surface = rebased(B, random.Random(draw(st.integers(0, 2**32))))
+    curve = B.factors[draw(st.integers(0, 1))]
+    blocks = [surface, curve] if draw(st.booleans()) else [curve, surface]
+    return product(blocks), 1
+
+
+def extras_of_search(A, box):
+    """The structured extras a search of A scans, caught at `scan_vectors`."""
+    seen = []
+    scan_vectors = _purekernels.scan_vectors
+
+    def caught(search, vectors, *args):
+        seen.extend(vectors)
+        return scan_vectors(search, vectors, *args)
+
+    _purekernels.scan_vectors = caught
+    try:
+        torus_defect(A, box=box)
+    finally:
+        _purekernels.scan_vectors = scan_vectors
+    return seen
+
+
+@settings(max_examples=15, deadline=None)
+@given(products_with_surface_blocks())
+def test_search_extras_are_the_structured_candidates_outside_the_box(case):
+    A, box = case
+    vectors = _structured_candidate_vectors(A, _SearchData(A))
+    assert extras_of_search(A, box) == [v for v in vectors if max(map(abs, v)) > box]
 
 
 # The torus code reads J only as the integer components D * J_k.  The

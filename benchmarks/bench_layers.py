@@ -24,7 +24,8 @@ runs:
   every effective form,
 * `radical` and `ns_cup_matrix` (the integer cup-product matrix on the NS
   basis that `defect_of_class` eliminates) on fresh copies of every
-  effective form, and
+  effective form, and `saturate` on the rational kernel bases that
+  `radical` saturates (those of the nonzero radicals), and
 * `check_voisin`, the restriction and Poincare-dual kernels on every
   corank-2 coordinate sublattice,
 * `search_data`: the search's set-up (`_SearchData`: the symmetric parts'
@@ -67,7 +68,15 @@ from bench_search import CASES
 from lefdefect import _purekernels
 from lefdefect.checks import check_voisin
 from lefdefect.cohomology import defect_of_class, ns_cup_matrix
-from lefdefect.exactmath import IntegralElement, format_rational, integral_sign, nf_sign, rank
+from lefdefect.exactmath import (
+    IntegralElement,
+    format_rational,
+    integral_sign,
+    kernel_basis,
+    nf_sign,
+    rank,
+    saturate,
+)
 from lefdefect.effectivity import (
     _SearchData,
     _search_class,
@@ -182,6 +191,9 @@ def measure(build, repeat):
     lattices, radical_s = best_time(
         lambda fresh: [radical(A, E) for E in fresh],
         lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
+    kernels = [k for k in (kernel_basis(AlternatingForm(A, m).num) for m in effective_forms) if k]
+    _, saturate_s = best_time(
+        lambda bases: [saturate(k, 2 * A.n) for k in bases], lambda: kernels, repeat)
     cup_matrices, cup_s = best_time(
         lambda fresh: [ns_cup_matrix(A, E) for E in fresh],
         lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
@@ -237,6 +249,7 @@ def measure(build, repeat):
             "divisor_case_data": round(case_s, 5),
             "defect_of_class": round(defect_s, 5),
             "radical": round(radical_s, 5),
+            "saturate": round(saturate_s, 5),
             "ns_cup_matrix": round(cup_s, 5),
             "check_voisin": round(voisin_s, 5),
             "search_data": round(search_data_s, 5),
@@ -260,7 +273,7 @@ def main():
     seen = set()
     columns = ("elliptic", "build", "load_document", "ns_basis", "hom_rank",
                "is_effective_class", "subtorus", "quotient", "divisor_case_data",
-               "defect_of_class", "radical", "ns_cup_matrix", "check_voisin",
+               "defect_of_class", "radical", "saturate", "ns_cup_matrix", "check_voisin",
                "search_data", "structured_candidates", "ns_coordinates", "integral_sign", "nf_sign", "psd_rank", "rank")
     print(f"{'torus':<12} {'rho':>4} " + " ".join(f"{c[:9]:>9}" for c in columns))
     for name, build, _ in CASES:

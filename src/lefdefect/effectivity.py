@@ -29,9 +29,10 @@ denominator of the J_k, J enters only as the integer matrices D * J_k:
 denominator), as an integer matrix when J is rational and as a matrix of
 elements of Z[alpha] (integer power-basis coordinates) otherwise; alpha is
 integral because `min_poly` is monic with integer coefficients.  The Hodge
-test is the symmetry of E * J.  `is_effective_class` and the search decide
-semidefiniteness on these matrices with the same sign and exact quotient;
-the search keeps only their nonzero entries (`_symmetric_entries`).
+test is the symmetry of E * J.  `is_effective_class` and the search keep
+only the nonzero entries of these matrices (`_symmetric_entries`), and
+decide semidefiniteness once per connected component of their pattern,
+with the same sign and exact quotient.
 """
 
 from __future__ import annotations
@@ -74,12 +75,18 @@ def symmetric_part(A: ComplexTorus, E: AlternatingForm):
     J-compatible, so its symmetry is the Hodge test; on the square lattice
     with its principal polarization S is the identity.
     """
-    if E.torus != A:
-        raise ValueError("form belongs to a different torus")
-    parts = E.times_dj()
-    if not E.is_hodge:
-        raise NotHodgeClass("form is not J-compatible")
-    return A.in_scalars(parts)
+    return _dense(A, _symmetric_entries(A, E))
+
+
+def _dense(A: ComplexTorus, entries):
+    """The N x N matrix with these nonzero entries (r, c, value) and the
+    scalar zero of A's kind everywhere else."""
+    N = 2 * A.n
+    zero = 0 if A.rational_j else IntegralElement(A.field, (0,) * len(A.j_parts))
+    S = [[zero] * N for _ in range(N)]
+    for r, c, x in entries:
+        S[r][c] = x
+    return S
 
 
 def _search_class(A: ComplexTorus):
@@ -95,12 +102,20 @@ def is_effective_class(A: ComplexTorus, E: AlternatingForm) -> bool:
     Equivalent to some positive multiple of E being the class of an effective
     divisor; scaling never changes the defect, so this is the right
     effectivity notion for maximizing it.
+
+    S is block diagonal on the connected components of its nonzero pattern
+    (on a product, the isogeny classes of the factors, or finer), so it is
+    PSD exactly when every component block is: `psd_rank` runs once per
+    component, on the entries `_symmetric_entries` reads off E * (D J_k),
+    as in the search.
     """
     if E.is_zero():
         return False
-    S = symmetric_part(A, E)
+    entries = _symmetric_entries(A, E)
+    S = _dense(A, entries)
     kind = _search_class(A)
-    return _purekernels.psd_rank(S, range(len(S)), kind.sign, kind.quotient)[0] >= 0
+    return all(_purekernels.psd_rank(S, idx, kind.sign, kind.quotient)[0] >= 0
+               for idx in _purekernels._components([entries], len(S)))
 
 
 def radical(A: ComplexTorus, E: AlternatingForm) -> Sublattice:
@@ -192,6 +207,8 @@ def _symmetric_entries(A: ComplexTorus, E: AlternatingForm):
     integer products E * (D J_k), and only a nonzero one over a number
     field becomes an `IntegralElement`.  Raises `NotHodgeClass` as
     `symmetric_part` does."""
+    if E.torus != A:
+        raise ValueError("form belongs to a different torus")
     parts = E.times_dj()
     if not E.is_hodge:
         raise NotHodgeClass("form is not J-compatible")

@@ -1,10 +1,12 @@
 """Integer lattices: Smith normal form, saturation, quotient complements.
 
 Sublattices are handled as integer matrices of column vectors inside an
-ambient Z^N.  Smith normal form U A V = D with unimodular U, V is the single
-workhorse: the saturation of the column span is read off the first columns
-of U^-1, and the remaining columns/rows give a section and projection for
-the (torsion-free) quotient.
+ambient Z^N.  Smith normal form U A V = D with unimodular U, V gives the
+section and projection for the (torsion-free) quotient from the rows and
+columns of U and U^-1 past the sublattice's rank.  Saturation first puts the
+columns in canonical Hermite form: when every pivot of that basis is 1 the
+lattice is already saturated and the Hermite basis is the answer, and only
+otherwise is the saturation read off the first columns of U^-1.
 """
 
 from __future__ import annotations
@@ -177,16 +179,29 @@ def column_hnf(columns, ambient_rank: int):
 def saturate(columns, ambient_rank: int):
     """Basis of (span_Q(columns) intersect Z^N) as columns; requires the
     columns to be Q-linearly independent.  The result is in canonical
-    Hermite form."""
+    Hermite form.
+
+    The Hermite basis of the columns comes first.  When it has one nonzero
+    column per given column and every pivot is 1, its pivot rows form an
+    identity matrix (later columns vanish there, earlier ones are reduced
+    modulo 1), so the coefficients of an integer vector in the rational
+    span are its entries in those rows: integers.  The lattice is then
+    saturated, and since the Hermite basis is canonical it is the one the
+    Smith route below returns.  Otherwise (a pivot above 1, or dependent
+    columns, which that route rejects) the saturation comes from the first
+    columns of U^-1 in the Smith form."""
     cols = [tuple(map(int, c)) for c in columns]
     if not cols:
         return []
     if any(len(c) != ambient_rank for c in cols):
         raise ValueError("column length does not match ambient rank")
+    hermite = column_hnf(cols, ambient_rank)
+    if all(next((x for x in c if x), 0) == 1 for c in hermite):
+        return hermite
     rows = [[c[i] for c in cols] for i in range(ambient_rank)]
     diag, _, Uinv, _ = smith_normal_form(rows)
     r = len(cols)
-    if any(d == 0 for d in diag[:r]):
+    if r > ambient_rank or any(d == 0 for d in diag[:r]):
         raise ValueError("not a sublattice basis")
     basis = [tuple(Uinv[i][j] for i in range(ambient_rank)) for j in range(r)]
     return column_hnf(basis, ambient_rank)
@@ -216,7 +231,7 @@ def complement_data(columns, ambient_rank: int):
         return [row[:] for row in eye], [row[:] for row in eye]
     rows = [[c[i] for c in cols] for i in range(N)]
     diag, U, Uinv, _ = smith_normal_form(rows)
-    if any(d == 0 for d in diag[:r]):
+    if r > N or any(d == 0 for d in diag[:r]):
         raise ValueError("not a sublattice basis")
     if any(abs(d) != 1 for d in diag[:r]):
         raise ValueError("basis is not saturated")

@@ -182,24 +182,12 @@ class ComplexTorus:
         self.factors = tuple(factors) if factors is not None else None
         self.label = label
         self._elliptic_tau = None  # (a, beta) for curves built by elliptic()
-        self._ns_cache = None
+        self._ns_cache = None  # (basis, (vector, slot, pivot) each, lcm of pivots)
 
     @property
     def rational_j(self) -> bool:
         """Whether J has rational entries, so that its scalars are ints."""
         return len(self.j_parts) == 1
-
-    def in_scalars(self, parts):
-        """One matrix from its power-basis component matrices (one per
-        entry of `j_parts`): the integer matrix itself when J is rational,
-        otherwise the matrix of `IntegralElement`s of Z[alpha]."""
-        if self.rational_j:
-            return parts[0]
-        size = len(parts[0])
-        return [
-            [IntegralElement(self.field, tuple(p[r][c] for p in parts)) for c in range(size)]
-            for r in range(size)
-        ]
 
     @property
     def labels(self):
@@ -537,7 +525,7 @@ def ns_basis(A: ComplexTorus):
     canonical echelon kernel depends only on the row space.
     """
     if A._ns_cache is not None:
-        return list(A._ns_cache)
+        return list(A._ns_cache[0])
     N = 2 * A.n
     pairs = list(combinations(range(N), 2))
     M = len(pairs)
@@ -566,8 +554,12 @@ def ns_basis(A: ComplexTorus):
     # With no condition at all (J^2 = -I on a curve) every form is Hodge.
     vectors = kernel_basis(list(rows) or [[0] * M])
     basis = [AlternatingForm._from_pair_num(A, 1, v) for v in vectors]
-    A._ns_cache = tuple(basis)
-    return list(basis)
+    # What `ns_coordinates` reads: each vector's free slot, its last nonzero
+    # entry, the pivot there, and the lcm of the pivots.
+    slots = [next(i for i in range(M - 1, -1, -1) if v[i]) for v in vectors]
+    pivots = [v[f] for v, f in zip(vectors, slots)]
+    A._ns_cache = (tuple(basis), tuple(zip(vectors, slots, pivots)), lcm(*pivots))
+    return basis
 
 
 def ns_rank(A: ComplexTorus) -> int:
@@ -593,12 +585,9 @@ def _ns_pair_coordinates(A: ComplexTorus, x, den: int):
     den, without building the form."""
     if A._ns_cache is None:  # read the cached basis, built once by ns_basis
         ns_basis(A)
-    pairs = [b.pair_num() for b in A._ns_cache]
-    slots = [max(i for i, v in enumerate(p) if v) for p in pairs]
-    pivots = [p[f] for p, f in zip(pairs, slots)]
-    scale = lcm(*pivots)
+    _, echelon, scale = A._ns_cache
     rest = [scale * v for v in x]
-    for p, f, v in zip(pairs, slots, pivots):
+    for p, f, v in echelon:
         t = x[f] * (scale // v)
         if t:
             for i, y in enumerate(p):
@@ -606,7 +595,7 @@ def _ns_pair_coordinates(A: ComplexTorus, x, den: int):
                     rest[i] -= t * y
     if any(rest):
         return None
-    return tuple(Fraction(x[f], den * v) for f, v in zip(slots, pivots))
+    return tuple(Fraction(x[f], den * v) for _, f, v in echelon)
 
 
 class Sublattice:

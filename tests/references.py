@@ -9,7 +9,9 @@ product without zero skipping.
 `solve` is plain Gauss-Jordan elimination over `Fraction`s, and
 `lattice_index` the index of a lattice in its saturation from one `solve`
 per column and a Smith normal form; the package reads NS coordinates off
-the echelon NS basis instead.
+the echelon NS basis instead.  `reference_saturate` saturates through the
+Smith normal form on every input, where the package returns the Hermite
+basis directly when its pivots are 1.
 `reference_sign` decides the sign of a field element by bisecting the
 field's declared root interval anew, since the package shares one
 field, and its refined bounds of alpha, per (min_poly, interval).
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 
 from lefdefect.cohomology import ExteriorClass, wedge_basis, wedge_index
 from lefdefect.exactmath import AlgebraicReal, QMatrix, RealNumberField, smith_normal_form
+from lefdefect.exactmath.lattice import column_hnf
 from lefdefect.torus import ComplexTorus, elliptic, ns_basis, product
 
 
@@ -81,6 +84,24 @@ def lattice_index(columns, saturated_columns) -> int:
     for d in diag:
         idx *= abs(d)
     return idx
+
+
+def reference_saturate(columns, ambient_rank):
+    """Basis of span_Q(columns) intersect Z^N from the Smith normal form
+    U A V = D: the first columns of U^-1, in canonical Hermite form.
+    Raises ValueError on dependent columns."""
+    cols = [tuple(map(int, c)) for c in columns]
+    if not cols:
+        return []
+    if any(len(c) != ambient_rank for c in cols):
+        raise ValueError("column length does not match ambient rank")
+    rows = [[c[i] for c in cols] for i in range(ambient_rank)]
+    diag, _, Uinv, _ = smith_normal_form(rows)
+    r = len(cols)
+    if r > ambient_rank or any(d == 0 for d in diag[:r]):
+        raise ValueError("not a sublattice basis")
+    basis = [tuple(Uinv[i][j] for i in range(ambient_rank)) for j in range(r)]
+    return column_hnf(basis, ambient_rank)
 
 
 def reference_ns_coordinates(A, form):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +10,10 @@ from lefdefect.exactmath import (
     saturate,
     smith_normal_form,
 )
+from lefdefect.exactmath import lattice
+from lefdefect.exactmath.lattice import column_hnf
 
-from references import lattice_index
+from references import lattice_index, reference_saturate, unimodular
 
 
 def _matmul(A, B):
@@ -118,6 +122,108 @@ class TestSaturate:
         assert saturate(sat, 3) == sat
 
 
+def _mix(columns, rng):
+    """The columns times a random unimodular matrix: another basis of the
+    same lattice."""
+    U, _ = unimodular(len(columns), rng) if len(columns) > 1 else ([[1]], None)
+    return [tuple(sum(columns[k][i] * U[k][j] for k in range(len(columns)))
+                  for i in range(len(columns[0]))) for j in range(len(columns))]
+
+
+def _unit_pivot_columns(rng, N, r):
+    """A basis whose Hermite form has unit pivots: column j is 1 at the
+    j-th of r random rows, 0 above it and random below, mixed."""
+    rows = sorted(rng.sample(range(N), r))
+    cols = [tuple(0 if i < p else 1 if i == p else rng.randint(-3, 3) for i in range(N))
+            for p in rows]
+    return _mix(cols, rng)
+
+
+def _unit_pivots(columns, N):
+    return all(next(x for x in c if x) == 1 for c in column_hnf(columns, N))
+
+
+@st.composite
+def column_sets(draw):
+    """(kind, columns, N): a basis with unit Hermite pivots, a saturated
+    basis of a proper sublattice (the last columns of a unimodular matrix;
+    their Hermite pivots exceed 1 in about two draws of three), such a
+    basis with columns scaled (not saturated when a factor exceeds 1), or a
+    basis with an integer combination of its columns appended
+    (dependent)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["unit", "saturated", "scaled", "dependent"]))
+    if kind == "unit":
+        N = draw(st.integers(1, 5))
+        return kind, _unit_pivot_columns(rng, N, draw(st.integers(1, N))), N
+    N = draw(st.integers(2, 5))
+    r = draw(st.integers(1, N - 1))
+    U, _ = unimodular(N, rng, steps=draw(st.integers(4, 12)))
+    cols = [tuple(row[j] for row in U) for j in range(N - r, N)]
+    if kind == "scaled":
+        cols = [tuple(k * x for x in c) for k, c in zip(
+            draw(st.lists(st.integers(1, 3), min_size=r, max_size=r)), cols)]
+    elif kind == "dependent":
+        weights = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+        cols.append(tuple(sum(w * c[i] for w, c in zip(weights, cols)) for i in range(N)))
+    return kind, _mix(cols, rng), N
+
+
+class TestSaturateMatchesSmithRoute:
+    """`saturate` returns the Hermite basis of the columns when its pivots
+    are 1 and saturates through the Smith normal form otherwise; on every
+    input it must give what the Smith route alone gives
+    (`reference_saturate`), and raise where that route raises."""
+
+    @given(column_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_random_column_sets(self, case):
+        kind, cols, N = case
+        if kind == "dependent":
+            for route in (saturate, reference_saturate):
+                with pytest.raises(ValueError, match="not a sublattice basis"):
+                    route(cols, N)
+            return
+        if kind == "unit":
+            assert _unit_pivots(cols, N)
+        sat = saturate(cols, N)
+        assert sat == reference_saturate(cols, N)
+        if kind != "scaled":
+            assert sat == column_hnf(cols, N)
+
+    @pytest.mark.parametrize("cols, N, smith", [
+        ([(1, 0, 5), (0, 1, 7)], 3, False),
+        ([(2, 1, 0), (3, 1, 4)], 3, False),  # Hermite pivots 1, 1
+        ([(2, 3)], 2, True),  # saturated, pivot 2
+        ([(2, 3, 0), (0, 0, 1)], 3, True),
+        ([(0, 3, 5, 1), (1, 0, 0, 0)], 4, True),
+        ([(2, 6)], 2, True),  # not saturated
+        ([(2, 0), (0, 3)], 2, True),
+    ])
+    def test_smith_form_only_without_unit_pivots(self, monkeypatch, cols, N, smith):
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return smith_normal_form(rows)
+
+        monkeypatch.setattr(lattice, "smith_normal_form", counted)
+        assert saturate(cols, N) == reference_saturate(cols, N)
+        assert bool(calls) == smith
+
+    @pytest.mark.parametrize("cols, N", [
+        ([(1, 2), (2, 4)], 2),
+        ([(1, 0, 0), (0, 0, 0)], 3),
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3),
+        ([(1,), (0,)], 1),  # more columns than the ambient rank
+        ([(1, 0), (0, 1), (1, 1)], 2),
+    ])
+    def test_dependent_columns_rejected_on_both_routes(self, cols, N):
+        for route in (saturate, reference_saturate):
+            with pytest.raises(ValueError, match="not a sublattice basis"):
+                route(cols, N)
+
+
 class TestComplement:
     def test_projection_kills_sublattice(self):
         cols = [(1, 0, 2, 0), (0, 1, 0, 3)]
@@ -132,6 +238,10 @@ class TestComplement:
     def test_empty_basis(self):
         P, S = complement_data([], 3)
         assert P == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    def test_more_columns_than_ambient_rank_rejected(self):
+        with pytest.raises(ValueError, match="not a sublattice basis"):
+            complement_data([(1,), (0,)], 1)
 
     def test_unsaturated_rejected(self):
         with pytest.raises(ValueError, match="not saturated"):

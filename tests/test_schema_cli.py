@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lefdefect.cli import main
 from lefdefect.errors import SchemaError
@@ -402,3 +407,94 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "torus_defect", broken)
         assert main(["torus", str(SAMPLES / "torus_ei_ei.json"), "--box", "1"]) == 3
         assert "internal error: ZeroDivisionError: division by zero" in capsys.readouterr().err
+
+
+# Each fault and a part of the message that names it.
+FAULTS = {
+    "float": "float literal",
+    "size": "integer matrix required",
+    "antisymmetric": "not antisymmetric",
+    "hodge": "not a Hodge class",
+    "box": "--box",
+    "class": "--class index",
+    "checks": "--checks",
+}
+
+
+@st.composite
+def faulty_runs(draw, fault):
+    """(document text, arguments after the file): a torus document
+    of 2 or 3 curves over Q or Q(2^(1/4)), with some of its fiber forms
+    declared as classes, and one input fault in the document or on the
+    command line."""
+    field = draw(st.sampled_from([None, QUARTIC]))
+    count = draw(st.integers(2, 3))
+    betas = [["1"], ["2"], ["1/2"]] + ([["0", "1"], ["0", "0", "1"]] if field else [])
+    blocks = [{"a": draw(st.sampled_from(["0", "1/2", "-1/3"])), "beta": draw(st.sampled_from(betas))}
+              for _ in range(count)]
+    size = 2 * count
+    fibers = []
+    for k in range(count):
+        m = [[0] * size for _ in range(size)]
+        m[2 * k][2 * k + 1], m[2 * k + 1][2 * k] = 1, -1
+        fibers.append(m)
+    classes = draw(st.lists(st.sampled_from(fibers), max_size=2))
+    doc = {"kind": "torus", "blocks": blocks, "classes": classes}
+    if field:
+        doc["field"] = field
+    args = ["torus", "--box=1"]
+    if fault == "float":
+        where = draw(st.sampled_from(["a", "beta", "class", "extra"]))
+        if where == "a":
+            blocks[0]["a"] = 0.5
+        elif where == "beta":
+            blocks[-1]["beta"] = [2.0]
+        elif where == "class":
+            doc["classes"] = [[[1.0 if x == 1 else x for x in row] for row in fibers[0]]]
+        else:
+            doc["note"] = 1.5
+    elif fault == "size":
+        wrong = draw(st.sampled_from([size - 2, size - 1, size + 2]))
+        classes.append([[0] * wrong for _ in range(draw(st.sampled_from([size, wrong])))])
+    elif fault in ("antisymmetric", "hodge"):
+        m = [row[:] for row in draw(st.sampled_from(fibers))]
+        i, j = draw(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)))
+        value = draw(st.integers(1, 3))
+        if fault == "antisymmetric":
+            m[i][j] += value  # breaks m[i][j] == -m[j][i], the diagonal too
+        else:
+            # A pair across two blocks is not J-compatible, since every
+            # curve's J has nonzero off-diagonal entries; the fiber is.
+            assume(i // 2 != j // 2)
+            m[i][j] += value
+            m[j][i] -= value
+        classes.append(m)
+    elif fault == "box":
+        box = draw(st.integers(-2, 0))
+        args = draw(st.sampled_from([["torus", f"--box={box}"],
+                                     ["verify", "--checks=oracle", f"--box={box}"]]))
+    elif fault == "class":
+        # rho is at most 9 on three curves, so index 10 is out of range
+        # even when the NS basis stands in for missing classes.
+        index = draw(st.one_of(st.integers(-3, -1), st.integers(10, 30)))
+        args = ["torus", "--box=1", f"--class={index}"]
+    else:
+        args = ["verify", "--checks=" + draw(st.sampled_from(["", ",", " , ", ",,"]))]
+    return json.dumps(doc), args
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_every_input_fault_exits_2_without_a_traceback(fault, data):
+    text, args = data.draw(faulty_runs(fault))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([args[0], str(path)] + args[1:])
+    assert code == 2, (fault, err.getvalue())
+    assert "input error" in err.getvalue()
+    assert FAULTS[fault] in err.getvalue()
+    assert "Traceback" not in err.getvalue()

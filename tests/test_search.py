@@ -31,6 +31,10 @@ one reference `solve` over the NS basis per form.
 its integer components D * J_k; they are compared with the field-level
 constructions they replaced (J^T E J = E and J_B M = M J_A restricted to Q,
 and the AlgebraicReal S = E * J decided by all principal minors).
+`is_effective_class` tests each connected component of S's nonzero pattern
+on its own; it is also compared with all principal minors of the dense
+`symmetric_part`, on declared products and on bases that mix their blocks
+into one component.
 """
 
 import itertools
@@ -73,12 +77,16 @@ from lefdefect.exactmath import (
 )
 from lefdefect.schema import load_document
 from references import (
+    dense_matmul,
     elliptic_products,
     field_j,
     field_product,
+    parts_matrix,
+    rebase,
     rebased,
     reference_ns_coordinates,
     reference_sign,
+    unimodular,
 )
 from lefdefect.torus import (
     AlternatingForm,
@@ -1068,3 +1076,62 @@ def test_effective_verdicts_match_reference_on_survey(corpus):
     for coeffs in itertools.product(range(-1, 2), repeat=len(basis)):
         E = AlternatingForm(A, _combination(basis, coeffs))
         assert is_effective_class(A, E) == reference_is_effective(A, E)
+
+
+def polarization_matrix(A):
+    """The sum of A's fiber forms (the product polarization), as a matrix;
+    zero when A has no declared blocks."""
+    size = 2 * A.n
+    P = [[0] * size for _ in range(size)]
+    for block in fiber_pairs(A) or []:
+        for i, j in block:
+            P[i][j], P[j][i] = 1, -1
+    return P
+
+
+def assert_effectivity_matches_dense_reference(A, polarization, rng, draws):
+    """`is_effective_class`, which runs `psd_rank` once per connected
+    component of S's nonzero pattern, against all principal minors of the
+    dense `symmetric_part`; that matrix is checked entry by entry against
+    the field-level product num * (D J).  The classes: zero, random box-2
+    combinations of NS basis forms, their negatives, and the combinations
+    plus 3 times the polarization (which makes some effective).  Returns
+    the number of effective classes seen."""
+    basis = ns_basis(A)
+    DJ = parts_matrix(A.field, 1, A.j_parts)
+    size = 2 * A.n
+    forms = [AlternatingForm(A, [[0] * size for _ in range(size)])]
+    for _ in range(draws):
+        E = AlternatingForm(A, _combination(basis, [rng.randint(-2, 2) for _ in basis]))
+        forms += [E, -E, E + AlternatingForm(A, polarization) * 3]
+    effective = 0
+    for E in forms:
+        M = as_algebraic(symmetric_part(A, E))
+        assert all(x == y for row, ref in zip(M, field_product(A.field, E.num, DJ))
+                   for x, y in zip(row, ref))
+        expected = not E.is_zero() and reference_psd_rank(M) >= 0
+        assert is_effective_class(A, E) == expected
+        effective += expected
+    return effective
+
+
+def assert_effectivity_matches_on_both_bases(A, rng, draws):
+    """On A's declared basis and on a random basis that mixes its blocks (a
+    single component), where the polarization is U^T P U."""
+    P = polarization_matrix(A)
+    U, U_inv = unimodular(2 * A.n, rng)
+    B = rebase(A, U, U_inv)
+    moved = dense_matmul(list(zip(*U)), dense_matmul(P, U))
+    return (assert_effectivity_matches_dense_reference(A, P, rng, draws)
+            + assert_effectivity_matches_dense_reference(B, moved, rng, draws))
+
+
+@pytest.mark.parametrize("name", ["ei2", "ei3", "ei_x_e2i", "eia2", "ei2_x_nocm"])
+def test_effectivity_per_component_matches_dense_minors_on_corpus(corpus, name):
+    assert assert_effectivity_matches_on_both_bases(corpus[name], random.Random(name), 3) > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(elliptic_products(), st.integers(0, 2**32))
+def test_effectivity_per_component_matches_dense_minors_on_random_products(A, seed):
+    assert_effectivity_matches_on_both_bases(A, random.Random(seed), 2)

@@ -21,6 +21,14 @@ entries become fixed, and its rank is carried down the path: a leaf
 eliminates only the components its own coefficient touches, and the leaves
 that survive get the cup-product kernel dimension.
 
+Most tested blocks are touched by one level only: no S_b of an earlier
+level has an entry in them, so at level t the block is c * S_{order[t]}
+with c the level's coefficient.  Semidefiniteness and rank are invariant
+under positive scaling, so such a block's verdict and rank depend only on
+the sign of c.  The search reuses the first PSD outcome of each such block
+per sign for the rest of the scan; a block that is not PSD is eliminated
+again every time, for its certificate.
+
 A block that fails before the elimination's second pivot comes with a
 vector v of at most three entries that has v^T S v < 0, read off the
 elimination in closed form (see `psd_rank`).  Every effective x has
@@ -224,19 +232,26 @@ class _Search:
         self.order = fibers + [b for b in range(rho) if b not in fibers]
         self.entries = [self.nonzero[b] for b in self.order]
         fixed = [[0] * N for _ in range(N)]
+        first = [[0] * N for _ in range(N)]  # depth of the first S_b with entry (r, c)
         for depth, entries in enumerate(self.entries, 1):
             for r, c, _ in entries:
                 fixed[r][c] = depth
+                first[r][c] = first[r][c] or depth
         # S is PSD iff its block on every component is, and its rank is the
         # sum of theirs.  tests[t] lists the blocks (idx, k) to test once the
         # coefficient at level t is set: within each component, the blocks
         # that become fixed at depth t + 1.  k is the component's number when
         # idx is the whole component (its rank is then final), else -1.
+        # single[t][j] is True when no level before t has an entry in
+        # idx x idx of tests[t][j]: that block of S is then c * S_{order[t]},
+        # whose verdict and rank depend only on the sign of c.
         self.components = _components(self.nonzero, N)
         self.tests = [[] for _ in range(rho)]
         for k, K in enumerate(self.components):
             for tests, blocks in zip(self.tests, _blocks_by_depth(fixed, K, rho)):
                 tests.extend((idx, k if idx == K else -1) for idx in blocks)
+        self.single = [[all(first[r][c] in (0, t + 1) for r in idx for c in idx)
+                        for idx, _ in tests] for t, tests in enumerate(self.tests)]
 
     def symmetric(self, coeffs):
         """S = sum c_b S_b, built directly from the coefficients."""
@@ -348,6 +363,14 @@ def scan_range(search, box: int, collect: bool):
     the first time the sibling is entered (most siblings are pruned first,
     or never reached), and c = 0 restores the saved values.
 
+    A test at level t that no earlier level touches (`search.single`) is
+    a block c * S_{order[t]}: the first time such a block is PSD at a
+    sibling of a given sign, its rank is kept for that sign and reused for
+    the rest of the scan without an elimination, like the pool, whose
+    lifetime it shares.  A block that is not PSD still runs `psd_rank` every
+    time, so certificates, cuts, backjumps and node counts are those of a
+    scan that eliminates every block.
+
     Each cut carries its prefix sum `acc` down the path: descending into
     child c at level t adds c (hi_t if c > 0 else lo_t) to the cuts
     registered at t, returning subtracts it.  A node at level t with
@@ -362,8 +385,13 @@ def scan_range(search, box: int, collect: bool):
     as decided with its subtree, not as entered.  `search.cuts` keeps
     the pool of the last scan.
     """
-    rho, N, order, tests = search.rho, search.N, search.order, search.tests
+    rho, N, order = search.rho, search.N, search.order
     sign, quotient = search.sign, search.quotient
+    # (idx, k, known) per test; known[sign(c) + 1] is the rank of a
+    # single-level block at a sibling of that sign, -1 until one is PSD.
+    plan = [[(idx, k, [-1, -1, -1] if single else None)
+             for (idx, k), single in zip(tests, flags)]
+            for tests, flags in zip(search.tests, search.single)]
     base = 2 * box + 1
     weight = [base ** (rho - 1 - b) for b in order]
     below = [base ** (rho - 1 - t) for t in range(rho)]
@@ -419,7 +447,7 @@ def scan_range(search, box: int, collect: bool):
         entries = search.entries[t]
         saved = [S[r][col] for r, col, _ in entries]
         leaf = t + 1 == rho
-        blocks = tests[t]
+        blocks = plan[t]
         decided = below[t]
         registered = at[t]
         multiples = steps[t]
@@ -447,13 +475,18 @@ def scan_range(search, box: int, collect: bool):
             else:
                 for (r, col, _), s in zip(entries, saved):
                     S[r][col] = s
-            for idx, k in blocks:
-                rank, certificate = psd_rank(S, idx, sign, quotient)
+            side = (c > 0) - (c < 0) + 1
+            for idx, k, known in blocks:
+                rank = -1 if known is None else known[side]
                 if rank < 0:
-                    counts[0] += decided - zero
-                    if certificate is not None:
-                        jump = admit(certificate, t)
-                    break
+                    rank, certificate = psd_rank(S, idx, sign, quotient)
+                    if rank < 0:
+                        counts[0] += decided - zero
+                        if certificate is not None:
+                            jump = admit(certificate, t)
+                        break
+                    if known is not None:
+                        known[side] = rank
                 if k >= 0:
                     ranks[k] = rank
             else:

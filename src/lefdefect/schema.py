@@ -39,6 +39,12 @@ def _expect(condition, path, message):
         raise SchemaError(path, message)
 
 
+def _integer(value) -> bool:
+    """A JSON integer: `bool` is a subclass of `int`, but true and false are
+    not integers in a document."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rational(value, path) -> Fraction:
     _expect(isinstance(value, str), path, "rationals must be exact strings like \"3/2\"")
     try:
@@ -91,26 +97,25 @@ def _parse_isogeny(data: dict) -> SpecDocument:
         kind = entry.get("type")
         _expect(kind in _FACTOR_KINDS, f"{path}.type", f"type must be one of {_FACTOR_KINDS}")
         mult = entry.get("mult", 1)
-        _expect(isinstance(mult, int) and mult >= 1, f"{path}.mult", "positive integer required")
+        _expect(_integer(mult) and mult >= 1, f"{path}.mult", "positive integer required")
         label = entry.get("label", f"F{i + 1}")
         _expect(isinstance(label, str) and label, f"{path}.label", "nonempty string required")
+        if kind == "elliptic":
+            cm = entry.get("cm")
+            _expect(isinstance(cm, bool), f"{path}.cm", "boolean cm flag required")
+            fields = {"has_cm": cm}
+        elif kind == "surface":
+            albert = entry.get("albert_type")
+            picard = entry.get("picard")
+            _expect(isinstance(albert, str), f"{path}.albert_type", "string required")
+            _expect(_integer(picard), f"{path}.picard", "integer required")
+            fields = {"albert_type": albert, "picard": picard}
+        else:
+            dim = entry.get("dim")
+            _expect(_integer(dim), f"{path}.dim", "integer dimension required")
+            fields = {"dim": dim}
         try:
-            if kind == "elliptic":
-                cm = entry.get("cm")
-                _expect(isinstance(cm, bool), f"{path}.cm", "boolean cm flag required")
-                parsed.append(IsogenyFactor("elliptic", mult, label, has_cm=cm))
-            elif kind == "surface":
-                albert = entry.get("albert_type")
-                picard = entry.get("picard")
-                _expect(isinstance(albert, str), f"{path}.albert_type", "string required")
-                _expect(isinstance(picard, int), f"{path}.picard", "integer required")
-                parsed.append(
-                    IsogenyFactor("surface", mult, label, albert_type=albert, picard=picard)
-                )
-            else:
-                dim = entry.get("dim")
-                _expect(isinstance(dim, int), f"{path}.dim", "integer dimension required")
-                parsed.append(IsogenyFactor("simple_other", mult, label, dim=dim))
+            parsed.append(IsogenyFactor(kind, mult, label, **fields))
         except ValueError as exc:
             raise SchemaError(path, str(exc)) from exc
     try:
@@ -126,7 +131,7 @@ def _parse_field(data, path) -> RealNumberField:
     _expect(isinstance(data, dict), path, "field must be an object")
     poly = data.get("min_poly")
     _expect(
-        isinstance(poly, list) and len(poly) >= 2 and all(isinstance(c, int) for c in poly),
+        isinstance(poly, list) and len(poly) >= 2 and all(_integer(c) for c in poly),
         f"{path}.min_poly",
         "integer coefficient list (low degree first) required",
     )
@@ -184,7 +189,7 @@ def _parse_torus(data: dict) -> SpecDocument:
             and all(
                 isinstance(row, list)
                 and len(row) == size
-                and all(isinstance(x, int) for x in row)
+                and all(_integer(x) for x in row)
                 for row in matrix
             ),
             path,

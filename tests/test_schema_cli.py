@@ -3,13 +3,14 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lefdefect.cli import main
-from lefdefect.errors import SchemaError
+from lefdefect.errors import ConsistencyError, SchemaError
 from lefdefect.schema import load_document, loads, parse_document
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
@@ -388,6 +389,21 @@ class TestExitCodes:
         assert main(["torus", path, "--box", "1"]) == 2
         assert "input error: $.blocks[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("factor, key", [
+        ({"type": "elliptic", "cm": False, "mult": True}, "mult"),
+        ({"type": "surface", "albert_type": "I", "picard": True}, "picard"),
+        ({"type": "surface", "albert_type": "I", "picard": 1, "mult": True}, "mult"),
+        ({"type": "simple_other", "dim": True}, "dim"),
+    ])
+    def test_boolean_is_not_an_integer_in_isogeny_documents(self, tmp_path, capsys,
+                                                            factor, key):
+        # JSON true would pass an isinstance(..., int) check as 1.
+        path = write(tmp_path, "iso.json", {
+            "kind": "isogeny", "factors": [factor, {"type": "elliptic", "cm": True}],
+        })
+        assert main(["classify", path]) == 2
+        assert f"input error: $.factors[0].{key}" in capsys.readouterr().err
+
     def test_internal_value_error_exits_3(self, capsys, monkeypatch):
         import lefdefect.cli as cli
 
@@ -418,30 +434,45 @@ FAULTS = {
     "box": "--box",
     "class": "--class index",
     "checks": "--checks",
+    "bool": "integer",
 }
 
 
-@st.composite
-def faulty_runs(draw, fault):
-    """(document text, arguments after the file): a torus document
-    of 2 or 3 curves over Q or Q(2^(1/4)), with some of its fiber forms
-    declared as classes, and one input fault in the document or on the
-    command line."""
-    field = draw(st.sampled_from([None, QUARTIC]))
-    count = draw(st.integers(2, 3))
-    betas = [["1"], ["2"], ["1/2"]] + ([["0", "1"], ["0", "0", "1"]] if field else [])
-    blocks = [{"a": draw(st.sampled_from(["0", "1/2", "-1/3"])), "beta": draw(st.sampled_from(betas))}
-              for _ in range(count)]
+def fiber_forms(count):
+    """The fiber class of each of `count` declared curves, as a matrix."""
     size = 2 * count
     fibers = []
     for k in range(count):
         m = [[0] * size for _ in range(size)]
         m[2 * k][2 * k + 1], m[2 * k + 1][2 * k] = 1, -1
         fibers.append(m)
-    classes = draw(st.lists(st.sampled_from(fibers), max_size=2))
+    return fibers
+
+
+@st.composite
+def torus_documents(draw):
+    """A valid torus document of 2 or 3 curves over Q or Q(2^(1/4)), with
+    some of its fiber forms declared as classes."""
+    field = draw(st.sampled_from([None, QUARTIC]))
+    count = draw(st.integers(2, 3))
+    betas = [["1"], ["2"], ["1/2"]] + ([["0", "1"], ["0", "0", "1"]] if field else [])
+    blocks = [{"a": draw(st.sampled_from(["0", "1/2", "-1/3"])), "beta": draw(st.sampled_from(betas))}
+              for _ in range(count)]
+    classes = draw(st.lists(st.sampled_from(fiber_forms(count)), max_size=2))
     doc = {"kind": "torus", "blocks": blocks, "classes": classes}
     if field:
         doc["field"] = field
+    return doc
+
+
+@st.composite
+def faulty_runs(draw, fault):
+    """(document text, arguments after the file): a `torus_documents`
+    document with one input fault in the document or on the command line."""
+    doc = draw(torus_documents())
+    blocks, classes = doc["blocks"], doc["classes"]
+    size = 2 * len(blocks)
+    fibers = fiber_forms(len(blocks))
     args = ["torus", "--box=1"]
     if fault == "float":
         where = draw(st.sampled_from(["a", "beta", "class", "extra"]))
@@ -453,6 +484,17 @@ def faulty_runs(draw, fault):
             doc["classes"] = [[[1.0 if x == 1 else x for x in row] for row in fibers[0]]]
         else:
             doc["note"] = 1.5
+    elif fault == "bool":
+        # true and false equal 1 and 0, so a document that uses them in
+        # place of integers would otherwise run as if it had the integers.
+        if draw(st.booleans()):
+            poly = list(QUARTIC["min_poly"])
+            k = draw(st.integers(1, len(poly) - 1))  # the entries that are 0 or 1
+            poly[k] = bool(poly[k])
+            doc["field"] = {**QUARTIC, "min_poly": poly}
+        else:
+            value = draw(st.sampled_from([0, 1]))
+            doc["classes"] = [[[bool(x) if x == value else x for x in row] for row in fibers[0]]]
     elif fault == "size":
         wrong = draw(st.sampled_from([size - 2, size - 1, size + 2]))
         classes.append([[0] * wrong for _ in range(draw(st.sampled_from([size, wrong])))])
@@ -498,3 +540,36 @@ def test_every_input_fault_exits_2_without_a_traceback(fault, data):
     assert "input error" in err.getvalue()
     assert FAULTS[fault] in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# The stages of each command where an internal error is injected, as names
+# in `lefdefect.cli`.
+STAGES = {"torus": ("_class_rows", "torus_defect", "run_checks"), "verify": ("run_checks",)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(doc=torus_documents(), data=st.data())
+def test_internal_errors_exit_3(doc, data):
+    """An internal error raised at any stage of `torus` or `verify` on a
+    valid document exits 3 and says so on stderr, whatever its type: a
+    `ValueError` or `ConsistencyError` is an internal consistency failure,
+    anything else an internal error."""
+    import lefdefect.cli as cli
+
+    command = data.draw(st.sampled_from(sorted(STAGES)))
+    stage = data.draw(st.sampled_from(STAGES[command]))
+    error = data.draw(st.sampled_from([ValueError, ConsistencyError, RuntimeError]))
+    args = ["--box=1"] if command == "torus" else ["--checks=voisin,kunneth,oracle", "--box=1"]
+
+    def broken(*_args, **_kwargs):
+        raise error(f"injected at {stage}")
+
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, stage, broken):
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, str(path)] + args)
+    assert code == 3, (command, stage, error, err.getvalue())
+    assert "internal" in err.getvalue()
+    assert f"injected at {stage}" in err.getvalue()

@@ -37,10 +37,12 @@ on its own; it is also compared with all principal minors of the dense
 into one component.
 """
 
+import copy
 import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -459,6 +461,111 @@ def test_search_data_matches_dense_set_up_on_random_products(A, seed):
     assert_search_data_matches_dense(rebased(A, random.Random(seed)))
 
 
+def reference_single(s_basis, order, tests):
+    """Per level t and test (idx, k) of `tests[t]`: whether no dense S_b of a
+    level before t has a nonzero entry in idx x idx."""
+    return [[not any(s_basis[b][r][c] != 0 for b in order[:t] for r in idx for c in idx)
+             for idx, _ in level] for t, level in enumerate(tests)]
+
+
+def counted_scan(search, box):
+    """(result of `scan_range` with records, its pool's bounds in admission
+    order, the number of `psd_rank` calls it made)."""
+    psd_rank = _purekernels.psd_rank
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return psd_rank(*args)
+
+    with mock.patch.object(_purekernels, "psd_rank", counted):
+        result = _purekernels.scan_range(search, box, True)
+    return result, list(search.cuts), calls[0]
+
+
+def assert_memo_keeps_the_search(search, box):
+    """The scan that reuses single-level verdicts equals the scan that
+    eliminates every test (every flag False), down to nodes and the pool of
+    cuts in admission order, with no more eliminations.  Returns both
+    elimination counts.
+
+    Both scans start from the same bounds of alpha: a sign that the
+    interval cannot decide refines the field's shared bounds, and a cut's
+    weights are enclosed with the bounds of the moment."""
+    plain = copy.copy(search)
+    plain.single = [[False] * len(flags) for flags in search.single]
+    field = getattr(search.zero, "field", None)
+    bounds = field and field._alpha_bounds
+    got, cuts, calls = counted_scan(search, box)
+    if field:
+        field._set_alpha_bounds(*bounds)
+    expected, plain_cuts, plain_calls = counted_scan(plain, box)
+    assert got == expected
+    assert cuts == plain_cuts
+    assert calls <= plain_calls
+    return calls, plain_calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(synthetic_search())
+def test_single_level_memo_on_synthetic_data(case):
+    search, box = case
+    s_basis = dense_parts(search)
+    assert search.single == reference_single(s_basis, search.order, search.tests)
+    assert_memo_keeps_the_search(search, box)
+
+
+def test_single_level_flags_match_reference_on_corpus(corpus):
+    """Plain and on a basis that mixes the blocks: on the declared products
+    most tests are single-level, on mixed bases fewer."""
+    flags = []
+    for A in corpus.values():
+        for X in (A, rebased(A, random.Random(0))):
+            search = _SearchData(X).search
+            expected = reference_single(dense_parts(search), search.order, search.tests)
+            assert search.single == expected
+            flags += [f for level in expected for f in level]
+            assert_memo_keeps_the_search(search, 1)
+    assert any(flags) and not all(flags)
+
+
+@pytest.mark.parametrize("name, box, nodes, cuts, eliminations", [
+    # tau = 2/3 + 3i/2 and 1/3 + 2i/3 over Q
+    ("survey pair", 3, 484, 4, 39),
+    # tau = 1/2 + i(1 + alpha) and -1/3 + i alpha over Q(2^(1/4))
+    ("quartic pair", 2, 20, 2, 13),
+])
+def test_memo_saves_eliminations_on_survey_shaped_pairs(quartic_field, name, box, nodes, cuts,
+                                                        eliminations):
+    """`torus_defect` visits the nodes and keeps the cuts it did when every
+    test ran `psd_rank` (`eliminations` calls then), with fewer calls."""
+    if name == "survey pair":
+        A = product([elliptic(Fraction(2, 3), Fraction(3, 2)),
+                     elliptic(Fraction(1, 3), Fraction(2, 3))])
+    else:
+        alpha = quartic_field.alpha()
+        A = product([elliptic(Fraction(1, 2), quartic_field.one() + alpha),
+                     elliptic(Fraction(-1, 3), alpha)])
+    searches = []
+    scan_range, psd_rank = _purekernels.scan_range, _purekernels.psd_rank
+    calls = [0]
+
+    def scanned(search, *args):
+        searches.append(search)
+        return scan_range(search, *args)
+
+    def counted(*args):
+        calls[0] += 1
+        return psd_rank(*args)
+
+    with mock.patch.object(_purekernels, "scan_range", scanned), \
+            mock.patch.object(_purekernels, "psd_rank", counted):
+        result = torus_defect(A, box=box)
+    assert result.nodes_visited == nodes
+    assert len(searches[-1].cuts) == cuts
+    assert calls[0] < eliminations
+
+
 def test_patched_evaluate_sees_exactly_the_effective_records(corpus, monkeypatch):
     """The benchmark's tracer counts effective candidates by patching
     `evaluate` on `IntSearch` and `FieldSearch`: every effective class a
@@ -624,6 +731,42 @@ def test_psd_rank_on_integral_matrices(name, seed):
         G = [[x if isinstance(x, IntegralElement) else x * one for x in row] for row in G]
         got = integral_psd_rank(G)
         assert got == reference_psd_rank(as_algebraic(G)) == _purekernels.rank_int(B)
+
+
+@pytest.mark.parametrize("name", ["rationals"] + sorted(FIELDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_psd_rank_is_invariant_under_positive_scaling(name, data):
+    """The search reuses a single-level block's verdict and rank across
+    siblings of one sign: `psd_rank` of m * M, for a positive integer m,
+    must equal that of M, on the whole matrix and on a principal block,
+    for random symmetric matrices and PSD Gram matrices alike."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    m = data.draw(st.integers(1, 40))
+    small = lambda r: r.choice((0, 0, 1, -1, 2, -3))
+    if name == "rationals":
+        sign, quotient = _purekernels.int_sign, _purekernels.int_quotient
+        scalar = lambda x: x
+        weights = [rng.randint(1, 4) for _ in range(3)]
+    else:
+        K = RealNumberField(*FIELDS[name])
+        d = K.degree
+        sign, quotient = integral_sign, integral_quotient
+        scalar = lambda x: IntegralElement(K, (x,) + (0,) * (d - 1))
+        near = [IntegralElement(K, c) for c in NEAR_ZERO[name]]
+        weights = [z if integral_sign(z) > 0 else -1 * z for z in near]
+    n = rng.randint(1, 4)
+    if name != "rationals" and rng.random() < 0.5:
+        M = _symmetric(rng, n, lambda r: IntegralElement(K, tuple(small(r) for _ in range(d))))
+    elif rng.random() < 0.5:
+        M = [[scalar(x) for x in row] for row in _symmetric(rng, n, small)]
+    else:
+        G, _ = _gram(rng, n, rng.sample(weights, rng.randint(1, min(n, 3))), small)
+        M = [[x if not isinstance(x, int) else scalar(x) for x in row] for row in G]
+    scaled = [[m * x for x in row] for row in M]
+    for idx in (range(n), sorted(rng.sample(range(n), rng.randint(1, n)))):
+        rank, _ = _purekernels.psd_rank(M, idx, sign, quotient)
+        assert _purekernels.psd_rank(scaled, idx, sign, quotient)[0] == rank
 
 
 def test_integral_quotient_by_zero_divisor_raises():

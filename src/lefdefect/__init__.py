@@ -21,8 +21,6 @@ from .classifier import (
     threefold_catalog,
 )
 from .cohomology import (
-    ExteriorClass,
-    class_of_form,
     cup_matrix,
     defect_of_class,
     lambda_defect,
@@ -66,14 +64,12 @@ __all__ = [
     "DefectReport",
     "DefectSearchResult",
     "EffectivityReport",
-    "ExteriorClass",
     "IsogenyFactor",
     "IsogenySpec",
     "NotHodgeClass",
     "RealNumberField",
     "SchemaError",
     "Sublattice",
-    "class_of_form",
     "classify",
     "cup_matrix",
     "defect_of_class",

@@ -20,13 +20,7 @@ from operator import mul
 from typing import Optional
 
 from .classifier import IsogenyFactor, IsogenySpec, classify
-from .cohomology import (
-    cup_rows,
-    poincare_dual_coords,
-    restriction_rows,
-    wedge_basis,
-    wedge_coords,
-)
+from .cohomology import cup_matrix, poincare_dual, restriction_map, wedge, wedge_basis
 from .effectivity import DefectSearchResult, is_effective_class, torus_defect
 from .errors import ConsistencyError
 from .exactmath import kernel_basis, rank
@@ -66,7 +60,7 @@ def restriction_kernel_on_ns(A: ComplexTorus, W):
     """Kernel, in NS-basis coordinates, of restriction to W: the integer
     2x2 minors of W's basis applied to the integer NS basis forms."""
     ns = [b.pair_num() for b in ns_basis(A)]
-    R = restriction_rows(A, W)
+    R = restriction_map(A, W)
     return kernel_basis([[sum(map(mul, row, b)) for b in ns] for row in R])
 
 
@@ -74,8 +68,8 @@ def cup_dual_kernel_on_ns(A: ComplexTorus, W):
     """Kernel, in NS-basis coordinates, of cup product with the integer
     Poincare dual of W."""
     N = 2 * A.n
-    dual = poincare_dual_coords(A, W)
-    images = [wedge_coords(N, 2, W.corank, b.pair_num(), dual) for b in ns_basis(A)]
+    dual = poincare_dual(A, W)
+    images = [wedge(N, 2, W.corank, b.pair_num(), dual) for b in ns_basis(A)]
     return kernel_basis([list(col) for col in zip(*images)])
 
 
@@ -140,7 +134,7 @@ def check_lefschetz(A: ComplexTorus) -> CheckResult:
     if h is None:
         return CheckResult("lefschetz", "skipped", "no product polarization available")
     full = len(wedge_basis(2 * A.n, 2))
-    r = len(bareiss_echelon(cup_rows(2 * A.n, h.pair_num())))
+    r = len(bareiss_echelon(cup_matrix(A, h.pair_num())))
     if r != full:
         return CheckResult("lefschetz", "fail", f"rank {r} < {full} on H^2")
     return CheckResult("lefschetz", "pass", f"cup with polarization has full rank {full}")

@@ -42,7 +42,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import _purekernels
-from .cohomology import wedge_basis, wedge_coords
+from .cohomology import wedge, wedge_basis
 from .errors import ConsistencyError, NotHodgeClass
 from .exactmath import IntegralElement, kernel_basis, primitive_integer_vector, rank
 from .torus import (
@@ -248,7 +248,7 @@ class _SearchData:
         w = self.w_pairs = [[None] * rho for _ in range(rho)]
         for i, p in enumerate(pairs):
             for j in range(i, rho):
-                w[i][j] = w[j][i] = wedge_coords(N, 2, 2, p, pairs[j])
+                w[i][j] = w[j][i] = wedge(N, 2, 2, p, pairs[j])
         nonzero = [_symmetric_entries(A, b) for b in self.basis]
         if A.rational_j:
             self.search = _purekernels.IntSearch(nonzero, w, rho, N, self.m4)

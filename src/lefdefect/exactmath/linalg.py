@@ -1,89 +1,32 @@
-"""Exact linear algebra over Q and over a real number field.
+"""Exact linear algebra over Q and over a real number field, on rows.
 
-Rank and kernel computations run through fraction-free (Bareiss) Gaussian
-elimination on integer rows, which keeps intermediate entries at the size of
-minors of the input instead of letting fractions compound.  A system with
-number-field entries can be handled by restriction of scalars: a K-linear
-condition on a rational vector splits into `degree` rational conditions, one
-per power-basis coordinate.  The torus code needs no such systems, because
-it works on J's integer power-basis components; a J given as rows is split
-into them by exactly this restriction.
+A matrix is a list of rows.  Rank and kernel computations run through
+fraction-free (Bareiss) Gaussian elimination on integer rows, which keeps
+intermediate entries at the size of minors of the input instead of letting
+fractions compound.  Rows of `Fraction`s are accepted as input and cleared
+of denominators row by row first (`integer_rows`); kernel vectors come out
+as integers.  A system with number-field entries can be handled by
+restriction of scalars: a K-linear condition on a rational vector splits
+into `degree` rational conditions, one per power-basis coordinate.  The
+torus code needs no such systems, because it works on J's integer
+power-basis components; a J given as rows is split into them by exactly
+this restriction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .numberfield import AlgebraicReal, RealNumberField
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-class QMatrix:
-    """Immutable rational matrix (rows of Fractions)."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if not rows or not rows[0]:
-            raise ValueError("matrix dimensions must be positive")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("matrix must be rectangular")
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = ncols
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(list(zip(*self.rows)))
-
-    def __mul__(self, other: "QMatrix") -> "QMatrix":
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows))
-        return QMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def apply(self, vec):
-        if len(vec) != self.ncols:
-            raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"QMatrix({self.nrows}x{self.ncols})"
-
-
-# ---------------------------------------------------------------------------
-# Fraction-free elimination
-# ---------------------------------------------------------------------------
-
-
-def _integer_rows(matrix) -> list:
+def integer_rows(matrix) -> list:
     """Clear denominators row by row; preserves rank and kernel.  Entries
-    are ints or Fractions, which both carry a `denominator`; a row without
-    a Fraction is copied as it is."""
-    rows = matrix.rows if isinstance(matrix, QMatrix) else matrix
+    are ints or `Fraction`s, which both carry a `denominator`; a row of
+    ints is copied as it is."""
     out = []
-    for row in rows:
-        if Fraction not in map(type, row):
+    for row in matrix:
+        if set(map(type, row)) <= {int}:
             out.append(list(row))
             continue
         den = lcm(*(x.denominator for x in row))
@@ -146,7 +89,7 @@ def determinant(rows) -> int:
 
 def rank(matrix) -> int:
     """Exact rank over Q."""
-    rows = _integer_rows(matrix)
+    rows = integer_rows(matrix)
     if not rows:
         return 0
     return len(bareiss_echelon(rows))
@@ -165,7 +108,7 @@ def kernel_basis(matrix):
     scale in its free slot, and divided by their gcd, signed to keep the
     free slot positive, once at the end.
     """
-    rows = _integer_rows(matrix)
+    rows = integer_rows(matrix)
     ncols = len(rows[0]) if rows else 0
     pivots = bareiss_echelon(rows)
     pivot_set = set(pivots)
@@ -190,14 +133,14 @@ def kernel_basis(matrix):
     return basis
 
 
-def restrict_scalars(field: RealNumberField, rows) -> QMatrix:
-    """Rational matrix with the same kernel on rational vectors.
+def restrict_scalars(field: RealNumberField, rows) -> list:
+    """Rows of rationals with the same kernel on rational vectors.
 
     The rows hold `AlgebraicReal`s of `field` or rationals.  For a rational
     vector v, (M v)_i has `degree` power-basis coordinates, each a rational
     linear form in v; stacking those coordinate blocks (all rows for
-    alpha^0, then all rows for alpha^1, ...) gives a (degree * nrows) x
-    ncols rational matrix.
+    alpha^0, then all rows for alpha^1, ...) gives degree * nrows rows of
+    ncols rationals each.
     """
     coeffs = []
     for row in rows:
@@ -209,13 +152,13 @@ def restrict_scalars(field: RealNumberField, rows) -> QMatrix:
                 raise ValueError("mixed number fields")
             out.append(x.coeffs)
         coeffs.append(out)
-    return QMatrix([[c[k] for c in row] for k in range(field.degree) for row in coeffs])
+    return [[c[k] for c in row] for k in range(field.degree) for row in coeffs]
 
 
 def primitive_integer_vector(vec):
-    """Scale a nonzero rational vector by a positive rational to a primitive
-    integer vector (content 1).  The direction is preserved."""
-    vec = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
+    """Scale a nonzero vector of ints or `Fraction`s by a positive rational
+    to a primitive integer vector (content 1).  The direction is
+    preserved."""
     den = lcm(*(x.denominator for x in vec))
     ints = [x.numerator * (den // x.denominator) for x in vec]
     g = gcd(*ints)

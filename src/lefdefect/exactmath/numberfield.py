@@ -26,6 +26,7 @@ no Fraction outside that fallback.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -36,20 +37,23 @@ Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational string "p" or "p/q".
 
-    Floating-point shapes ("1.5", "1e3") are rejected: inputs must stay exact.
+    After `strip()`, the string must match [+-]?[0-9]+(/[0-9]+)? in ASCII
+    digits.  Everything else is rejected: floating-point shapes ("1.5",
+    "1e3") so that inputs stay exact, and the other strings `int` would
+    read ("1_000", non-ASCII digits, a sign on the denominator, spaces
+    around the slash).
     """
-    s = text.strip()
-    if not s or any(ch in s for ch in ".eE"):
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is None:
         raise ValueError(f"not an exact rational string: {text!r}")
-    if "/" in s:
-        num, _, den = s.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, den = m.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def format_rational(q: Fraction) -> str:

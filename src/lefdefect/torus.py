@@ -79,11 +79,15 @@ def _split_j(field: RealNumberField, J):
     J's restriction of scalars.
     """
     stacked = restrict_scalars(field, J)
-    size = len(stacked.rows) // field.degree
-    if stacked.ncols != size or size % 2:
+    if not stacked or not stacked[0]:
+        raise ValueError("matrix dimensions must be positive")
+    size = len(stacked[0])
+    if any(len(row) != size for row in stacked):
+        raise ValueError("matrix must be rectangular")
+    if len(stacked) != size * field.degree or size % 2:
         raise ValueError("J must be square of even positive size")
-    den = lcm(*(x.denominator for row in stacked.rows for x in row))
-    rows = [[int(x * den) for x in row] for row in stacked.rows]
+    den = lcm(*(x.denominator for row in stacked for x in row))
+    rows = [[int(x * den) for x in row] for row in stacked]
     return den, [rows[k * size:(k + 1) * size] for k in range(field.degree)]
 
 
@@ -368,10 +372,11 @@ class AlternatingForm:
     gcd(den, entries) = 1, so den is the least common denominator of E's
     entries (1 for the zero form).  Equality and hashing use
     (torus, den, num), and `+`, `-`, negation and scalar `*` run on ints.
-    `matrix` is the `Fraction` view num / den, built on first use.
+    `matrix` is the one `Fraction` view of a form, num / den, built on
+    each read for output.
     """
 
-    __slots__ = ("torus", "den", "num", "_matrix", "_pairs", "_hodge")
+    __slots__ = ("torus", "den", "num", "_pairs", "_hodge")
 
     def __init__(self, torus: ComplexTorus, matrix):
         rows = tuple(tuple(x if type(x) is int else Fraction(x) for x in row) for row in matrix)
@@ -383,8 +388,7 @@ class AlternatingForm:
                 if rows[i][j] != -rows[j][i]:
                     raise ValueError("matrix is not antisymmetric")
         # The lcm of the reduced denominators is coprime to the numerators
-        # it produces, so the result is already canonical.  Int entries stay
-        # ints; `matrix` is built on first use, as for every form.
+        # it produces, so the result is already canonical.
         den = lcm(*(x.denominator for row in rows for x in row))
         self._set(torus, den, tuple(tuple(int(x * den) for x in row) for row in rows))
 
@@ -392,7 +396,6 @@ class AlternatingForm:
         self.torus = torus
         self.den = den
         self.num = num
-        self._matrix = None
         self._pairs = None
         self._hodge = None
 
@@ -414,10 +417,8 @@ class AlternatingForm:
     @property
     def matrix(self):
         """The rows of E as `Fraction`s, num / den."""
-        if self._matrix is None:
-            den = self.den
-            self._matrix = tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
-        return self._matrix
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     def times_dj(self):
         """The integer matrices num (D J_k) = den E (D J_k), one per entry
@@ -443,21 +444,11 @@ class AlternatingForm:
 
     def pair_num(self):
         """The integer coordinates of num over the lexicographic basis of
-        pairs i < j: den times `pair_coords`."""
+        pairs i < j: the degree-2 class of den * E."""
         if self._pairs is None:
             num = self.num
             self._pairs = tuple(num[i][j] for i, j in combinations(range(len(num)), 2))
         return self._pairs
-
-    def pair_coords(self):
-        """Coordinates over the lexicographic basis of pairs i < j."""
-        return tuple(Fraction(x, self.den) for x in self.pair_num())
-
-    @classmethod
-    def from_pair_coords(cls, torus: ComplexTorus, coords) -> "AlternatingForm":
-        coords = [Fraction(c) for c in coords]
-        den = lcm(*(c.denominator for c in coords))
-        return cls._from_pair_num(torus, den, [c.numerator * (den // c.denominator) for c in coords])
 
     @classmethod
     def _from_pair_num(cls, torus: ComplexTorus, den: int, pairs) -> "AlternatingForm":

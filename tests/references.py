@@ -6,17 +6,18 @@ A torus stores only its integer J data (D and the D * J_k); `field_j`
 `field_product` multiplies such rows entry by entry, as the package did
 before it moved onto the integer data; `dense_matmul` is the integer matrix
 product without zero skipping.
-`solve` is plain Gauss-Jordan elimination over `Fraction`s, and
-`lattice_index` the index of a lattice in its saturation from one `solve`
-per column and a Smith normal form; the package reads NS coordinates off
-the echelon NS basis instead.  `reference_saturate` saturates through the
+The references take and return rows and coordinate lists, as the package
+does.  `solve` is plain Gauss-Jordan elimination over `Fraction`s on rows
+of rationals, and `lattice_index` the index of a lattice in its saturation
+from one `solve` per column and a Smith normal form; the package reads NS
+coordinates off the echelon NS basis instead.  `reference_saturate` saturates through the
 Smith normal form on every input, where the package returns the Hermite
 basis directly when its pivots are 1.
 `reference_sign` decides the sign of a field element by bisecting the
 field's declared root interval anew, since the package shares one
 field, and its refined bounds of alpha, per (min_poly, interval).
 `reference_wedge` is the cup product as a loop over all subset pairs on
-`Fraction` coordinates, as it was before the cached table.
+coordinate lists, as it was before the cached table.
 `elliptic_products` draws product tori and `rebased` moves a torus to a
 lattice basis that mixes its blocks.
 """
@@ -26,16 +27,15 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from lefdefect.cohomology import ExteriorClass, wedge_basis, wedge_index
-from lefdefect.exactmath import AlgebraicReal, QMatrix, RealNumberField, smith_normal_form
+from lefdefect.cohomology import wedge_basis, wedge_index
+from lefdefect.exactmath import AlgebraicReal, RealNumberField, smith_normal_form
 from lefdefect.exactmath.lattice import column_hnf
 from lefdefect.torus import ComplexTorus, elliptic, ns_basis, product
 
 
-def solve(matrix, rhs):
-    """One rational solution of M x = b, or None if inconsistent (M a
-    `QMatrix` or rows of rationals)."""
-    rows = matrix.rows if isinstance(matrix, QMatrix) else matrix
+def solve(rows, rhs):
+    """One rational solution of M x = b, or None if inconsistent (M given
+    as rows of rationals)."""
     aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     nrows = len(aug)
     ncols = len(rows[0]) if nrows else 0
@@ -106,10 +106,14 @@ def reference_saturate(columns, ambient_rank):
 
 def reference_ns_coordinates(A, form):
     """Coordinates of a form over ns_basis(A) from one `solve`, or None if
-    it is not an NS class."""
-    cols = [b.pair_coords() for b in ns_basis(A)]
-    rhs = form.pair_coords()
-    return solve([[col[k] for col in cols] for k in range(len(rhs))], rhs)
+    it is not an NS class: the integer pair coordinates of den * E over
+    those of the basis forms (integer forms, den 1), divided by den."""
+    basis = ns_basis(A)
+    assert all(b.den == 1 for b in basis)
+    cols = [b.pair_num() for b in basis]
+    rhs = form.pair_num()
+    x = solve([[col[k] for col in cols] for k in range(len(rhs))], rhs)
+    return None if x is None else tuple(c / form.den for c in x)
 
 
 def _power_range(lo, hi, k):
@@ -194,19 +198,20 @@ def dense_matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-def reference_wedge(u, v):
-    """u ^ v summed over every pair of disjoint subsets, each with the sign
-    of the permutation that sorts the concatenation."""
-    N, k = u.N, u.degree + v.degree
-    out = [Fraction(0)] * len(wedge_basis(N, k))
+def reference_wedge(N, p, q, u, v):
+    """The coordinates of u ^ v, for the coordinates u (degree p) and v
+    (degree q) on Z^N, summed over every pair of disjoint subsets, each
+    with the sign of the permutation that sorts the concatenation."""
+    k = p + q
+    out = [0] * len(wedge_basis(N, k))
     index = wedge_index(N, k)
-    for I, a in zip(wedge_basis(N, u.degree), u.coords):
-        for J, b in zip(wedge_basis(N, v.degree), v.coords):
+    for I, a in zip(wedge_basis(N, p), u):
+        for J, b in zip(wedge_basis(N, q), v):
             if a == 0 or b == 0 or set(I) & set(J):
                 continue
             inversions = sum(x > y for x in I for y in J)
             out[index[tuple(sorted(I + J))]] += (-1) ** inversions * a * b
-    return ExteriorClass(N, k, out)
+    return out
 
 
 @st.composite

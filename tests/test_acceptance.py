@@ -19,9 +19,9 @@ from lefdefect.checks import (
 )
 from lefdefect.classifier import IsogenyFactor, IsogenySpec, classify, divisor_case
 from lefdefect.cli import main
-from lefdefect.cohomology import class_of_form, cup_matrix, defect_of_class, wedge_basis
+from lefdefect.cohomology import cup_matrix, defect_of_class, wedge_basis
 from lefdefect.effectivity import defect_survey, divisor_case_data
-from lefdefect.exactmath import QMatrix, integer_kernel_basis, rank
+from lefdefect.exactmath import integer_kernel_basis, rank
 from lefdefect.torus import (
     AlternatingForm,
     coordinate_factor_sublattices,
@@ -156,7 +156,7 @@ def test_criterion_6_hard_lefschetz(corpus):
             continue
         h = product_polarization(A)
         assert h is not None
-        M = cup_matrix(A, class_of_form(h))
+        M = cup_matrix(A, h.pair_num())
         full = len(wedge_basis(2 * A.n, 2))
         checked += 1
         if rank(M) != full:
@@ -194,7 +194,7 @@ def test_criterion_7_case_consistency(corpus, surveys):
                 expected = divisor_case(b)
             else:
                 form = _rebuild_form(A, basis, record.coefficients)
-                key = tuple(integer_kernel_basis(QMatrix(form.matrix)))
+                key = tuple(integer_kernel_basis(form.num))
                 if key not in case_cache:
                     bb, rho_b, cm, k = divisor_case_data(A, form)
                     case_cache[key] = divisor_case(bb, rho_B=rho_b, cm=cm, k=k)

@@ -14,10 +14,10 @@ constructions it replaced.
   (den, num) of a form against other presentations of the same matrix, and
   the Hodge test and `ns_coordinates` against a reference `solve` over the
   NS basis.
-* The table-driven `wedge` and `cup_rows` against the subset-pair loop
+* The table-driven `wedge` and `cup_matrix` against the subset-pair loop
   (`references.reference_wedge`); `defect_of_class`, `lambda_defect`, the
-  Voisin kernels and `induced_quotient_class` on integer coordinates
-  against their `Fraction` constructions; `radical` (one saturation)
+  Voisin kernels and `induced_quotient_class` against constructions from
+  the loop and from `solve`; `radical` (one saturation)
   against `subtorus` of `integer_kernel_basis`; `kernel_basis` (integer
   back-substitution) against the primitive form of the `Fraction` one.
 
@@ -39,26 +39,23 @@ from hypothesis import strategies as st
 
 from lefdefect.checks import cup_dual_kernel_on_ns, restriction_kernel_on_ns, subspaces_equal
 from lefdefect.cohomology import (
-    ExteriorClass,
-    cup_rows,
+    cup_matrix,
     defect_of_class,
     lambda_defect,
     poincare_dual,
     wedge,
     wedge_basis,
-    wedge_coords,
 )
 from lefdefect.effectivity import induced_quotient_class, is_effective_class, radical
 from lefdefect.errors import ConsistencyError, NotHodgeClass
 from lefdefect.exactmath import (
-    QMatrix,
     integer_kernel_basis,
     kernel_basis,
     primitive_integer_vector,
     rank,
     saturate,
 )
-from lefdefect.exactmath.linalg import _integer_rows, bareiss_echelon
+from lefdefect.exactmath.linalg import bareiss_echelon, integer_rows
 from lefdefect.torus import (
     AlternatingForm,
     ComplexTorus,
@@ -97,7 +94,7 @@ def reference_subtorus(A, columns):
     N = 2 * A.n
     sat = saturate([tuple(c) for c in columns], N) if columns else []
     if sat:
-        matrix = QMatrix([[Fraction(sat[j][i]) for j in range(len(sat))] for i in range(N)])
+        matrix = [[sat[j][i] for j in range(len(sat))] for i in range(N)]
         for Jk in A.j_parts:
             for col in sat:
                 image = [sum(Jk[i][j] * col[j] for j in range(N)) for i in range(N)]
@@ -135,7 +132,7 @@ def leibniz(rows):
 
 def reference_poincare_coords(A, W):
     P = W.projection
-    return [Fraction(leibniz([[row[j] for j in subset] for row in P]))
+    return [leibniz([[row[j] for j in subset] for row in P])
             for subset in itertools.combinations(range(2 * A.n), W.corank)]
 
 
@@ -184,7 +181,7 @@ def assert_divisor_path_matches_reference(A, rng):
             B, R = quotient(X, W), reference_quotient(X, W)
             assert B == R and hash(B) == hash(R)
             assert (B.j_den, B.j_parts) == (R.j_den, R.j_parts)
-            assert poincare_dual(X, W).coords == tuple(reference_poincare_coords(X, W))
+            assert poincare_dual(X, W) == reference_poincare_coords(X, W)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -318,8 +315,7 @@ def test_form_arithmetic_matches_validating_constructor(corpus, name, data):
         assert form.matrix == reference.matrix
         assert all(type(x) is Fraction for row in form.matrix for x in row)
         assert form.is_hodge == reference.is_hodge
-    coords = E.pair_coords()
-    assert AlternatingForm.from_pair_coords(A, coords) == E
+    assert AlternatingForm._from_pair_num(A, E.den, E.pair_num()) == E
 
 
 def test_outside_matrices_are_still_validated(corpus):
@@ -397,7 +393,8 @@ def test_form_is_canonical_integer_data(corpus, name, data):
     assert all(type(x) is int for row in E.num for x in row)
     assert all(type(x) is Fraction for row in E.matrix for x in row)
     assert E.matrix == tuple(tuple(Fraction(x, E.den) for x in row) for row in E.num)
-    assert E.pair_num() == tuple(E.den * x for x in E.pair_coords())
+    assert E.pair_num() == tuple(
+        E.den * E.matrix[i][j] for i, j in itertools.combinations(range(2 * A.n), 2))
     k = data.draw(st.integers(2, 6))
     s = data.draw(st.sampled_from([Fraction(2), Fraction(-1, 3), Fraction(5, 4), -1]))
     strings = [[f"{k * x.numerator}/{k * x.denominator}" for x in row] for row in m]
@@ -408,8 +405,8 @@ def test_form_is_canonical_integer_data(corpus, name, data):
         -(-E),
         E + E - E,
         (E + E) * Fraction(1, 2),
-        AlternatingForm.from_pair_coords(A, E.pair_coords()),
-        AlternatingForm.from_pair_coords(A, [f"{k * x}/{k * E.den}" for x in E.pair_num()]),
+        AlternatingForm._from_pair_num(A, E.den, E.pair_num()),
+        AlternatingForm._from_pair_num(A, k * E.den, [k * x for x in E.pair_num()]),
     ]
     for F in presentations:
         assert F == E and hash(F) == hash(E)
@@ -421,8 +418,8 @@ def test_form_is_canonical_integer_data(corpus, name, data):
 
 @st.composite
 def exterior_pairs(draw):
-    """(N, p, q, u, v): coordinates of a p-class and a q-class on Z^N, int
-    or Fraction, with many zero coordinates."""
+    """(N, p, q, u, v): coordinates of a p-class and a q-class on Z^N, all
+    ints or with Fractions, with many zero coordinates."""
     N = draw(st.sampled_from([4, 6, 8]))
     p = draw(st.integers(0, 4))
     q = draw(st.integers(0, min(4, N - p)))
@@ -440,10 +437,8 @@ def exterior_pairs(draw):
 @given(exterior_pairs())
 def test_table_wedge_matches_subset_pair_loop(pair):
     N, p, q, u, v = pair
-    expected = reference_wedge(ExteriorClass(N, p, u), ExteriorClass(N, q, v))
-    assert wedge(ExteriorClass(N, p, u), ExteriorClass(N, q, v)) == expected
-    coords = wedge_coords(N, p, q, u, v)
-    assert coords == list(expected.coords)
+    coords = wedge(N, p, q, u, v)
+    assert coords == reference_wedge(N, p, q, u, v)
     if all(type(x) is int for x in u + v):
         assert all(type(x) is int for x in coords)
 
@@ -451,41 +446,37 @@ def test_table_wedge_matches_subset_pair_loop(pair):
 @pytest.mark.parametrize("N", [4, 6, 8])
 def test_cup_rows_match_subset_pair_loop(N):
     rng = random.Random(N)
+    torus = product([elliptic(0, 1) for _ in range(N // 2)])
     for _ in range(4):
         d = [rng.choice((0, 0, 1, -2, 3)) for _ in wedge_basis(N, 2)]
-        rows = cup_rows(N, d)
-        D = ExteriorClass(N, 2, d)
-        for i, subset in enumerate(wedge_basis(N, 2)):
-            image = reference_wedge(ExteriorClass.basis_element(N, subset), D)
-            assert [row[i] for row in rows] == list(image.coords)
-
-
-def reference_class(A, form):
-    return ExteriorClass(2 * A.n, 2, form.pair_coords())
+        rows = cup_matrix(torus, d)
+        for i in range(len(d)):
+            unit = [int(k == i) for k in range(len(d))]
+            assert [row[i] for row in rows] == reference_wedge(N, 2, 2, unit, d)
 
 
 def reference_defect(A, D):
-    cols = [reference_wedge(reference_class(A, b), reference_class(A, D)).coords
-            for b in ns_basis(A)]
-    return len(cols) - rank(QMatrix(list(zip(*cols))))
+    d = D.pair_num()
+    cols = [reference_wedge(2 * A.n, 2, 2, b.pair_num(), d) for b in ns_basis(A)]
+    return len(cols) - rank(list(zip(*cols)))
 
 
 def reference_lambda_defect(A, L, D):
     """The span reduced by one rank per class, as before the echelon."""
     span = []
     for form in L:
-        candidate = span + [form.pair_coords()]
-        if rank(QMatrix(candidate).transpose()) == len(candidate):
-            span.append(form.pair_coords())
+        candidate = span + [form.pair_num()]
+        if rank(list(zip(*candidate))) == len(candidate):
+            span.append(form.pair_num())
     if not span:
         return 0
-    d = reference_class(A, D)
-    cols = [reference_wedge(ExteriorClass(2 * A.n, 2, row), d).coords for row in span]
-    return len(span) - rank(QMatrix(list(zip(*cols))))
+    d = D.pair_num()
+    cols = [reference_wedge(2 * A.n, 2, 2, row, d) for row in span]
+    return len(span) - rank(list(zip(*cols)))
 
 
 def reference_radical(A, E):
-    return subtorus(A, integer_kernel_basis(QMatrix(E.matrix))).basis
+    return subtorus(A, integer_kernel_basis(E.matrix)).basis
 
 
 def reference_induced_class(A, E, W):
@@ -498,17 +489,17 @@ def reference_induced_class(A, E, W):
 
 def reference_restriction_kernel(A, W):
     basis = W.basis
-    R = QMatrix([[Fraction(basis[a][i] * basis[b][j] - basis[b][i] * basis[a][j])
-                  for i, j in itertools.combinations(range(2 * A.n), 2)]
-                 for a, b in itertools.combinations(range(W.rank), 2)])
-    cols = [R.apply(b.pair_coords()) for b in ns_basis(A)]
-    return kernel_basis(QMatrix(list(zip(*cols))))
+    R = [[basis[a][i] * basis[b][j] - basis[b][i] * basis[a][j]
+          for i, j in itertools.combinations(range(2 * A.n), 2)]
+         for a, b in itertools.combinations(range(W.rank), 2)]
+    cols = [[sum(x * y for x, y in zip(row, b.pair_num())) for row in R] for b in ns_basis(A)]
+    return kernel_basis(list(zip(*cols)))
 
 
 def reference_cup_dual_kernel(A, W):
-    dual = ExteriorClass(2 * A.n, W.corank, reference_poincare_coords(A, W))
-    cols = [reference_wedge(reference_class(A, b), dual).coords for b in ns_basis(A)]
-    return kernel_basis(QMatrix(list(zip(*cols))))
+    N, dual = 2 * A.n, reference_poincare_coords(A, W)
+    cols = [reference_wedge(N, 2, W.corank, b.pair_num(), dual) for b in ns_basis(A)]
+    return kernel_basis(list(zip(*cols)))
 
 
 def assert_voisin_kernels_match_reference(A, W):
@@ -559,7 +550,7 @@ def test_cup_path_matches_reference_on_random_products(A, seed):
 
 def reference_kernel_basis(matrix):
     """Back-substitution on `Fraction`s after the same echelon form."""
-    rows = _integer_rows(matrix)
+    rows = integer_rows(matrix)
     ncols = len(rows[0]) if rows else 0
     pivots = bareiss_echelon(rows)
     basis = []

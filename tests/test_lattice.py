@@ -109,13 +109,12 @@ class TestSaturate:
                     min_size=1, max_size=2))
     @settings(max_examples=80, deadline=None)
     def test_saturation_is_saturated(self, cols):
-        from lefdefect.exactmath import QMatrix, rank
+        from lefdefect.exactmath import rank
 
         unique = [c for c in cols if any(x != 0 for x in c)]
         if not unique:
             return
-        M = QMatrix([[c[i] for c in unique] for i in range(3)])
-        if rank(M) < len(unique):
+        if rank(unique) < len(unique):
             return
         sat = saturate(unique, 3)
         assert is_saturated(sat, 3)

@@ -182,6 +182,8 @@ class TestSignProperties:
 def test_parse_rational():
     assert parse_rational("3/2") == F(3, 2)
     assert parse_rational("-7") == F(-7)
-    for bad in ("1.5", "1e3", "", "2/0"):
+    assert parse_rational(" +3/2 ") == F(3, 2)
+    # int() would read the last four: as 1000, 3/2, -3/2 and 3/2.
+    for bad in ("1.5", "1e3", "", "2/0", "1_000", "\u0663/2", "3/-2", " 3 / 2 "):
         with pytest.raises((ValueError, ZeroDivisionError)):
             parse_rational(bad)

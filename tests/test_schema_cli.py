@@ -435,6 +435,7 @@ FAULTS = {
     "class": "--class index",
     "checks": "--checks",
     "bool": "integer",
+    "rational": "not an exact rational string",
 }
 
 
@@ -495,6 +496,13 @@ def faulty_runs(draw, fault):
         else:
             value = draw(st.sampled_from([0, 1]))
             doc["classes"] = [[[bool(x) if x == value else x for x in row] for row in fibers[0]]]
+    elif fault == "rational":
+        # Strings int() reads but the grammar [+-]?[0-9]+(/[0-9]+)? does not.
+        bad = draw(st.sampled_from(["1_000", "\u0663/2", "3/-2", " 3 / 2 "]))
+        if draw(st.booleans()):
+            blocks[0]["a"] = bad
+        else:
+            blocks[-1]["beta"] = [bad]
     elif fault == "size":
         wrong = draw(st.sampled_from([size - 2, size - 1, size + 2]))
         classes.append([[0] * wrong for _ in range(draw(st.sampled_from([size, wrong])))])
@@ -573,3 +581,46 @@ def test_internal_errors_exit_3(doc, data):
     assert code == 3, (command, stage, error, err.getvalue())
     assert "internal" in err.getvalue()
     assert f"injected at {stage}" in err.getvalue()
+
+
+# The checks `torus` runs, and `verify` runs below, with their keys in the
+# `torus --out` report.
+REPORT_KEYS = {"voisin": "voisin_check", "kunneth": "kunneth_check",
+               "oracle": "classifier_vs_search"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(doc=torus_documents(), data=st.data())
+def test_failed_verification_exits_1(doc, data):
+    """A `fail` verdict from any check of `torus` or `verify` on a valid
+    document exits 1, prints the check's fail line on stdout and nothing on
+    stderr; `torus --out` still writes the report, with the fail entry."""
+    import lefdefect.cli as cli
+    from lefdefect.checks import CheckResult, run_checks
+
+    command = data.draw(st.sampled_from(["torus", "verify"]))
+    failing = data.draw(st.sampled_from(sorted(REPORT_KEYS)))
+    with_out = command == "torus" and data.draw(st.booleans())
+    args = ["--box=1"] if command == "torus" else ["--checks=voisin,kunneth,oracle", "--box=1"]
+
+    def failing_checks(*run_args, **run_kwargs):
+        return [CheckResult(r.name, "fail", f"injected into {r.name}") if r.name == failing else r
+                for r in run_checks(*run_args, **run_kwargs)]
+
+    out, err = io.StringIO(), io.StringIO()
+    patch = mock.patch.object(cli, "run_checks", failing_checks)
+    with tempfile.TemporaryDirectory() as tmp, patch:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        report = Path(tmp) / "report.json"
+        if with_out:
+            args.append(f"--out={report}")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = main([command, str(path)] + args)
+        written = json.loads(report.read_text()) if with_out else None
+    assert code == 1, (command, failing, err.getvalue())
+    assert f"{failing}: fail (injected into {failing})" in out.getvalue().splitlines()
+    assert err.getvalue() == ""
+    if with_out:
+        assert written["verification"][REPORT_KEYS[failing]] == {
+            "status": "fail", "detail": f"injected into {failing}"}

@@ -13,14 +13,22 @@ side by side in one process and alternates them call by call:
   how far the method itself strays from a ratio of 1.
 
 The package uses only relative imports, so every copy runs on its own
-modules.  The cases are `bench_search.py`'s, with its builders bound to
-each package in turn.  Per case and round, each side runs a batch of
-searches (`torus_defect` on tori built beforehand, untimed), timed with
+modules, and `bench_search.py` and `bench_layers.py` are imported once per
+side with `lefdefect` bound to that side's package.  There are two kinds
+of case:
+
+* search: `bench_search.py`'s cases, `torus_defect` on tori built
+  beforehand (untimed).  Every search's answer (delta, `classes_scanned`,
+  witness) must be the same on all sides.
+* quotient: one per `bench_layers.py` torus, `quotient` by every nonzero
+  radical of its `sample_forms`, each on a fresh `Sublattice` (so its
+  complement is computed in the batch).  The Picard numbers of the
+  quotients must be the same on all sides.
+
+Per case and round, each side runs a batch of calls, timed with
 `time.process_time` after `gc.collect()` and with the collector disabled
 during the batch; the order of the sides rotates from round to round.  The
 batch size is doubled from 1 until the change's batch lasts BATCH_SECONDS.
-Every search's answer (delta, `classes_scanned`, witness) must be the
-same on all sides.
 
 Per case it reports the ratios change/parent and change/copy per round:
 their median, quartiles and the rounds the change was faster ("wins").  A
@@ -33,7 +41,8 @@ Usage (from the root of a git checkout):
     python benchmarks/bench_ab.py --parent REV [--label NAME] [--rounds N]
         [--skip CASE ...]
 
-`--skip` defaults to "E_i^3, box 3", which takes seconds per search.
+`--skip` defaults to "E_i^3, box 3", which takes seconds per search.  The
+quotient cases are named "quotient, <torus>".
 """
 
 import argparse
@@ -57,9 +66,10 @@ OUT = os.path.join(HERE, "BENCH_ab.json")
 sys.path.insert(0, SRC)
 sys.path.insert(0, HERE)
 
-import bench_search  # noqa: E402  (binds the change: this checkout's src/)
+import bench_layers  # noqa: E402  (binds the change: this checkout's src/)
+import bench_search  # noqa: E402
 
-# A timed batch of the change runs searches until it lasts at least this long.
+# A timed batch of the change runs calls until it lasts at least this long.
 BATCH_SECONDS = 0.1
 CLOCK = time.process_time
 
@@ -74,26 +84,77 @@ def load_package(name, package_dir):
     return package
 
 
-def bench_for(package):
-    """bench_search.py imported with `lefdefect` bound to `package`, so its
-    case builders build that package's tori."""
-    prefix = package.__name__
-    aliases = {"lefdefect" + name[len(prefix):]: module for name, module in sys.modules.items()
-               if name == prefix or name.startswith(prefix + ".")}
-    saved = {name: sys.modules.get(name) for name in aliases}
+def import_script(name, suffix, aliases):
+    """The script `name`.py of this directory, imported as `name`_`suffix`
+    while `aliases` stand in sys.modules."""
+    saved = {alias: sys.modules.get(alias) for alias in aliases}
     sys.modules.update(aliases)
     try:
         spec = importlib.util.spec_from_file_location(
-            f"bench_search_{prefix}", os.path.join(HERE, "bench_search.py"))
+            f"{name}_{suffix}", os.path.join(HERE, name + ".py"))
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     finally:
-        for name, module_before in saved.items():
+        for alias, module_before in saved.items():
             if module_before is None:
-                del sys.modules[name]
+                del sys.modules[alias]
             else:
-                sys.modules[name] = module_before
+                sys.modules[alias] = module_before
     return module
+
+
+class Side:
+    """bench_search.py and bench_layers.py bound to one package, and the
+    quotient cases' tori and radical bases, built once per side."""
+
+    def __init__(self, search, layers):
+        self.search, self.layers = search, layers
+        self._radicals = {}
+
+    @classmethod
+    def of(cls, package):
+        prefix = package.__name__
+        aliases = {"lefdefect" + name[len(prefix):]: module
+                   for name, module in sys.modules.items()
+                   if name == prefix or name.startswith(prefix + ".")}
+        search = import_script("bench_search", prefix, aliases)
+        layers = import_script("bench_layers", prefix, {**aliases, "bench_search": search})
+        return cls(search, layers)
+
+    def radicals(self, build_index):
+        """(torus, bases of the nonzero radicals of its sample forms) for
+        the torus of `layer_tori()[build_index]`."""
+        if build_index not in self._radicals:
+            A = self.layers.layer_tori()[build_index][1]()
+            self._radicals[build_index] = A, self.layers.sample_radicals(A)[1]
+        return self._radicals[build_index]
+
+
+def search_case(index):
+    """(name, make, run, answer, record) of `bench_search.CASES[index]`: one
+    search per call on a torus that `make` builds; `record` keeps the delta
+    of the answer."""
+    name, _, box = bench_search.CASES[index]
+    return (name,
+            lambda side: side.search.CASES[index][1](),
+            lambda side, torus: side.search.torus_defect(torus, box=box),
+            lambda side, result: (result.delta, result.classes_scanned,
+                                  getattr(result, "witness_coefficients", None)),
+            lambda found: {"delta": found[0]})
+
+
+def quotient_case(index):
+    """(name, make, run, answer, record) of the quotients by the nonzero
+    radicals of `bench_layers.layer_tori()[index]`'s sample forms; the
+    answer is their Picard numbers."""
+    def make(side):
+        A, bases = side.radicals(index)
+        return A, [side.layers.Sublattice(A, basis) for basis in bases]
+
+    return ("quotient, " + bench_layers.layer_tori()[index][0], make,
+            lambda side, lattices: [side.layers.quotient(lattices[0], W) for W in lattices[1]],
+            lambda side, quotients: tuple(side.layers.ns_rank(B) for B in quotients),
+            lambda found: {"quotient_rho": list(found)})
 
 
 def extract_src(rev, target):
@@ -111,28 +172,25 @@ def extract_src(rev, target):
     return commit
 
 
-def answer(result):
-    return (result.delta, result.classes_scanned, getattr(result, "witness_coefficients", None))
-
-
-def timed_batch(bench, case, reps):
-    """(CPU seconds, answers) of `reps` searches of `case` on fresh tori."""
-    _, build, box = case
-    tori = [build() for _ in range(reps)]
+def timed_batch(side, case, reps):
+    """(CPU seconds, answers) of `reps` calls of `case` on `side`, each on
+    an input that `make` built beforehand."""
+    _, make, run, answer, _ = case
+    inputs = [make(side) for _ in range(reps)]
     gc.collect()
     gc.disable()
     try:
         started = CLOCK()
-        results = [bench.torus_defect(torus, box=box) for torus in tori]
+        results = [run(side, x) for x in inputs]
         seconds = CLOCK() - started
     finally:
         gc.enable()
-    return seconds, {answer(r) for r in results}
+    return seconds, {answer(side, r) for r in results}
 
 
-def batch_size(case):
+def batch_size(side, case):
     reps = 1
-    while timed_batch(bench_search, case, reps)[0] < BATCH_SECONDS:
+    while timed_batch(side, case, reps)[0] < BATCH_SECONDS:
         reps *= 2
     return reps
 
@@ -143,9 +201,9 @@ def summary(ratios):
             "wins": sum(r < 1 for r in ratios)}
 
 
-def compare(sides, index, rounds):
-    """Per-round ratios change/parent and change/copy on case `index`."""
-    reps = batch_size(bench_search.CASES[index])
+def compare(sides, case, rounds):
+    """Per-round ratios change/parent and change/copy on `case`."""
+    reps = batch_size(sides["change"], case)
     names = list(sides)
     ratios = {"parent": [], "copy": []}
     for n in range(rounds):
@@ -155,10 +213,10 @@ def compare(sides, index, rounds):
         seconds = {}
         answers = set()
         for name in order:
-            seconds[name], found = timed_batch(sides[name], sides[name].CASES[index], reps)
+            seconds[name], found = timed_batch(sides[name], case, reps)
             answers |= found
         if len(answers) != 1:
-            raise AssertionError(f"{bench_search.CASES[index][0]}: answers differ: {answers}")
+            raise AssertionError(f"{case[0]}: answers differ: {answers}")
         for other in ratios:
             ratios[other].append(seconds["change"] / seconds[other])
     return reps, answers.pop(), ratios
@@ -176,22 +234,26 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         commit = extract_src(args.parent, tmp)
         sides = {
-            "change": bench_search,
-            "parent": bench_for(load_package("lefdefect_parent",
-                                             os.path.join(tmp, "src", "lefdefect"))),
-            "copy": bench_for(load_package("lefdefect_copy", os.path.join(SRC, "lefdefect"))),
+            "change": Side(bench_search, bench_layers),
+            "parent": Side.of(load_package("lefdefect_parent",
+                                           os.path.join(tmp, "src", "lefdefect"))),
+            "copy": Side.of(load_package("lefdefect_copy", os.path.join(SRC, "lefdefect"))),
         }
         label = args.label or f"vs {commit[:7]}"
+        cases = ([search_case(i) for i in range(len(bench_search.CASES))]
+                 + [quotient_case(i) for i in range(len(bench_layers.layer_tori()))])
         rows = []
-        print(f"{'case':<26} {'delta':>5} {'reps':>5} {'change/parent':>24} {'A/A':>24}")
-        for index, (name, _, _) in enumerate(bench_search.CASES):
+        print(f"{'case':<26} {'answer':>12} {'reps':>5} {'change/parent':>24} {'A/A':>24}")
+        for case in cases:
+            name = case[0]
             if name in args.skip:
                 continue
-            reps, (delta, _, _), ratios = compare(sides, index, args.rounds)
+            reps, found, ratios = compare(sides, case, args.rounds)
             ab, aa = summary(ratios["parent"]), summary(ratios["copy"])
-            rows.append({"case": name, "delta": delta, "repetitions": reps,
+            record = case[4](found)
+            rows.append({"case": name, **record, "repetitions": reps,
                          "rounds": args.rounds, "ratio": ab, "aa": aa})
-            print(f"{name:<26} {delta:>5} {reps:>5} "
+            print(f"{name:<26} {' '.join(map(str, record.values())):>12} {reps:>5} "
                   f"{ab['median']:>6.3f} [{ab['q1']:.3f}, {ab['q3']:.3f}] {ab['wins']:>2}w "
                   f"{aa['median']:>6.3f} [{aa['q1']:.3f}, {aa['q3']:.3f}] {aa['wins']:>2}w")
 

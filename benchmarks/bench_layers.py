@@ -19,8 +19,8 @@ runs:
   every h + b,
 * the per-divisor path on the effective ones among these forms:
   `subtorus` re-certifying the basis of each nonzero radical W, `quotient`
-  by each such W (a fresh `Sublattice`, so its Smith complement is timed
-  too), and `divisor_case_data` and `defect_of_class` on fresh copies of
+  by each such W (a fresh `Sublattice`, so its complement is timed too),
+  and `divisor_case_data` and `defect_of_class` on fresh copies of
   every effective form,
 * `radical` and `ns_cup_matrix` (the integer cup-product matrix on the NS
   basis that `defect_of_class` eliminates) on fresh copies of every
@@ -127,6 +127,25 @@ def sample_forms(A):
     return forms
 
 
+def sample_radicals(A):
+    """(the effective forms among `sample_forms(A)`, the bases of their
+    nonzero radicals)."""
+    effective = [m for m in sample_forms(A) if is_effective_class(A, AlternatingForm(A, m))]
+    radicals = [W.basis for W in (radical(A, AlternatingForm(A, m)) for m in effective) if W.rank]
+    return effective, radicals
+
+
+def layer_tori():
+    """(name, build) of each declared product among `CASES`, once per torus
+    (the mixed-basis E_i^3 has no declared curves)."""
+    tori = {}
+    for name, build, _ in CASES:
+        torus = name.split(",")[0]
+        if torus not in tori and build().factors is not None:
+            tori[torus] = build
+    return list(tori.items())
+
+
 def fiber_forms(A):
     size = 2 * A.n
     forms = []
@@ -174,9 +193,7 @@ def measure(build, repeat):
     effective, effective_s = best_time(
         lambda fresh: sum(is_effective_class(A, E) for E in fresh),
         lambda: [AlternatingForm(A, m) for m in forms], repeat)
-    effective_forms = [m for m in forms if is_effective_class(A, AlternatingForm(A, m))]
-    radicals = [W.basis for W in (radical(A, AlternatingForm(A, m)) for m in effective_forms)
-                if W.rank]
+    effective_forms, radicals = sample_radicals(A)
     _, subtorus_s = best_time(
         lambda bases: [subtorus(A, basis) for basis in bases], lambda: radicals, repeat)
     quotients, quotient_s = best_time(
@@ -270,17 +287,12 @@ def main():
     args = parser.parse_args()
 
     rows = []
-    seen = set()
     columns = ("elliptic", "build", "load_document", "ns_basis", "hom_rank",
                "is_effective_class", "subtorus", "quotient", "divisor_case_data",
                "defect_of_class", "radical", "saturate", "ns_cup_matrix", "check_voisin",
                "search_data", "structured_candidates", "ns_coordinates", "integral_sign", "nf_sign", "psd_rank", "rank")
     print(f"{'torus':<12} {'rho':>4} " + " ".join(f"{c[:9]:>9}" for c in columns))
-    for name, build, _ in CASES:
-        torus = name.split(",")[0]
-        if torus in seen or build().factors is None:
-            continue
-        seen.add(torus)
+    for torus, build in layer_tori():
         row = {"torus": torus, **measure(build, args.repeat)}
         rows.append(row)
         t = row["seconds"]

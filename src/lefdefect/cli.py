@@ -25,7 +25,7 @@ import time
 from .checks import CHECK_NAMES, run_checks
 from .classifier import classify, threefold_catalog
 from .cohomology import defect_of_class
-from .effectivity import _radical, is_effective_class, torus_defect
+from .effectivity import effectivity_report, torus_defect
 from .errors import ConsistencyError, SchemaError
 from .schema import (
     ClassRow,
@@ -34,7 +34,7 @@ from .schema import (
     load_document,
     verification_entry,
 )
-from .torus import ns_basis, ns_rank, quotient
+from .torus import ns_basis, ns_rank
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -105,13 +105,10 @@ def _class_rows(doc: SpecDocument, selected) -> list:
         names = [names[selected]]
     rows = []
     for name, form in zip(names, forms):
-        effective = is_effective_class(A, form)
-        b = rho_b = None
-        if effective:
-            W = _radical(A, form)
-            b = A.n - W.rank // 2
-            rho_b = ns_rank(quotient(A, W)) if b < A.n else ns_rank(A)
-        rows.append(ClassRow(name, effective, b, rho_b, defect_of_class(A, form)))
+        report = effectivity_report(A, form)
+        rho_b = ns_rank(report.quotient) if report.is_effective else None
+        rows.append(ClassRow(name, report.is_effective, report.iitaka_dim, rho_b,
+                             defect_of_class(A, form)))
     return rows
 
 

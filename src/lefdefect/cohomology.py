@@ -161,8 +161,9 @@ def poincare_dual(A: ComplexTorus, W: Sublattice) -> list:
     the top class of the quotient.
 
     For corank 2c, the coordinates over 2c-subsets are the maximal minors of
-    the quotient projection; the sign convention is the one fixed by the
-    ordered Smith complement basis.  W = full lattice gives the degree-0
+    the quotient projection P of W's `complement_data`, so the sign is the
+    orientation of P's rows: for unit Hermite pivots, the non-pivot
+    coordinates in increasing order.  W = full lattice gives the degree-0
     unit [1].
     """
     if W.torus != A:

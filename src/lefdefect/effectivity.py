@@ -152,7 +152,8 @@ def iitaka_dimension(A: ComplexTorus, E: AlternatingForm) -> int:
 
 def induced_quotient_class(A: ComplexTorus, E: AlternatingForm, W: Sublattice) -> AlternatingForm:
     """The nondegenerate class an effective E induces on quotient(A, W):
-    S^T E S for the Smith section S, computed as S^T num S over den."""
+    S^T E S for the section S of W's `complement_data`, computed as
+    S^T num S over den."""
     S = W.section
     rows = _matmul(list(zip(*S)), _matmul(E.num, S))
     return AlternatingForm._from_num(quotient(A, W), E.den, rows)
@@ -319,11 +320,11 @@ def _structured_candidate_vectors(A: ComplexTorus, data: _SearchData):
     all coordinate quotients, the torus itself included), offered only when
     every fiber form is an NS class, and the Poincare duals of the corank-2
     coordinate-factor sublattices.  Such a sublattice omits one elliptic
-    block, its Smith projection is unimodular on that block's two
-    coordinates and zero elsewhere, so its dual is +-(that block's fiber
-    form).  Both signs are offered and the effectivity filter keeps the
-    right one.  Subset sums add the fibers' coordinate vectors
-    (`_fiber_coordinates`).
+    block; its Hermite basis is the unit vectors of the other blocks, so its
+    projection is the identity on that block's two coordinates and zero
+    elsewhere, and its dual is that block's fiber form.  Both signs are
+    offered and the effectivity filter keeps the right one.  Subset sums
+    add the fibers' coordinate vectors (`_fiber_coordinates`).
     """
     pairs = fiber_pairs(A)
     if pairs is None:

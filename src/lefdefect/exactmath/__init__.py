@@ -1,12 +1,6 @@
 """Exact rational and real-number-field arithmetic with linear algebra."""
 
-from .lattice import (
-    complement_data,
-    integer_kernel_basis,
-    is_saturated,
-    saturate,
-    smith_normal_form,
-)
+from .lattice import complement_data, integer_kernel_basis, saturate
 from .linalg import (
     integer_rows,
     kernel_basis,
@@ -47,7 +41,6 @@ __all__ = [
     "integral_enclosure",
     "integral_quotient",
     "integral_sign",
-    "is_saturated",
     "kernel_basis",
     "nf_sign",
     "norm_adjugate",
@@ -56,5 +49,4 @@ __all__ = [
     "rank",
     "restrict_scalars",
     "saturate",
-    "smith_normal_form",
 ]

@@ -56,6 +56,14 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
+def require_exact(x):
+    """x itself, or `TypeError` if it is a float, which is not the rational
+    it was meant to be (0.1 is 3602879701896397 / 2^55)."""
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not an exact input; use an int, Fraction or string")
+    return x
+
+
 def format_rational(q: Fraction) -> str:
     q = Fraction(q)
     if q.denominator == 1:
@@ -235,7 +243,8 @@ class RealNumberField:
     """
 
     def __new__(cls, min_poly, root_interval):
-        min_poly, root_interval = tuple(min_poly), tuple(root_interval)
+        min_poly = tuple(map(require_exact, min_poly))
+        root_interval = tuple(map(require_exact, root_interval))
         spelled = (min_poly, root_interval)
         try:
             field = _SPELLED.get(spelled)
@@ -326,14 +335,14 @@ class RealNumberField:
         return self._degree
 
     def element(self, coeffs) -> "AlgebraicReal":
-        vals = [Fraction(c) for c in coeffs]
+        vals = [Fraction(require_exact(c)) for c in coeffs]
         if len(vals) > self._degree:
             raise ValueError("too many coefficients for field degree")
         vals += [_ZERO] * (self._degree - len(vals))
         return AlgebraicReal(self, tuple(vals))
 
     def from_rational(self, q) -> "AlgebraicReal":
-        return self.element([Fraction(q)])
+        return self.element([q])
 
     def zero(self) -> "AlgebraicReal":
         return self.from_rational(0)

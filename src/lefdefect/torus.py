@@ -9,15 +9,15 @@ D*J_0 when J is rational), and equality and hashing use them.  A J given
 as rows (one passed to `ComplexTorus`) is split once; a curve's
 parts come straight from the integer inverse of its imaginary part in
 Z[alpha] (`elliptic`), products concatenate the blocks' parts and
-quotients are P*(D*J_k)*S for the Smith projection P and section S, so no
-field matrix is ever multiplied.  J^2 = -I is certified on the parts
-themselves, in Z[alpha].  Given J^2 = -I, an
-alternating form E satisfies E(Jx, Jy) = E(x, y) exactly when E*J is
-symmetric (the Riemann relations), so the Hodge test and the Neron-Severi
-space are integer conditions on the E*(D*J_k); Hom groups of tori are the
-rational solutions of J_B,k M = M J_A,k, and J-stability of a sublattice is
-one integer rank.  No complex (or even irrational-looking) numbers ever
-appear.
+quotients are P*(D*J_k)*S for the projection P and section S of the
+subtorus (`complement_data`), so no field matrix is ever multiplied.
+J^2 = -I is certified on the parts themselves, in Z[alpha].  Given
+J^2 = -I, an alternating form E satisfies E(Jx, Jy) = E(x, y) exactly when
+E*J is symmetric (the Riemann relations), so the Hodge test and the
+Neron-Severi space are integer conditions on the E*(D*J_k); Hom groups of
+tori are the rational solutions of J_B,k M = M J_A,k, and J-stability of a
+sublattice is one integer rank.  No complex (or even irrational-looking)
+numbers ever appear.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .exactmath import (
     saturate,
 )
 from .exactmath.linalg import bareiss_echelon
+from .exactmath.numberfield import require_exact
 
 
 def _matmul(a, b):
@@ -242,7 +243,7 @@ def elliptic(a, beta, field=None, label=None) -> ComplexTorus:
     on b by `integral_sign`; a zero divisor b (reducible min_poly) raises
     `ZeroDivisionError`.
     """
-    a = Fraction(a)
+    a = Fraction(require_exact(a))
     if isinstance(beta, AlgebraicReal):
         if field is not None and field != beta.field:
             raise ValueError("field mismatch")
@@ -250,7 +251,7 @@ def elliptic(a, beta, field=None, label=None) -> ComplexTorus:
     else:
         if field is None:
             field = RealNumberField.rationals()
-        beta = field.from_rational(Fraction(beta))
+        beta = field.from_rational(beta)
     m = lcm(*(c.denominator for c in beta.coeffs))
     b = IntegralElement(field, tuple(c.numerator * (m // c.denominator) for c in beta.coeffs))
     if integral_sign(b) <= 0:
@@ -379,7 +380,8 @@ class AlternatingForm:
     __slots__ = ("torus", "den", "num", "_pairs", "_hodge")
 
     def __init__(self, torus: ComplexTorus, matrix):
-        rows = tuple(tuple(x if type(x) is int else Fraction(x) for x in row) for row in matrix)
+        rows = tuple(tuple(x if type(x) is int else Fraction(require_exact(x)) for x in row)
+                     for row in matrix)
         size = 2 * torus.n
         if len(rows) != size or any(len(r) != size for r in rows):
             raise ValueError("form size does not match the lattice rank")
@@ -481,7 +483,7 @@ class AlternatingForm:
         return self._from_num(self.torus, self.den, [[-x for x in row] for row in self.num])
 
     def __mul__(self, scalar):
-        s = Fraction(scalar)
+        s = Fraction(require_exact(scalar))
         p = s.numerator
         return self._from_num(
             self.torus, self.den * s.denominator, [[p * x for x in row] for row in self.num])
@@ -593,8 +595,8 @@ class Sublattice:
     """Saturated J-stable subgroup of the lattice, i.e. a complex subtorus.
 
     The basis is stored as integer columns.  `projection` and `section` come
-    from the Smith decomposition of the basis and describe the quotient
-    lattice: projection kills the sublattice, and projection * section = I.
+    from `complement_data` on the basis and describe the quotient lattice:
+    projection kills the sublattice, and projection * section = I.
     """
 
     __slots__ = ("torus", "basis", "_pq")
@@ -664,9 +666,9 @@ def subtorus(A: ComplexTorus, basis_columns) -> Sublattice:
 
 
 def quotient(A: ComplexTorus, W: Sublattice) -> ComplexTorus:
-    """Quotient torus on the complement basis from the Smith decomposition.
+    """Quotient torus on the complement basis of W's `complement_data`.
 
-    With P the Smith projection and S the section of W (P S = I), the
+    With P the projection and S the section of W (P S = I), the
     quotient's J is P J S, so its integer J data is P (D J_k) S for every
     k over the same D, brought to canonical form.
     """

@@ -8,11 +8,12 @@ before it moved onto the integer data; `dense_matmul` is the integer matrix
 product without zero skipping.
 The references take and return rows and coordinate lists, as the package
 does.  `solve` is plain Gauss-Jordan elimination over `Fraction`s on rows
-of rationals, and `lattice_index` the index of a lattice in its saturation
-from one `solve` per column and a Smith normal form; the package reads NS
-coordinates off the echelon NS basis instead.  `reference_saturate` saturates through the
-Smith normal form on every input, where the package returns the Hermite
-basis directly when its pivots are 1.
+of rationals, `determinant` the Laplace expansion, and `lattice_index` the
+index of a lattice in its saturation as |det| of the columns' coordinates
+over the saturated basis, from one `solve` per column; the package reads NS
+coordinates off the echelon NS basis instead.  `saturation_holds` checks a
+claimed saturation against the properties that fix it, where the package
+computes it from Hermite forms.
 `reference_sign` decides the sign of a field element by bisecting the
 field's declared root interval anew, since the package shares one
 field, and its refined bounds of alpha, per (min_poly, interval).
@@ -24,11 +25,13 @@ lattice basis that mixes its blocks.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import gcd
 
 from hypothesis import strategies as st
 
 from lefdefect.cohomology import wedge_basis, wedge_index
-from lefdefect.exactmath import AlgebraicReal, RealNumberField, smith_normal_form
+from lefdefect.exactmath import AlgebraicReal, RealNumberField, rank
 from lefdefect.exactmath.lattice import column_hnf
 from lefdefect.torus import ComplexTorus, elliptic, ns_basis, product
 
@@ -65,8 +68,19 @@ def solve(rows, rhs):
     return tuple(sol)
 
 
+def determinant(rows):
+    """Determinant of a square matrix by Laplace expansion along the first
+    row (1 for the empty matrix)."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
 def lattice_index(columns, saturated_columns) -> int:
-    """Index of span_Z(columns) inside span_Z(saturated_columns)."""
+    """Index of span_Z(columns) inside span_Z(saturated_columns), for
+    columns of the same rank: |det| of their coordinates over the
+    saturated basis."""
     if not columns:
         return 1
     N = len(columns[0])
@@ -78,30 +92,26 @@ def lattice_index(columns, saturated_columns) -> int:
         if x is None:
             raise ValueError("columns not inside the saturated lattice")
         coords.append([int(v) for v in x])
-    rows = [[coords[j][i] for j in range(len(coords))] for i in range(len(coords[0]))]
-    diag, _, _, _ = smith_normal_form(rows)
-    idx = 1
-    for d in diag:
-        idx *= abs(d)
-    return idx
+    return abs(determinant(coords))
 
 
-def reference_saturate(columns, ambient_rank):
-    """Basis of span_Q(columns) intersect Z^N from the Smith normal form
-    U A V = D: the first columns of U^-1, in canonical Hermite form.
-    Raises ValueError on dependent columns."""
-    cols = [tuple(map(int, c)) for c in columns]
-    if not cols:
-        return []
-    if any(len(c) != ambient_rank for c in cols):
-        raise ValueError("column length does not match ambient rank")
-    rows = [[c[i] for c in cols] for i in range(ambient_rank)]
-    diag, _, Uinv, _ = smith_normal_form(rows)
-    r = len(cols)
-    if r > ambient_rank or any(d == 0 for d in diag[:r]):
-        raise ValueError("not a sublattice basis")
-    basis = [tuple(Uinv[i][j] for i in range(ambient_rank)) for j in range(r)]
-    return column_hnf(basis, ambient_rank)
+def saturation_holds(columns, sat, ambient_rank) -> bool:
+    """Whether `sat` is the saturation of the independent columns in
+    canonical Hermite form: it is its own `column_hnf`, has the columns'
+    rank, holds every column with integer coordinates, and the gcd of its
+    maximal minors is 1 (so no integer vector outside it lies in its
+    rational span).  These properties fix the answer."""
+    r = len(columns)
+    if sat != column_hnf(sat, ambient_rank) or len(sat) != r or rank(columns) != r:
+        return False
+    sat_matrix = [[c[i] for c in sat] for i in range(ambient_rank)]
+    for c in columns:
+        x = solve(sat_matrix, c)
+        if x is None or any(v.denominator != 1 for v in x):
+            return False
+    minors = [determinant([[sat[j][i] for j in range(r)] for i in rows])
+              for rows in combinations(range(ambient_rank), r)]
+    return gcd(*minors) == 1
 
 
 def reference_ns_coordinates(A, form):

@@ -7,6 +7,7 @@ without checking it again; `_matmul` skips zero entries; `AlternatingForm`
 keeps int entries as ints.  Each is checked here against the simple
 construction it replaces (references in `references.py`), and the CLI is
 run end to end on random torus documents.
+Float inputs are rejected at every exact entry point.
 """
 
 import contextlib
@@ -24,7 +25,12 @@ from lefdefect.checks import isogeny_spec_of
 from lefdefect.classifier import classify
 from lefdefect.cli import main
 from lefdefect.errors import ConsistencyError
-from lefdefect.exactmath import IntegralElement, RealNumberField, norm_adjugate
+from lefdefect.exactmath import (
+    IntegralElement,
+    RealNumberField,
+    norm_adjugate,
+    restrict_scalars,
+)
 from lefdefect.schema import load_document
 from lefdefect.torus import (
     AlternatingForm,
@@ -246,3 +252,33 @@ def test_cli_on_three_block_documents(tmp_path_factory, doc):
     with contextlib.redirect_stdout(out):
         assert main(["verify", str(path), "--checks", "voisin,kunneth,lefschetz"]) == 0
     assert "lefschetz: pass" in out.getvalue()
+
+
+QUARTIC = RealNumberField([-2, 0, 0, 0, 1], ("1", "3/2"))
+E_I = elliptic(0, 1)
+E_I2 = product([E_I, E_I])
+FIBER = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RealNumberField([-2.0, 0, 1], ("1", "2")),
+    lambda: RealNumberField([-2, 0, 1], (1.0, "2")),
+    lambda: RealNumberField([-2, 0, 1], ("1", 2.0)),
+    lambda: QUARTIC.element([0.1, 1]),
+    lambda: QUARTIC.from_rational(0.5),
+    lambda: restrict_scalars(QUARTIC, [[0.5]]),
+    lambda: ComplexTorus(RealNumberField.rationals(), [[0, -1.0], [1, 0]]),
+    lambda: elliptic(0.1, 1),
+    lambda: elliptic(0, 0.5),
+    lambda: AlternatingForm(E_I2, [[0, 0.5, 0, 0], [-0.5, 0, 0, 0], [0] * 4, [0] * 4]),
+    lambda: AlternatingForm(E_I2, FIBER) * 0.3,
+    lambda: 0.3 * AlternatingForm(E_I2, FIBER),
+], ids=["min_poly", "interval_lo", "interval_hi", "element", "from_rational",
+        "restrict_scalars", "torus_j", "elliptic_a", "elliptic_beta", "form_entry",
+        "form_times_float", "float_times_form"])
+def test_float_inputs_rejected(build):
+    """A float is never an exact input, even one that is an exact binary
+    fraction: every entry point raises `TypeError` instead of storing the
+    float's binary expansion as a rational."""
+    with pytest.raises(TypeError, match="float"):
+        build()

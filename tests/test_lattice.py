@@ -4,16 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefdefect.exactmath import (
-    complement_data,
-    is_saturated,
-    saturate,
-    smith_normal_form,
-)
+from lefdefect.exactmath import complement_data, kernel_basis, rank, saturate
 from lefdefect.exactmath import lattice
 from lefdefect.exactmath.lattice import column_hnf
 
-from references import lattice_index, reference_saturate, unimodular
+from references import lattice_index, saturation_holds, unimodular
 
 
 def _matmul(A, B):
@@ -21,61 +16,6 @@ def _matmul(A, B):
         [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
         for i in range(len(A))
     ]
-
-
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
-
-
-int_matrices = st.integers(min_value=1, max_value=4).flatmap(
-    lambda rows: st.integers(min_value=1, max_value=4).flatmap(
-        lambda cols: st.lists(
-            st.lists(st.integers(min_value=-6, max_value=6), min_size=cols, max_size=cols),
-            min_size=rows,
-            max_size=rows,
-        )
-    )
-)
-
-
-class TestSmithNormalForm:
-    @given(int_matrices)
-    @settings(max_examples=150, deadline=None)
-    def test_decomposition(self, rows):
-        diag, U, Uinv, V = smith_normal_form(rows)
-        D = _matmul(_matmul(U, rows), V)
-        n, m = len(rows), len(rows[0])
-        for i in range(n):
-            for j in range(m):
-                expected = diag[i] if i == j and i < len(diag) else 0
-                assert D[i][j] == expected
-        assert abs(_det(U)) == 1
-        assert abs(_det(V)) == 1
-        eye = _matmul(U, Uinv)
-        assert all(eye[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
-
-    @given(int_matrices)
-    @settings(max_examples=150, deadline=None)
-    def test_divisibility_chain(self, rows):
-        diag, *_ = smith_normal_form(rows)
-        nonzero = [d for d in diag if d != 0]
-        assert all(d > 0 for d in nonzero)
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
-        # zeros trail the chain
-        seen_zero = False
-        for d in diag:
-            if d == 0:
-                seen_zero = True
-            else:
-                assert not seen_zero
 
 
 class TestSaturate:
@@ -88,7 +28,7 @@ class TestSaturate:
     def test_already_saturated_keeps_span(self):
         cols = [(1, 0, 1), (0, 1, 1)]
         sat = saturate(cols, 3)
-        assert is_saturated(sat, 3)
+        assert saturation_holds(cols, sat, 3)
         assert lattice_index(cols, sat) == 1
 
     def test_idempotent(self):
@@ -109,15 +49,13 @@ class TestSaturate:
                     min_size=1, max_size=2))
     @settings(max_examples=80, deadline=None)
     def test_saturation_is_saturated(self, cols):
-        from lefdefect.exactmath import rank
-
         unique = [c for c in cols if any(x != 0 for x in c)]
         if not unique:
             return
         if rank(unique) < len(unique):
             return
         sat = saturate(unique, 3)
-        assert is_saturated(sat, 3)
+        assert saturation_holds(unique, sat, 3)
         assert saturate(sat, 3) == sat
 
 
@@ -168,29 +106,28 @@ def column_sets(draw):
     return kind, _mix(cols, rng), N
 
 
-class TestSaturateMatchesSmithRoute:
+class TestSaturateRoutes:
     """`saturate` returns the Hermite basis of the columns when its pivots
-    are 1 and saturates through the Smith normal form otherwise; on every
-    input it must give what the Smith route alone gives
-    (`reference_saturate`), and raise where that route raises."""
+    are 1 and otherwise takes the kernel of the kernel of W^T; on every
+    input its answer must have the properties that fix the saturation
+    (`saturation_holds`), and dependent columns must raise."""
 
     @given(column_sets())
     @settings(max_examples=200, deadline=None)
     def test_random_column_sets(self, case):
         kind, cols, N = case
         if kind == "dependent":
-            for route in (saturate, reference_saturate):
-                with pytest.raises(ValueError, match="not a sublattice basis"):
-                    route(cols, N)
+            with pytest.raises(ValueError, match="not a sublattice basis"):
+                saturate(cols, N)
             return
         if kind == "unit":
             assert _unit_pivots(cols, N)
         sat = saturate(cols, N)
-        assert sat == reference_saturate(cols, N)
+        assert saturation_holds(cols, sat, N)
         if kind != "scaled":
             assert sat == column_hnf(cols, N)
 
-    @pytest.mark.parametrize("cols, N, smith", [
+    @pytest.mark.parametrize("cols, N, split", [
         ([(1, 0, 5), (0, 1, 7)], 3, False),
         ([(2, 1, 0), (3, 1, 4)], 3, False),  # Hermite pivots 1, 1
         ([(2, 3)], 2, True),  # saturated, pivot 2
@@ -199,16 +136,27 @@ class TestSaturateMatchesSmithRoute:
         ([(2, 6)], 2, True),  # not saturated
         ([(2, 0), (0, 3)], 2, True),
     ])
-    def test_smith_form_only_without_unit_pivots(self, monkeypatch, cols, N, smith):
+    def test_split_only_without_unit_pivots(self, monkeypatch, cols, N, split):
+        """Both `saturate` and `complement_data` eliminate only when the
+        Hermite basis has a pivot above 1."""
         calls = []
+        hermite_split = lattice._hermite_split
 
-        def counted(rows):
+        def counted(rows, n):
             calls.append(rows)
-            return smith_normal_form(rows)
+            return hermite_split(rows, n)
 
-        monkeypatch.setattr(lattice, "smith_normal_form", counted)
-        assert saturate(cols, N) == reference_saturate(cols, N)
-        assert bool(calls) == smith
+        monkeypatch.setattr(lattice, "_hermite_split", counted)
+        sat = saturate(cols, N)
+        assert saturation_holds(cols, sat, N)
+        assert bool(calls) == split
+        calls.clear()
+        if lattice_index(cols, sat) == 1:
+            complement_data(cols, N)
+        else:
+            with pytest.raises(ValueError, match="not saturated"):
+                complement_data(cols, N)
+        assert bool(calls) == split
 
     @pytest.mark.parametrize("cols, N", [
         ([(1, 2), (2, 4)], 2),
@@ -218,7 +166,7 @@ class TestSaturateMatchesSmithRoute:
         ([(1, 0), (0, 1), (1, 1)], 2),
     ])
     def test_dependent_columns_rejected_on_both_routes(self, cols, N):
-        for route in (saturate, reference_saturate):
+        for route in (saturate, complement_data):
             with pytest.raises(ValueError, match="not a sublattice basis"):
                 route(cols, N)
 
@@ -245,3 +193,21 @@ class TestComplement:
     def test_unsaturated_rejected(self):
         with pytest.raises(ValueError, match="not saturated"):
             complement_data([(2, 0)], 2)
+
+    @given(column_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_saturated_lattices(self, case):
+        """On the saturation W of drawn columns of rank r < N, with unit
+        Hermite pivots or not: P W = 0, P S = I, P is (N-r) x N and S is
+        N x (N-r), and the saturated kernel of P is W again."""
+        kind, cols, N = case
+        if kind == "dependent" or len(cols) == N:
+            return
+        W = saturate(cols, N)
+        P, S = complement_data(W, N)
+        r = len(W)
+        assert len(P) == N - r and all(len(row) == N for row in P)
+        assert len(S) == N and all(len(row) == N - r for row in S)
+        assert _matmul(P, [list(row) for row in zip(*W)]) == [[0] * r for _ in range(N - r)]
+        assert _matmul(P, S) == [[int(i == j) for j in range(N - r)] for i in range(N - r)]
+        assert saturate(kernel_basis(P), N) == W

@@ -197,12 +197,22 @@ class TestCli:
             calls.append(E)
             return original(A, E)
 
-        monkeypatch.setattr(cli, "is_effective_class", counted)
         monkeypatch.setattr(effectivity, "is_effective_class", counted)
         doc = load_document(str(SAMPLES / "torus_triple_product.json"))
         rows = cli._class_rows(doc, None)
         assert any(row.is_effective for row in rows)
         assert len(calls) == len(rows)
+
+    def test_class_rows_read_the_quotient(self):
+        """On E_i x E_i the declared polarization has b = 2, so rho_B is the
+        torus's own rho = 4, and the fiber class has b = 1 with quotient
+        E_i, rho_B = 1."""
+        import lefdefect.cli as cli
+
+        doc = load_document(str(SAMPLES / "torus_ei_ei.json"))
+        rows = [(r.is_effective, r.iitaka_dim, r.rho_quotient, r.defect)
+                for r in cli._class_rows(doc, None)]
+        assert rows == [(True, 2, 4, 3), (True, 1, 1, 3)]
 
     def test_classify_sample(self, capsys):
         assert main(["classify", str(SAMPLES / "threefold_ecm3.json")]) == 0

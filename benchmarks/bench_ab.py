@@ -14,7 +14,7 @@ side by side in one process and alternates them call by call:
 
 The package uses only relative imports, so every copy runs on its own
 modules, and `bench_search.py` and `bench_layers.py` are imported once per
-side with `lefdefect` bound to that side's package.  There are two kinds
+side with `lefdefect` bound to that side's package.  There are three kinds
 of case:
 
 * search: `bench_search.py`'s cases, `torus_defect` on tori built
@@ -24,6 +24,10 @@ of case:
   radical of its `sample_forms`, each on a fresh `Sublattice` (so its
   complement is computed in the batch).  The Picard numbers of the
   quotients must be the same on all sides.
+* construction: one per `bench_layers.py` torus, building it anew from
+  its curves' (a, beta coordinates) as
+  `product([elliptic(a, K.element(beta)), ...])`.  The tori's J data
+  (j_den, j_parts) must be the same on all sides.
 
 Per case and round, each side runs a batch of calls, timed with
 `time.process_time` after `gc.collect()` and with the collector disabled
@@ -42,7 +46,8 @@ Usage (from the root of a git checkout):
         [--skip CASE ...]
 
 `--skip` defaults to "E_i^3, box 3", which takes seconds per search.  The
-quotient cases are named "quotient, <torus>".
+quotient cases are named "quotient, <torus>" and the construction cases
+"construction, <torus>".
 """
 
 import argparse
@@ -105,11 +110,13 @@ def import_script(name, suffix, aliases):
 
 class Side:
     """bench_search.py and bench_layers.py bound to one package, and the
-    quotient cases' tori and radical bases, built once per side."""
+    quotient cases' tori and radical bases and the construction cases'
+    curve data, built once per side."""
 
     def __init__(self, search, layers):
         self.search, self.layers = search, layers
         self._radicals = {}
+        self._curves = {}
 
     @classmethod
     def of(cls, package):
@@ -128,6 +135,15 @@ class Side:
             A = self.layers.layer_tori()[build_index][1]()
             self._radicals[build_index] = A, self.layers.sample_radicals(A)[1]
         return self._radicals[build_index]
+
+    def curves(self, build_index):
+        """(field, [(a, beta's coordinates) per curve]) of the torus of
+        `layer_tori()[build_index]`."""
+        if build_index not in self._curves:
+            A = self.layers.layer_tori()[build_index][1]()
+            self._curves[build_index] = A.field, [
+                (a, beta.coeffs) for a, beta in (f._elliptic_tau for f in A.factors)]
+        return self._curves[build_index]
 
 
 def search_case(index):
@@ -155,6 +171,20 @@ def quotient_case(index):
             lambda side, lattices: [side.layers.quotient(lattices[0], W) for W in lattices[1]],
             lambda side, quotients: tuple(side.layers.ns_rank(B) for B in quotients),
             lambda found: {"quotient_rho": list(found)})
+
+
+def construction_case(index):
+    """(name, make, run, answer, record) of building the torus of
+    `bench_layers.layer_tori()[index]` from its curves' data; the answer is
+    its J data."""
+    def run(side, curves):
+        K, data = curves
+        return side.search.product([side.search.elliptic(a, K.element(beta)) for a, beta in data])
+
+    return ("construction, " + bench_layers.layer_tori()[index][0],
+            lambda side: side.curves(index), run,
+            lambda side, A: (A.j_den, A.j_parts),
+            lambda found: {"j_den": found[0]})
 
 
 def extract_src(rev, target):
@@ -240,8 +270,9 @@ def main():
             "copy": Side.of(load_package("lefdefect_copy", os.path.join(SRC, "lefdefect"))),
         }
         label = args.label or f"vs {commit[:7]}"
+        tori = range(len(bench_layers.layer_tori()))
         cases = ([search_case(i) for i in range(len(bench_search.CASES))]
-                 + [quotient_case(i) for i in range(len(bench_layers.layer_tori()))])
+                 + [quotient_case(i) for i in tori] + [construction_case(i) for i in tori])
         rows = []
         print(f"{'case':<26} {'answer':>12} {'reps':>5} {'change/parent':>24} {'A/A':>24}")
         for case in cases:

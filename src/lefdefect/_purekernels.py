@@ -308,9 +308,9 @@ class FieldSearch(_Search):
 
     def enclosures(self, weights):
         """(scale, [(lo, hi), ...]) with lo <= scale * w(alpha) <= hi, all
-        from one snapshot of the field's bounds of alpha, so one positive
-        scale holds for every weight.  A later refinement of the bounds
-        leaves these enclosures valid."""
+        on the field's bounds of alpha, so one positive scale holds for
+        every weight.  The field fixes those bounds at certification, so
+        the enclosures do not depend on what ran before."""
         alpha_int = self.zero.field._alpha_int
         scale = alpha_int[2][-1] if alpha_int[2] else 1
         return scale, [integral_enclosure(w.coeffs, alpha_int) for w in weights]

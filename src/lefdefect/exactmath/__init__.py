@@ -11,7 +11,6 @@ from .linalg import (
 from .numberfield import (
     AlgebraicReal,
     IntegralElement,
-    Rational,
     RealNumberField,
     count_real_roots,
     format_rational,
@@ -31,7 +30,6 @@ __all__ = [
     "AlgebraicReal",
     "IntegralElement",
     "QMatrix",
-    "Rational",
     "RealNumberField",
     "complement_data",
     "count_real_roots",

@@ -2,26 +2,24 @@
 
 The field is described by a monic integer polynomial together with a rational
 interval that isolates exactly one real root alpha (certified by a Sturm
-count at construction).  Elements are stored on the power basis
-1, alpha, ..., alpha^(d-1) with rational coefficients, so equality is
-coefficient-wise and all arithmetic is exact.
+count at construction).  Because min_poly is monic with integer
+coefficients, alpha is an algebraic integer, and sums and products of
+integer combinations of its powers stay integer combinations: the ring
+Z[alpha] (`IntegralElement`: integer power-basis coordinates, reduced with
+the field's integer reduction rows).  A field element (`AlgebraicReal`) is
+num / den with num in Z[alpha] and den a positive integer, in lowest terms,
+so equality is exact and all arithmetic runs on integers.
 
-Sign determination (`nf_sign`) combines an exact zero test with interval
-bisection: a nonzero element evaluates to a nonzero real, so refining the
-isolating interval eventually yields a definite sign.  Termination for
-square-free (but accidentally reducible) moduli is guaranteed by a gcd-based
-zero shortcut; for the intended use the modulus is irreducible and the
-shortcut never fires.
-
-Because min_poly is monic with integer coefficients, alpha is an algebraic
-integer and sums and products of integer combinations of its powers stay
-integer combinations.  The defect search stores its matrices in this ring
-Z[alpha] (`IntegralElement`: integer power-basis coordinates, integer
-reduction rows).  It decides signs with an integer interval Horner on the
-cached bounds of alpha and falls back to `nf_sign` only when that interval
-straddles zero.  It divides exactly by multiplying with the adjugate and
-dividing by the norm (`norm_adjugate`, `integral_quotient`).  So it builds
-no Fraction outside that fallback.
+A sign comes from an integer interval Horner of the element on bounds of
+alpha (`integral_enclosure`).  The field fixes those bounds once, at
+certification, and never changes them, so a sign never depends on what ran
+before it.  Only when that interval straddles zero does `nf_sign` run: an
+exact zero test, then bisection of a local copy of the bounds, which ends
+because a nonzero element evaluates to a nonzero real.  The zero test is a
+gcd with min_poly, which guards a square-free but accidentally reducible
+modulus; for the intended use min_poly is irreducible and it never fires.
+Division multiplies by the adjugate and divides by the norm
+(`norm_adjugate`, `integral_quotient`), so no arithmetic builds a Fraction.
 """
 
 from __future__ import annotations
@@ -29,12 +27,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 from ..errors import ConsistencyError
 
-Rational = Fraction
-
+# Bisections of the declared root interval at certification: the field's
+# fixed bounds of alpha, on which `integral_sign` decides almost every sign.
+ALPHA_BISECTIONS = 8
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -89,32 +88,10 @@ def poly_degree(c) -> int:
     return len(c) - 1
 
 
-def poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return poly_trim(out)
-
-
 def poly_scale(a, s):
     if s == 0:
         return []
     return [x * s for x in a]
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly_trim(out)
 
 
 def poly_divmod(a, b):
@@ -149,22 +126,6 @@ def poly_gcd(a, b):
     return poly_monic(a)
 
 
-def poly_ext_gcd(a, b):
-    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    r0, r1 = poly_trim(a), poly_trim(b)
-    s0, s1 = [_ONE], []
-    t0, t1 = [], [_ONE]
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1))
-    if not r0:
-        return [], s0, t0
-    inv = _ONE / r0[-1]
-    return poly_scale(r0, inv), poly_scale(s0, inv), poly_scale(t0, inv)
-
-
 def poly_derivative(a):
     return poly_trim([i * x for i, x in enumerate(a)][1:])
 
@@ -174,15 +135,6 @@ def poly_eval(a, x):
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def poly_eval_interval(a, lo, hi):
-    """Interval Horner evaluation: encloses {p(x) : x in [lo, hi]}."""
-    vlo = vhi = a[-1] if a else _ZERO
-    for c in reversed(a[:-1]):
-        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-        vlo, vhi = min(cands) + c, max(cands) + c
-    return vlo, vhi
 
 
 def sturm_chain(p):
@@ -232,14 +184,17 @@ class RealNumberField:
     certifies that the interval contains exactly one root.  Irreducibility is
     a precondition on the caller (division detects violations lazily).
 
+    Certification also bisects the interval ALPHA_BISECTIONS times and
+    keeps the result as the field's bounds of alpha (`_alpha_bounds`, and
+    `_alpha_int` over a common denominator) for the life of the field.
+    Instances are immutable after that: no sign ever changes them.
+
     A process holds one field per normalized (min_poly, lo, hi): the
     constructor returns the instance it certified first, so the checks run
-    once and every user shares the refined bounds of alpha.  Invalid input
-    raises before it reaches that cache.  A repeated call with the same
-    arguments (compared as given, before normalizing) returns the field at
-    once; unhashable arguments are normalized every time.  Instances are
-    immutable apart from the cached refinement of the isolating interval,
-    which never changes what they compare equal to.
+    once per process.  Invalid input raises before it reaches that cache.  A
+    repeated call with the same arguments (compared as given, before
+    normalizing) returns the field at once; unhashable arguments are
+    normalized every time.  Equality and hashing use the declared interval.
     """
 
     def __new__(cls, min_poly, root_interval):
@@ -284,7 +239,11 @@ class RealNumberField:
         self._min_poly = tuple(coeffs)
         self._interval = (lo, hi)
         d = self._degree = len(coeffs) - 1
-        self._set_alpha_bounds(lo, hi)
+        bounds = (lo, hi)
+        for _ in range(ALPHA_BISECTIONS):
+            bounds = self.refine_interval(*bounds)
+        self._alpha_bounds = bounds
+        self._alpha_int = _integer_bounds(*bounds, d)
         # Reduction rows: alpha^(d+k) on the power basis, for k = 0..d-2
         # (a product of two reduced elements has degree at most 2d-2).  They
         # are integers because min_poly is monic with integer coefficients.
@@ -297,28 +256,12 @@ class RealNumberField:
             current = [head * base[0]] + [current[i - 1] + head * base[i] for i in range(1, d)]
         self._reduction = tuple(rows)
 
-    def _set_alpha_bounds(self, lo, hi):
-        """Record a tighter interval around alpha (a cache only, so equality
-        and hashing use the declared interval).
-
-        `_alpha_int` holds the same bounds over a common denominator q as
-        (q*lo, q*hi, (q, q^2, ..., q^(d-1))), for the integer interval
-        Horner of `integral_sign`.
-        """
-        self._alpha_bounds = (lo, hi)
-        q = lcm(lo.denominator, hi.denominator)
-        scale = tuple(q**k for k in range(1, self._degree))
-        self._alpha_int = (lo.numerator * (q // lo.denominator),
-                           hi.numerator * (q // hi.denominator), scale)
-
     @classmethod
     @cache
     def rationals(cls) -> "RealNumberField":
         """The degree-1 field Q itself (alpha = 0), one shared instance.
 
-        Sharing is safe: the only mutable state of a field is its cached
-        refinement of alpha's bounds, and no sign in Q ever refines them
-        (`nf_sign` decides rational elements before any bisection).
+        Sharing is safe because no field changes after certification.
         """
         return cls([0, 1], (Fraction(-1), Fraction(1)))
 
@@ -335,11 +278,16 @@ class RealNumberField:
         return self._degree
 
     def element(self, coeffs) -> "AlgebraicReal":
+        """The element sum_k coeffs[k] alpha^k, for at most `degree` exact
+        rationals.  Over den, the lcm of their reduced denominators, the
+        numerator's coordinates have no common factor with den."""
         vals = [Fraction(require_exact(c)) for c in coeffs]
-        if len(vals) > self._degree:
+        d = self._degree
+        if len(vals) > d:
             raise ValueError("too many coefficients for field degree")
-        vals += [_ZERO] * (self._degree - len(vals))
-        return AlgebraicReal(self, tuple(vals))
+        den = lcm(*(v.denominator for v in vals))
+        num = tuple(v.numerator * (den // v.denominator) for v in vals) + (0,) * (d - len(vals))
+        return AlgebraicReal(self, IntegralElement(self, num), den)
 
     def from_rational(self, q) -> "AlgebraicReal":
         return self.element([q])
@@ -356,20 +304,8 @@ class RealNumberField:
             return self.from_rational(-self._min_poly[0])
         return self.element([0, 1])
 
-    def _reduce(self, product):
-        """Reduce a raw product (length <= 2d-1) modulo min_poly."""
-        d = self._degree
-        out = list(product[:d]) + [_ZERO] * max(0, d - len(product))
-        for k, c in enumerate(product[d:]):
-            if c == 0:
-                continue
-            row = self._reduction[k]
-            for i in range(d):
-                out[i] += c * row[i]
-        return tuple(out)
-
     def refine_interval(self, lo, hi):
-        """One bisection step on the isolating interval of alpha."""
+        """One bisection step on an isolating interval of alpha."""
         mid = (lo + hi) / 2
         vmid = poly_eval(self._min_poly, mid)
         if vmid == 0:
@@ -397,18 +333,37 @@ class RealNumberField:
         return f"RealNumberField({' + '.join(terms)}, ({format_rational(lo)}, {format_rational(hi)}))"
 
 
-class AlgebraicReal:
-    """Element of a fixed real number field, on the power basis.
+def _integer_bounds(lo, hi, degree):
+    """Bounds lo <= alpha <= hi over a common denominator q, as
+    (q*lo, q*hi, (q, q^2, ..., q^(degree-1))): the `alpha_int` of
+    `integral_enclosure`."""
+    q = lcm(lo.denominator, hi.denominator)
+    return (lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator),
+            tuple(q**k for k in range(1, degree)))
 
-    The coefficient tuple always has the field degree's length, so equality
-    and hashing are plain tuple comparisons.
+
+class AlgebraicReal:
+    """Element num / den of a fixed real number field.
+
+    num is an `IntegralElement` (integer coordinates on the power basis)
+    and den a positive int with no factor common to all of num's
+    coordinates and den.  This form is unique, so equality and hashing
+    compare (field, num, den).  Products are products in Z[alpha], the
+    inverse comes from `norm_adjugate` and the sign from `nf_sign`, all on
+    integers; `coeffs` is the rational view for output.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: RealNumberField, coeffs):
+    def __init__(self, field: RealNumberField, num: "IntegralElement", den: int = 1):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The power-basis coordinates as `Fraction`s."""
+        return tuple(Fraction(c, self.den) for c in self.num.coeffs)
 
     def _coerce(self, other):
         if isinstance(other, AlgebraicReal):
@@ -416,14 +371,16 @@ class AlgebraicReal:
                 raise ValueError("mixed number fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
+            field = self.field
+            num = (other.numerator,) + (0,) * (field.degree - 1)
+            return AlgebraicReal(field, IntegralElement(field, num), other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgebraicReal(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return _reduced(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
@@ -431,7 +388,7 @@ class AlgebraicReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgebraicReal(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _reduced(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -440,27 +397,23 @@ class AlgebraicReal:
         return o - self
 
     def __neg__(self):
-        return AlgebraicReal(self.field, tuple(-a for a in self.coeffs))
+        return AlgebraicReal(self.field, self.num * -1, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        raw = poly_mul(list(self.coeffs), list(o.coeffs))
-        return AlgebraicReal(self.field, self.field._reduce(raw))
+        return _reduced(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicReal":
+        """den / num = den adj(num) / N(num); a zero divisor (reducible
+        min_poly) raises `ZeroDivisionError`."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = poly_ext_gcd(list(self.coeffs), list(self.field.min_poly))
-        if poly_degree(g) != 0:
-            raise ZeroDivisionError("element is a zero divisor (min_poly reducible)")
-        d = self.field.degree
-        inv = poly_trim(s)
-        inv += [_ZERO] * (d - len(inv))
-        return AlgebraicReal(self.field, tuple(inv[:d]))
+        norm, adj = norm_adjugate(self.num)
+        return _reduced(IntegralElement(self.field, adj) * self.den, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -477,7 +430,7 @@ class AlgebraicReal:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
+        result = self._coerce(1)
         base = self
         while n:
             if n & 1:
@@ -487,37 +440,38 @@ class AlgebraicReal:
         return result
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num.coeffs[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num.coeffs[0], self.den)
 
     def evaluate(self, alpha_value):
         """Evaluate at a numeric alpha (for cross-checks; exactness not required)."""
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num.coeffs):
             acc = acc * alpha_value + c
-        return acc
+        return acc / self.den
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, AlgebraicReal) else other
-        if o is None or not isinstance(o, AlgebraicReal):
+        o = other if isinstance(other, AlgebraicReal) else self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.field == o.field and self.coeffs == o.coeffs
+        return self.field == o.field and self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.num.coeffs, self.den))
 
     def __repr__(self):
+        coeffs = self.coeffs
         if self.is_rational():
-            return format_rational(self.coeffs[0])
+            return format_rational(coeffs[0])
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(coeffs):
             if c == 0:
                 continue
             if i == 0:
@@ -529,41 +483,43 @@ class AlgebraicReal:
         return " + ".join(terms) if terms else "0"
 
 
+def _reduced(num: "IntegralElement", den: int) -> AlgebraicReal:
+    """num / den in lowest terms with a positive denominator (den != 0)."""
+    g = gcd(den, *num.coeffs)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = IntegralElement(num.field, tuple(c // g for c in num.coeffs))
+        den //= g
+    return AlgebraicReal(num.field, num, den)
+
+
 def nf_sign(x: AlgebraicReal) -> int:
     """Exact sign (-1, 0, +1) of x evaluated at the field's isolated root.
 
-    Zero is decided exactly: coefficient-wise for irreducible moduli, with a
-    gcd shortcut guarding the square-free-but-reducible case.  Nonzero signs
-    come from interval bisection, which then terminates.  Each call starts
-    from the tightest interval around alpha found so far (kept on the field)
-    and refines it further only when the sign is still ambiguous there.
+    The sign of x is the sign of its numerator in Z[alpha], enclosed by the
+    integer interval Horner of `integral_enclosure` on the field's bounds
+    of alpha.  When that enclosure straddles 0, a gcd with min_poly decides
+    whether x vanishes at alpha (exactly zero for irreducible moduli, and a
+    guard for the square-free but reducible case); otherwise bisecting a
+    local copy of the bounds ends, because x is nonzero at alpha.
     """
-    if x.is_zero():
+    c = x.num.coeffs
+    if not any(c):
         return 0
-    if x.is_rational():
-        c = x.coeffs[0]
-        return 1 if c > 0 else -1
     field = x.field
-    xp = poly_trim(list(x.coeffs))
-    lo, hi = field._alpha_bounds
-    zero_ruled_out = False
-    while True:
-        if lo == hi:
-            v = poly_eval(xp, lo)
-            return 0 if v == 0 else (1 if v > 0 else -1)
-        vlo, vhi = poly_eval_interval(xp, lo, hi)
-        if vlo > 0:
-            return 1
-        if vhi < 0:
-            return -1
-        if not zero_ruled_out:
-            g = poly_gcd(xp, list(field.min_poly))
-            if poly_degree(g) > 0 and count_real_roots(g, *field.root_interval) > 0:
-                # alpha is a common root, so x(alpha) = 0 despite nonzero coefficients.
-                return 0
-            zero_ruled_out = True
-        lo, hi = field.refine_interval(lo, hi)
-        field._set_alpha_bounds(lo, hi)
+    vlo, vhi = integral_enclosure(c, field._alpha_int)
+    if vlo <= 0 <= vhi:
+        g = poly_gcd(c, field.min_poly)
+        if poly_degree(g) > 0 and count_real_roots(g, *field.root_interval) > 0:
+            # alpha is a common root, so x(alpha) = 0 despite nonzero coefficients.
+            return 0
+        # On an interval collapsed onto a rational alpha the enclosure is exact.
+        lo, hi = field._alpha_bounds
+        while vlo <= 0 <= vhi:
+            lo, hi = field.refine_interval(lo, hi)
+            vlo, vhi = integral_enclosure(c, _integer_bounds(lo, hi, field.degree))
+    return 1 if vlo > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +532,10 @@ class IntegralElement:
 
     alpha is integral because min_poly is monic with integer coefficients,
     so sums and products stay in Z[alpha] and reduce with the field's
-    integer reduction rows.  This is the scalar of the number-field search:
-    it supports +, -, * (by elements and by ints) and comparison with 0;
-    signs come from `integral_sign` and exact division from
-    `integral_quotient`.
+    integer reduction rows.  This is the scalar of the number-field search
+    and the numerator of every `AlgebraicReal`: it supports +, -, * (by
+    elements and by ints) and comparison with 0; signs come from
+    `integral_sign` and exact division from `integral_quotient`.
     """
 
     __slots__ = ("field", "coeffs")
@@ -649,8 +605,8 @@ def integral_enclosure(coeffs, alpha_int):
 
     x has power-basis coordinates `coeffs`, and `alpha_int` is a field's
     `_alpha_int` (q*lo, q*hi, (q, ..., q^(d-1))) for bounds lo <= alpha <= hi
-    over a common denominator q.  This is the interval Horner of `nf_sign`
-    on the same bounds, scaled by q^(d-1) > 0, so every value stays an int.
+    over a common denominator q.  This is the interval Horner of x on
+    [lo, hi] scaled by q^(d-1) > 0, so every value stays an int.
     """
     lo, hi, scale = alpha_int
     vlo = vhi = coeffs[-1]
@@ -666,9 +622,9 @@ def integral_sign(x: IntegralElement) -> int:
     """Exact sign (-1, 0, +1) of x at the field's isolated root.
 
     The integer interval Horner of `integral_enclosure` over the field's
-    cached bounds of alpha decides almost every sign.  Only when that
-    interval cannot decide does `nf_sign` run, with its exact zero test and
-    interval refinement.
+    bounds of alpha decides almost every sign.  Only when that interval
+    cannot decide does `nf_sign` run, with its exact zero test and
+    bisection.
     """
     c = x.coeffs
     vlo, vhi = integral_enclosure(c, x.field._alpha_int)
@@ -678,7 +634,7 @@ def integral_sign(x: IntegralElement) -> int:
         return -1
     if not any(c):
         return 0
-    return nf_sign(x.field.element(c))
+    return nf_sign(AlgebraicReal(x.field, x))
 
 
 def norm_adjugate(p: IntegralElement):

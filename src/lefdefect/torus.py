@@ -29,7 +29,6 @@ from math import gcd, lcm
 from .errors import ConsistencyError, NotHodgeClass
 from .exactmath import (
     AlgebraicReal,
-    IntegralElement,
     RealNumberField,
     complement_data,
     integral_sign,
@@ -237,7 +236,8 @@ def elliptic(a, beta, field=None, label=None) -> ComplexTorus:
     On the lattice basis (1, tau) multiplication by i acts by
     J = [[-a/b, -b - a^2/b], [1/b, a/b]], which has trace 0 and determinant 1,
     hence J^2 = -I.  The integer J data is built directly, without a field
-    matrix: with beta = b/m for b in Z[alpha], 1/beta = m adj(b) / N(b)
+    matrix: with beta = b/m for b in Z[alpha] (its numerator and
+    denominator), 1/beta = m adj(b) / N(b)
     (`norm_adjugate`), so for a = p/q every entry of J is an integer
     combination of adj(b) and b over D = q^2 |N(b)| m.  beta > 0 is decided
     on b by `integral_sign`; a zero divisor b (reducible min_poly) raises
@@ -252,8 +252,7 @@ def elliptic(a, beta, field=None, label=None) -> ComplexTorus:
         if field is None:
             field = RealNumberField.rationals()
         beta = field.from_rational(beta)
-    m = lcm(*(c.denominator for c in beta.coeffs))
-    b = IntegralElement(field, tuple(c.numerator * (m // c.denominator) for c in beta.coeffs))
+    b, m = beta.num, beta.den
     if integral_sign(b) <= 0:
         raise ValueError("tau not in upper half plane")
     norm, adj = norm_adjugate(b)

@@ -15,8 +15,10 @@ coordinates off the echelon NS basis instead.  `saturation_holds` checks a
 claimed saturation against the properties that fix it, where the package
 computes it from Hermite forms.
 `reference_sign` decides the sign of a field element by bisecting the
-field's declared root interval anew, since the package shares one
-field, and its refined bounds of alpha, per (min_poly, interval).
+field's declared root interval anew, with no use of the field's bounds of
+alpha, and `reference_field_product` multiplies two elements as
+polynomials over `Fraction`s and reduces by long division by `min_poly`,
+with no use of the field's reduction rows.
 `reference_wedge` is the cup product as a loop over all subset pairs on
 coordinate lists, as it was before the cached table.
 `elliptic_products` draws product tori and `rebased` moves a torus to a
@@ -161,6 +163,23 @@ def reference_sign(field, coeffs) -> int:
             lo = mid
         else:
             hi = mid
+
+
+def reference_field_product(field, a, b):
+    """Power-basis coordinates, as `Fraction`s, of x * y for x and y given
+    by their coordinates `a` and `b` (ints or rationals): the polynomial
+    product, reduced by long division by the monic `min_poly`."""
+    d = field.degree
+    f = field.min_poly
+    raw = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            raw[i + j] += Fraction(x) * y
+    for e in range(len(raw) - 1, d - 1, -1):
+        c = raw[e]
+        for k in range(d + 1):
+            raw[e - d + k] -= c * f[k]
+    return tuple(raw[:d]) + (Fraction(0),) * (d - len(raw))
 
 
 def parts_matrix(field, den, parts):

@@ -44,10 +44,12 @@ from lefdefect.torus import (
 
 from references import (
     dense_matmul,
+    determinant,
     elliptic_products,
     matrix_squares_to_minus_identity,
     parts_matrix,
     rebased,
+    reference_field_product,
     squares_to_minus_identity,
 )
 
@@ -59,11 +61,15 @@ QUARTIC_DOC = {"min_poly": [-2, 0, 0, 0, 1], "root_interval": ["1", "3/2"]}
 @settings(max_examples=60, deadline=None)
 @given(coeffs=st.lists(st.integers(-6, 6), min_size=4, max_size=4).filter(any))
 def test_norm_adjugate_inverts_in_z_alpha(coeffs):
+    """b * adj(b) = N(b) on the reference product, and N(b) is, up to the
+    sign of the row swaps, the determinant of multiplication by b (columns
+    b * alpha^k)."""
     b = IntegralElement(QUARTIC, tuple(coeffs))
     norm, adj = norm_adjugate(b)
     assert norm != 0
-    assert b * IntegralElement(QUARTIC, adj) == norm
-    assert QUARTIC.element(adj) / norm == QUARTIC.element(coeffs).inverse()
+    assert reference_field_product(QUARTIC, coeffs, adj) == (norm, 0, 0, 0)
+    columns = [reference_field_product(QUARTIC, coeffs, [0] * k + [1]) for k in range(4)]
+    assert abs(norm) == abs(determinant([list(row) for row in zip(*columns)]))
 
 
 def test_norm_adjugate_of_zero_divisor_raises_zero_division():

@@ -43,7 +43,7 @@ class TestFieldConstruction:
     def test_rationals_is_one_shared_instance(self):
         Q = RealNumberField.rationals()
         assert Q is RealNumberField.rationals()
-        # Signs in Q never refine the shared instance's bounds of alpha.
+        # No sign changes the shared instance's bounds of alpha.
         bounds = Q._alpha_bounds
         assert [nf_sign(Q.from_rational(x)) for x in (F(-1, 9), 0, F(1, 10**9))] == [-1, 0, 1]
         assert Q._alpha_bounds == bounds
@@ -108,17 +108,20 @@ class TestSign:
 
     def test_cached_interval_gives_uncached_signs(self):
         # alpha = 2^(1/4) = 1.18920711500...; the tight values need many
-        # bisection steps, the loose ones none once the interval is refined.
+        # bisections beyond the field's bounds of alpha, the loose ones none.
+        # Each sign bisects its own copy: the field's bounds never change.
         declared = ([-2, 0, 0, 0, 1], (F(1), F(3, 2)))
         field = RealNumberField(*declared)
+        bounds = (field._alpha_bounds, field._alpha_int)
+        lo, hi = field._alpha_bounds
+        assert F(1) < lo < hi < F(3, 2)
         tight = [[F(-1189, 1000), 1], [F(-119, 100), 1], [F(-118920711, 10**8), 1],
                  [F(-14142, 10**4), 0, 1], [F(-141422, 10**5), 0, 1], [-2, 0, 0, 0]]
         loose = [[-1, 1], [2, -1], [0, 0, 1, -1], [1, 1, 1, 1], [0, -3, 0, 2]]
         sequence = tight + loose + tight[::-1] + loose + tight
         for coeffs in sequence:
             assert nf_sign(field.element(coeffs)) == reference_sign(field, coeffs)
-        lo, hi = field._alpha_bounds
-        assert F(1) < lo < hi < F(3, 2) and hi - lo < F(1, 10**6)
+            assert (field._alpha_bounds, field._alpha_int) == bounds
         assert field.root_interval == declared[1]
         assert field is RealNumberField(*declared)
         assert hash(field) == hash(RealNumberField(*declared))

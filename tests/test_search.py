@@ -6,9 +6,11 @@ Gaussian elimination with exact division (Fractions over Q, field division
 over a number field).  For a PSD matrix the rank is the size of its largest
 nonsingular principal block, so the same minors give the form rank.  The
 search stores number-field entries in Z[alpha] (`IntegralElement`); the
-reference converts them exactly back to `AlgebraicReal`s, and the Z[alpha]
-product, quotient and sign are compared with the field's own, and signs
-with a fresh bisection of the declared root interval.  The search
+reference converts them exactly back to `AlgebraicReal`s.  The Z[alpha]
+product and quotient, and the field's own arithmetic on elements with
+denominators, are compared with a polynomial product over `Fraction`s
+reduced by long division by min_poly, and signs with a fresh bisection of
+the declared root interval.  The search
 tree is compared too: its node count is at most the count by definition
 (every child of a prefix whose fixed principal blocks are all PSD), and
 its test plan is the maximal principal blocks, per connected component of
@@ -41,6 +43,7 @@ import copy
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
@@ -68,10 +71,12 @@ from lefdefect.exactmath import (
     AlgebraicReal,
     IntegralElement,
     RealNumberField,
+    integral_enclosure,
     integral_quotient,
     integral_sign,
     kernel_basis,
     nf_sign,
+    norm_adjugate,
     primitive_integer_vector,
     rank,
     restrict_scalars,
@@ -85,6 +90,7 @@ from references import (
     parts_matrix,
     rebase,
     rebased,
+    reference_field_product,
     reference_ns_coordinates,
     reference_sign,
     unimodular,
@@ -486,18 +492,10 @@ def assert_memo_keeps_the_search(search, box):
     """The scan that reuses single-level verdicts equals the scan that
     eliminates every test (every flag False), down to nodes and the pool of
     cuts in admission order, with no more eliminations.  Returns both
-    elimination counts.
-
-    Both scans start from the same bounds of alpha: a sign that the
-    interval cannot decide refines the field's shared bounds, and a cut's
-    weights are enclosed with the bounds of the moment."""
+    elimination counts."""
     plain = copy.copy(search)
     plain.single = [[False] * len(flags) for flags in search.single]
-    field = getattr(search.zero, "field", None)
-    bounds = field and field._alpha_bounds
     got, cuts, calls = counted_scan(search, box)
-    if field:
-        field._set_alpha_bounds(*bounds)
     expected, plain_cuts, plain_calls = counted_scan(plain, box)
     assert got == expected
     assert cuts == plain_cuts
@@ -563,6 +561,38 @@ def test_memo_saves_eliminations_on_survey_shaped_pairs(quartic_field, name, box
     assert result.nodes_visited == nodes
     assert len(searches[-1].cuts) == cuts
     assert calls[0] < eliminations
+
+
+def test_field_search_does_not_depend_on_earlier_signs(corpus):
+    """A field fixes its bounds of alpha at certification, so a search
+    over it visits the same nodes and keeps the same cuts whatever ran
+    before it in the process: the same scan twice on eia2 on a basis that
+    mixes its blocks, and `torus_defect` on that torus before and after a
+    sign that the field's bounds cannot decide."""
+    A = rebased(corpus["eia2"], random.Random(0))
+    assert counted_scan(_SearchData(A).search, 1) == counted_scan(_SearchData(A).search, 1)
+
+    def nodes_and_cuts():
+        searches = []
+        scan_range = _purekernels.scan_range
+
+        def scanned(search, *args):
+            searches.append(search)
+            return scan_range(search, *args)
+
+        with mock.patch.object(_purekernels, "scan_range", scanned):
+            result = torus_defect(A, box=2)
+        return result.nodes_visited, [list(search.cuts) for search in searches]
+
+    field = A.field
+    before = nodes_and_cuts()
+    bounds = (field._alpha_bounds, field._alpha_int)
+    tight = (-118920711, 10**8, 0, 0)  # 10^8 (alpha - 1.18920711), alpha = 1.1892071150...
+    vlo, vhi = integral_enclosure(tight, field._alpha_int)
+    assert vlo < 0 < vhi
+    assert integral_sign(IntegralElement(field, tight)) == 1
+    assert (field._alpha_bounds, field._alpha_int) == bounds
+    assert nodes_and_cuts() == before
 
 
 def test_patched_evaluate_sees_exactly_the_effective_records(corpus, monkeypatch):
@@ -645,11 +675,13 @@ def integral_psd_rank(M):
     return _purekernels.psd_rank(M, range(len(M)), integral_sign, integral_quotient)[0]
 
 
-# Z[alpha] arithmetic against AlgebraicReal / nf_sign.  The cubic
-# x^3 - 3x + 1 has its root 0.347... in (0, 1); -sqrt(3) sits in a negative
-# isolating interval.  The near-zero elements (99 - 70 sqrt(2) = 0.00505...,
-# 97 - 56 sqrt(3) = 0.00515...) straddle 0 on the declared interval, so their
-# signs need the refinement in `nf_sign`.
+# Z[alpha] and field arithmetic against `reference_field_product` (the
+# polynomial product over Fractions, reduced by long division by min_poly)
+# and signs against `reference_sign`.  The cubic x^3 - 3x + 1 has its root
+# 0.347... in (0, 1); -sqrt(3) sits in a negative isolating interval.  The
+# near-zero elements (99 - 70 sqrt(2) = 0.00505..., 97 - 56 sqrt(3) =
+# 0.00515...) straddle 0 on the field's bounds of alpha, so their signs need
+# the bisection in `nf_sign`.
 FIELDS = {
     "quartic": ([-2, 0, 0, 0, 1], (Fraction(1), Fraction(3, 2))),
     "sqrt2": ([-2, 0, 1], (Fraction(1), Fraction(2))),
@@ -682,32 +714,75 @@ def test_integral_arithmetic_and_sign_match_field(name, data):
     a = data.draw(integral_elements(name))
     b = data.draw(integral_elements(name))
     x, y = IntegralElement(K, a), IntegralElement(K, b)
-    X, Y = K.element(a), K.element(b)
-    assert K.element((x * y).coeffs) == X * Y
-    assert K.element((x + y).coeffs) == X + Y
-    assert K.element((x - y).coeffs) == X - Y
-    assert K.element((-3 * x).coeffs) == -3 * X
-    for z, Z in ((x, X), (x * y, X * Y), (x - y, X - Y)):
-        assert integral_sign(z) == reference_sign(K, Z.coeffs)
-    assert (x == 0) == X.is_zero()
+    assert (x * y).coeffs == reference_field_product(K, a, b)
+    assert (x + y).coeffs == tuple(p + q for p, q in zip(a, b))
+    assert (x - y).coeffs == tuple(p - q for p, q in zip(a, b))
+    assert (-3 * x).coeffs == tuple(-3 * p for p in a)
+    for z in (x, x * y, x - y):
+        assert integral_sign(z) == reference_sign(K, z.coeffs)
+    assert (x == 0) == (not any(a))
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_integral_quotient_matches_field_division(name, data):
+    """x / p is in Z[alpha] exactly when x * adj(p) is divisible by N(p),
+    with p * adj(p) = N(p) checked on the reference product; then the
+    quotient q satisfies q * p = x, and otherwise the division raises."""
     K = RealNumberField(*FIELDS[name])
     a = data.draw(integral_elements(name))
     b = data.draw(integral_elements(name, nonzero=True))
     x, p = IntegralElement(K, a), IntegralElement(K, b)
     divide = integral_quotient(p)
     assert divide(x * p).coeffs == a
-    exact = K.element(a) / K.element(b)
-    if all(c.denominator == 1 for c in exact.coeffs):
-        assert K.element(divide(x).coeffs) == exact
+    norm, adj = norm_adjugate(p)
+    assert reference_field_product(K, b, adj) == (norm,) + (0,) * (K.degree - 1)
+    if all(c % norm == 0 for c in reference_field_product(K, a, adj)):
+        assert reference_field_product(K, divide(x).coeffs, b) == a
     else:
         with pytest.raises(ConsistencyError):
             divide(x)
+
+
+@st.composite
+def field_elements(draw, name):
+    """Coordinates of a field element: integral ones over a denominator."""
+    den = draw(st.integers(1, 12))
+    return tuple(Fraction(c, den) for c in draw(integral_elements(name)))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_field_arithmetic_matches_reference(name, data):
+    """`AlgebraicReal` + - * / ** and inverse on elements with
+    denominators, against coordinate sums and `reference_field_product`;
+    every result is in lowest terms and equals the element of its own
+    coordinates."""
+    K = RealNumberField(*FIELDS[name])
+    one = (1,) + (0,) * (K.degree - 1)
+    a, b = data.draw(field_elements(name)), data.draw(field_elements(name))
+    X, Y = K.element(a), K.element(b)
+    results = [X, Y, X + Y, X - Y, -X, X * Y, X**3, X + Fraction(1, 3), 2 - X]
+    assert [Z.coeffs for Z in results] == [
+        a, b, tuple(p + q for p, q in zip(a, b)), tuple(p - q for p, q in zip(a, b)),
+        tuple(-p for p in a), reference_field_product(K, a, b),
+        reference_field_product(K, reference_field_product(K, a, a), a),
+        (a[0] + Fraction(1, 3),) + a[1:], (2 - a[0],) + tuple(-p for p in a[1:])]
+    assert X**0 == 1 and X**1 == X
+    if any(b):
+        quotients = [Y.inverse(), X / Y, 1 / Y, Y**-2]
+        results += quotients
+        assert [reference_field_product(K, Z.coeffs, b) for Z in quotients] == [
+            one, a, one, Y.inverse().coeffs]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            Y.inverse()
+    for Z in results:
+        assert Z.den > 0 and gcd(Z.den, *Z.num.coeffs) == 1
+        assert Z == K.element(Z.coeffs) and hash(Z) == hash(K.element(Z.coeffs))
+        assert nf_sign(Z) == reference_sign(K, Z.coeffs)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))

@@ -14,7 +14,7 @@ side by side in one process and alternates them call by call:
 
 The package uses only relative imports, so every copy runs on its own
 modules, and `bench_search.py` and `bench_layers.py` are imported once per
-side with `lefdefect` bound to that side's package.  There are three kinds
+side with `lefdefect` bound to that side's package.  There are four kinds
 of case:
 
 * search: `bench_search.py`'s cases, `torus_defect` on tori built
@@ -28,6 +28,9 @@ of case:
   its curves' (a, beta coordinates) as
   `product([elliptic(a, K.element(beta)), ...])`.  The tori's J data
   (j_den, j_parts) must be the same on all sides.
+* voisin: one per `bench_layers.py` torus, `check_voisin` on the torus
+  built anew with its NS basis (untimed).  The check's status and detail
+  must be the same on all sides.
 
 Per case and round, each side runs a batch of calls, timed with
 `time.process_time` after `gc.collect()` and with the collector disabled
@@ -46,8 +49,8 @@ Usage (from the root of a git checkout):
         [--skip CASE ...]
 
 `--skip` defaults to "E_i^3, box 3", which takes seconds per search.  The
-quotient cases are named "quotient, <torus>" and the construction cases
-"construction, <torus>".
+quotient cases are named "quotient, <torus>", the construction cases
+"construction, <torus>" and the voisin cases "voisin, <torus>".
 """
 
 import argparse
@@ -187,6 +190,21 @@ def construction_case(index):
             lambda found: {"j_den": found[0]})
 
 
+def voisin_case(index):
+    """(name, make, run, answer, record) of `check_voisin` on the torus of
+    `bench_layers.layer_tori()[index]`, built with its NS basis by `make`;
+    the answer is the check's (status, detail)."""
+    def make(side):
+        A = side.layers.layer_tori()[index][1]()
+        side.layers.ns_basis(A)
+        return A
+
+    return ("voisin, " + bench_layers.layer_tori()[index][0], make,
+            lambda side, A: side.layers.check_voisin(A),
+            lambda side, result: (result.status, result.detail),
+            lambda found: {"status": found[0]})
+
+
 def extract_src(rev, target):
     """REV's src/ tree, written under `target` with `git archive`; returns
     the resolved commit."""
@@ -272,7 +290,8 @@ def main():
         label = args.label or f"vs {commit[:7]}"
         tori = range(len(bench_layers.layer_tori()))
         cases = ([search_case(i) for i in range(len(bench_search.CASES))]
-                 + [quotient_case(i) for i in tori] + [construction_case(i) for i in tori])
+                 + [quotient_case(i) for i in tori] + [construction_case(i) for i in tori]
+                 + [voisin_case(i) for i in tori])
         rows = []
         print(f"{'case':<26} {'answer':>12} {'reps':>5} {'change/parent':>24} {'A/A':>24}")
         for case in cases:

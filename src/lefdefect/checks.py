@@ -4,7 +4,8 @@ Each check recomputes one of the structural identities the defect machinery
 relies on, on a concrete torus, through two independent code paths:
 
 * voisin    - kernel of restriction to a divisor subtorus equals the kernel
-              of cup product with its Poincare dual, on the NS subspace.
+              of cup product with its Poincare dual, on the NS subspace,
+              compared as canonical `kernel_basis` lists.
 * kunneth   - Picard number of a product splits as rho(C) + rho(T) + rk Hom.
 * lefschetz - cup product with a polarization is injective on all of H^2
               when the dimension is at least 3.
@@ -23,7 +24,7 @@ from .classifier import IsogenyFactor, IsogenySpec, classify
 from .cohomology import cup_matrix, poincare_dual, restriction_map, wedge, wedge_basis
 from .effectivity import DefectSearchResult, is_effective_class, torus_defect
 from .errors import ConsistencyError
-from .exactmath import kernel_basis, rank
+from .exactmath import kernel_basis
 from .exactmath.linalg import bareiss_echelon
 from .torus import (
     AlternatingForm,
@@ -47,26 +48,18 @@ class CheckResult:
     detail: str
 
 
-def subspaces_equal(vs, ws) -> bool:
-    """Equal length and equal spans, checked exactly: the spans agree when
-    V, W and V together with W all have the same rank.  Integer vectors
-    (as `check_voisin` passes them) are ranked without any `Fraction`."""
-    if len(vs) != len(ws):
-        return False
-    return rank(list(vs)) == rank(list(ws)) == rank(list(vs) + list(ws))
-
-
 def restriction_kernel_on_ns(A: ComplexTorus, W):
-    """Kernel, in NS-basis coordinates, of restriction to W: the integer
-    2x2 minors of W's basis applied to the integer NS basis forms."""
+    """Canonical kernel basis, in NS-basis coordinates, of restriction to W:
+    the integer 2x2 minors of W's basis applied to the integer NS basis
+    forms."""
     ns = [b.pair_num() for b in ns_basis(A)]
     R = restriction_map(A, W)
     return kernel_basis([[sum(map(mul, row, b)) for b in ns] for row in R])
 
 
 def cup_dual_kernel_on_ns(A: ComplexTorus, W):
-    """Kernel, in NS-basis coordinates, of cup product with the integer
-    Poincare dual of W."""
+    """Canonical kernel basis, in NS-basis coordinates, of cup product with
+    the integer Poincare dual of W."""
     N = 2 * A.n
     dual = poincare_dual(A, W)
     images = [wedge(N, 2, W.corank, b.pair_num(), dual) for b in ns_basis(A)]
@@ -74,14 +67,19 @@ def cup_dual_kernel_on_ns(A: ComplexTorus, W):
 
 
 def check_voisin(A: ComplexTorus) -> CheckResult:
-    """Restriction kernel vs cup-product kernel for divisor subtori."""
+    """Restriction kernel vs cup-product kernel for divisor subtori.
+
+    `kernel_basis` returns the canonical echelon basis of a kernel, which
+    depends on the kernel alone, so the two kernels are equal exactly when
+    their bases are equal lists.
+    """
     lattices = coordinate_factor_sublattices(A, corank=2)
     if not lattices:
         return CheckResult("voisin", "skipped", "no corank-2 factor sublattices declared")
     for subset, W in lattices:
         k_restrict = restriction_kernel_on_ns(A, W)
         k_cup = cup_dual_kernel_on_ns(A, W)
-        if not subspaces_equal(k_restrict, k_cup):
+        if k_restrict != k_cup:
             return CheckResult(
                 "voisin",
                 "fail",

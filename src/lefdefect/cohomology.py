@@ -6,9 +6,12 @@ combinatorics with shuffle signs.  A class is its list of coordinates over
 that basis and a linear map its list of rows, both integers: the class of
 a divisor form E is its integer pair coordinates (den * E, `pair_num`),
 which changes no kernel.  Each product H^p x H^q -> H^(p+q) is read off one
-cached table (`wedge_table`).  The central operation is the kernel of cup
-product with a divisor class on the Neron-Severi subspace of H^2: its
-dimension is the per-divisor defect, and every such rank is one
+cached table (`wedge_table`), and so is every minor: the pullback of
+2-forms to a sublattice (`restriction_map`) has the wedges w_a ^ w_b of its
+basis vectors as rows, and the class of a subtorus (`poincare_dual`) is the
+wedge of the rows of its quotient projection.  The central operation is
+the kernel of cup product with a divisor class on the Neron-Severi subspace
+of H^2: its dimension is the per-divisor defect, and every such rank is one
 fraction-free (Bareiss) elimination on ints.
 """
 
@@ -18,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import NotHodgeClass
-from .exactmath.linalg import bareiss_echelon, determinant
+from .exactmath.linalg import bareiss_echelon
 from .torus import AlternatingForm, ComplexTorus, Sublattice, ns_basis
 
 
@@ -140,41 +143,38 @@ def restriction_map(A: ComplexTorus, W: Sublattice) -> list:
     """Integer matrix of the pullback of 2-forms along the inclusion of a
     sublattice.
 
-    Row (a, b), for basis vectors a < b of W, holds the 2x2 minors of the
-    basis matrix: the pullback of e_i* ^ e_j* evaluated on the pair, in
-    the column of the lattice pair i < j.
+    Row (a, b), for basis vectors a < b of W, is w_a ^ w_b: its entry in
+    the column of the lattice pair i < j is the 2x2 minor of W's basis on
+    rows a, b and columns i, j, the pullback of e_i* ^ e_j* evaluated on
+    the pair.
     """
     if W.torus != A:
         raise ValueError("sublattice belongs to a different torus")
     if W.rank < 2:
         raise ValueError("restriction to degree 2 needs rank at least 2")
-    basis = W.basis
-    return [
-        [basis[a][i] * basis[b][j] - basis[b][i] * basis[a][j]
-         for i, j in wedge_basis(2 * A.n, 2)]
-        for a, b in combinations(range(W.rank), 2)
-    ]
+    N, basis = 2 * A.n, W.basis
+    return [wedge(N, 1, 1, basis[a], basis[b]) for a, b in combinations(range(W.rank), 2)]
 
 
 def poincare_dual(A: ComplexTorus, W: Sublattice) -> list:
     """Integer coordinates of the class of the subtorus W: the pullback of
     the top class of the quotient.
 
-    For corank 2c, the coordinates over 2c-subsets are the maximal minors of
-    the quotient projection P of W's `complement_data`, so the sign is the
-    orientation of P's rows: for unit Hermite pivots, the non-pivot
-    coordinates in increasing order.  W = full lattice gives the degree-0
-    unit [1].
+    For corank c this is the wedge P_1 ^ ... ^ P_c of the rows of the
+    quotient projection P of W's `complement_data`, so its coordinates over
+    the c-subsets are P's maximal minors and the sign is the orientation of
+    P's rows: for unit Hermite pivots, the non-pivot coordinates in
+    increasing order.  W = full lattice gives the degree-0 unit [1].
     """
     if W.torus != A:
         raise ValueError("sublattice belongs to a different torus")
     if W.corank == 0:
         return [1]
-    P = W.projection  # codim x N integer rows
-    return [
-        determinant([[row[j] for j in subset] for row in P])
-        for subset in wedge_basis(2 * A.n, W.corank)
-    ]
+    N, P = 2 * A.n, W.projection  # corank x N integer rows
+    dual = list(P[0])
+    for k in range(1, W.corank):
+        dual = wedge(N, k, 1, dual, P[k])
+    return dual
 
 
 def lambda_defect(A: ComplexTorus, L, D: AlternatingForm) -> int:

@@ -42,7 +42,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import _purekernels
-from .cohomology import wedge, wedge_basis
+from .cohomology import wedge, wedge_basis, wedge_index
 from .errors import ConsistencyError, NotHodgeClass
 from .exactmath import IntegralElement, kernel_basis, primitive_integer_vector, rank
 from .torus import (
@@ -266,7 +266,7 @@ def _fiber_coordinates(A: ComplexTorus, pairs, N: int):
     basis spans the J-compatible forms over Q, so a fiber without
     coordinates is exactly one that is not a Hodge class.
     """
-    index = {pair: k for k, pair in enumerate(combinations(range(N), 2))}
+    index = wedge_index(N, 2)
     fibers = []
     for block in pairs:
         x = [0] * len(index)

@@ -5,7 +5,10 @@ fraction-free (Bareiss) Gaussian elimination on integer rows, which keeps
 intermediate entries at the size of minors of the input instead of letting
 fractions compound.  Rows of `Fraction`s are accepted as input and cleared
 of denominators row by row first (`integer_rows`); kernel vectors come out
-as integers.  A system with number-field entries can be handled by
+as integers, in a canonical echelon form that depends on the kernel alone,
+so two kernels are equal exactly when their bases are equal lists.  There
+is no determinant routine: the minors the package needs are wedge products
+(`cohomology.wedge`).  A system with number-field entries can be handled by
 restriction of scalars: a K-linear condition on a rational vector splits
 into `degree` rational conditions, one per power-basis coordinate.  The
 torus code needs no such systems, because it works on J's integer
@@ -69,22 +72,6 @@ def bareiss_echelon(rows):
         if r == nrows:
             break
     return pivots
-
-
-def determinant(rows) -> int:
-    """Exact determinant of a square integer matrix.
-
-    `bareiss_echelon` on a copy leaves the determinant of its row order in
-    the last pivot; it reorders the rows by swapping the row lists, so their
-    identities give the permutation, whose parity fixes the sign.
-    """
-    m = [list(r) for r in rows]
-    origin = {id(r): i for i, r in enumerate(m)}
-    if len(bareiss_echelon(m)) < len(m):
-        return 0
-    order = [origin[id(r)] for r in m]
-    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-    return -m[-1][-1] if inversions % 2 else m[-1][-1]
 
 
 def rank(matrix) -> int:

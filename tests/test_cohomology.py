@@ -229,7 +229,7 @@ class TestRestrictionMap:
     def test_ring_map_on_wedges(self, triple):
         # restriction commutes with wedge: pullback of a product of two
         # 2-classes equals the product of the pullbacks (degree-4 check)
-        from lefdefect.exactmath.linalg import determinant
+        from references import determinant
 
         A = triple
         W = coordinate_sublattice(A, (0, 1))  # rank 4
@@ -311,10 +311,34 @@ class TestLambdaDefect:
 
 class TestVoisinKernelEquality:
     def test_kernels_agree_on_divisor_subtori(self, triple):
-        from lefdefect.checks import cup_dual_kernel_on_ns, restriction_kernel_on_ns, subspaces_equal
+        from lefdefect.checks import cup_dual_kernel_on_ns, restriction_kernel_on_ns
         from lefdefect.torus import coordinate_factor_sublattices
 
         for _, W in coordinate_factor_sublattices(triple, corank=2):
             k1 = restriction_kernel_on_ns(triple, W)
             k2 = cup_dual_kernel_on_ns(triple, W)
-            assert subspaces_equal(k1, k2)
+            assert k1 == k2
+
+    def test_check_fails_on_a_different_span_of_the_same_dimension(self, triple, monkeypatch):
+        # A canonical kernel basis with as many vectors as the true one but
+        # another span must fail the check: equal dimensions are not enough.
+        from lefdefect import checks
+        from lefdefect.exactmath import kernel_basis
+
+        rho = ns_rank(triple)
+        true_kernel = checks.cup_dual_kernel_on_ns
+
+        def other_span(A, W):
+            kernel = true_kernel(A, W)
+            d = len(kernel)
+            assert 0 < d < rho
+            units = [[int(i == j) for j in range(rho)] for i in range(rho)]
+            # The spans of the last d and of the first d unit vectors differ,
+            # so at least one of them is not the kernel.
+            return next(other for other in (kernel_basis(units[:rho - d]), kernel_basis(units[d:]))
+                        if other != kernel)
+
+        monkeypatch.setattr(checks, "cup_dual_kernel_on_ns", other_span)
+        result = checks.check_voisin(triple)
+        assert result.status == "fail"
+        assert "kernels differ for factor subset" in result.detail

@@ -76,7 +76,48 @@ sparse_matrices = st.integers(min_value=1, max_value=6).flatmap(
 )
 
 
+@st.composite
+def row_space_rewrites(draw):
+    """A matrix of int and `Fraction` rows, and the same matrix after a few
+    operations that keep its row space: a row permutation, a row rescaled by
+    a nonzero rational, row_i += c * row_j (i != j), an appended zero row and
+    an appended duplicate row."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.one_of(st.integers(min_value=-4, max_value=4),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    rewritten = [list(r) for r in rows]
+    nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    for op in draw(st.lists(st.sampled_from(["permute", "scale", "add", "zero", "duplicate"]),
+                            min_size=1, max_size=4)):
+        i = draw(st.integers(min_value=0, max_value=len(rewritten) - 1))
+        if op == "permute":
+            rewritten = draw(st.permutations(rewritten))
+        elif op == "scale":
+            c = draw(nonzero)
+            rewritten[i] = [c * x for x in rewritten[i]]
+        elif op == "add" and len(rewritten) > 1:
+            j = draw(st.integers(min_value=0, max_value=len(rewritten) - 2))
+            j += j >= i
+            c = draw(st.one_of(st.integers(min_value=-3, max_value=3), nonzero))
+            rewritten[i] = [x + c * y for x, y in zip(rewritten[i], rewritten[j])]
+        elif op == "zero":
+            rewritten.append([0] * ncols)
+        elif op == "duplicate":
+            rewritten.append(list(rewritten[i]))
+    return rows, rewritten
+
+
 class TestRankNullity:
+    @given(row_space_rewrites())
+    @settings(max_examples=120, deadline=None)
+    def test_kernel_basis_depends_only_on_row_space(self, pair):
+        # The contract `check_voisin` compares kernels by: the canonical
+        # basis is a function of the kernel, so equal spans give equal lists.
+        rows, rewritten = pair
+        assert kernel_basis(rows) == kernel_basis(rewritten)
+
     @given(matrices)
     @settings(max_examples=120, deadline=None)
     def test_rank_plus_nullity(self, rows):

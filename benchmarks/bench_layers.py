@@ -28,11 +28,11 @@ runs:
   `radical` saturates (those of the nonzero radicals), and
 * `check_voisin`, the restriction and Poincare-dual kernels on every
   corank-2 coordinate sublattice,
-* `search_data`: the search's set-up (`_SearchData`: the symmetric parts'
-  nonzero entries, the cup products of basis pairs and the test plan) on
+* `search_data`: the search's set-up (`_search`: the symmetric parts'
+  nonzero entries, the cup table from `ns_cup_matrix` and the test plan) on
   the torus, whose NS basis is already built,
 * `structured_candidates`: the search's structured candidate vectors
-  (`_structured_candidate_vectors`, on search data whose NS basis is
+  (`_structured_candidate_vectors`, on the torus, whose NS basis is
   already built), and `ns_coordinates` on fresh copies of the fiber forms,
   and
 * three micro-benchmarks of the search's scalar layers: `integral_sign`
@@ -65,7 +65,7 @@ import tempfile
 import time
 
 from bench_search import CASES
-from lefdefect import _purekernels
+from lefdefect import _purekernels, effectivity
 from lefdefect.checks import check_voisin
 from lefdefect.cohomology import defect_of_class, ns_cup_matrix
 from lefdefect.exactmath import (
@@ -78,9 +78,7 @@ from lefdefect.exactmath import (
     saturate,
 )
 from lefdefect.effectivity import (
-    _SearchData,
     _search_class,
-    _structured_candidate_vectors,
     divisor_case_data,
     is_effective_class,
     radical,
@@ -215,9 +213,11 @@ def measure(build, repeat):
         lambda fresh: [ns_cup_matrix(A, E) for E in fresh],
         lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
     voisin, voisin_s = best_time(lambda _: check_voisin(A), lambda: None, repeat)
-    data, search_data_s = best_time(_SearchData, lambda: A, repeat)
+    # Read at call time: `bench_ab.py` imports this script for an older
+    # package too, where these names may differ, and never calls `measure`.
+    search, search_data_s = best_time(effectivity._search, lambda: A, repeat)
     structured, structured_s = best_time(
-        lambda d: _structured_candidate_vectors(A, d), lambda: data, repeat)
+        effectivity._structured_candidate_vectors, lambda: A, repeat)
     fiber_coords, coords_s = best_time(
         lambda fresh: [ns_coordinates(A, E) for E in fresh],
         lambda: [AlternatingForm(A, m) for m in fiber_forms(A)], repeat)
@@ -251,7 +251,7 @@ def measure(build, repeat):
         "document_rho": ns_rank(doc.torus),
         "sign_sum": int_sign_sum,
         "psd_rank_sum": psd,
-        "search_entries": sum(len(entries) for entries in data.search.nonzero),
+        "search_entries": sum(len(entries) for entries in search.nonzero),
         "structured_vectors": len(structured),
         "fiber_ns_classes": sum(c is not None for c in fiber_coords),
         "seconds": {

@@ -61,7 +61,7 @@ pivot.  So Q and number fields share the search and its integer arithmetic.
 
 from __future__ import annotations
 
-from .exactmath import IntegralElement, integral_enclosure, integral_quotient, integral_sign
+from .exactmath import integral_enclosure, integral_quotient, integral_sign
 from .exactmath.linalg import bareiss_echelon
 
 
@@ -215,17 +215,18 @@ class _Search:
     `nonzero[b]` lists the nonzero entries (r, c, value) of the N x N
     symmetric part S_b of basis element b, both (r, c) and (c, r), row by
     row; no dense S_b is kept.  `w_pairs[i][j]` is the coordinate vector
-    (length m4) of the cup product of basis elements i and j.  Subclasses
-    fix the scalar kind: its `sign` and exact `quotient`, as `psd_rank`
-    takes them.
+    in H^4 of the cup product of basis elements i and j.  `zero` is the
+    scalar zero.  The Picard number rho is the number of S_b, and m4, the
+    length of a cup product, is read off the table.  Subclasses fix the
+    scalar kind: its `sign` and exact `quotient`, as `psd_rank` takes them.
     """
 
-    def __init__(self, nonzero, w_pairs, rho, N, m4, zero):
+    def __init__(self, nonzero, w_pairs, N, zero):
         self.nonzero = nonzero
         self.w_pairs = w_pairs
-        self.rho = rho
+        rho = self.rho = len(nonzero)
         self.N = N
-        self.m4 = m4
+        self.m4 = len(w_pairs[0][0]) if rho else 0
         self.zero = zero
         self.full = tuple(range(N))
         fibers = [b for b in range(rho) if any(r == c for r, c, _ in self.nonzero[b])]
@@ -282,13 +283,11 @@ class _Search:
 
 
 class IntSearch(_Search):
-    """Search state for a torus whose symmetric parts are integer matrices."""
+    """Search state for a torus whose symmetric parts are integer matrices;
+    its zero is 0."""
 
     sign = staticmethod(int_sign)
     quotient = staticmethod(int_quotient)
-
-    def __init__(self, nonzero, w_pairs, rho, N, m4):
-        super().__init__(nonzero, w_pairs, rho, N, m4, 0)
 
     @staticmethod
     def enclosures(weights):
@@ -297,14 +296,11 @@ class IntSearch(_Search):
 
 
 class FieldSearch(_Search):
-    """Search state when the symmetric parts have entries in Z[alpha]
-    (`IntegralElement`s of `field`)."""
+    """Search state when the symmetric parts have entries in Z[alpha]:
+    `IntegralElement`s of one field, as is its zero."""
 
     sign = staticmethod(integral_sign)
     quotient = staticmethod(integral_quotient)
-
-    def __init__(self, nonzero, w_pairs, rho, N, m4, field):
-        super().__init__(nonzero, w_pairs, rho, N, m4, IntegralElement(field, (0,) * field.degree))
 
     def enclosures(self, weights):
         """(scale, [(lo, hi), ...]) with lo <= scale * w(alpha) <= hi, all

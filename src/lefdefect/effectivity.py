@@ -20,7 +20,10 @@ is built when those coordinates show that every one lies in the box
 (`_extras_inside_box`).  The box is covered by a pruned depth-first search
 (see `_purekernels`):
 `classes_scanned` counts every box candidate it decides, visited or pruned,
-and `nodes_visited` the search-tree nodes it actually enters.
+and `nodes_visited` the search-tree nodes it actually enters.  `_search`
+builds the search straight from the torus: the symmetric parts of the NS
+basis and a cup table whose row i is `ns_cup_matrix(A, b_i)`, so a leaf's
+defect comes from the same products that `defect_of_class` eliminates.
 
 Everything here runs on the torus's integer J data, with one scalar kind per
 torus.  With J = sum_k alpha^k J_k on the power basis and D the common
@@ -42,7 +45,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import _purekernels
-from .cohomology import wedge, wedge_basis, wedge_index
+from .cohomology import ns_cup_matrix, wedge_index
 from .errors import ConsistencyError, NotHodgeClass
 from .exactmath import IntegralElement, kernel_basis, primitive_integer_vector, rank
 from .torus import (
@@ -60,7 +63,9 @@ from .torus import (
     subtorus,
 )
 
-# The search is pure Python; there is no compiled kernel.
+# The search is pure Python; there is no compiled kernel.  The constant stays
+# because the benchmark (`perfbench/run.py`) reads it to confirm that it
+# measures the pure path.
 HAVE_COMPILED_KERNELS = False
 
 
@@ -78,11 +83,17 @@ def symmetric_part(A: ComplexTorus, E: AlternatingForm):
     return _dense(A, _symmetric_entries(A, E))
 
 
+def _zero(A: ComplexTorus):
+    """The scalar zero of A's kind: 0, or 0 in Z[alpha] when J is not
+    rational."""
+    return 0 if A.rational_j else IntegralElement(A.field, (0,) * A.field.degree)
+
+
 def _dense(A: ComplexTorus, entries):
     """The N x N matrix with these nonzero entries (r, c, value) and the
     scalar zero of A's kind everywhere else."""
     N = 2 * A.n
-    zero = 0 if A.rational_j else IntegralElement(A.field, (0,) * len(A.j_parts))
+    zero = _zero(A)
     S = [[zero] * N for _ in range(N)]
     for r, c, x in entries:
         S[r][c] = x
@@ -221,43 +232,27 @@ def _symmetric_entries(A: ComplexTorus, E: AlternatingForm):
             for c, coeffs in enumerate(zip(*rows)) if any(coeffs)]
 
 
-class _SearchData:
-    """Precomputed integer data for scanning one torus.
+def _search(A: ComplexTorus):
+    """The search of A: an `IntSearch` when J is rational, a `FieldSearch`
+    otherwise (`_search_class`).
 
-    With J = sum_k alpha^k J_k on the power basis and D the common
-    denominator of the J_k, each symmetric part D * S_b =
-    sum_k alpha^k (E_b * D J_k) is kept as its nonzero entries
-    (`_symmetric_entries`): ints when J is rational, and `IntegralElement`s
-    (entries of Z[alpha], alpha integral since min_poly is monic with
-    integer coefficients) otherwise.  The positive factor D changes neither
-    semidefiniteness nor rank.  The cup products of basis pairs are
-    computed once per unordered pair, since degree-2 classes commute.
+    Each symmetric part D * S_b = sum_k alpha^k (E_b * D J_k) is kept as its
+    nonzero entries (`_symmetric_entries`); the positive factor D changes
+    neither semidefiniteness nor rank.  Row i of the cup table is
+    `ns_cup_matrix(A, b_i)`, whose row j is b_j ^ b_i.  By bilinearity the
+    rows sum_i c_i (b_j ^ b_i) that `evaluate` adds up for a leaf
+    x = sum_i c_i b_i are `ns_cup_matrix(A, x)`, the matrix that
+    `defect_of_class` eliminates.
     """
-
-    def __init__(self, A: ComplexTorus):
-        if A.n < 2:
-            raise ValueError("global defect search needs dimension at least 2")
-        self.torus = A
-        self.basis = ns_basis(A)
-        rho = self.rho = len(self.basis)
-        N = self.N = 2 * A.n
-        self.m4 = len(wedge_basis(N, 4))
-        # The basis forms are primitive integer forms (den 1).
-        self.e_int = [b.num for b in self.basis]
-        # Cup products of basis pairs: integer coordinate vectors in H^4.
-        pairs = [b.pair_num() for b in self.basis]
-        w = self.w_pairs = [[None] * rho for _ in range(rho)]
-        for i, p in enumerate(pairs):
-            for j in range(i, rho):
-                w[i][j] = w[j][i] = wedge(N, 2, 2, p, pairs[j])
-        nonzero = [_symmetric_entries(A, b) for b in self.basis]
-        if A.rational_j:
-            self.search = _purekernels.IntSearch(nonzero, w, rho, N, self.m4)
-        else:
-            self.search = _purekernels.FieldSearch(nonzero, w, rho, N, self.m4, A.field)
+    if A.n < 2:
+        raise ValueError("global defect search needs dimension at least 2")
+    basis = ns_basis(A)
+    nonzero = [_symmetric_entries(A, b) for b in basis]
+    w_pairs = [ns_cup_matrix(A, b) for b in basis]
+    return _search_class(A)(nonzero, w_pairs, 2 * A.n, _zero(A))
 
 
-def _fiber_coordinates(A: ComplexTorus, pairs, N: int):
+def _fiber_coordinates(A: ComplexTorus, pairs):
     """Per declared block (its `fiber_pairs`), the coordinates of its fiber
     form over the NS basis, or None when the fiber is not an NS class.
 
@@ -266,7 +261,7 @@ def _fiber_coordinates(A: ComplexTorus, pairs, N: int):
     basis spans the J-compatible forms over Q, so a fiber without
     coordinates is exactly one that is not a Hodge class.
     """
-    index = wedge_index(N, 2)
+    index = wedge_index(2 * A.n, 2)
     fibers = []
     for block in pairs:
         x = [0] * len(index)
@@ -312,7 +307,7 @@ def _extras_inside_box(fibers, box: int) -> bool:
     return all(sum(abs(x.numerator) for x in column) <= box for column in zip(*known))
 
 
-def _structured_candidate_vectors(A: ComplexTorus, data: _SearchData):
+def _structured_candidate_vectors(A: ComplexTorus):
     """Coefficient vectors of the structured candidates over the NS basis.
 
     For declared products these are the sums of the fiber forms over every
@@ -329,7 +324,7 @@ def _structured_candidate_vectors(A: ComplexTorus, data: _SearchData):
     pairs = fiber_pairs(A)
     if pairs is None:
         return []
-    return _candidates_from_fibers(pairs, _fiber_coordinates(A, pairs, data.N))
+    return _candidates_from_fibers(pairs, _fiber_coordinates(A, pairs))
 
 
 def _box_extras(pairs, fibers, box: int):
@@ -362,17 +357,17 @@ def _position_coeffs(position: int, rho: int, box: int):
 def _run_search(A: ComplexTorus, box: int, collect: bool):
     if box < 1:
         raise ValueError("box must be at least 1")
-    data = _SearchData(A)
-    if data.rho == 0:
+    search = _search(A)
+    if search.rho == 0:
         return DefectSearchResult(0, None, 0, 0, box, None), []
-    total = (2 * box + 1) ** data.rho
-    delta, pos, scanned, nodes, records = _purekernels.scan_range(data.search, box, collect)
+    total = (2 * box + 1) ** search.rho
+    delta, pos, scanned, nodes, records = _purekernels.scan_range(search, box, collect)
     best = (delta, pos)
     pairs = fiber_pairs(A)
-    extras = [] if pairs is None else _box_extras(pairs, _fiber_coordinates(A, pairs, data.N), box)
+    extras = [] if pairs is None else _box_extras(pairs, _fiber_coordinates(A, pairs), box)
     if extras:
         delta, pos, extra_scanned, extra_nodes, extra_records = _purekernels.scan_vectors(
-            data.search, extras, total, collect
+            search, extras, total, collect
         )
         best = _combine(best, (delta, pos))
         scanned += extra_scanned
@@ -384,21 +379,23 @@ def _run_search(A: ComplexTorus, box: int, collect: bool):
         return result, []
     position = best[1]
     if position < total:
-        coeffs = _position_coeffs(position, data.rho, box)
+        coeffs = _position_coeffs(position, search.rho, box)
     else:
         coeffs = tuple(extras[position - total])
-    witness = _form_from_coeffs(A, data.e_int, coeffs)
+    witness = _form_from_coeffs(A, coeffs)
     result = DefectSearchResult(best[0], witness, scanned, nodes, box, coeffs)
     out_records = [EffectiveClassRecord(*r) for r in records] if collect else []
     return result, out_records
 
 
-def _form_from_coeffs(A, e_int, coeffs) -> AlternatingForm:
-    """The form sum c_b b, added up on the integer basis matrices."""
-    N = len(e_int[0])
+def _form_from_coeffs(A, coeffs) -> AlternatingForm:
+    """The form sum c_b b over ns_basis(A), added up on the basis forms'
+    integer matrices (they are primitive integer forms, den 1)."""
+    nums = [b.num for b in ns_basis(A)]
+    N = 2 * A.n
     return AlternatingForm._from_num(
         A, 1,
-        [[sum(c * e[r][k] for c, e in zip(coeffs, e_int)) for k in range(N)] for r in range(N)],
+        [[sum(c * e[r][k] for c, e in zip(coeffs, nums)) for k in range(N)] for r in range(N)],
     )
 
 

@@ -450,13 +450,6 @@ class AlgebraicReal:
             raise ValueError("element is not rational")
         return Fraction(self.num.coeffs[0], self.den)
 
-    def evaluate(self, alpha_value):
-        """Evaluate at a numeric alpha (for cross-checks; exactness not required)."""
-        acc = 0
-        for c in reversed(self.num.coeffs):
-            acc = acc * alpha_value + c
-        return acc / self.den
-
     def __eq__(self, other):
         o = other if isinstance(other, AlgebraicReal) else self._coerce(other)
         if o is None:

@@ -149,35 +149,37 @@ class ComplexTorus:
     J)` splits J, given as rows of `AlgebraicReal`s of `field` or
     rationals, once; `elliptic` and `quotient` build their tori from parts
     and certify them, and `product` concatenates its factors' certified
-    data, which needs no check again.  Instances are immutable; derived data
-    (the NS basis) is cached on the instance, which is safe because
-    recomputation is idempotent.
+    data, which needs no check again.  Only `product` declares factors
+    (`factor_blocks`), since it builds J from them.  Instances are
+    immutable; derived data (the NS basis) is cached on the instance, which
+    is safe because recomputation is idempotent.
     """
 
-    def __init__(self, field: RealNumberField, J, factors=None, label=None):
-        self._init(field, *_split_j(field, J), factors, label)
+    def __init__(self, field: RealNumberField, J):
+        self._init(field, *_split_j(field, J))
 
     @classmethod
-    def _from_parts(cls, field, den, parts, factors=None, label=None) -> "ComplexTorus":
+    def _from_parts(cls, field, den, parts, label=None) -> "ComplexTorus":
         """The torus with J = sum_k alpha^k parts[k] / den (integer square
         matrices of even size, at most one per power of alpha)."""
         torus = cls.__new__(cls)
-        torus._init(field, den, parts, factors, label)
+        torus._init(field, den, parts, label)
         return torus
 
     @classmethod
-    def _from_certified(cls, field, den, parts, factors=None, label=None) -> "ComplexTorus":
+    def _from_certified(cls, field, den, parts, factors) -> "ComplexTorus":
         """The torus whose J data (den, parts) is already canonical, as
-        nested tuples, and known to square to -D^2 I: no checks run."""
+        nested tuples, and known to square to -D^2 I, with these declared
+        factors: no checks run."""
         torus = cls.__new__(cls)
-        torus._set(field, den, parts, factors, label)
+        torus._set(field, den, parts, factors, None)
         return torus
 
-    def _init(self, field, den, parts, factors, label):
+    def _init(self, field, den, parts, label=None):
         den, parts = _canonical(den, parts)
         if not _squares_to_minus_d2(field, den, parts):
             raise ConsistencyError("inconsistent complex structure: J^2 != -I")
-        self._set(field, den, parts, factors, label)
+        self._set(field, den, parts, None, label)
 
     def _set(self, field, den, parts, factors, label):
         self.field = field
@@ -307,7 +309,7 @@ def product(factors) -> ComplexTorus:
 def factor_blocks(A: ComplexTorus):
     """(lattice offset, factor) pairs for a torus with declared factors."""
     if A.factors is None:
-        if A._elliptic_tau is not None or A.n == 1:
+        if A.n == 1:
             return [(0, A)]
         return None
     blocks = []

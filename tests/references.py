@@ -18,7 +18,9 @@ computes it from Hermite forms.
 field's declared root interval anew, with no use of the field's bounds of
 alpha, and `reference_field_product` multiplies two elements as
 polynomials over `Fraction`s and reduces by long division by `min_poly`,
-with no use of the field's reduction rows.
+with no use of the field's reduction rows.  `numeric_value` evaluates an
+element at a numeric alpha, for the mpmath cross-checks; the package itself
+never leaves exact arithmetic.
 `reference_wedge` is the cup product as a loop over all subset pairs on
 coordinate lists, as it was before the cached table.
 `elliptic_products` draws product tori and `rebased` moves a torus to a
@@ -163,6 +165,16 @@ def reference_sign(field, coeffs) -> int:
             lo = mid
         else:
             hi = mid
+
+
+def numeric_value(x, alpha_value):
+    """The value of the field element x at a numeric alpha (an mpmath
+    number, say), by Horner's rule on its power-basis coordinates: for
+    numeric cross-checks, where exactness is not required."""
+    acc = 0
+    for c in reversed(x.num.coeffs):
+        acc = acc * alpha_value + c
+    return acc / x.den
 
 
 def reference_field_product(field, a, b):

@@ -4,7 +4,6 @@ import pytest
 
 from lefdefect import _purekernels, effectivity
 from lefdefect.effectivity import (
-    _SearchData,
     defect_survey,
     divisor_case_data,
     effectivity_report,
@@ -16,10 +15,13 @@ from lefdefect.effectivity import (
     torus_defect,
 )
 from lefdefect.errors import NotHodgeClass
+from references import field_product
 from lefdefect.torus import (
     AlternatingForm,
+    ComplexTorus,
     elliptic,
     hom_rank,
+    ns_coordinates,
     ns_rank,
     product,
     quotient,
@@ -173,6 +175,14 @@ class TestTorusDefect:
         assert defect_of_class(square, result.witness) == result.delta
         assert is_effective_class(square, result.witness)
 
+    def test_witness_is_the_class_of_its_coefficients(self, square, corpus):
+        """The witness is sum c_b b over the NS basis in its order, for the
+        reported coefficients."""
+        for A, box in ((square, 2), (corpus["ei_x_e2i"], 2), (corpus["triple"], 1),
+                       (corpus["ei2_x_nocm"], 1)):
+            result = torus_defect(A, box=box)
+            assert ns_coordinates(A, result.witness) == result.witness_coefficients
+
     def test_monotone_in_box(self, square):
         d1 = torus_defect(square, box=1).delta
         d2 = torus_defect(square, box=2).delta
@@ -184,6 +194,33 @@ class TestTorusDefect:
         A = product([elliptic(0, a, label="E"), elliptic(0, a * a, label="E'")])
         result = torus_defect(A, box=2)
         assert result.delta == 1
+
+    def test_no_ns_class_gives_an_empty_search(self, quartic_field):
+        """J = P J_std P^-1 over Q(2^(1/4)) for a P with irrational entries:
+        a non-algebraic surface, rho = 0, so there is nothing to scan."""
+        K = quartic_field
+        a, one, zero = K.alpha(), K.one(), K.zero()
+        J_std = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+        P = [[1 - a, a - 1, -one, -one], [a, one, one, a],
+             [one, -one, -1 - a, -one], [-one, one, one, a]]
+        # P^-1 by Gauss-Jordan elimination over the field.
+        rows = [list(r) + [one if i == j else zero for j in range(4)] for i, r in enumerate(P)]
+        for c in range(4):
+            p = next(r for r in range(c, 4) if rows[r][c] != 0)
+            pivot = [x / rows[p][c] for x in rows[p]]
+            rows[p] = rows[c]
+            rows[c] = pivot
+            for r in range(4):
+                if r != c and rows[r][c] != 0:
+                    rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+        A = ComplexTorus(K, field_product(K, P, J_std, [r[4:] for r in rows]))
+        assert ns_rank(A) == 0
+        for box in (1, 2):
+            result, records = defect_survey(A, box=box)
+            assert result == torus_defect(A, box=box)
+            assert (result.delta, result.witness, result.witness_coefficients) == (0, None, None)
+            assert (result.classes_scanned, result.nodes_visited) == (0, 0)
+            assert records == []
 
     def test_survey_scaling_invariance(self, square):
         result, records = defect_survey(square, box=2)

@@ -14,7 +14,7 @@ from lefdefect.exactmath import (
     restrict_scalars,
 )
 
-from references import solve
+from references import numeric_value, solve
 
 F = Fraction
 
@@ -175,7 +175,7 @@ class TestRestrictScalars:
             for v in vectors:
                 for row in rows:
                     value = mpmath.fsum(
-                        entry.evaluate(alpha) * mpmath.mpf(c.numerator) / c.denominator
+                        numeric_value(entry, alpha) * mpmath.mpf(c.numerator) / c.denominator
                         for entry, c in zip(row, (F(x) for x in v))
                     )
                     assert abs(value) < mpmath.mpf(10) ** -40

@@ -11,7 +11,7 @@ from lefdefect.exactmath import (
     nf_sign,
     parse_rational,
 )
-from references import reference_sign
+from references import numeric_value, reference_sign
 
 F = Fraction
 
@@ -177,7 +177,7 @@ class TestSignProperties:
         x = element(field, coeffs)
         with mpmath.workdps(60):
             alpha = mpmath.root(2, 4)
-            value = x.evaluate(mpmath.mpf(1) * alpha)
+            value = numeric_value(x, mpmath.mpf(1) * alpha)
             numeric = 0 if abs(value) < mpmath.mpf(10) ** -40 else (1 if value > 0 else -1)
         assert nf_sign(x) == numeric
 

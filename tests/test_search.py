@@ -19,12 +19,13 @@ certificates are checked against v^T M v computed directly, and every cut
 in the search's pool against its weights computed exactly and against
 every effective class the reference finds.
 
-The search's set-up (`_SearchData`, which keeps the S_b as nonzero entries
-read off the integer products E_b * (D J_k)) is compared with one built
-from the dense `symmetric_part` matrices.  The rule that skips the
-structured extras when every one lies in the box is checked on synthetic
-fiber coordinates and against the candidates a search would otherwise
-build.  The structured candidates are compared with a reference that
+The search's set-up (`_search`, which keeps the S_b as nonzero entries
+read off the integer products E_b * (D J_k) and takes its cup table from
+`ns_cup_matrix`) is compared with one built from the dense
+`symmetric_part` matrices and a `wedge` of every ordered pair.  The rule
+that skips the structured extras when every one lies in the box is checked
+on synthetic fiber coordinates and against the candidates a search would
+otherwise build.  The structured candidates are compared with a reference that
 builds every candidate as a form: the fiber forms with their Hodge test, their subset
 sums, the Poincare duals of the corank-2 coordinate-factor sublattices, and
 one reference `solve` over the NS basis per form.
@@ -59,7 +60,7 @@ from lefdefect.effectivity import (
     _box_extras,
     _candidates_from_fibers,
     _extras_inside_box,
-    _SearchData,
+    _search,
     _structured_candidate_vectors,
     defect_survey,
     is_effective_class,
@@ -105,6 +106,7 @@ from lefdefect.torus import (
     hom_rank,
     ns_basis,
     ns_coordinates,
+    ns_rank,
     product,
 )
 
@@ -325,7 +327,7 @@ def assert_search_matches_reference(search, box):
     [("ei2", 2), ("ei_x_e2i", 2), ("ei3", 1), ("eia2", 2), ("triple", 1), ("ei2_x_nocm", 1)],
 )
 def test_search_matches_reference_on_corpus(corpus, name, box):
-    assert_search_matches_reference(_SearchData(corpus[name]).search, box)
+    assert_search_matches_reference(_search(corpus[name]), box)
 
 
 class LooseIntSearch(_purekernels.IntSearch):
@@ -377,8 +379,8 @@ def synthetic_search(draw):
     box = 1 if rho == 4 else draw(st.integers(1, 3))
     slack = draw(st.integers(0, 2))
     if slack:
-        return LooseIntSearch(slack, sparse_parts(s_basis), w_pairs, rho, N, m4), box
-    return _purekernels.IntSearch(sparse_parts(s_basis), w_pairs, rho, N, m4), box
+        return LooseIntSearch(slack, sparse_parts(s_basis), w_pairs, N, 0), box
+    return _purekernels.IntSearch(sparse_parts(s_basis), w_pairs, N, 0), box
 
 
 @settings(max_examples=60, deadline=None)
@@ -386,7 +388,7 @@ def synthetic_search(draw):
 # S = x_0 + x_1 at box 1: at x = (-1, -1) the cut of v = e_0 has bound 0 at
 # the prefix x_0 = -1, and (-1, 1), on that bound, is effective; a backjump
 # on a bound that is not negative would skip it.
-@example((_purekernels.IntSearch([[(0, 0, 1)], [(0, 0, 1)]], [[[1], [0]], [[0], [1]]], 2, 1, 1), 1))
+@example((_purekernels.IntSearch([[(0, 0, 1)], [(0, 0, 1)]], [[[1], [0]], [[0], [1]]], 1, 0), 1))
 def test_search_matches_reference_on_synthetic_data(case):
     """Answers (`classes_scanned` among them) as the reference's; nodes
     at most the definition's count, since the pool of cuts also decides live
@@ -406,7 +408,7 @@ def test_pool_prunes_live_prefixes_on_a_survey_pair():
     elsewhere whose own blocks are all PSD."""
     pair = product([elliptic(Fraction(2, 3), Fraction(3, 2)),
                     elliptic(Fraction(1, 3), Fraction(2, 3))])
-    search = _SearchData(pair).search
+    search = _search(pair)
     nodes, cuts = assert_search_matches_reference(search, 3)
     assert cuts > 0
     assert nodes < reference_nodes(dense_parts(search), search.order, 3)
@@ -418,32 +420,36 @@ def test_search_matches_reference_on_random_products(A, seed):
     """Pairs over Q and Q(2^(1/4)), on the declared basis (one component per
     isogeny class) and on a basis that mixes the blocks.  Triples, whose
     reference minors are slow over the field, are the corpus cases."""
-    search = _SearchData(A).search
+    search = _search(A)
     box = 2 if search.rho <= 2 else 1
     assert_search_matches_reference(search, box)
-    assert_search_matches_reference(_SearchData(rebased(A, random.Random(seed))).search, box)
+    assert_search_matches_reference(_search(rebased(A, random.Random(seed))), box)
 
 
 def dense_search(A):
     """The search of A built from dense `symmetric_part` matrices, with the
     cup product of every ordered pair of basis elements."""
     basis = ns_basis(A)
-    N, rho = 2 * A.n, len(basis)
+    N = 2 * A.n
     pairs = [b.pair_num() for b in basis]
     w_pairs = [[wedge(N, 2, 2, p, q) for q in pairs] for p in pairs]
     nonzero = sparse_parts([symmetric_part(A, b) for b in basis])
-    m4 = len(wedge_basis(N, 4))
     if A.rational_j:
-        return _purekernels.IntSearch(nonzero, w_pairs, rho, N, m4)
-    return _purekernels.FieldSearch(nonzero, w_pairs, rho, N, m4, A.field)
+        return _purekernels.IntSearch(nonzero, w_pairs, N, 0)
+    zero = IntegralElement(A.field, (0,) * A.field.degree)
+    return _purekernels.FieldSearch(nonzero, w_pairs, N, zero)
 
 
 def assert_search_data_matches_dense(A):
-    """`_SearchData` reads the S_b off the integer products E_b * (D J_k)
-    and computes each unordered pair's cup product once; its search must
-    equal the one built from the dense matrices."""
-    search, expected = _SearchData(A).search, dense_search(A)
+    """`_search` reads the S_b off the integer products E_b * (D J_k) and
+    its cup table off `ns_cup_matrix`, and the kernel counts rho and m4
+    itself; its search must equal the one built from the dense matrices and
+    a `wedge` of every ordered pair."""
+    search, expected = _search(A), dense_search(A)
     assert type(search) is type(expected)
+    assert (search.rho, search.N, search.m4) == (ns_rank(A), 2 * A.n,
+                                                 len(wedge_basis(2 * A.n, 4)))
+    assert search.zero == expected.zero
     assert search.nonzero == expected.nonzero
     assert [[type(x) for _, _, x in e] for e in search.nonzero] == \
         [[type(x) for _, _, x in e] for e in expected.nonzero]
@@ -518,7 +524,7 @@ def test_single_level_flags_match_reference_on_corpus(corpus):
     flags = []
     for A in corpus.values():
         for X in (A, rebased(A, random.Random(0))):
-            search = _SearchData(X).search
+            search = _search(X)
             expected = reference_single(dense_parts(search), search.order, search.tests)
             assert search.single == expected
             flags += [f for level in expected for f in level]
@@ -570,7 +576,7 @@ def test_field_search_does_not_depend_on_earlier_signs(corpus):
     mixes its blocks, and `torus_defect` on that torus before and after a
     sign that the field's bounds cannot decide."""
     A = rebased(corpus["eia2"], random.Random(0))
-    assert counted_scan(_SearchData(A).search, 1) == counted_scan(_SearchData(A).search, 1)
+    assert counted_scan(_search(A), 1) == counted_scan(_search(A), 1)
 
     def nodes_and_cuts():
         searches = []
@@ -618,7 +624,7 @@ def test_patched_evaluate_sees_exactly_the_effective_records(corpus, monkeypatch
 
 
 def test_structured_vectors_match_reference(corpus):
-    search = _SearchData(corpus["ei2_x_nocm"]).search
+    search = _search(corpus["ei2_x_nocm"])
     vectors = [(3, 0, 0, 0, 0), (0, -3, 0, 0, 0), (3, 3, 1, 0, 2), (0, 0, 0, 0, 4)]
     delta, position, scanned, nodes, records = _purekernels.scan_vectors(
         search, vectors, 100, True
@@ -991,7 +997,7 @@ def reference_structured_vectors(A):
 
 
 def assert_structured_vectors_match_reference(A):
-    assert _structured_candidate_vectors(A, _SearchData(A)) == reference_structured_vectors(A)
+    assert _structured_candidate_vectors(A) == reference_structured_vectors(A)
 
 
 def test_structured_candidates_match_reference_on_corpus(corpus):
@@ -1023,7 +1029,7 @@ def test_structured_candidates_with_undeclared_surface_blocks():
     E = elliptic(0, 1, label="E_i")
     for blocks, count in (([plain, E], 6), ([mixed, E], 2), ([mixed, plain, E], 2)):
         A = product(blocks)
-        vectors = _structured_candidate_vectors(A, _SearchData(A))
+        vectors = _structured_candidate_vectors(A)
         assert vectors == reference_structured_vectors(A)
         assert len(vectors) == count
 
@@ -1118,7 +1124,7 @@ def extras_of_search(A, box):
 @given(products_with_surface_blocks())
 def test_search_extras_are_the_structured_candidates_outside_the_box(case):
     A, box = case
-    vectors = _structured_candidate_vectors(A, _SearchData(A))
+    vectors = _structured_candidate_vectors(A)
     assert extras_of_search(A, box) == [v for v in vectors if max(map(abs, v)) > box]
 
 

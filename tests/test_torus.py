@@ -148,6 +148,21 @@ class TestProduct:
         A = product([product([E, E]), E])
         assert len(A.factors) == 3
 
+    def test_only_product_declares_factors(self):
+        """A factor structure given with J could disagree with it, so
+        `ComplexTorus` takes J alone: the same J data rebuilt from rows has
+        no declared factors, and `factors=` or `label=` is refused."""
+        E = elliptic(0, 1)
+        A = product([E, E])
+        J = field_j(A)
+        rebuilt = ComplexTorus(A.field, J)
+        assert rebuilt == A and rebuilt.factors is None
+        for keyword in ({"factors": [E, E]}, {"label": "A"}):
+            with pytest.raises(TypeError):
+                ComplexTorus(A.field, J, **keyword)
+        with pytest.raises(TypeError):
+            ComplexTorus._from_parts(A.field, A.j_den, A.j_parts, factors=[E, E])
+
 
 class TestHomRank:
     def test_cm_endomorphisms(self):

@@ -1,9 +1,10 @@
-"""Benchmark: this checkout's search against an older revision, in one process.
+"""Benchmark: this checkout against an older revision, in one process.
 
-Separate runs of the same code drift on a shared host by more than most
-changes to the search, so a comparison of two `bench_search.py` runs can
-show a regression that is not one.  This script instead loads both packages
-side by side in one process and alternates them call by call:
+This is the only script of `benchmarks/` that reads a clock.  Separate runs
+of the same code drift on a shared host by more than most changes, so two
+timed runs made one after the other can show a regression that is not one.
+This script instead loads both packages side by side in one process and
+alternates them call by call:
 
 * "change" is the package under `src/` of this checkout (its working tree);
 * "parent" is REV's `src/lefdefect`, extracted with `git archive` into a
@@ -14,28 +15,22 @@ side by side in one process and alternates them call by call:
 
 The package uses only relative imports, so every copy runs on its own
 modules, and `bench_search.py` and `bench_layers.py` are imported once per
-side with `lefdefect` bound to that side's package.  There are four kinds
+side with `lefdefect` bound to that side's package.  There are two kinds
 of case:
 
 * search: `bench_search.py`'s cases, `torus_defect` on tori built
-  beforehand (untimed).  Every search's answer (delta, `classes_scanned`,
-  witness) must be the same on all sides.
-* quotient: one per `bench_layers.py` torus, `quotient` by every nonzero
-  radical of its `sample_forms`, each on a fresh `Sublattice` (so its
-  complement is computed in the batch).  The Picard numbers of the
-  quotients must be the same on all sides.
-* construction: one per `bench_layers.py` torus, building it anew from
-  its curves' (a, beta coordinates) as
-  `product([elliptic(a, K.element(beta)), ...])`.  The tori's J data
-  (j_den, j_parts) must be the same on all sides.
-* voisin: one per `bench_layers.py` torus, `check_voisin` on the torus
-  built anew with its NS basis (untimed).  The check's status and detail
-  must be the same on all sides.
+  beforehand (untimed).  The answer is the search's delta,
+  `classes_scanned` and witness.
+* stage: one per `bench_layers.py` torus and stage, named
+  "<stage>, <torus>".  Each side builds the torus's `Sample` once
+  (untimed); each call runs the stage on an input its `prepare` built
+  beforehand (untimed).  The answer is the stage's counts.
 
 Per case and round, each side runs a batch of calls, timed with
 `time.process_time` after `gc.collect()` and with the collector disabled
 during the batch; the order of the sides rotates from round to round.  The
 batch size is doubled from 1 until the change's batch lasts BATCH_SECONDS.
+The answer of the last call of every batch must be the same on all sides.
 
 Per case it reports the ratios change/parent and change/copy per round:
 their median, quartiles and the rounds the change was faster ("wins").  A
@@ -48,18 +43,14 @@ Usage (from the root of a git checkout):
     python benchmarks/bench_ab.py --parent REV [--label NAME] [--rounds N]
         [--skip CASE ...]
 
-`--skip` defaults to "E_i^3, box 3", which takes seconds per search.  The
-quotient cases are named "quotient, <torus>", the construction cases
-"construction, <torus>" and the voisin cases "voisin, <torus>".
+`--skip` defaults to "E_i^3, box 3", which takes seconds per search.
 """
 
 import argparse
 import gc
 import importlib.util
 import io
-import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -112,14 +103,10 @@ def import_script(name, suffix, aliases):
 
 
 class Side:
-    """bench_search.py and bench_layers.py bound to one package, and the
-    quotient cases' tori and radical bases and the construction cases'
-    curve data, built once per side."""
+    """bench_search.py and bench_layers.py bound to one package."""
 
     def __init__(self, search, layers):
         self.search, self.layers = search, layers
-        self._radicals = {}
-        self._curves = {}
 
     @classmethod
     def of(cls, package):
@@ -131,78 +118,31 @@ class Side:
         layers = import_script("bench_layers", prefix, {**aliases, "bench_search": search})
         return cls(search, layers)
 
-    def radicals(self, build_index):
-        """(torus, bases of the nonzero radicals of its sample forms) for
-        the torus of `layer_tori()[build_index]`."""
-        if build_index not in self._radicals:
-            A = self.layers.layer_tori()[build_index][1]()
-            self._radicals[build_index] = A, self.layers.sample_radicals(A)[1]
-        return self._radicals[build_index]
-
-    def curves(self, build_index):
-        """(field, [(a, beta's coordinates) per curve]) of the torus of
-        `layer_tori()[build_index]`."""
-        if build_index not in self._curves:
-            A = self.layers.layer_tori()[build_index][1]()
-            self._curves[build_index] = A.field, [
-                (a, beta.coeffs) for a, beta in (f._elliptic_tau for f in A.factors)]
-        return self._curves[build_index]
-
 
 def search_case(index):
-    """(name, make, run, answer, record) of `bench_search.CASES[index]`: one
-    search per call on a torus that `make` builds; `record` keeps the delta
-    of the answer."""
-    name, _, box = bench_search.CASES[index]
-    return (name,
-            lambda side: side.search.CASES[index][1](),
-            lambda side, torus: side.search.torus_defect(torus, box=box),
-            lambda side, result: (result.delta, result.classes_scanned,
-                                  getattr(result, "witness_coefficients", None)),
-            lambda found: {"delta": found[0]})
+    """(name, bind) of `bench_search.CASES[index]`: one search per call on a
+    torus that `prepare` builds; the answer is its delta, `classes_scanned`
+    and witness."""
+    def bind(side, directory):
+        _, build, box = side.search.CASES[index]
+        return (build, lambda torus: side.search.torus_defect(torus, box=box),
+                lambda result: {"delta": result.delta,
+                                "classes_scanned": result.classes_scanned,
+                                "witness": getattr(result, "witness_coefficients", None)})
+
+    return bench_search.CASES[index][0], bind
 
 
-def quotient_case(index):
-    """(name, make, run, answer, record) of the quotients by the nonzero
-    radicals of `bench_layers.layer_tori()[index]`'s sample forms; the
-    answer is their Picard numbers."""
-    def make(side):
-        A, bases = side.radicals(index)
-        return A, [side.layers.Sublattice(A, basis) for basis in bases]
+def stage_case(torus, stage):
+    """(name, bind) of `bench_layers.STAGES[stage]` on the torus of
+    `bench_layers.layer_tori()[torus]`, whose `Sample` `bind` builds; the
+    answer is the stage's counts."""
+    def bind(side, directory):
+        T = side.layers.sample(side.layers.layer_tori()[torus][1], directory)
+        _, prepare, run, count = side.layers.STAGES[stage]
+        return lambda: prepare(T), run, count
 
-    return ("quotient, " + bench_layers.layer_tori()[index][0], make,
-            lambda side, lattices: [side.layers.quotient(lattices[0], W) for W in lattices[1]],
-            lambda side, quotients: tuple(side.layers.ns_rank(B) for B in quotients),
-            lambda found: {"quotient_rho": list(found)})
-
-
-def construction_case(index):
-    """(name, make, run, answer, record) of building the torus of
-    `bench_layers.layer_tori()[index]` from its curves' data; the answer is
-    its J data."""
-    def run(side, curves):
-        K, data = curves
-        return side.search.product([side.search.elliptic(a, K.element(beta)) for a, beta in data])
-
-    return ("construction, " + bench_layers.layer_tori()[index][0],
-            lambda side: side.curves(index), run,
-            lambda side, A: (A.j_den, A.j_parts),
-            lambda found: {"j_den": found[0]})
-
-
-def voisin_case(index):
-    """(name, make, run, answer, record) of `check_voisin` on the torus of
-    `bench_layers.layer_tori()[index]`, built with its NS basis by `make`;
-    the answer is the check's (status, detail)."""
-    def make(side):
-        A = side.layers.layer_tori()[index][1]()
-        side.layers.ns_basis(A)
-        return A
-
-    return ("voisin, " + bench_layers.layer_tori()[index][0], make,
-            lambda side, A: side.layers.check_voisin(A),
-            lambda side, result: (result.status, result.detail),
-            lambda found: {"status": found[0]})
+    return (f"{bench_layers.STAGES[stage].name}, {bench_layers.layer_tori()[torus][0]}", bind)
 
 
 def extract_src(rev, target):
@@ -220,25 +160,25 @@ def extract_src(rev, target):
     return commit
 
 
-def timed_batch(side, case, reps):
-    """(CPU seconds, answers) of `reps` calls of `case` on `side`, each on
-    an input that `make` built beforehand."""
-    _, make, run, answer, _ = case
-    inputs = [make(side) for _ in range(reps)]
+def timed_batch(bound, reps):
+    """(CPU seconds, answer of the last call) of `reps` calls of a bound
+    case, each on an input that `prepare` built beforehand."""
+    prepare, run, answer = bound
+    inputs = [prepare() for _ in range(reps)]
     gc.collect()
     gc.disable()
     try:
         started = CLOCK()
-        results = [run(side, x) for x in inputs]
+        results = [run(x) for x in inputs]
         seconds = CLOCK() - started
     finally:
         gc.enable()
-    return seconds, {answer(side, r) for r in results}
+    return seconds, answer(results[-1])
 
 
-def batch_size(side, case):
+def batch_size(bound):
     reps = 1
-    while timed_batch(side, case, reps)[0] < BATCH_SECONDS:
+    while timed_batch(bound, reps)[0] < BATCH_SECONDS:
         reps *= 2
     return reps
 
@@ -249,9 +189,12 @@ def summary(ratios):
             "wins": sum(r < 1 for r in ratios)}
 
 
-def compare(sides, case, rounds):
-    """Per-round ratios change/parent and change/copy on `case`."""
-    reps = batch_size(sides["change"], case)
+def compare(sides, case, rounds, directory):
+    """(batch size, answer, per-round ratios change/parent and change/copy)
+    of `case` on `sides`, each bound once, untimed, with its inputs under
+    `directory`."""
+    bound = {name: case[1](side, directory) for name, side in sides.items()}
+    reps = batch_size(bound["change"])
     names = list(sides)
     ratios = {"parent": [], "copy": []}
     for n in range(rounds):
@@ -259,15 +202,15 @@ def compare(sides, case, rounds):
         if n % 2:
             order.reverse()
         seconds = {}
-        answers = set()
+        answers = []
         for name in order:
-            seconds[name], found = timed_batch(sides[name], case, reps)
-            answers |= found
-        if len(answers) != 1:
+            seconds[name], found = timed_batch(bound[name], reps)
+            answers.append(found)
+        if any(found != answers[0] for found in answers):
             raise AssertionError(f"{case[0]}: answers differ: {answers}")
         for other in ratios:
             ratios[other].append(seconds["change"] / seconds[other])
-    return reps, answers.pop(), ratios
+    return reps, answers[0], ratios
 
 
 def main():
@@ -288,40 +231,24 @@ def main():
             "copy": Side.of(load_package("lefdefect_copy", os.path.join(SRC, "lefdefect"))),
         }
         label = args.label or f"vs {commit[:7]}"
-        tori = range(len(bench_layers.layer_tori()))
         cases = ([search_case(i) for i in range(len(bench_search.CASES))]
-                 + [quotient_case(i) for i in tori] + [construction_case(i) for i in tori]
-                 + [voisin_case(i) for i in tori])
+                 + [stage_case(t, s) for t in range(len(bench_layers.layer_tori()))
+                    for s in range(len(bench_layers.STAGES))])
         rows = []
-        print(f"{'case':<26} {'answer':>12} {'reps':>5} {'change/parent':>24} {'A/A':>24}")
+        print(f"{'case':<34} {'answer':>8} {'reps':>5} {'change/parent':>24} {'A/A':>24}")
         for case in cases:
             name = case[0]
             if name in args.skip:
                 continue
-            reps, found, ratios = compare(sides, case, args.rounds)
+            reps, found, ratios = compare(sides, case, args.rounds, tmp)
             ab, aa = summary(ratios["parent"]), summary(ratios["copy"])
-            record = case[4](found)
-            rows.append({"case": name, **record, "repetitions": reps,
+            rows.append({"case": name, **found, "repetitions": reps,
                          "rounds": args.rounds, "ratio": ab, "aa": aa})
-            print(f"{name:<26} {' '.join(map(str, record.values())):>12} {reps:>5} "
+            print(f"{name:<34} {next(iter(found.values()))!s:>8} {reps:>5} "
                   f"{ab['median']:>6.3f} [{ab['q1']:.3f}, {ab['q3']:.3f}] {ab['wins']:>2}w "
                   f"{aa['median']:>6.3f} [{aa['q1']:.3f}, {aa['q3']:.3f}] {aa['wins']:>2}w")
 
-    runs = []
-    if os.path.exists(OUT):
-        with open(OUT, encoding="utf-8") as handle:
-            runs = [r for r in json.load(handle)["runs"] if r["label"] != label]
-    runs.append({
-        "label": label,
-        "parent": commit,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "nproc": os.cpu_count(),
-        "cases": rows,
-    })
-    with open(OUT, "w", encoding="utf-8") as handle:
-        json.dump({"runs": runs}, handle, indent=2)
-        handle.write("\n")
+    bench_search.save_run(OUT, label, parent=commit, cases=rows)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
-"""Benchmark: the layers that read a torus's complex structure J.
+"""Benchmark stages: the layers that read a torus's complex structure J.
 
 On the declared products of `bench_search.py` (E_i^2, E_i^3 and E_i^4 over
 Q, three products over Q(2^(1/4)), and a pair of curves over each of Q and
 Q(2^(1/4)); not the mixed-basis E_i^3, which has no declared curves to
-rebuild or write as a document) it times, each as the best of `--repeat`
-runs:
+rebuild or write as a document) `STAGES` runs, each as one call on inputs
+prepared from the torus:
 
 * `elliptic`: constructing the torus's curves from their (a, beta),
-* `build`: constructing the product torus from its curves,
+* `build`: constructing the product torus from the same curve data,
 * `load_document`: parsing one written torus document of the same curves,
   with every block's fiber class declared (field, curves, product, classes
   and their Hodge test),
@@ -19,13 +19,13 @@ runs:
   every h + b,
 * the per-divisor path on the effective ones among these forms:
   `subtorus` re-certifying the basis of each nonzero radical W, `quotient`
-  by each such W (a fresh `Sublattice`, so its complement is timed too),
+  by each such W (a fresh `Sublattice`, so its complement is computed too),
   and `divisor_case_data` and `defect_of_class` on fresh copies of
   every effective form,
 * `radical` and `ns_cup_matrix` (the integer cup-product matrix on the NS
   basis that `defect_of_class` eliminates) on fresh copies of every
   effective form, and `saturate` on the rational kernel bases that
-  `radical` saturates (those of the nonzero radicals), and
+  `radical` saturates (those of the nonzero radicals),
 * `check_voisin`, the restriction and Poincare-dual kernels on every
   corank-2 coordinate sublattice,
 * `search_data`: the search's set-up (`_search`: the symmetric parts'
@@ -35,36 +35,43 @@ runs:
   (`_structured_candidate_vectors`, on the torus, whose NS basis is
   already built), and `ns_coordinates` on fresh copies of the fiber forms,
   and
-* three micro-benchmarks of the search's scalar layers: `integral_sign`
-  and `nf_sign` on every nonzero entry of the sample forms' symmetric parts
-  (as `IntegralElement`s and as `AlgebraicReal`s), `psd_rank` on those
+* the search's scalar layers: `integral_sign` and `nf_sign` on every
+  nonzero entry of the sample forms' symmetric parts (as
+  `IntegralElement`s and as `AlgebraicReal`s), `psd_rank` on those
   symmetric parts, and `rank` on the integer NS cup matrices.
 
-Counts (Picard number, Hom ranks summed, effective forms, nonzero radicals,
-the quotients' Picard numbers summed, the Iitaka dimensions and defects
-summed, the radical ranks and NS cup-matrix ranks summed, the Voisin
-verdict, the document's Picard number, the entry signs summed, the
-`psd_rank` values summed, the nonzero entries of the search's symmetric
-parts, the number of structured candidate vectors and the number of fiber
-forms that are NS classes) are recorded next to the
-times, so two checkouts can be checked for equal answers.  Results go to
-BENCH_layers.json next to this script as one run under `--label`, replacing
-an earlier run with the same label, so runs of two checkouts sit side by side.
+A stage is (name, prepare, run, count): `prepare` builds the input of one
+call from a `Sample` of the torus, `run` is the layer, and `count` turns
+its result into counts (Picard number, Hom ranks summed, effective forms,
+nonzero radicals, the quotients' Picard numbers summed, the Iitaka
+dimensions and defects summed, the radical ranks and NS cup-matrix ranks
+summed, the Voisin verdict, the document's Picard number, the entry signs
+summed, the `psd_rank` values summed, the nonzero entries of the search's
+symmetric parts, the number of structured candidate vectors, the number of
+fiber forms that are NS classes, and the J denominators of the curves and
+of the product).  Stages that share a count key must agree on it
+(`integral_sign` and `nf_sign`; `radical` and `saturate`; `ns_cup_matrix`
+and `rank`).
+
+This script reads no clock: `bench_ab.py` times each (torus, stage) in one
+process against an older revision.  Run on its own, it evaluates every
+stage once per torus and stores the counts in BENCH_layers.json next to
+this script as one run under `--label`, replacing an earlier run with the
+same label, so the counts of two checkouts sit side by side.
 
 Usage:
-    PYTHONPATH=src python benchmarks/bench_layers.py [--label NAME] [--repeat N]
+    PYTHONPATH=src python benchmarks/bench_layers.py [--label NAME]
 
-To time an older checkout with this script, point PYTHONPATH at its `src`.
+To count on an older checkout with this script, point PYTHONPATH at its `src`.
 """
 
 import argparse
 import json
 import os
-import platform
 import tempfile
-import time
+from collections import namedtuple
 
-from bench_search import CASES
+from bench_search import CASES, save_run
 from lefdefect import _purekernels, effectivity
 from lefdefect.checks import check_voisin
 from lefdefect.cohomology import defect_of_class, ns_cup_matrix
@@ -94,23 +101,23 @@ from lefdefect.torus import (
     ns_basis,
     ns_coordinates,
     ns_rank,
+    product,
     quotient,
     subtorus,
 )
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_layers.json")
 
-
-def best_time(run, prepare, repeat):
-    """(result of the last run, best wall time of `repeat` runs of
-    run(prepare()); prepare is not timed)."""
-    times = []
-    for _ in range(repeat):
-        arg = prepare()
-        started = time.perf_counter()
-        result = run(arg)
-        times.append(time.perf_counter() - started)
-    return result, min(times)
+# A torus built by `build`, with its NS basis built, and what the stages draw
+# on, computed once: the path of its torus document, its sample forms (as
+# matrices), the effective ones among them, the bases of their nonzero
+# radicals, the nonzero rational kernel bases of the effective forms, the
+# sample forms' symmetric parts, the nonzero entries of these as
+# `IntegralElement`s and as `AlgebraicReal`s, and the NS cup matrices of the
+# effective forms.
+Sample = namedtuple("Sample", "build A document forms effective radicals kernels parts entries"
+                              " reals cups")
+Stage = namedtuple("Stage", "name prepare run count")
 
 
 def sample_forms(A):
@@ -120,17 +127,9 @@ def sample_forms(A):
     for block in fiber_pairs(A):
         for i, j in block:
             h[i][j], h[j][i] = 1, -1
-    forms = [b.matrix for b in basis] + [h]
-    forms += [[[x + y for x, y in zip(rb, rh)] for rb, rh in zip(b.matrix, h)] for b in basis]
+    forms = [b.num for b in basis] + [h]  # NS basis forms are primitive integer forms
+    forms += [[[x + y for x, y in zip(rb, rh)] for rb, rh in zip(b.num, h)] for b in basis]
     return forms
-
-
-def sample_radicals(A):
-    """(the effective forms among `sample_forms(A)`, the bases of their
-    nonzero radicals)."""
-    effective = [m for m in sample_forms(A) if is_effective_class(A, AlternatingForm(A, m))]
-    radicals = [W.basis for W in (radical(A, AlternatingForm(A, m)) for m in effective) if W.rank]
-    return effective, radicals
 
 
 def layer_tori():
@@ -161,7 +160,7 @@ def torus_document(A):
         "kind": "torus",
         "blocks": [
             {"a": format_rational(a), "beta": [format_rational(c) for c in beta.coeffs]}
-            for a, beta in (f._elliptic_tau for f in A.factors)
+            for a, beta in curve_data(A)
         ],
         "classes": fiber_forms(A),
     }
@@ -172,147 +171,116 @@ def torus_document(A):
     return doc
 
 
-def measure(build, repeat):
-    A, build_s = best_time(lambda _: build(), lambda: None, repeat)
-    taus = [f._elliptic_tau for f in A.factors]
-    _, elliptic_s = best_time(
-        lambda _: [elliptic(a, beta) for a, beta in taus], lambda: None, repeat)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "torus.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(torus_document(A), handle)
-        doc, load_s = best_time(load_document, lambda: path, repeat)
-    basis, ns_s = best_time(ns_basis, build, repeat)
-    tori = list(A.factors) + [A]
-    hom_total, hom_s = best_time(
-        lambda pairs: sum(hom_rank(X, Y) for X, Y in pairs),
-        lambda: [(X, Y) for X in tori for Y in tori], repeat)
+def sample(build, directory):
+    """The `Sample` of `build()`'s torus, its document written under
+    `directory`."""
+    A = build()
+    handle, document = tempfile.mkstemp(suffix=".json", dir=directory)
+    with os.fdopen(handle, "w", encoding="utf-8") as out:
+        json.dump(torus_document(A), out)
     forms = sample_forms(A)
-    effective, effective_s = best_time(
-        lambda fresh: sum(is_effective_class(A, E) for E in fresh),
-        lambda: [AlternatingForm(A, m) for m in forms], repeat)
-    effective_forms, radicals = sample_radicals(A)
-    _, subtorus_s = best_time(
-        lambda bases: [subtorus(A, basis) for basis in bases], lambda: radicals, repeat)
-    quotients, quotient_s = best_time(
-        lambda lattices: [quotient(A, W) for W in lattices],
-        lambda: [Sublattice(A, basis) for basis in radicals], repeat)
-    case_data, case_s = best_time(
-        lambda fresh: [divisor_case_data(A, E) for E in fresh],
-        lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
-    defects, defect_s = best_time(
-        lambda fresh: [defect_of_class(A, E) for E in fresh],
-        lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
-    lattices, radical_s = best_time(
-        lambda fresh: [radical(A, E) for E in fresh],
-        lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
-    kernels = [k for k in (kernel_basis(AlternatingForm(A, m).num) for m in effective_forms) if k]
-    _, saturate_s = best_time(
-        lambda bases: [saturate(k, 2 * A.n) for k in bases], lambda: kernels, repeat)
-    cup_matrices, cup_s = best_time(
-        lambda fresh: [ns_cup_matrix(A, E) for E in fresh],
-        lambda: [AlternatingForm(A, m) for m in effective_forms], repeat)
-    voisin, voisin_s = best_time(lambda _: check_voisin(A), lambda: None, repeat)
-    # Read at call time: `bench_ab.py` imports this script for an older
-    # package too, where these names may differ, and never calls `measure`.
-    search, search_data_s = best_time(effectivity._search, lambda: A, repeat)
-    structured, structured_s = best_time(
-        effectivity._structured_candidate_vectors, lambda: A, repeat)
-    fiber_coords, coords_s = best_time(
-        lambda fresh: [ns_coordinates(A, E) for E in fresh],
-        lambda: [AlternatingForm(A, m) for m in fiber_forms(A)], repeat)
-    kind = _search_class(A)
+    effective = [m for m in forms if is_effective_class(A, AlternatingForm(A, m))]
+    radicals = [W.basis for W in (radical(A, AlternatingForm(A, m)) for m in effective) if W.rank]
+    kernels = [k for k in (kernel_basis(AlternatingForm(A, m).num) for m in effective) if k]
     parts = [symmetric_part(A, AlternatingForm(A, m)) for m in forms]
     pad = (0,) * (A.field.degree - 1)
     entries = [x if isinstance(x, IntegralElement) else IntegralElement(A.field, (x,) + pad)
                for S in parts for row in S for x in row if x != 0]
     reals = [A.field.element(x.coeffs) for x in entries]
-    int_sign_sum, integral_sign_s = best_time(
-        lambda xs: sum(map(integral_sign, xs)), lambda: entries, repeat)
-    nf_sign_sum, nf_sign_s = best_time(lambda ys: sum(map(nf_sign, ys)), lambda: reals, repeat)
-    psd, psd_s = best_time(
-        lambda ms: sum(_purekernels.psd_rank(S, range(len(S)), kind.sign, kind.quotient)[0]
-                       for S in ms), lambda: parts, repeat)
-    _, rank_s = best_time(lambda ms: [rank(M) for M in ms], lambda: cup_matrices, repeat)
-    if int_sign_sum != nf_sign_sum:
-        raise AssertionError("integral_sign and nf_sign disagree")
-    return {
-        "rho": len(basis),
-        "hom_rank_sum": hom_total,
-        "forms": len(forms),
-        "effective_forms": effective,
-        "radicals": len(radicals),
-        "quotient_rho_sum": sum(ns_rank(B) for B in quotients),
-        "iitaka_dim_sum": sum(b for b, *_ in case_data),
-        "defect_sum": sum(defects),
-        "radical_rank_sum": sum(W.rank for W in lattices),
-        "ns_cup_rank_sum": sum(rank(M) for M in cup_matrices),
-        "voisin": voisin.status,
-        "document_rho": ns_rank(doc.torus),
-        "sign_sum": int_sign_sum,
-        "psd_rank_sum": psd,
-        "search_entries": sum(len(entries) for entries in search.nonzero),
-        "structured_vectors": len(structured),
-        "fiber_ns_classes": sum(c is not None for c in fiber_coords),
-        "seconds": {
-            "elliptic": round(elliptic_s, 5),
-            "build": round(build_s, 5),
-            "load_document": round(load_s, 5),
-            "ns_basis": round(ns_s, 5),
-            "hom_rank": round(hom_s, 5),
-            "is_effective_class": round(effective_s, 5),
-            "subtorus": round(subtorus_s, 5),
-            "quotient": round(quotient_s, 5),
-            "divisor_case_data": round(case_s, 5),
-            "defect_of_class": round(defect_s, 5),
-            "radical": round(radical_s, 5),
-            "saturate": round(saturate_s, 5),
-            "ns_cup_matrix": round(cup_s, 5),
-            "check_voisin": round(voisin_s, 5),
-            "search_data": round(search_data_s, 5),
-            "structured_candidates": round(structured_s, 5),
-            "ns_coordinates": round(coords_s, 5),
-            "integral_sign": round(integral_sign_s, 5),
-            "nf_sign": round(nf_sign_s, 5),
-            "psd_rank": round(psd_s, 5),
-            "rank": round(rank_s, 5),
-        },
-    }
+    cups = [ns_cup_matrix(A, E) for _, E in fresh(A, effective)]
+    return Sample(build, A, document, forms, effective, radicals, kernels, parts, entries, reals,
+                  cups)
+
+
+def curve_data(A):
+    return [f._elliptic_tau for f in A.factors]
+
+
+def fresh(A, matrices):
+    """(A, a new form) per matrix: nothing cached on the forms."""
+    return [(A, AlternatingForm(A, m)) for m in matrices]
+
+
+def each(layer):
+    return lambda calls: [layer(*args) for args in calls]
+
+
+def psd_rank_calls(T):
+    kind = _search_class(T.A)
+    return [(S, range(len(S)), kind.sign, kind.quotient) for S in T.parts]
+
+
+STAGES = (
+    Stage("elliptic", lambda T: curve_data(T.A), each(elliptic),
+          lambda curves: {"curve_j_den_sum": sum(E.j_den for E in curves)}),
+    Stage("build", lambda T: curve_data(T.A),
+          lambda curves: product([elliptic(a, beta) for a, beta in curves]),
+          lambda A: {"j_den": A.j_den}),
+    Stage("load_document", lambda T: T.document, load_document,
+          lambda doc: {"document_rho": ns_rank(doc.torus)}),
+    Stage("ns_basis", lambda T: T.build(), ns_basis, lambda basis: {"rho": len(basis)}),
+    Stage("hom_rank",
+          lambda T: [(X, Y) for X in (*T.A.factors, T.A) for Y in (*T.A.factors, T.A)],
+          each(hom_rank), lambda ranks: {"hom_rank_sum": sum(ranks)}),
+    Stage("is_effective_class", lambda T: fresh(T.A, T.forms), each(is_effective_class),
+          lambda verdicts: {"forms": len(verdicts), "effective_forms": sum(verdicts)}),
+    Stage("subtorus", lambda T: [(T.A, basis) for basis in T.radicals], each(subtorus),
+          lambda lattices: {"radicals": len(lattices)}),
+    Stage("quotient", lambda T: [(T.A, Sublattice(T.A, basis)) for basis in T.radicals],
+          each(quotient), lambda quotients: {"quotient_rho_sum": sum(map(ns_rank, quotients))}),
+    Stage("divisor_case_data", lambda T: fresh(T.A, T.effective), each(divisor_case_data),
+          lambda data: {"iitaka_dim_sum": sum(b for b, *_ in data)}),
+    Stage("defect_of_class", lambda T: fresh(T.A, T.effective), each(defect_of_class),
+          lambda defects: {"defect_sum": sum(defects)}),
+    Stage("radical", lambda T: fresh(T.A, T.effective), each(radical),
+          lambda lattices: {"radical_rank_sum": sum(W.rank for W in lattices)}),
+    Stage("saturate", lambda T: [(k, 2 * T.A.n) for k in T.kernels], each(saturate),
+          lambda bases: {"radical_rank_sum": sum(map(len, bases))}),
+    Stage("ns_cup_matrix", lambda T: fresh(T.A, T.effective), each(ns_cup_matrix),
+          lambda matrices: {"ns_cup_rank_sum": sum(map(rank, matrices))}),
+    Stage("check_voisin", lambda T: T.A, check_voisin, lambda result: {"voisin": result.status}),
+    # `_search` and `_structured_candidate_vectors` are read at call time:
+    # `bench_ab.py` imports this script for an older package too, where
+    # these names may differ.
+    Stage("search_data", lambda T: T.A, lambda A: effectivity._search(A),
+          lambda search: {"search_entries": sum(map(len, search.nonzero))}),
+    Stage("structured_candidates", lambda T: T.A,
+          lambda A: effectivity._structured_candidate_vectors(A),
+          lambda vectors: {"structured_vectors": len(vectors)}),
+    Stage("ns_coordinates", lambda T: fresh(T.A, fiber_forms(T.A)), each(ns_coordinates),
+          lambda coords: {"fiber_ns_classes": sum(c is not None for c in coords)}),
+    Stage("integral_sign", lambda T: T.entries, lambda xs: sum(map(integral_sign, xs)),
+          lambda total: {"sign_sum": total}),
+    Stage("nf_sign", lambda T: T.reals, lambda ys: sum(map(nf_sign, ys)), lambda total: {"sign_sum": total}),
+    Stage("psd_rank", psd_rank_calls, each(_purekernels.psd_rank),
+          lambda results: {"psd_rank_sum": sum(r[0] for r in results)}),
+    Stage("rank", lambda T: T.cups, lambda matrices: list(map(rank, matrices)),
+          lambda ranks: {"ns_cup_rank_sum": sum(ranks)}),
+)
+
+
+def evaluate(T):
+    """{count key: value} of one run of every stage on the sample `T`."""
+    counts = {}
+    for stage in STAGES:
+        for key, value in stage.count(stage.run(stage.prepare(T))).items():
+            if counts.setdefault(key, value) != value:
+                raise AssertionError(f"{stage.name}: {key} = {value}, not {counts[key]}")
+    return counts
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="current")
-    parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
     rows = []
-    columns = ("elliptic", "build", "load_document", "ns_basis", "hom_rank",
-               "is_effective_class", "subtorus", "quotient", "divisor_case_data",
-               "defect_of_class", "radical", "saturate", "ns_cup_matrix", "check_voisin",
-               "search_data", "structured_candidates", "ns_coordinates", "integral_sign", "nf_sign", "psd_rank", "rank")
-    print(f"{'torus':<12} {'rho':>4} " + " ".join(f"{c[:9]:>9}" for c in columns))
-    for torus, build in layer_tori():
-        row = {"torus": torus, **measure(build, args.repeat)}
-        rows.append(row)
-        t = row["seconds"]
-        print(f"{torus:<12} {row['rho']:>4} " + " ".join(f"{t[c]:>9.5f}" for c in columns))
-
-    runs = []
-    if os.path.exists(OUT):
-        with open(OUT, encoding="utf-8") as handle:
-            runs = [r for r in json.load(handle)["runs"] if r["label"] != args.label]
-    runs.append({
-        "label": args.label,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "nproc": os.cpu_count(),
-        "repeat": args.repeat,
-        "tori": rows,
-    })
-    with open(OUT, "w", encoding="utf-8") as handle:
-        json.dump({"runs": runs}, handle, indent=2)
-        handle.write("\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        for torus, build in layer_tori():
+            counts = evaluate(sample(build, tmp))
+            rows.append({"torus": torus, **counts})
+            print(f"{torus:<12} " + ", ".join(f"{k} {v}" for k, v in counts.items()))
+    save_run(OUT, args.label, tori=rows)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""Benchmark: the pruned effective-class search on fixed cases.
+"""Benchmark cases: the pruned effective-class search on fixed tori, and its counts.
 
-Times `torus_defect` (pure Python, the only search path) on E_i x E_i at
+`CASES` runs `torus_defect` (pure Python, the only search path) on E_i x E_i at
 boxes 2 and 3, E_i^3 at boxes 1, 2 and 3, and E_i^4 at box 1 over Q, and on
 three products over Q(2^(1/4)) from the test corpus: E_ia x E_ia' at box 2
 and E_i x E_ia x E_ia2 and E_i x E_i' x E_ia at box 1 (a = 2^(1/4)), where
@@ -14,37 +14,29 @@ fixed mixed lattice basis (columns of a unimodular U, J -> U^-1 J U), at
 box 1: on it the NS basis, and so the box and the pruning, no longer
 follow the factors.
 
-It records per case the delta, the box candidates decided
-(`classes_scanned`), the search-tree nodes entered (`nodes_visited`), the
-number of `psd_rank` eliminations, the size of the search's pool of cuts
-(`cuts`), the number of leaves that `evaluate` found effective (`leaves`,
-from the box and the structured extras), and the seconds per search.  Each case is
-timed in batches of as many searches as make a batch last BATCH_SECONDS
-(the batch size doubles from 1 until it does, as in `timeit`'s autorange),
-so that ms-scale cases are timed over many searches; each search runs on a
-freshly built torus, so every run computes its NS basis.  The recorded
-time is the best batch of `--repeat`, divided by the batch size.
-The counts come from one more, untimed search, with this script wrapping
-`_purekernels.psd_rank` (which the search looks up on every call),
-`_purekernels.scan_range` and the `evaluate` method of the search
-classes.  The results are stored in BENCH_search.json
-next to this script as one run under `--label`, replacing an earlier run
-with the same label, so runs of two checkouts sit side by side.
+This script reads no clock: `bench_ab.py` times these cases, in one process
+against an older revision.  Run on its own, it records per case the answer
+and the work of one search (`count_search`): the delta, the box candidates
+decided (`classes_scanned`), the search-tree nodes entered
+(`nodes_visited`), the number of `psd_rank` eliminations, the size of the
+search's pool of cuts (`cuts`) and the number of leaves that `evaluate`
+found effective (`leaves`, from the box and the structured extras).  The
+results are stored in BENCH_search.json next to this script as one run
+under `--label`, replacing an earlier run with the same label, so the counts
+of two checkouts sit side by side.
 
 Usage:
-    PYTHONPATH=src python benchmarks/bench_search.py [--label NAME] [--repeat N]
-        [--skip CASE ...]
+    PYTHONPATH=src python benchmarks/bench_search.py [--label NAME] [--skip CASE ...]
 
-To time an older checkout with this script, point PYTHONPATH at its `src`
-(`nodes_visited` and `cuts` are then recorded as null if it has no such
-counter or pool) and `--skip` the cases it cannot finish.
+To count on an older checkout with this script, point PYTHONPATH at its
+`src` (`nodes_visited` and `cuts` are then recorded as null if it has no
+such counter or pool) and `--skip` the cases it cannot finish.
 """
 
 import argparse
 import json
 import os
 import platform
-import time
 from fractions import Fraction
 
 from lefdefect import _purekernels
@@ -125,29 +117,13 @@ CASES = (("E_i^2, box 2", power_of_ei(2), 2), ("E_i^2, box 3", power_of_ei(2), 3
          ("survey pair, box 3", survey_pair, 3),
          ("quartic pair, box 2", quartic_pair, 2))
 
-# A timed batch runs searches until it lasts at least this long.
-BATCH_SECONDS = 0.2
-
-
-def batch_size(build, box):
-    """Searches per timed batch: doubled from 1 until a batch of searches on
-    fresh tori lasts BATCH_SECONDS (as `timeit`'s autorange)."""
-    reps = 1
-    while True:
-        tori = [build() for _ in range(reps)]
-        started = time.perf_counter()
-        for torus in tori:
-            torus_defect(torus, box=box)
-        if time.perf_counter() - started >= BATCH_SECONDS:
-            return reps
-        reps *= 2
-
-
 def count_search(build, box):
-    """(eliminations, cuts, leaves) of one search: `psd_rank` calls, the
-    size of the pool of cuts (None without a pool) and the leaves that
-    `evaluate` found effective, by wrapping the module's functions and the
-    search classes' `evaluate`."""
+    """The answer and the work of one search on a fresh `build()`: delta,
+    `classes_scanned`, `nodes_visited` (None without such a counter), the
+    `psd_rank` calls (`eliminations`), the size of the pool of cuts (`cuts`,
+    None without a pool) and the leaves that `evaluate` found effective
+    (`leaves`), counted by wrapping the module's functions and the search
+    classes' `evaluate`."""
     psd_rank, scan_range = _purekernels.psd_rank, _purekernels.scan_range
     classes = (_purekernels.IntSearch, _purekernels.FieldSearch)
     evaluates = [cls.evaluate for cls in classes]
@@ -174,68 +150,55 @@ def count_search(build, box):
     for cls, evaluate in zip(classes, evaluates):
         cls.evaluate = counting(evaluate)
     try:
-        torus_defect(build(), box=box)
+        result = torus_defect(build(), box=box)
     finally:
         _purekernels.psd_rank, _purekernels.scan_range = psd_rank, scan_range
         for cls, evaluate in zip(classes, evaluates):
             cls.evaluate = evaluate
     cuts = getattr(searches[-1], "cuts", None) if searches else None
-    return eliminations[0], None if cuts is None else len(cuts), leaves[0]
+    return {
+        "delta": result.delta,
+        "classes_scanned": result.classes_scanned,
+        "nodes_visited": getattr(result, "nodes_visited", None),
+        "eliminations": eliminations[0],
+        "cuts": None if cuts is None else len(cuts),
+        "leaves": leaves[0],
+    }
+
+
+def save_run(path, label, **fields):
+    """Store one run under `label` in the benchmark file `path`, with the
+    interpreter and the host, replacing an earlier run with that label."""
+    runs = []
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as handle:
+            runs = [r for r in json.load(handle)["runs"] if r["label"] != label]
+    runs.append({"label": label, "python": platform.python_version(),
+                 "machine": platform.machine(), "nproc": os.cpu_count(), **fields})
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"runs": runs}, handle, indent=2)
+        handle.write("\n")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="current")
-    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--skip", nargs="*", default=[], help="case names to leave out")
     args = parser.parse_args()
 
     rows = []
     print(f"{'case':<24} {'delta':>5} {'classes':>10} {'nodes':>7} {'elims':>7} "
-          f"{'cuts':>5} {'leaves':>7} {'seconds':>9}")
+          f"{'cuts':>5} {'leaves':>7}")
     for name, build, box in CASES:
         if name in args.skip:
             continue
-        reps = batch_size(build, box)
-        times = []
-        for _ in range(args.repeat):
-            tori = [build() for _ in range(reps)]  # fresh: every run computes its NS basis
-            started = time.perf_counter()
-            for torus in tori:
-                result = torus_defect(torus, box=box)
-            times.append((time.perf_counter() - started) / reps)
-        nodes = getattr(result, "nodes_visited", None)
-        eliminations, cuts, leaves = count_search(build, box)
-        rows.append({
-            "case": name,
-            "delta": result.delta,
-            "classes_scanned": result.classes_scanned,
-            "nodes_visited": nodes,
-            "eliminations": eliminations,
-            "cuts": cuts,
-            "leaves": leaves,
-            "repetitions": reps,
-            "seconds": round(min(times), 5),
-        })
-        print(f"{name:<24} {result.delta:>5} {result.classes_scanned:>10} "
-              f"{'-' if nodes is None else nodes:>7} {eliminations:>7} "
-              f"{'-' if cuts is None else cuts:>5} {leaves:>7} {min(times):>9.5f}")
-
-    runs = []
-    if os.path.exists(OUT):
-        with open(OUT, encoding="utf-8") as handle:
-            runs = [r for r in json.load(handle)["runs"] if r["label"] != args.label]
-    runs.append({
-        "label": args.label,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "nproc": os.cpu_count(),
-        "repeat": args.repeat,
-        "cases": rows,
-    })
-    with open(OUT, "w", encoding="utf-8") as handle:
-        json.dump({"runs": runs}, handle, indent=2)
-        handle.write("\n")
+        row = {"case": name, **count_search(build, box)}
+        rows.append(row)
+        print(f"{name:<24} " + " ".join(
+            f"{'-' if row[key] is None else row[key]:>{width}}"
+            for key, width in (("delta", 5), ("classes_scanned", 10), ("nodes_visited", 7),
+                               ("eliminations", 7), ("cuts", 5), ("leaves", 7))))
+    save_run(OUT, args.label, cases=rows)
 
 
 if __name__ == "__main__":

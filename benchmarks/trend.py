@@ -5,7 +5,9 @@ run labelled "parent ...", it prints per case the ratio of the run recorded
 right after that parent run to the parent run: the later run's seconds over
 the parent's.  A ratio below 1 means the run after the parent (the change)
 was faster.  Cases that time several stages (`bench_layers.py`'s "seconds"
-dicts) get one ratio per stage present in both runs.
+dicts) get one ratio per stage present in both runs.  `bench_search.py` and
+`bench_layers.py` now record counts only, so a case that either run records
+without seconds gets no ratio; their timed history still prints.
 
 A parent run is recorded as a pair with the run right after it only when
 that run is not itself a "parent ..." run.  A comparison with another parent
@@ -40,7 +42,10 @@ def _cases(run):
 
 
 def _ratios(parent, after):
-    """after / parent for the case's seconds, or per stage both records time."""
+    """after / parent for the case's seconds, or per stage both records time;
+    None when either record has no seconds (a counts-only run)."""
+    if "seconds" not in parent or "seconds" not in after:
+        return None
     a, b = parent["seconds"], after["seconds"]
     if not isinstance(a, dict):
         return f"{b / a:.3f}" if a else ""
@@ -73,8 +78,9 @@ def print_pairs(runs):
         print(f"  {parent['label']}\n    -> {after['label']}{mark}")
         cases = _cases(after)
         for name, record in _cases(parent).items():
-            if name in cases:
-                print(f"    {name}: {_ratios(record, cases[name])}")
+            ratios = _ratios(record, cases[name]) if name in cases else None
+            if ratios is not None:
+                print(f"    {name}: {ratios}")
 
 
 def main(paths):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .errors import ConsistencyError, NotHodgeClass
+from .errors import ConsistencyError
 from .exactmath import (
     AlgebraicReal,
     RealNumberField,
@@ -194,12 +194,6 @@ class ComplexTorus:
     def rational_j(self) -> bool:
         """Whether J has rational entries, so that its scalars are ints."""
         return len(self.j_parts) == 1
-
-    @property
-    def labels(self):
-        if self.factors is None:
-            return (self.label,) if self.label else None
-        return tuple(f.label or f"F{i + 1}" for i, f in enumerate(self.factors))
 
     @property
     def has_cm(self) -> bool:

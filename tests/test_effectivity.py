@@ -20,7 +20,6 @@ from lefdefect.torus import (
     AlternatingForm,
     ComplexTorus,
     elliptic,
-    hom_rank,
     ns_coordinates,
     ns_rank,
     product,

@@ -15,7 +15,7 @@ alternates them call by call:
 
 The package uses only relative imports, so every copy runs on its own
 modules, and `bench_search.py` and `bench_layers.py` are imported once per
-side with `lefdefect` bound to that side's package.  There are two kinds
+side with `lefdefect` bound to that side's package.  There are three kinds
 of case:
 
 * search: `bench_search.py`'s cases, `torus_defect` on tori built
@@ -25,6 +25,12 @@ of case:
   "<stage>, <torus>".  Each side builds the torus's `Sample` once
   (untimed); each call runs the stage on an input its `prepare` built
   beforehand (untimed).  The answer is the stage's counts.
+* import: each call loads a fresh copy of the side's package with
+  `.checks`, `.cli` and `.schema` under a throwaway name, as every set-up
+  of perfbench imports it, then drops those modules from sys.modules.  The
+  answer is the package's sorted public names.  A side whose `src/` holds
+  cached bytecode only loads it, so under PYTHONDONTWRITEBYTECODE=1 clear
+  `__pycache__` under `src/` first: then every side compiles its sources.
 
 Per case and round, each side runs a batch of calls, timed with
 `time.process_time` after `gc.collect()` and with the collector disabled
@@ -48,6 +54,7 @@ Usage (from the root of a git checkout):
 
 import argparse
 import gc
+import importlib
 import importlib.util
 import io
 import os
@@ -70,6 +77,8 @@ import bench_search  # noqa: E402
 
 # A timed batch of the change runs calls until it lasts at least this long.
 BATCH_SECONDS = 0.1
+# The modules that each set-up of perfbench imports besides the package.
+SUBMODULES = ("checks", "cli", "schema")
 CLOCK = time.process_time
 
 
@@ -103,10 +112,11 @@ def import_script(name, suffix, aliases):
 
 
 class Side:
-    """bench_search.py and bench_layers.py bound to one package."""
+    """bench_search.py and bench_layers.py bound to one package, and the
+    directory that package is loaded from."""
 
-    def __init__(self, search, layers):
-        self.search, self.layers = search, layers
+    def __init__(self, search, layers, package_dir):
+        self.search, self.layers, self.package_dir = search, layers, package_dir
 
     @classmethod
     def of(cls, package):
@@ -116,7 +126,7 @@ class Side:
                    if name == prefix or name.startswith(prefix + ".")}
         search = import_script("bench_search", prefix, aliases)
         layers = import_script("bench_layers", prefix, {**aliases, "bench_search": search})
-        return cls(search, layers)
+        return cls(search, layers, package.__path__[0])
 
 
 def search_case(index):
@@ -143,6 +153,30 @@ def stage_case(torus, stage):
         return lambda: prepare(T), run, count
 
     return (f"{bench_layers.STAGES[stage].name}, {bench_layers.layer_tori()[torus][0]}", bind)
+
+
+def import_case():
+    """(name, bind) of importing the package afresh; the answer is the
+    package's sorted public names."""
+    def run(side):
+        name = "lefdefect_import"
+        try:
+            package = load_package(name, side.package_dir)
+            for module in SUBMODULES:
+                importlib.import_module(f"{name}.{module}")
+        finally:
+            for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+                del sys.modules[module]
+        return package
+
+    def answer(package):
+        names = sorted(n for n in vars(package) if not n.startswith("_"))
+        return {"public": len(names), "names": names}
+
+    def bind(side, directory):
+        return lambda: side, run, answer
+
+    return "import", bind
 
 
 def extract_src(rev, target):
@@ -222,16 +256,17 @@ def main():
                         help="case names to leave out")
     args = parser.parse_args()
 
+    started = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         commit = extract_src(args.parent, tmp)
         sides = {
-            "change": Side(bench_search, bench_layers),
+            "change": Side(bench_search, bench_layers, os.path.join(SRC, "lefdefect")),
             "parent": Side.of(load_package("lefdefect_parent",
                                            os.path.join(tmp, "src", "lefdefect"))),
             "copy": Side.of(load_package("lefdefect_copy", os.path.join(SRC, "lefdefect"))),
         }
         label = args.label or f"vs {commit[:7]}"
-        cases = ([search_case(i) for i in range(len(bench_search.CASES))]
+        cases = ([import_case()] + [search_case(i) for i in range(len(bench_search.CASES))]
                  + [stage_case(t, s) for t in range(len(bench_layers.layer_tori()))
                     for s in range(len(bench_layers.STAGES))])
         rows = []
@@ -248,7 +283,9 @@ def main():
                   f"{ab['median']:>6.3f} [{ab['q1']:.3f}, {ab['q3']:.3f}] {ab['wins']:>2}w "
                   f"{aa['median']:>6.3f} [{aa['q1']:.3f}, {aa['q3']:.3f}] {aa['wins']:>2}w")
 
-    bench_search.save_run(OUT, label, parent=commit, cases=rows)
+    wall_s = round(time.perf_counter() - started, 1)
+    print(f"wall time {wall_s} s")
+    bench_search.save_run(OUT, label, parent=commit, wall_s=wall_s, cases=rows)
 
 
 if __name__ == "__main__":

@@ -16,14 +16,13 @@ relies on, on a concrete torus, through two independent code paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
 from .classifier import IsogenyFactor, IsogenySpec, classify
 from .cohomology import cup_matrix, poincare_dual, restriction_map, wedge, wedge_basis
 from .effectivity import DefectSearchResult, is_effective_class, torus_defect
-from .errors import ConsistencyError
+from .errors import ConsistencyError, FrozenRecord
 from .exactmath import kernel_basis
 from .exactmath.linalg import bareiss_echelon
 from .torus import (
@@ -41,11 +40,14 @@ from .torus import (
 CHECK_NAMES = ("voisin", "kunneth", "lefschetz", "oracle")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "skipped" | "box_limited"
-    detail: str
+class CheckResult(FrozenRecord):
+    """Outcome of one check: `status` is "pass", "fail", "skipped" or
+    "box_limited", and `detail` says what was compared."""
+
+    __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str):
+        self._set(name, status, detail)
 
 
 def restriction_kernel_on_ns(A: ComplexTorus, W):

@@ -16,65 +16,66 @@ for types I and IV (type III does not occur for surfaces).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
+
+from .errors import FrozenRecord
 
 _SURFACE_PICARD = {"I": (1, 2), "II": (3,), "IV": (2,)}
 
 
-@dataclass(frozen=True)
-class IsogenyFactor:
-    """One simple isogeny factor with its multiplicity."""
+class IsogenyFactor(FrozenRecord):
+    """One simple isogeny factor with its multiplicity.
 
-    kind: str  # "elliptic" | "surface" | "simple_other"
-    mult: int
-    label: str
-    has_cm: Optional[bool] = None
-    albert_type: Optional[str] = None
-    picard: Optional[int] = None
-    dim: int = field(default=0)
+    `kind` is "elliptic", "surface" or "simple_other".  The constructor
+    validates the factor and sets `dim` to 1 for an elliptic and 2 for a
+    surface factor; a simple_other factor keeps the `dim` it is given.
+    """
 
-    def __post_init__(self):
-        if self.mult < 1:
-            raise ValueError(f"factor {self.label}: multiplicity must be positive")
-        if self.kind == "elliptic":
-            if self.has_cm is None:
-                raise ValueError(f"factor {self.label}: elliptic factor needs a cm flag")
-            object.__setattr__(self, "dim", 1)
-        elif self.kind == "surface":
-            if self.albert_type not in _SURFACE_PICARD:
+    __slots__ = ("kind", "mult", "label", "has_cm", "albert_type", "picard", "dim")
+
+    def __init__(self, kind: str, mult: int, label: str, has_cm: Optional[bool] = None,
+                 albert_type: Optional[str] = None, picard: Optional[int] = None,
+                 dim: int = 0):
+        if mult < 1:
+            raise ValueError(f"factor {label}: multiplicity must be positive")
+        if kind == "elliptic":
+            if has_cm is None:
+                raise ValueError(f"factor {label}: elliptic factor needs a cm flag")
+            dim = 1
+        elif kind == "surface":
+            if albert_type not in _SURFACE_PICARD:
                 raise ValueError(
-                    f"factor {self.label}: surface type must be I, II or IV"
+                    f"factor {label}: surface type must be I, II or IV"
                 )
-            if self.picard not in _SURFACE_PICARD[self.albert_type]:
-                allowed = _SURFACE_PICARD[self.albert_type]
+            if picard not in _SURFACE_PICARD[albert_type]:
+                allowed = _SURFACE_PICARD[albert_type]
                 raise ValueError(
-                    f"factor {self.label}: type {self.albert_type} forces picard in {allowed}"
+                    f"factor {label}: type {albert_type} forces picard in {allowed}"
                 )
-            object.__setattr__(self, "dim", 2)
-        elif self.kind == "simple_other":
-            if self.dim < 3:
+            dim = 2
+        elif kind == "simple_other":
+            if dim < 3:
                 raise ValueError(
-                    f"factor {self.label}: simple_other factors have dimension >= 3"
+                    f"factor {label}: simple_other factors have dimension >= 3"
                 )
         else:
-            raise ValueError(f"factor {self.label}: unknown kind {self.kind!r}")
+            raise ValueError(f"factor {label}: unknown kind {kind!r}")
+        self._set(kind, mult, label, has_cm, albert_type, picard, dim)
 
 
-@dataclass(frozen=True)
-class IsogenySpec:
+class IsogenySpec(FrozenRecord):
     """Isogeny factorization with pairwise non-isogenous base factors.
 
     Repeated labels denote the same isogeny class and are merged by adding
     multiplicities, so listing a factor k times equals multiplicity k.
     """
 
-    factors: Tuple[IsogenyFactor, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
+    def __init__(self, factors: Tuple[IsogenyFactor, ...]):
         merged = {}
         order = []
-        for f in self.factors:
+        for f in factors:
             if f.label in merged:
                 prev = merged[f.label]
                 same = (
@@ -98,7 +99,7 @@ class IsogenySpec:
             else:
                 merged[f.label] = f
                 order.append(f.label)
-        object.__setattr__(self, "factors", tuple(merged[l] for l in order))
+        self._set(tuple(merged[l] for l in order))
         if not self.factors:
             raise ValueError("isogeny specification needs at least one factor")
         if self.total_dim < 2:
@@ -109,15 +110,15 @@ class IsogenySpec:
         return sum(f.dim * f.mult for f in self.factors)
 
 
-@dataclass(frozen=True)
-class DefectReport:
-    """Classified global defect with its trichotomy case."""
+class DefectReport(FrozenRecord):
+    """Classified global defect with its trichotomy case: `case` is "zero",
+    "elliptic", "surface_II" or "surface_I_or_IV"."""
 
-    delta: int
-    case: str  # "zero" | "elliptic" | "surface_II" | "surface_I_or_IV"
-    witness_factor: Optional[str]
-    cm: Optional[bool] = None
-    multiplicity: Optional[int] = None
+    __slots__ = ("delta", "case", "witness_factor", "cm", "multiplicity")
+
+    def __init__(self, delta: int, case: str, witness_factor: Optional[str],
+                 cm: Optional[bool] = None, multiplicity: Optional[int] = None):
+        self._set(delta, case, witness_factor, cm, multiplicity)
 
 
 def _factor_candidate(f: IsogenyFactor):

@@ -40,13 +40,12 @@ with the same sign and exact quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from . import _purekernels
 from .cohomology import ns_cup_matrix, wedge_index
-from .errors import ConsistencyError, NotHodgeClass
+from .errors import ConsistencyError, FrozenRecord, NotHodgeClass, _setattr
 from .exactmath import IntegralElement, kernel_basis, primitive_integer_vector, rank
 from .torus import (
     AlternatingForm,
@@ -170,15 +169,14 @@ def induced_quotient_class(A: ComplexTorus, E: AlternatingForm, W: Sublattice) -
     return AlternatingForm._from_num(quotient(A, W), E.den, rows)
 
 
-@dataclass(frozen=True)
-class EffectivityReport:
+class EffectivityReport(FrozenRecord):
     """Per-class positivity summary."""
 
-    form: AlternatingForm
-    is_effective: bool
-    radical_rank: int
-    iitaka_dim: Optional[int]
-    quotient: Optional[ComplexTorus]
+    __slots__ = ("form", "is_effective", "radical_rank", "iitaka_dim", "quotient")
+
+    def __init__(self, form: AlternatingForm, is_effective: bool, radical_rank: int,
+                 iitaka_dim: Optional[int], quotient: Optional[ComplexTorus]):
+        self._set(form, is_effective, radical_rank, iitaka_dim, quotient)
 
 
 def effectivity_report(A: ComplexTorus, E: AlternatingForm) -> EffectivityReport:
@@ -191,26 +189,32 @@ def effectivity_report(A: ComplexTorus, E: AlternatingForm) -> EffectivityReport
     return EffectivityReport(E, True, W.rank, b, B)
 
 
-@dataclass(frozen=True)
-class DefectSearchResult:
+class DefectSearchResult(FrozenRecord):
     """Outcome of the box search: a certified-from-below global defect."""
 
-    delta: int
-    witness: Optional[AlternatingForm]
-    classes_scanned: int
-    nodes_visited: int
-    search_box: int
-    witness_coefficients: Optional[tuple]
+    __slots__ = ("delta", "witness", "classes_scanned", "nodes_visited", "search_box",
+                 "witness_coefficients")
+
+    def __init__(self, delta: int, witness: Optional[AlternatingForm], classes_scanned: int,
+                 nodes_visited: int, search_box: int, witness_coefficients: Optional[tuple]):
+        self._set(delta, witness, classes_scanned, nodes_visited, search_box,
+                  witness_coefficients)
 
 
-@dataclass(frozen=True)
-class EffectiveClassRecord:
-    """One effective candidate seen by the survey scan."""
+class EffectiveClassRecord(FrozenRecord):
+    """One effective candidate seen by the survey scan.
 
-    position: int
-    coefficients: tuple
-    defect: int
-    form_rank: int
+    A survey builds one per effective candidate, so the fields are stored
+    one by one, without the loop of `_set`.
+    """
+
+    __slots__ = ("position", "coefficients", "defect", "form_rank")
+
+    def __init__(self, position: int, coefficients: tuple, defect: int, form_rank: int):
+        _setattr(self, "position", position)
+        _setattr(self, "coefficients", coefficients)
+        _setattr(self, "defect", defect)
+        _setattr(self, "form_rank", form_rank)
 
 
 def _symmetric_entries(A: ComplexTorus, E: AlternatingForm):

@@ -1,20 +1,19 @@
 """Input documents and reports for the command-line front end.
 
 Specification files are JSON with every rational written as an exact string
-("3/2", never 1.5); float literals anywhere in a document are rejected at
-parse time.  Reports echo the input document verbatim, so a report's input
+("3/2", never 1.5); float literals anywhere in a document, NaN and
+Infinity included, are rejected at parse time.  Reports echo the input document verbatim, so a report's input
 block re-parses to the identical specification.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .classifier import IsogenyFactor, IsogenySpec
-from .errors import SchemaError
+from .errors import FrozenRecord, SchemaError
 from .exactmath import RealNumberField, parse_rational
 from .torus import AlternatingForm, ComplexTorus, elliptic, product
 
@@ -22,12 +21,14 @@ _FACTOR_KINDS = ("elliptic", "surface", "simple_other")
 
 
 def _reject_float(value):
+    """Reject a JSON number with a fraction or exponent, and the constants
+    NaN, Infinity and -Infinity, which `parse_float` never sees."""
     raise SchemaError("$", f"float literal {value!r} is forbidden; use exact strings")
 
 
 def loads(text: str) -> dict:
     try:
-        return json.loads(text, parse_float=_reject_float)
+        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except SchemaError:
         raise
     except json.JSONDecodeError as exc:
@@ -53,15 +54,18 @@ def _rational(value, path) -> Fraction:
         raise SchemaError(path, str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class SpecDocument:
-    """Validated input document: an isogeny factorization or an explicit torus."""
+class SpecDocument(FrozenRecord):
+    """Validated input document: an isogeny factorization or an explicit torus.
 
-    kind: str
-    raw: dict
-    spec: Optional[IsogenySpec] = None
-    torus: Optional[ComplexTorus] = None
-    classes: tuple = field(default_factory=tuple)
+    Two documents are equal when their kind and raw JSON are; the parsed
+    `spec`, `torus` and `classes` follow from those.
+    """
+
+    __slots__ = ("kind", "raw", "spec", "torus", "classes")
+
+    def __init__(self, kind: str, raw: dict, spec: Optional[IsogenySpec] = None,
+                 torus: Optional[ComplexTorus] = None, classes: tuple = ()):
+        self._set(kind, raw, spec, torus, classes)
 
     def __eq__(self, other):
         if not isinstance(other, SpecDocument):
@@ -205,15 +209,14 @@ def _parse_torus(data: dict) -> SpecDocument:
     return SpecDocument(kind="torus", raw=data, torus=torus, classes=tuple(classes))
 
 
-@dataclass
-class ClassRow:
+class ClassRow(FrozenRecord):
     """One row of the per-class analysis table."""
 
-    name: str
-    is_effective: bool
-    iitaka_dim: Optional[int]
-    rho_quotient: Optional[int]
-    defect: int
+    __slots__ = ("name", "is_effective", "iitaka_dim", "rho_quotient", "defect")
+
+    def __init__(self, name: str, is_effective: bool, iitaka_dim: Optional[int],
+                 rho_quotient: Optional[int], defect: int):
+        self._set(name, is_effective, iitaka_dim, rho_quotient, defect)
 
     def to_dict(self):
         return {
@@ -225,22 +228,21 @@ class ClassRow:
         }
 
 
-@dataclass
-class ReportDocument:
+class ReportDocument(FrozenRecord):
     """Machine-readable outcome of a CLI command.
 
     `elapsed_ms` is informational; the semantic fields are deterministic for
     a given input and box, which is what golden-file comparisons rely on.
     """
 
-    input_document: dict
-    delta: int
-    case: str
-    class_rows: list
-    verification: dict
-    classes_scanned: int
-    elapsed_ms: int
-    witness: Optional[list] = None
+    __slots__ = ("input_document", "delta", "case", "class_rows", "verification",
+                 "classes_scanned", "elapsed_ms", "witness")
+
+    def __init__(self, input_document: dict, delta: int, case: str, class_rows: list,
+                 verification: dict, classes_scanned: int, elapsed_ms: int,
+                 witness: Optional[list] = None):
+        self._set(input_document, delta, case, class_rows, verification, classes_scanned,
+                  elapsed_ms, witness)
 
     def to_dict(self):
         return {

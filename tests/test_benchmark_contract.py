@@ -52,7 +52,9 @@ def test_pure_path_only():
 def test_traced_evaluate_counts_effective_leaves(monkeypatch):
     """The tracer wraps `evaluate(search, leaf)`, leaf = (coeffs, form_rank),
     on both search kinds and counts the leaves whose verdict[0] is true: as
-    many as the survey records, over Q and over Q(2^(1/4))."""
+    many as the survey records, over Q and over Q(2^(1/4)).  It also adds up
+    the `classes_scanned` of both searches, telling the survey's
+    `(result, records)` pair from a `torus_defect` result by `tuple`."""
     for cls in (_purekernels.IntSearch, _purekernels.FieldSearch):
         # uninstall sets the inherited method on the class: undone after the test
         monkeypatch.setattr(cls, "evaluate", cls.evaluate)
@@ -65,9 +67,12 @@ def test_traced_evaluate_counts_effective_leaves(monkeypatch):
         tracer.install()
         try:
             _, records = lefdefect.effectivity.defect_survey(A, box=1)
+            effective = tracer.effective
+            result = lefdefect.effectivity.torus_defect(A, box=1)
         finally:
             tracer.uninstall()
-        assert records and tracer.effective == len(records)
+        assert records and effective == len(records)
+        assert tracer.candidates == 2 * result.classes_scanned
 
 
 @pytest.mark.parametrize("workload", ["survey_int", "survey_field", "case_analysis",

@@ -4,8 +4,9 @@ No other test imports these scripts, so a renamed internal of the package
 would only show when someone ran them.  These tests import the three
 benchmark scripts and `trend.py`, record the counts of two search cases and
 the stage table on two tori, run one in-process comparison round of
-`bench_ab.py` (with a second import of this checkout's package as the
-parent, so no git is needed), and read the committed `BENCH_*.json` files.
+`bench_ab.py` on a stage, a search and the import case (with a second
+import of this checkout's package as the parent, so no git is needed), and
+read the committed `BENCH_*.json` files.
 They write nothing under `benchmarks/`.
 """
 
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import lefdefect
 from lefdefect.effectivity import torus_defect
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -76,7 +78,8 @@ def test_one_comparison_round(bench, tmp_path, monkeypatch):
     ab, search, layers = bench["bench_ab"], bench["search"], bench["layers"]
     monkeypatch.setattr(ab, "BATCH_SECONDS", 0.01)
     second = ab.Side.of(ab.load_package("lefdefect_second", os.path.join(ab.SRC, "lefdefect")))
-    sides = {"change": ab.Side(search, layers), "parent": second, "copy": second}
+    sides = {"change": ab.Side(search, layers, os.path.join(ab.SRC, "lefdefect")),
+             "parent": second, "copy": second}
     quotient = next(i for i, s in enumerate(layers.STAGES) if s.name == "quotient")
     stage = layers.STAGES[quotient]
     expected = stage.count(stage.run(stage.prepare(layers.sample(layers.layer_tori()[0][1],
@@ -89,6 +92,10 @@ def test_one_comparison_round(bench, tmp_path, monkeypatch):
     result = torus_defect(build(), box=box)
     assert found == {"delta": result.delta, "classes_scanned": result.classes_scanned,
                      "witness": result.witness_coefficients}
+    _, found, _ = ab.compare(sides, ab.import_case(), 1, tmp_path)
+    assert set(lefdefect.__all__) | {"checks", "cli", "schema"} <= set(found["names"])
+    assert found["public"] == len(found["names"])
+    assert not any(name.startswith("lefdefect_import") for name in sys.modules)
 
 
 def test_trend_reads_committed_history(bench, capsys):

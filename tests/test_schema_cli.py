@@ -28,6 +28,11 @@ class TestSchema:
         with pytest.raises(SchemaError, match="float literal"):
             loads('{"kind": "torus", "x": 1.5}')
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_rejected(self, constant):
+        with pytest.raises(SchemaError, match=f"float literal '{constant}'"):
+            loads(f'{{"kind": "torus", "x": [{constant}]}}')
+
     def test_malformed_rational_string(self, tmp_path):
         path = write(tmp_path, "bad.json", {
             "kind": "torus",
@@ -301,14 +306,14 @@ QUARTIC = {"min_poly": [-2, 0, 0, 0, 1], "root_interval": ["1", "3/2"]}
 class TestOracleVerdicts:
     def _search_off_by(self, monkeypatch, shift):
         """Make `defect torus` see a search delta `shift` away from the real one."""
-        import dataclasses
-
         import lefdefect.cli as cli
-        from lefdefect.effectivity import torus_defect
+        from lefdefect.effectivity import DefectSearchResult, torus_defect
 
         def shifted(A, box):
             result = torus_defect(A, box=box)
-            return dataclasses.replace(result, delta=result.delta + shift)
+            return DefectSearchResult(result.delta + shift, result.witness,
+                                      result.classes_scanned, result.nodes_visited,
+                                      result.search_box, result.witness_coefficients)
 
         monkeypatch.setattr(cli, "torus_defect", shifted)
 
@@ -389,6 +394,16 @@ class TestExitCodes:
         path.write_bytes('{"kind": "isogeny", "label": "\xe9"}'.encode("latin-1"))
         assert main(["classify", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_input_error(self, tmp_path, capsys, constant):
+        # The JSON constants bypass parse_float; a report would echo them.
+        path = write(tmp_path, "iso.json", '{"kind": "isogeny", "note": %s, "factors": '
+                     '[{"type": "elliptic", "cm": true, "mult": 2}]}' % constant)
+        out = tmp_path / "r.json"
+        assert main(["classify", path, "--out", str(out)]) == 2
+        assert f"float literal '{constant}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_divisor_in_document_is_input_error(self, tmp_path, capsys):
         # x^2 - 1 is square-free but reducible; 1 + alpha is a zero divisor.

@@ -121,6 +121,11 @@ class Side:
     @classmethod
     def of(cls, package):
         prefix = package.__name__
+        # The scripts import `.checks` and `.schema`, which the package does
+        # not import itself: without these imports the side would run the
+        # change's modules under the names it aliases.
+        for module in SUBMODULES:
+            importlib.import_module(f"{prefix}.{module}")
         aliases = {"lefdefect" + name[len(prefix):]: module
                    for name, module in sys.modules.items()
                    if name == prefix or name.startswith(prefix + ".")}

@@ -1,12 +1,13 @@
 """Benchmark stages: the layers that read a torus's complex structure J.
 
-On the declared products of `bench_search.py` (E_i^2, E_i^3 and E_i^4 over
-Q, three products over Q(2^(1/4)), and a pair of curves over each of Q and
-Q(2^(1/4)); not the mixed-basis E_i^3, which has no declared curves to
-rebuild or write as a document) `STAGES` runs, each as one call on inputs
-prepared from the torus:
+On the products of curves of `bench_search.py` (E_i^2, E_i^3 and E_i^4
+over Q, three products over Q(2^(1/4)), and a pair of curves over each of Q
+and Q(2^(1/4)); not the mixed-basis E_i^3, whose J is one block, with no
+curves to rebuild or write as a document) `STAGES` runs, each as one call
+on inputs prepared from the torus:
 
-* `elliptic`: constructing the torus's curves from their (a, beta),
+* `elliptic`: constructing the torus's curves from their (a, beta), read
+  off the curves' J (`curve_data`),
 * `build`: constructing the product torus from the same curve data,
 * `load_document`: parsing one written torus document of the same curves,
   with every block's fiber class declared (field, curves, product, classes
@@ -70,10 +71,11 @@ import json
 import os
 import tempfile
 from collections import namedtuple
+from fractions import Fraction
 
 from bench_search import CASES, save_run
 from lefdefect import _purekernels, effectivity
-from lefdefect.checks import check_voisin
+from lefdefect.checks import check_voisin, isogeny_spec_of
 from lefdefect.cohomology import defect_of_class, ns_cup_matrix
 from lefdefect.exactmath import (
     IntegralElement,
@@ -96,6 +98,7 @@ from lefdefect.torus import (
     AlternatingForm,
     Sublattice,
     elliptic,
+    factor_blocks,
     fiber_pairs,
     hom_rank,
     ns_basis,
@@ -133,14 +136,23 @@ def sample_forms(A):
 
 
 def layer_tori():
-    """(name, build) of each declared product among `CASES`, once per torus
-    (the mixed-basis E_i^3 has no declared curves)."""
+    """(name, build) of each torus among `CASES` whose J is block diagonal
+    in curves (it has an `isogeny_spec_of`), once per torus (the
+    mixed-basis E_i^3 is one block)."""
     tori = {}
     for name, build, _ in CASES:
         torus = name.split(",")[0]
-        if torus not in tori and build().factors is not None:
+        if torus not in tori and isogeny_spec_of(build()) is not None:
             tori[torus] = build
     return list(tori.items())
+
+
+def curves(A):
+    """The curves on the diagonal blocks of J of a torus of `layer_tori`.
+
+    Read through `factor_blocks` and `isogeny_spec_of`, which older
+    checkouts have too, so that `bench_ab.py` runs every stage on them."""
+    return [f for _, f in factor_blocks(A)]
 
 
 def fiber_forms(A):
@@ -193,7 +205,15 @@ def sample(build, directory):
 
 
 def curve_data(A):
-    return [f._elliptic_tau for f in A.factors]
+    """(a, beta) of each curve of A, read off its J: on the basis (1, tau),
+    J = [[-a/beta, -beta - a^2/beta], [1/beta, a/beta]]."""
+    data = []
+    for E in curves(A):
+        j10 = [Jk[1][0] for Jk in E.j_parts]
+        k = next(k for k, x in enumerate(j10) if x)
+        a = Fraction(E.j_parts[k][1][1], j10[k])
+        data.append((a, E.j_den / E.field.element(j10)))
+    return data
 
 
 def fresh(A, matrices):
@@ -220,7 +240,7 @@ STAGES = (
           lambda doc: {"document_rho": ns_rank(doc.torus)}),
     Stage("ns_basis", lambda T: T.build(), ns_basis, lambda basis: {"rho": len(basis)}),
     Stage("hom_rank",
-          lambda T: [(X, Y) for X in (*T.A.factors, T.A) for Y in (*T.A.factors, T.A)],
+          lambda T: [(X, Y) for X in (*curves(T.A), T.A) for Y in (*curves(T.A), T.A)],
           each(hom_rank), lambda ranks: {"hom_rank_sum": sum(ranks)}),
     Stage("is_effective_class", lambda T: fresh(T.A, T.forms), each(is_effective_class),
           lambda verdicts: {"forms": len(verdicts), "effective_forms": sum(verdicts)}),

@@ -30,6 +30,7 @@ from .torus import (
     ComplexTorus,
     coordinate_factor_sublattices,
     factor_blocks,
+    factor_curves,
     fiber_pairs,
     hom_rank,
     ns_basis,
@@ -110,7 +111,7 @@ def check_kunneth(A: ComplexTorus) -> CheckResult:
 
 
 def product_polarization(A: ComplexTorus) -> Optional[AlternatingForm]:
-    """Sum of the standard fiber forms of the declared blocks."""
+    """Sum of the fiber forms of the diagonal blocks of J (`fiber_pairs`)."""
     pairs = fiber_pairs(A)
     if pairs is None:
         return None
@@ -141,17 +142,16 @@ def check_lefschetz(A: ComplexTorus) -> CheckResult:
 
 
 def isogeny_spec_of(A: ComplexTorus) -> Optional[IsogenySpec]:
-    """Isogeny factorization of a declared product of elliptic curves.
+    """Isogeny factorization of a torus whose J is block diagonal in
+    elliptic curves (`factor_curves`), or None.
 
     Curves are grouped by nonvanishing Hom rank; within a group the CM flag
-    is shared, so the group contributes one factor with its multiplicity.
-    A factor takes the label of its group's first curve, primed until it
-    differs from earlier factors' labels: the spec merges equal labels.
+    is shared, so the group contributes one factor with its multiplicity,
+    named E1, E2, ... in the order of the groups' first curves.
     """
-    blocks = factor_blocks(A)
-    if blocks is None or any(f.n != 1 for _, f in blocks):
+    curves = factor_curves(A)
+    if curves is None:
         return None
-    curves = [f for _, f in blocks]
     groups = []
     for curve in curves:
         for group in groups:
@@ -165,10 +165,7 @@ def isogeny_spec_of(A: ComplexTorus) -> Optional[IsogenySpec]:
         cm_flags = {c.has_cm for c in group}
         if len(cm_flags) != 1:
             raise ConsistencyError("isogenous curves disagree on CM")
-        label = group[0].label or f"E{idx + 1}"
-        while any(f.label == label for f in factors):
-            label += "'"
-        factors.append(IsogenyFactor("elliptic", len(group), label, has_cm=cm_flags.pop()))
+        factors.append(IsogenyFactor("elliptic", len(group), f"E{idx + 1}", has_cm=cm_flags.pop()))
     return IsogenySpec(tuple(factors))
 
 
@@ -183,7 +180,7 @@ def check_oracle(
     """
     spec = isogeny_spec_of(A)
     if spec is None:
-        return CheckResult("oracle", "skipped", "not a declared product of elliptic curves")
+        return CheckResult("oracle", "skipped", "J is not block diagonal in elliptic curves")
     expected = classify(spec).delta
     if result is None:
         result = torus_defect(A, box=box)

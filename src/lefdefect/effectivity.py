@@ -10,15 +10,14 @@ elimination, `_purekernels.psd_rank`, which also returns the rank.
 
 `torus_defect` maximizes the cup-product kernel dimension over all effective
 integer classes in a coefficient box over the NS basis, plus the structured
-candidates that lie outside the box.  On a declared product
-these are the sums of the blocks' fiber classes over nonempty subsets of
-blocks, when every fiber is an NS class, and the fiber classes of the
-elliptic blocks, which up to sign are the Poincare duals of the corank-2
-coordinate-factor sublattices; all come from reading each block's fiber
-class off the NS basis once (`ns_coordinates`, no elimination), and none
-is built when those coordinates show that every one lies in the box
-(`_extras_inside_box`).  The box is covered by a pruned depth-first search
-(see `_purekernels`):
+candidates that lie outside the box.  When J is block diagonal these are
+the sums of the blocks' fiber classes over nonempty subsets of blocks, when
+every fiber is an NS class, and the fiber classes of the elliptic blocks,
+which up to sign are the Poincare duals of the corank-2 coordinate-factor
+sublattices; all come from reading each block's fiber class off the NS
+basis once (`ns_coordinates`, no elimination), and none is built when those
+coordinates show that every one lies in the box (`_extras_inside_box`).
+The box is covered by a pruned depth-first search (see `_purekernels`):
 `classes_scanned` counts every box candidate it decides, visited or pruned,
 and `nodes_visited` the search-tree nodes it actually enters.  `_search`
 builds the search straight from the torus: the symmetric parts of the NS
@@ -53,7 +52,7 @@ from .torus import (
     Sublattice,
     _matmul,
     _ns_pair_coordinates,
-    factor_blocks,
+    factor_curves,
     fiber_pairs,
     hom_rank,
     ns_basis,
@@ -257,7 +256,7 @@ def _search(A: ComplexTorus):
 
 
 def _fiber_coordinates(A: ComplexTorus, pairs):
-    """Per declared block (its `fiber_pairs`), the coordinates of its fiber
+    """Per diagonal block of J (`fiber_pairs`), the coordinates of its fiber
     form over the NS basis, or None when the fiber is not an NS class.
 
     Each block's fiber form is read off the NS basis once, on its integer
@@ -302,9 +301,9 @@ def _extras_inside_box(fibers, box: int) -> bool:
     the sum of their absolute values is at most `box`.  Every candidate is
     a subset sum of these fibers, or one of them, so its entries are
     bounded by that sum, and its primitive form only divides by its
-    content.  (On a declared product an elliptic block's fiber is a single
-    pair slot, a free slot of the echelon NS basis, so its coordinates are
-    a unit vector.)  False means only that the candidates must be built."""
+    content.  (An elliptic block's fiber is a single pair slot, a free
+    slot of the echelon NS basis, so its coordinates are a unit vector.)
+    False means only that the candidates must be built."""
     known = [f for f in fibers if f is not None]
     if any(x.denominator != 1 for f in known for x in f):
         return False
@@ -314,7 +313,7 @@ def _extras_inside_box(fibers, box: int) -> bool:
 def _structured_candidate_vectors(A: ComplexTorus):
     """Coefficient vectors of the structured candidates over the NS basis.
 
-    For declared products these are the sums of the fiber forms over every
+    When J is block diagonal these are the sums of the fiber forms over every
     nonempty subset of blocks (the pullbacks of the product polarizations of
     all coordinate quotients, the torus itself included), offered only when
     every fiber form is an NS class, and the Poincare duals of the corank-2
@@ -425,8 +424,8 @@ def divisor_case_data(A: ComplexTorus, E: AlternatingForm):
 
     Inputs for the per-divisor case analysis: the Iitaka dimension b, the
     Picard number of the quotient when b = 2, and the CM flag plus isogeny
-    multiplicity of the quotient elliptic curve when b = 1.  Multiplicities
-    need a declared factorization into elliptic blocks.
+    multiplicity of the quotient curve when b = 1: the number of diagonal
+    blocks of J isogenous to it, which must all be curves.
     """
     W = radical(A, E)
     b = A.n - W.rank // 2
@@ -435,11 +434,10 @@ def divisor_case_data(A: ComplexTorus, E: AlternatingForm):
     B = quotient(A, W)
     if b == 2:
         return b, ns_rank(B), None, None
-    cm = hom_rank(B, B) == 2
-    blocks = factor_blocks(A)
-    if blocks is None or any(f.n != 1 for _, f in blocks):
-        raise ValueError("isogeny multiplicity needs declared elliptic factors")
-    k = sum(1 for _, f in blocks if hom_rank(f, B) >= 1)
+    curves = factor_curves(A)
+    if curves is None:
+        raise ValueError("J is not block diagonal in elliptic curves")
+    k = sum(1 for f in curves if hom_rank(f, B) >= 1)
     if k < 1:
         raise ConsistencyError("quotient elliptic curve not isogenous to any factor")
-    return b, None, cm, k
+    return b, None, B.has_cm, k

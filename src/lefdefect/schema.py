@@ -1,9 +1,10 @@
 """Input documents and reports for the command-line front end.
 
 Specification files are JSON with every rational written as an exact string
-("3/2", never 1.5); float literals anywhere in a document, NaN and
-Infinity included, are rejected at parse time.  Reports echo the input document verbatim, so a report's input
-block re-parses to the identical specification.
+("3/2", never 1.5); float literals anywhere in a document, NaN and Infinity
+included, are rejected at parse time, at their path.  Reports echo the input
+document verbatim, so a report's input block re-parses to the identical
+specification.
 """
 
 from __future__ import annotations
@@ -20,19 +21,37 @@ from .torus import AlternatingForm, ComplexTorus, elliptic, product
 _FACTOR_KINDS = ("elliptic", "surface", "simple_other")
 
 
-def _reject_float(value):
-    """Reject a JSON number with a fraction or exponent, and the constants
-    NaN, Infinity and -Infinity, which `parse_float` never sees."""
-    raise SchemaError("$", f"float literal {value!r} is forbidden; use exact strings")
+class _Float(str):
+    """A float, NaN or Infinity literal, kept until its path is known."""
+
+
+def _reject_floats(value, path="$"):
+    """Raise `SchemaError` at the first `_Float` in document order."""
+    if isinstance(value, _Float):
+        raise SchemaError(path, f"float literal {str(value)!r} is forbidden; use exact strings")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_floats(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_floats(item, f"{path}[{i}]")
 
 
 def loads(text: str) -> dict:
+    floats = []
+
+    def keep(literal):
+        floats.append(_Float(literal))
+        return floats[-1]
+
     try:
-        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except SchemaError:
-        raise
+        data = json.loads(text, parse_float=keep, parse_constant=keep)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    if floats:  # only then: the walk costs more than the parse
+        _reject_floats(data)
+        _reject_floats(floats[0])  # one under a key that a later duplicate replaced
+    return data
 
 
 def _expect(condition, path, message):

@@ -6,12 +6,14 @@ a fixed real number field and J^2 = -I exactly.  A torus *is* its integer J
 data: with J = sum_k alpha^k J_k on the power basis and D the least common
 denominator of the J_k, it stores D and the integer matrices D*J_k (only
 D*J_0 when J is rational), and equality and hashing use them.  A J given
-as rows (one passed to `ComplexTorus`) is split once; a curve's
-parts come straight from the integer inverse of its imaginary part in
-Z[alpha] (`elliptic`), products concatenate the blocks' parts and
+as rows (one passed to `ComplexTorus`) is split once; a curve's parts come
+straight from the integer inverse of its imaginary part in Z[alpha]
+(`elliptic`), products concatenate their factors' certified parts and
 quotients are P*(D*J_k)*S for the projection P and section S of the
 subtorus (`complement_data`), so no field matrix is ever multiplied.
-J^2 = -I is certified on the parts themselves, in Z[alpha].  Given
+J^2 = -I is certified on the parts themselves, in Z[alpha], for every
+torus, and the factors (`factor_blocks`) and CM (`has_cm`) are read off
+them too.  Given
 J^2 = -I, an alternating form E satisfies E(Jx, Jy) = E(x, y) exactly when
 E*J is symmetric (the Riemann relations), so the Hodge test and the
 Neron-Severi space are integer conditions on the E*(D*J_k); Hom groups of
@@ -26,6 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
+from ._purekernels import _components
 from .errors import ConsistencyError
 from .exactmath import (
     AlgebraicReal,
@@ -143,16 +146,11 @@ class ComplexTorus:
     The torus is its integer J data in canonical form: `j_den` is D, the
     least common denominator of J's power-basis components J_k, and
     `j_parts` holds the integer matrices D*J_k, only D*J_0 when J is
-    rational.  Equality and hashing use (field, j_den, j_parts).  Every J
-    computation reads these parts; J^2 = -I is certified on them as
-    (D*J)^2 = -D^2 I in Z[alpha], for every torus.  `ComplexTorus(field,
-    J)` splits J, given as rows of `AlgebraicReal`s of `field` or
-    rationals, once; `elliptic` and `quotient` build their tori from parts
-    and certify them, and `product` concatenates its factors' certified
-    data, which needs no check again.  Only `product` declares factors
-    (`factor_blocks`), since it builds J from them.  Instances are
-    immutable; derived data (the NS basis) is cached on the instance, which
-    is safe because recomputation is idempotent.
+    rational.  Equality and hashing use (field, j_den, j_parts), and every
+    answer is read off them, so equal tori give equal answers; a `label`
+    shows in `repr` only.  `ComplexTorus(field, J)` takes J as rows of
+    `AlgebraicReal`s of `field` or rationals.  Instances are immutable;
+    derived data (the blocks of J, the NS basis) is cached on them.
     """
 
     def __init__(self, field: RealNumberField, J):
@@ -167,27 +165,26 @@ class ComplexTorus:
         return torus
 
     @classmethod
-    def _from_certified(cls, field, den, parts, factors) -> "ComplexTorus":
+    def _from_certified(cls, field, den, parts) -> "ComplexTorus":
         """The torus whose J data (den, parts) is already canonical, as
-        nested tuples, and known to square to -D^2 I, with these declared
-        factors: no checks run."""
+        nested tuples, and known to square to -D^2 I: no checks run."""
         torus = cls.__new__(cls)
-        torus._set(field, den, parts, factors, None)
+        torus._set(field, den, parts, None)
         return torus
 
     def _init(self, field, den, parts, label=None):
         den, parts = _canonical(den, parts)
         if not _squares_to_minus_d2(field, den, parts):
             raise ConsistencyError("inconsistent complex structure: J^2 != -I")
-        self._set(field, den, parts, None, label)
+        self._set(field, den, parts, label)
 
-    def _set(self, field, den, parts, factors, label):
+    def _set(self, field, den, parts, label):
         self.field = field
         self.j_den, self.j_parts = den, parts
         self.n = len(self.j_parts[0]) // 2
-        self.factors = tuple(factors) if factors is not None else None
         self.label = label
-        self._elliptic_tau = None  # (a, beta) for curves built by elliptic()
+        self._blocks = None  # the index tuples of `_block_indices`
+        self._factors = None  # the factor tori of `factor_blocks`
         self._ns_cache = None  # (basis, (vector, slot, pivot) each, lcm of pivots)
 
     @property
@@ -199,16 +196,13 @@ class ComplexTorus:
     def has_cm(self) -> bool:
         """For an elliptic curve: endomorphism ring bigger than Z.
 
-        Curves built from tau = a + i*beta have CM exactly when beta^2 is
-        rational (tau imaginary quadratic); other one-dimensional tori fall
-        back to the Hom-rank criterion.
+        The real matrices commuting with J are the x + yJ, so End(E) has
+        rank 2 exactly when one with y != 0 and trace 2x is rational: when
+        J is a real multiple of a rational matrix, so the D*J_k span a line.
         """
         if self.n != 1:
             raise ValueError("has_cm is defined for elliptic curves only")
-        if self._elliptic_tau is not None:
-            _, beta = self._elliptic_tau
-            return (beta * beta).is_rational()
-        return hom_rank(self, self) == 2
+        return len(bareiss_echelon([[x for row in Jk for x in row] for Jk in self.j_parts])) == 1
 
     def __eq__(self, other):
         if self is other:
@@ -258,15 +252,13 @@ def elliptic(a, beta, field=None, label=None) -> ComplexTorus:
     qn = q * q * abs(norm)
     parts = [[[-p * q * t * x, -qn * y - p * p * t * x], [q * q * t * x, p * q * t * x]]
              for x, y in zip(adj, b.coeffs)]
-    curve = ComplexTorus._from_parts(field, qn * m, parts, label=label)
-    curve._elliptic_tau = (a, beta)
-    return curve
+    return ComplexTorus._from_parts(field, qn * m, parts, label=label)
 
 
 def product(factors) -> ComplexTorus:
     """Product torus with block-diagonal J; factors must share the field.
 
-    The blocks' integer J data is concatenated over D, the lcm of their
+    The factors' integer J data is concatenated over D, the lcm of their
     denominators: the k-th part of the product holds (D / D_f) * (D_f J_f,k)
     on the block of factor f, and zeros where f has no k-th part.  Every
     factor's data is canonical and certified, so this is too, and no check
@@ -283,51 +275,72 @@ def product(factors) -> ComplexTorus:
     field = factors[0].field
     if any(f.field != field for f in factors):
         raise ValueError("field mismatch")
-    atoms = []
-    for f in factors:
-        atoms.extend(f.factors if f.factors is not None else (f,))
-    den = lcm(*(f.j_den for f in atoms))
-    size = 2 * sum(f.n for f in atoms)
-    parts = [[[0] * size for _ in range(size)] for _ in range(max(len(f.j_parts) for f in atoms))]
+    den = lcm(*(f.j_den for f in factors))
+    size = 2 * sum(f.n for f in factors)
+    parts = [[[0] * size for _ in range(size)]
+             for _ in range(max(len(f.j_parts) for f in factors))]
     offset = 0
-    for f in atoms:
+    for f in factors:
         scale = den // f.j_den
         for Jk, block in zip(parts, f.j_parts):
             for i, row in enumerate(block):
                 Jk[offset + i][offset:offset + len(row)] = [scale * x for x in row]
         offset += 2 * f.n
     parts = tuple(tuple(tuple(row) for row in Jk) for Jk in parts)
-    return ComplexTorus._from_certified(field, den, parts, factors=atoms)
+    return ComplexTorus._from_certified(field, den, parts)
+
+
+def _block_indices(A: ComplexTorus):
+    """The lattice indices of the diagonal blocks of J, cached, in the
+    order of their first index; they need not be contiguous.  None when J
+    is one block and n >= 2.
+
+    The blocks are the connected components of the joint nonzero pattern
+    of the D*J_k.  A curve is one block: for a 2x2 J with J^2 = -I the
+    off-diagonal entries multiply to -1 - J_00^2."""
+    if A._blocks is None:
+        A._blocks = [(0, 1)] if A.n == 1 else _components(
+            [[(r, c, x) for r, row in enumerate(Jk) for c, x in enumerate(row) if x]
+             for Jk in A.j_parts], 2 * A.n)
+    return A._blocks if len(A._blocks) > 1 or A.n == 1 else None
 
 
 def factor_blocks(A: ComplexTorus):
-    """(lattice offset, factor) pairs for a torus with declared factors."""
-    if A.factors is None:
-        if A.n == 1:
-            return [(0, A)]
+    """(lattice indices, factor) of the diagonal blocks of J
+    (`_block_indices`), or None when J is one block and n >= 2.  Each
+    factor is J restricted to its block, which squares to -I, so it needs
+    no certificate; the factors are cached."""
+    indices = _block_indices(A)
+    if indices is None:
         return None
-    blocks = []
-    offset = 0
-    for f in A.factors:
-        blocks.append((offset, f))
-        offset += 2 * f.n
-    return blocks
+    if A._factors is None:
+        A._factors = [A] if A.n == 1 else [
+            ComplexTorus._from_certified(A.field, *_canonical(
+                A.j_den, [[[Jk[r][c] for c in idx] for r in idx] for Jk in A.j_parts]))
+            for idx in indices]
+    return list(zip(indices, A._factors))
+
+
+def factor_curves(A: ComplexTorus):
+    """The curves on the diagonal blocks of J (`factor_blocks`), or None
+    when J is not block diagonal in elliptic curves."""
+    blocks = factor_blocks(A)
+    if blocks is None or any(f.n != 1 for _, f in blocks):
+        return None
+    return [f for _, f in blocks]
 
 
 def fiber_pairs(A: ComplexTorus):
-    """Per declared block, the lattice index pairs of its standard fiber form.
+    """Per diagonal block of J, the lattice index pairs of its fiber form.
 
-    The fiber form of the block at `offset` with factor dimension d is the
-    sum of e_i ^ e_{i+1} over the pairs (offset + 2t, offset + 2t + 1),
-    t < d: the pullback of the factor's standard form under the projection.
-    None when the torus has no declared factor structure.
-    """
-    blocks = factor_blocks(A)
+    The fiber form of the block on indices idx, with factor dimension d,
+    is the sum of e_i ^ e_j over the pairs (idx[2t], idx[2t + 1]), t < d:
+    the pullback of the factor's standard form under the projection.
+    None when J is not block diagonal (`_block_indices`)."""
+    blocks = _block_indices(A)
     if blocks is None:
         return None
-    return [
-        [(offset + 2 * t, offset + 2 * t + 1) for t in range(f.n)] for offset, f in blocks
-    ]
+    return [[(idx[t], idx[t + 1]) for t in range(0, len(idx), 2)] for idx in blocks]
 
 
 def hom_rank(A: ComplexTorus, B: ComplexTorus) -> int:
@@ -678,34 +691,27 @@ def quotient(A: ComplexTorus, W: Sublattice) -> ComplexTorus:
     return ComplexTorus._from_parts(A.field, A.j_den, parts)
 
 
-def coordinate_sublattice(A: ComplexTorus, block_indices) -> Sublattice:
-    """Sublattice spanned by the lattice coordinates of the chosen factors."""
-    blocks = factor_blocks(A)
+def coordinate_sublattice(A: ComplexTorus, subset) -> Sublattice:
+    """Sublattice spanned by the coordinates of the chosen `factor_blocks`."""
+    blocks = _block_indices(A)
     if blocks is None:
-        raise ValueError("torus has no declared factor structure")
+        raise ValueError("J is not block diagonal")
     N = 2 * A.n
-    cols = []
-    for idx in block_indices:
-        offset, f = blocks[idx]
-        for k in range(2 * f.n):
-            col = [0] * N
-            col[offset + k] = 1
-            cols.append(tuple(col))
-    return subtorus(A, cols)
+    return subtorus(A, [[int(i == j) for j in range(N)] for b in subset for i in blocks[b]])
 
 
 def coordinate_factor_sublattices(A: ComplexTorus, corank=None):
     """All proper nonempty coordinate-factor sublattices, optionally filtered
     by lattice corank.  The corank of a subset is the rank of the blocks it
     leaves out, so only the sublattices asked for are built."""
-    blocks = factor_blocks(A)
+    blocks = _block_indices(A)
     if blocks is None or len(blocks) < 2:
         return []
     result = []
     indices = range(len(blocks))
     for size in range(1, len(blocks)):
         for subset in combinations(indices, size):
-            left_out = sum(2 * f.n for k, (_, f) in enumerate(blocks) if k not in subset)
+            left_out = sum(len(idx) for k, idx in enumerate(blocks) if k not in subset)
             if corank is None or left_out == corank:
                 result.append((subset, coordinate_sublattice(A, subset)))
     return result

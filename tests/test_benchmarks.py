@@ -78,6 +78,9 @@ def test_one_comparison_round(bench, tmp_path, monkeypatch):
     ab, search, layers = bench["bench_ab"], bench["search"], bench["layers"]
     monkeypatch.setattr(ab, "BATCH_SECONDS", 0.01)
     second = ab.Side.of(ab.load_package("lefdefect_second", os.path.join(ab.SRC, "lefdefect")))
+    # Every stage of a side runs that side's package, `.checks` and `.schema` included.
+    assert {second.layers.check_voisin.__module__, second.layers.load_document.__module__} == {
+        "lefdefect_second.checks", "lefdefect_second.schema"}
     sides = {"change": ab.Side(search, layers, os.path.join(ab.SRC, "lefdefect")),
              "parent": second, "copy": second}
     quotient = next(i for i, s in enumerate(layers.STAGES) if s.name == "quotient")

@@ -39,6 +39,7 @@ from lefdefect.torus import (
     _matmul,
     _squares_to_minus_d2,
     elliptic,
+    factor_blocks,
     product,
 )
 
@@ -46,6 +47,7 @@ from references import (
     dense_matmul,
     determinant,
     elliptic_products,
+    field_j,
     matrix_squares_to_minus_identity,
     parts_matrix,
     rebased,
@@ -106,14 +108,36 @@ def test_parts_certificate_matches_field_square(A, data):
 def test_product_data_is_canonical_and_certified(A, seed):
     """`product` concatenates its factors' certified data without checking
     it again: on products of curves, of a product with a curve, and of a
-    torus on a mixed lattice basis (no declared factors) with curves, its
-    (j_den, j_parts) is what `_canonical` makes of it and squares to
-    -D^2 I."""
-    curves = list(A.factors)
+    torus on a mixed lattice basis with curves, its (j_den, j_parts) is
+    what `_canonical` makes of it and squares to -D^2 I."""
+    curves = [f for _, f in factor_blocks(A)]
     mixed = rebased(product(curves[:2]), random.Random(seed))
     for P in (A, product([A, curves[-1]]), product([mixed] + curves[2:] + curves[:1])):
         assert (P.j_den, P.j_parts) == _canonical(P.j_den, P.j_parts)
         assert _squares_to_minus_d2(P.field, P.j_den, P.j_parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(A=elliptic_products(), seed=st.integers(0, 2**32))
+def test_product_blocks_are_its_factors_blocks(A, seed):
+    """The diagonal blocks of a product's J are its factors' blocks (a
+    factor whose J is one block counts as one), shifted by their offsets,
+    so they partition the lattice coordinates: on products of curves, of
+    products, of an atom whose J splits (`plain`) and of a torus on a
+    mixed lattice basis."""
+    curves = [f for _, f in factor_blocks(A)]
+    plain = ComplexTorus(A.field, field_j(A))
+    mixed = rebased(product(curves[:2]), random.Random(seed))
+    for factors in ([A, curves[-1]], [plain, mixed] + curves[:1],
+                    [curves[0], product([mixed, plain])]):
+        shifted, offset = [], 0
+        for f in factors:
+            shifted += [(tuple(offset + i for i in idx), g)
+                        for idx, g in factor_blocks(f) or [(tuple(range(2 * f.n)), f)]]
+            offset += 2 * f.n
+        blocks = factor_blocks(product(factors))
+        assert blocks == shifted
+        assert sorted(i for idx, _ in blocks for i in idx) == list(range(offset))
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,6 +23,19 @@ def write(tmp_path, name, payload):
     return str(path)
 
 
+# Documents with a float, NaN or Infinity literal, the path of the first one
+# and the literal.
+FLOAT_DOCUMENTS = [
+    ('{"kind": "torus", "blocks": [{"a": "0", "beta": ["1"]}, {"beta": ["1"]}], "classes": '
+     '[[[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1.5], [0, 0, -1, 0]]]}',
+     "$.classes[0][2][3]", "1.5"),
+    ('{"kind": "torus", "blocks": [{"a": 2e0, "beta": ["1"]}, {"beta": [0.5]}]}',
+     "$.blocks[0].a", "2e0"),
+    ('{"kind": "isogeny", "note": NaN, "factors": [{"type": "elliptic", "cm": true, '
+     '"mult": -Infinity}]}', "$.note", "NaN"),
+]
+
+
 class TestSchema:
     def test_float_literal_rejected(self):
         with pytest.raises(SchemaError, match="float literal"):
@@ -32,6 +45,14 @@ class TestSchema:
     def test_non_finite_constant_rejected(self, constant):
         with pytest.raises(SchemaError, match=f"float literal '{constant}'"):
             loads(f'{{"kind": "torus", "x": [{constant}]}}')
+
+    @pytest.mark.parametrize("text, path, literal", FLOAT_DOCUMENTS,
+                             ids=[path for _, path, _ in FLOAT_DOCUMENTS])
+    def test_float_literal_reported_at_its_path(self, text, path, literal):
+        with pytest.raises(SchemaError) as caught:
+            loads(text)
+        assert (caught.value.path, caught.value.message) == (
+            path, f"float literal '{literal}' is forbidden; use exact strings")
 
     def test_malformed_rational_string(self, tmp_path):
         path = write(tmp_path, "bad.json", {
@@ -404,6 +425,14 @@ class TestExitCodes:
         assert main(["classify", path, "--out", str(out)]) == 2
         assert f"float literal '{constant}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, path, literal", FLOAT_DOCUMENTS,
+                             ids=[path for _, path, _ in FLOAT_DOCUMENTS])
+    def test_float_literal_is_input_error_at_its_path(self, tmp_path, capsys, text, path,
+                                                      literal):
+        command = "classify" if '"isogeny"' in text else "torus"
+        assert main([command, write(tmp_path, "doc.json", text)]) == 2
+        assert f"input error: {path}: float literal '{literal}'" in capsys.readouterr().err
 
     def test_zero_divisor_in_document_is_input_error(self, tmp_path, capsys):
         # x^2 - 1 is square-free but reducible; 1 + alpha is a zero divisor.

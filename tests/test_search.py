@@ -970,11 +970,11 @@ def reference_structured_vectors(A):
         return []
     size = 2 * A.n
     fibers = []
-    for offset, f in blocks:
+    for idx, f in blocks:
         rows = [[0] * size for _ in range(size)]
         for t in range(f.n):
-            rows[offset + 2 * t][offset + 2 * t + 1] = 1
-            rows[offset + 2 * t + 1][offset + 2 * t] = -1
+            rows[idx[2 * t]][idx[2 * t + 1]] = 1
+            rows[idx[2 * t + 1]][idx[2 * t]] = -1
         fibers.append(AlternatingForm(A, rows))
     forms = []
     if all(f.is_hodge for f in fibers):
@@ -1013,25 +1013,54 @@ def test_structured_candidates_match_reference_on_samples():
 
 
 def test_structured_candidates_with_undeclared_surface_blocks():
-    # B = E_i x E_tau (tau = 1/2 + 2i) enters as one undeclared 2-dimensional
-    # block, once on its own lattice basis (fiber form a Hodge class) and
-    # once on a basis that mixes the two curves (fiber form not a Hodge
-    # class: no subset sums, only the Poincare dual of the E_i block).
+    # B = E_i x E_tau (tau = 1/2 + 2i) enters on its own lattice basis
+    # (`plain`, whose J splits into the two curves' blocks) and as one
+    # 2-dimensional block on two bases that mix the two curves: U, whose
+    # fiber form is not a Hodge class (no subset sums, only the Poincare
+    # duals of the elliptic blocks), and the symplectic V, which keeps the
+    # fiber form e0^e1 + e2^e3 a Hodge class (its subset sums).
     B = product([elliptic(0, 1), elliptic(Fraction(1, 2), 2)])
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    fiber = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     U = [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     U_inv = [[1, 0, -1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    assert dense_matmul(U, U_inv) == [[int(i == j) for j in range(4)] for i in range(4)]
+    V = [[1, 1, 0, 1], [0, 1, 0, 0], [0, 1, 1, 1], [0, 0, 0, 1]]  # x + fiber(v, x) v, v = e0 + e2
+    V_inv = [[1, -1, 0, -1], [0, 1, 0, 0], [0, -1, 1, -1], [0, 0, 0, 1]]
+    assert dense_matmul(U, U_inv) == dense_matmul(V, V_inv) == identity
+    assert dense_matmul(dense_matmul([list(c) for c in zip(*V)], fiber), V) == fiber
     plain = ComplexTorus(B.field, field_j(B))
     mixed = ComplexTorus(B.field, field_product(B.field, U_inv, field_j(B), U))
-    fiber = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    symplectic = ComplexTorus(B.field, field_product(B.field, V_inv, field_j(B), V))
     assert AlternatingForm(plain, fiber).is_hodge
     assert not AlternatingForm(mixed, fiber).is_hodge
+    assert AlternatingForm(symplectic, fiber).is_hodge
+    assert factor_blocks(plain) == factor_blocks(B)
+    assert factor_blocks(mixed) is None and factor_blocks(symplectic) is None
     E = elliptic(0, 1, label="E_i")
-    for blocks, count in (([plain, E], 6), ([mixed, E], 2), ([mixed, plain, E], 2)):
+    # [plain, E]: three isogenous CM curves, 7 subset sums; [mixed, plain,
+    # E]: the fibers of the three elliptic blocks; [symplectic, E]: the
+    # surface block's fiber, E's and their sum.
+    for blocks, count in (([plain, E], 14), ([mixed, E], 2), ([mixed, plain, E], 6),
+                          ([symplectic, E], 6)):
         A = product(blocks)
         vectors = _structured_candidate_vectors(A)
         assert vectors == reference_structured_vectors(A)
         assert len(vectors) == count
+
+
+def test_structured_candidates_on_interleaved_blocks():
+    # E_i x E_tau x E_tau' (tau = 1/2 + 2i, tau' = 1/3 + 3i) on the lattice
+    # basis e0, e2, e4, e1, e3, e5: J's blocks are (0, 3), (1, 4), (2, 5),
+    # and the fiber forms and coordinate sublattices follow them.
+    A = product([elliptic(0, 1), elliptic(Fraction(1, 2), 2), elliptic(Fraction(1, 3), 3)])
+    order = [0, 2, 4, 1, 3, 5]
+    U = [[int(order[j] == i) for j in range(6)] for i in range(6)]
+    P = rebase(A, U, [list(col) for col in zip(*U)])
+    assert [idx for idx, _ in factor_blocks(P)] == [(0, 3), (1, 4), (2, 5)]
+    assert [f for _, f in factor_blocks(P)] == [f for _, f in factor_blocks(A)]
+    vectors = _structured_candidate_vectors(P)
+    assert vectors == reference_structured_vectors(P) and len(vectors) == 14
+    assert torus_defect(P, box=1).delta == classify(isogeny_spec_of(P)).delta == 5
 
 
 @settings(max_examples=25, deadline=None)
@@ -1088,9 +1117,10 @@ def test_box_rule_is_sound(fibers, box, data):
 
 @st.composite
 def products_with_surface_blocks(draw):
-    """A product of curves, or a pair of curves entered as one undeclared
-    2-dimensional block (on its own lattice basis or on one that mixes the
-    curves) next to one of its curves, in either order."""
+    """A product of curves, or a pair of curves entered as one torus next
+    to one of its curves, in either order: on its own lattice basis
+    (`plain`, whose J splits into the curves' blocks) or on one that mixes
+    the curves (`mixed`, mostly one 2-dimensional block)."""
     B = draw(elliptic_products(max_count=2))
     shape = draw(st.sampled_from(["curves", "plain", "mixed"]))
     if shape == "curves":
@@ -1098,7 +1128,7 @@ def products_with_surface_blocks(draw):
     surface = ComplexTorus(B.field, field_j(B))
     if shape == "mixed":
         surface = rebased(B, random.Random(draw(st.integers(0, 2**32))))
-    curve = B.factors[draw(st.integers(0, 1))]
+    curve = factor_blocks(B)[draw(st.integers(0, 1))][1]
     blocks = [surface, curve] if draw(st.booleans()) else [curve, surface]
     return product(blocks), 1
 
@@ -1254,7 +1284,7 @@ def test_j_data_matches_reference_on_rational_and_field_blocks(quartic_field):
     a = quartic_field.alpha()
     A = product([elliptic(0, 1, field=quartic_field), elliptic(Fraction(1, 2), a + 1),
                  elliptic(0, a * a)])
-    assert [f.rational_j for f in A.factors] == [True, False, False]
+    assert [f.rational_j for _, f in factor_blocks(A)] == [True, False, False]
     assert_j_data_matches_reference(A, random.Random(7))
     # J = J_0 + alpha N with J_0 = diag(j, j), N = [[0, X], [0, 0]] and
     # X j = -j X, so J^2 = -I.  Hom from and to E_i needs the alpha
@@ -1262,7 +1292,7 @@ def test_j_data_matches_reference_on_rational_and_field_blocks(quartic_field):
     nil = ComplexTorus(quartic_field, [
         [0, -1, a, 0], [1, 0, 0, -a], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert_j_data_matches_reference(nil, random.Random(8))
-    E = A.factors[0]
+    E = factor_blocks(A)[0][1]
     for X, Y in ((E, nil), (nil, E)):
         assert hom_rank(X, Y) == reference_hom_rank(X, Y) == 2
 

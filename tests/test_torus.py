@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lefdefect import torus as torus_module
+from lefdefect.checks import CHECK_NAMES, run_checks
+from lefdefect.effectivity import _form_from_coeffs, defect_survey, divisor_case_data, torus_defect
 from lefdefect.errors import ConsistencyError
 from lefdefect.exactmath import RealNumberField, nf_sign
+from lefdefect.schema import load_document
 from lefdefect.torus import (
     AlternatingForm,
     ComplexTorus,
@@ -16,7 +20,9 @@ from lefdefect.torus import (
     _canonical,
     _split_j,
     coordinate_factor_sublattices,
+    coordinate_sublattice,
     elliptic,
+    factor_blocks,
     hom_rank,
     ns_basis,
     ns_coordinates,
@@ -26,7 +32,7 @@ from lefdefect.torus import (
     subtorus,
 )
 
-from references import field_j, squares_to_minus_identity
+from references import elliptic_products, field_j, squares_to_minus_identity
 
 F = Fraction
 # alpha^4 = 2, alpha the positive real fourth root (the `quartic_field` fixture).
@@ -146,22 +152,60 @@ class TestProduct:
     def test_flattening(self):
         E = elliptic(0, 1)
         A = product([product([E, E]), E])
-        assert len(A.factors) == 3
+        assert [idx for idx, _ in factor_blocks(A)] == [(0, 1), (2, 3), (4, 5)]
+        assert all(f == E for _, f in factor_blocks(A))
 
-    def test_only_product_declares_factors(self):
-        """A factor structure given with J could disagree with it, so
-        `ComplexTorus` takes J alone: the same J data rebuilt from rows has
-        no declared factors, and `factors=` or `label=` is refused."""
+    def test_torus_takes_j_alone(self):
+        """The J data is the whole torus: `ComplexTorus` refuses a factor
+        structure or a label beside J, which could disagree with it."""
         E = elliptic(0, 1)
         A = product([E, E])
         J = field_j(A)
-        rebuilt = ComplexTorus(A.field, J)
-        assert rebuilt == A and rebuilt.factors is None
         for keyword in ({"factors": [E, E]}, {"label": "A"}):
             with pytest.raises(TypeError):
                 ComplexTorus(A.field, J, **keyword)
         with pytest.raises(TypeError):
             ComplexTorus._from_parts(A.field, A.j_den, A.j_parts, factors=[E, E])
+
+
+SAMPLES = sorted((Path(__file__).resolve().parent.parent / "sample_inputs").glob("torus_*.json"))
+
+
+@pytest.mark.parametrize("name", ["ei2", "ei3", "ei_x_e2i", "eia2", "triple", "ei2_x_nocm"]
+                         + [path.stem for path in SAMPLES])
+def test_equal_tori_give_equal_answers(corpus, name):
+    """A torus rebuilt from its J rows is `==` to it and gives the same
+    diagonal blocks, checks, box-1 defect and per-divisor case data: every
+    answer is read off J."""
+    paths = {path.stem: path for path in SAMPLES}
+    A = load_document(paths[name]).torus if name in paths else corpus[name]
+    R = ComplexTorus(A.field, field_j(A))
+    assert R == A and hash(R) == hash(A)
+    assert factor_blocks(R) == factor_blocks(A) is not None
+    (result, records), (rebuilt, rebuilt_records) = defect_survey(A, box=1), defect_survey(R, box=1)
+    assert rebuilt == result == torus_defect(R, box=1)
+    assert rebuilt_records == records
+    checks = run_checks(A, CHECK_NAMES, box=1, search=result)
+    assert run_checks(R, CHECK_NAMES, box=1, search=rebuilt) == checks
+    assert "skipped" not in [c.status for c in checks if c.name != "lefschetz"]
+    for record in records:
+        if record.form_rank <= 4:  # b <= 2
+            coeffs = record.coefficients
+            assert (divisor_case_data(R, _form_from_coeffs(R, coeffs))
+                    == divisor_case_data(A, _form_from_coeffs(A, coeffs)))
+
+
+def test_coordinate_quotient_is_checked():
+    """The quotient of E_i x E_(1/2+2i) x E_i by its first coordinate
+    subtorus has a block-diagonal J in two isogenous CM curves, so the
+    checks run on it, and the oracle passes."""
+    E = elliptic(0, 1)
+    A = product([E, elliptic(F(1, 2), 2), E])
+    B = quotient(A, coordinate_sublattice(A, (0,)))
+    assert [idx for idx, _ in factor_blocks(B)] == [(0, 1), (2, 3)]
+    checks = {c.name: c.status for c in run_checks(B, CHECK_NAMES, box=2)}
+    assert checks == {"voisin": "pass", "kunneth": "pass", "lefschetz": "skipped",
+                      "oracle": "pass"}
 
 
 class TestHomRank:
@@ -214,6 +258,20 @@ class TestHomRank:
     def test_cm_iff_hom_rank_two(self, quartic_field):
         for beta in (quartic_field.from_rational(1), quartic_field.alpha()):
             E = elliptic(0, beta)
+            assert E.has_cm == (hom_rank(E, E) == 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(elliptic_products())
+    def test_cm_read_off_j_matches_hom_rank(self, A):
+        """`has_cm` (the D*J_k span a line) against hom_rank(E, E) == 2 on
+        the curves of random products over Q and Q(2^(1/4)), on the blocks
+        read off the same J given as rows, and on the quotients of A by the
+        coordinates of all curves but one."""
+        curves = [f for _, f in factor_blocks(A)]
+        curves += [f for _, f in factor_blocks(ComplexTorus(A.field, field_j(A)))]
+        others = [tuple(k for k in range(A.n) if k != j) for j in range(A.n)]
+        curves += [quotient(A, coordinate_sublattice(A, subset)) for subset in others]
+        for E in curves:
             assert E.has_cm == (hom_rank(E, E) == 2)
 
 

@@ -47,9 +47,11 @@ an earlier run with the same label.
 
 Usage (from the root of a git checkout):
     python benchmarks/bench_ab.py --parent REV [--label NAME] [--rounds N]
-        [--skip CASE ...]
+        [--skip CASE ... | --cases CASE ...]
 
 `--skip` defaults to "E_i^3, box 3", which takes seconds per search.
+`--cases` runs only the named cases instead, so that the cases a change
+touches can get more rounds than a full run affords.
 """
 
 import argparse
@@ -257,8 +259,10 @@ def main():
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--label", default=None, help="run label (default: 'vs <commit>')")
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--skip", nargs="*", default=["E_i^3, box 3"],
+    chosen = parser.add_mutually_exclusive_group()
+    chosen.add_argument("--skip", nargs="*", default=["E_i^3, box 3"],
                         help="case names to leave out")
+    chosen.add_argument("--cases", nargs="+", default=None, help="the only case names to run")
     args = parser.parse_args()
 
     started = time.perf_counter()
@@ -274,12 +278,17 @@ def main():
         cases = ([import_case()] + [search_case(i) for i in range(len(bench_search.CASES))]
                  + [stage_case(t, s) for t in range(len(bench_layers.layer_tori()))
                     for s in range(len(bench_layers.STAGES))])
+        if args.cases is not None:
+            unknown = set(args.cases) - {name for name, _ in cases}
+            if unknown:
+                parser.error(f"unknown cases: {', '.join(sorted(unknown))}")
+            cases = [case for case in cases if case[0] in args.cases]
+        else:
+            cases = [case for case in cases if case[0] not in args.skip]
         rows = []
         print(f"{'case':<34} {'answer':>8} {'reps':>5} {'change/parent':>24} {'A/A':>24}")
         for case in cases:
             name = case[0]
-            if name in args.skip:
-                continue
             reps, found, ratios = compare(sides, case, args.rounds, tmp)
             ab, aa = summary(ratios["parent"]), summary(ratios["copy"])
             rows.append({"case": name, **found, "repetitions": reps,

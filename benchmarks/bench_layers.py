@@ -1,10 +1,11 @@
 """Benchmark stages: the layers that read a torus's complex structure J.
 
 On the products of curves of `bench_search.py` (E_i^2, E_i^3 and E_i^4
-over Q, three products over Q(2^(1/4)), and a pair of curves over each of Q
-and Q(2^(1/4)); not the mixed-basis E_i^3, whose J is one block, with no
-curves to rebuild or write as a document) `STAGES` runs, each as one call
-on inputs prepared from the torus:
+over Q, three products over Q(2^(1/4)), two pairs of curves over Q and one
+over Q(2^(1/4)), E_i^2 x E_(1/3+3i), E_i^3 x E_(1/3+3i) and
+E_i x E_2i x E_3i; not the mixed-basis E_i^3, whose J is one block, with
+no curves to rebuild or write as a document) `STAGES` runs, each as one
+call on inputs prepared from the torus:
 
 * `elliptic`: constructing the torus's curves from their (a, beta), read
   off the curves' J (`curve_data`),
@@ -299,7 +300,7 @@ def main():
         for torus, build in layer_tori():
             counts = evaluate(sample(build, tmp))
             rows.append({"torus": torus, **counts})
-            print(f"{torus:<12} " + ", ".join(f"{k} {v}" for k, v in counts.items()))
+            print(f"{torus:<18} " + ", ".join(f"{k} {v}" for k, v in counts.items()))
     save_run(OUT, args.label, tori=rows)
 
 

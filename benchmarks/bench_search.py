@@ -12,7 +12,11 @@ Q(2^(1/4)) (tau = 1/2 + i(1 + a) and tau = -1/3 + i*a) at box 2, whose
 symmetric parts split into one block per curve.  One case puts E_i^3 on a
 fixed mixed lattice basis (columns of a unimodular U, J -> U^-1 J U), at
 box 1: on it the NS basis, and so the box and the pruning, no longer
-follow the factors.
+follow the factors.  Three products of isogenous CM curves over Q exercise
+the order of the search's levels: E_i^2 x E_(1/3+3i) at box 2 and
+E_i x E_2i x E_3i at box 2, whose Hom levels are pinned, and
+E_i^3 x E_(1/3+3i) at box 1, where putting the pinned levels before the
+fibers without weighing their counts visits many more nodes.
 
 This script reads no clock: `bench_ab.py` times these cases, in one process
 against an older revision.  Run on its own, it records per case the answer
@@ -49,6 +53,12 @@ OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_search.jso
 
 def power_of_ei(k):
     return lambda: product([elliptic(0, 1, label=f"E{i}") for i in range(k)])
+
+
+def curves_over_q(*taus):
+    """Product of the curves tau = a + i*s over Q, one per (a, s) in `taus`."""
+    return lambda: product([elliptic(Fraction(a), Fraction(s), label=f"E{i}")
+                            for i, (a, s) in enumerate(taus)])
 
 
 # (i, j, k): U <- U (I + k e_ij), as `tests/references.unimodular` draws
@@ -115,7 +125,10 @@ CASES = (("E_i^2, box 2", power_of_ei(2), 2), ("E_i^2, box 3", power_of_ei(2), 3
          ("ei2_x_nocm, box 1", over_quartic((0, 0, 1)), 1),
          ("Q pair, box 3", rational_pair, 3),
          ("survey pair, box 3", survey_pair, 3),
-         ("quartic pair, box 2", quartic_pair, 2))
+         ("quartic pair, box 2", quartic_pair, 2),
+         ("E_i^2 x E_(1/3+3i), box 2", curves_over_q((0, 1), (0, 1), ("1/3", 3)), 2),
+         ("E_i^3 x E_(1/3+3i), box 1", curves_over_q((0, 1), (0, 1), (0, 1), ("1/3", 3)), 1),
+         ("E_i x E_2i x E_3i, box 2", curves_over_q((0, 1), (0, 2), (0, 3)), 2))
 
 def count_search(build, box):
     """The answer and the work of one search on a fresh `build()`: delta,
@@ -187,14 +200,14 @@ def main():
     args = parser.parse_args()
 
     rows = []
-    print(f"{'case':<24} {'delta':>5} {'classes':>10} {'nodes':>7} {'elims':>7} "
+    print(f"{'case':<26} {'delta':>5} {'classes':>10} {'nodes':>7} {'elims':>7} "
           f"{'cuts':>5} {'leaves':>7}")
     for name, build, box in CASES:
         if name in args.skip:
             continue
         row = {"case": name, **count_search(build, box)}
         rows.append(row)
-        print(f"{name:<24} " + " ".join(
+        print(f"{name:<26} " + " ".join(
             f"{'-' if row[key] is None else row[key]:>{width}}"
             for key, width in (("delta", 5), ("classes_scanned", 10), ("nodes_visited", 7),
                                ("eliminations", 7), ("cuts", 5), ("leaves", 7))))

@@ -3,11 +3,20 @@
 A class x = sum c_b b over the NS basis is effective (up to a positive
 multiple) when its symmetric part S(x) = sum c_b S_b is positive
 semidefinite and nonzero.  `scan_range` covers the box [-box, box]^rho
-depth first, one NS coefficient per level.  Fiber classes (basis elements
-whose S_b has a nonzero diagonal entry) are fixed first, the rest in NS
-order.  S is kept up to date along the path by adding c * S_b, over the
-nonzero entries of S_b only; each multiple c * S_b is computed the first
-time its sibling is entered.
+depth first, one NS coefficient per level.  S is kept up to date along the
+path by adding c * S_b, over the nonzero entries of S_b only; each multiple
+c * S_b is computed the first time its sibling is entered.
+
+The levels are ordered fail first for the box (Haralick-Elliott: fix first
+the variable with the fewest values left).  Two necessary conditions for
+S to be PSD, S_ii >= 0 and S_ij^2 <= S_ii S_jj, bound each coefficient on
+its own, with every other one anywhere in the box; a level whose bound
+leaves fewer than 2 box + 1 values is pinned (see `_Search._level_order`).
+On a pair E x E' with a != 0 and scaled imaginary parts the Hom levels are
+pinned, and fixing them before the fiber classes (basis elements whose S_b
+has a nonzero diagonal entry) visits far fewer nodes.
+Any order decides every candidate once, with the same exact tests, so the
+answers and records do not depend on it; the nodes and cuts do.
 
 Every S_b, and so S, is block diagonal on the connected components of the
 joint nonzero pattern of the S_b (on a product, the isogeny classes of the
@@ -60,6 +69,8 @@ pivot.  So Q and number fields share the search and its integer arithmetic.
 """
 
 from __future__ import annotations
+
+from math import isqrt, prod
 
 from .exactmath import integral_enclosure, integral_quotient, integral_sign
 from .exactmath.linalg import bareiss_echelon
@@ -219,9 +230,13 @@ class _Search:
     scalar zero.  The Picard number rho is the number of S_b, and m4, the
     length of a cup product, is read off the table.  Subclasses fix the
     scalar kind: its `sign` and exact `quotient`, as `psd_rank` takes them.
+
+    `order[t]` is the basis element of level t, ordered for `box`
+    (`_level_order`; fibers first without one), and `tests` and `single`
+    follow from it.  A scan at another box is still exact.
     """
 
-    def __init__(self, nonzero, w_pairs, N, zero):
+    def __init__(self, nonzero, w_pairs, N, zero, box=None):
         self.nonzero = nonzero
         self.w_pairs = w_pairs
         rho = self.rho = len(nonzero)
@@ -229,8 +244,7 @@ class _Search:
         self.m4 = len(w_pairs[0][0]) if rho else 0
         self.zero = zero
         self.full = tuple(range(N))
-        fibers = [b for b in range(rho) if any(r == c for r, c, _ in self.nonzero[b])]
-        self.order = fibers + [b for b in range(rho) if b not in fibers]
+        self.order = self._level_order(box)
         self.entries = [self.nonzero[b] for b in self.order]
         fixed = [[0] * N for _ in range(N)]
         first = [[0] * N for _ in range(N)]  # depth of the first S_b with entry (r, c)
@@ -253,6 +267,67 @@ class _Search:
                 tests.extend((idx, k if idx == K else -1) for idx in blocks)
         self.single = [[all(first[r][c] in (0, t + 1) for r in idx for c in idx)
                         for idx, _ in tests] for t, tests in enumerate(self.tests)]
+
+    def _level_order(self, box):
+        """The basis elements in the order of the search's levels, fail
+        first for the box [-box, box] (Haralick-Elliott): by increasing
+        `_counts`, ties in NS order.
+
+        A fiber is a basis element whose S_b has a nonzero diagonal entry.
+        When some other level is pinned (its count is below 2 box + 1) and
+        the product of the other levels' counts is below that of the
+        fibers', every other level comes first and the fibers last.
+        Otherwise the fibers come first among equal counts.  Without a box,
+        or when every level is a fiber, the order is the fibers, then the
+        rest, each in NS order.
+        """
+        fiber = [any(r == c for r, c, _ in entries) for entries in self.nonzero]
+        if box is None or all(fiber):
+            return sorted(range(self.rho), key=lambda b: not fiber[b])
+        counts = self._counts(box)
+        rest = [n for n, f in zip(counts, fiber) if not f]
+        if min(rest) < 2 * box + 1 and prod(rest) < prod(n for n, f in zip(counts, fiber) if f):
+            return sorted(range(self.rho), key=lambda b: (fiber[b], counts[b], b))
+        return sorted(range(self.rho), key=lambda b: (counts[b], not fiber[b], b))
+
+    def _counts(self, box):
+        """Per basis element b, the number of integers x_b in [-box, box]
+        for which two necessary conditions on S = sum x_l S_l, S_ii >= 0 and
+        S_ij^2 <= S_ii S_jj, hold for some other x_l in the box.
+
+        The entries are taken as their integer bounds (`enclosures`).  The
+        other levels move S_ij by at most box times the sum of their
+        (i, j) sizes, and S_ii <= box d_i with d_i the sum of every level's
+        (i, i) size.  So the x_b that pass form an interval around 0.
+        """
+        size = {}  # (r, c) -> the sum over the levels of the entry's size
+        levels = []
+        for entries in self.nonzero:
+            _, bounds = self.enclosures([v for _, _, v in entries])
+            level = [(r, c, lo, hi, max(hi, -lo)) for (r, c, _), (lo, hi) in zip(entries, bounds)]
+            for r, c, _, _, s in level:
+                size[r, c] = size.get((r, c), 0) + s
+            levels.append(level)
+        counts = []
+        for level in levels:
+            up = down = box  # the x_b that pass are -down..up
+            for r, c, lo, hi, s in level:
+                other = box * (size[r, c] - s)
+                if r == c:
+                    if hi < 0:
+                        up = min(up, other // -hi)
+                    if lo > 0:
+                        down = min(down, other // lo)
+                elif r < c and (lo > 0 or hi < 0):
+                    # S_ij^2 <= S_ii S_jj <= box^2 d_i d_j needs
+                    # |x_b| least - other <= sqrt(box^2 d_i d_j); for an
+                    # integer left side, <= the isqrt
+                    least = lo if lo > 0 else -hi
+                    d = box * box * size.get((r, r), 0) * size.get((c, c), 0)
+                    k = (other + isqrt(d)) // least
+                    up, down = min(up, k), min(down, k)
+            counts.append(up + down + 1)
+        return counts
 
     def symmetric(self, coeffs):
         """S = sum c_b S_b, built directly from the coefficients."""

@@ -78,7 +78,8 @@ def check_voisin(A: ComplexTorus) -> CheckResult:
     """
     lattices = coordinate_factor_sublattices(A, corank=2)
     if not lattices:
-        return CheckResult("voisin", "skipped", "no corank-2 factor sublattices declared")
+        return CheckResult("voisin", "skipped",
+                           "J has no elliptic block beside another diagonal block")
     for subset, W in lattices:
         k_restrict = restriction_kernel_on_ns(A, W)
         k_cup = cup_dual_kernel_on_ns(A, W)
@@ -97,7 +98,7 @@ def check_voisin(A: ComplexTorus) -> CheckResult:
 def check_kunneth(A: ComplexTorus) -> CheckResult:
     blocks = factor_blocks(A)
     if blocks is None or len(blocks) < 2:
-        return CheckResult("kunneth", "skipped", "torus is not a declared product")
+        return CheckResult("kunneth", "skipped", "J has a single diagonal block")
     head = blocks[0][1]
     tail = product([f for _, f in blocks[1:]])
     lhs = ns_rank(A)

@@ -235,9 +235,10 @@ def _symmetric_entries(A: ComplexTorus, E: AlternatingForm):
             for c, coeffs in enumerate(zip(*rows)) if any(coeffs)]
 
 
-def _search(A: ComplexTorus):
+def _search(A: ComplexTorus, box: Optional[int] = None):
     """The search of A: an `IntSearch` when J is rational, a `FieldSearch`
-    otherwise (`_search_class`).
+    otherwise (`_search_class`), with its levels ordered for `box`
+    (`_Search._level_order`).
 
     Each symmetric part D * S_b = sum_k alpha^k (E_b * D J_k) is kept as its
     nonzero entries (`_symmetric_entries`); the positive factor D changes
@@ -252,7 +253,7 @@ def _search(A: ComplexTorus):
     basis = ns_basis(A)
     nonzero = [_symmetric_entries(A, b) for b in basis]
     w_pairs = [ns_cup_matrix(A, b) for b in basis]
-    return _search_class(A)(nonzero, w_pairs, 2 * A.n, _zero(A))
+    return _search_class(A)(nonzero, w_pairs, 2 * A.n, _zero(A), box)
 
 
 def _fiber_coordinates(A: ComplexTorus, pairs):
@@ -360,7 +361,7 @@ def _position_coeffs(position: int, rho: int, box: int):
 def _run_search(A: ComplexTorus, box: int, collect: bool):
     if box < 1:
         raise ValueError("box must be at least 1")
-    search = _search(A)
+    search = _search(A, box)
     if search.rho == 0:
         return DefectSearchResult(0, None, 0, 0, box, None), []
     total = (2 * box + 1) ** search.rho

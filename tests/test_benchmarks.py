@@ -2,7 +2,7 @@
 
 No other test imports these scripts, so a renamed internal of the package
 would only show when someone ran them.  These tests import the three
-benchmark scripts and `trend.py`, record the counts of two search cases and
+benchmark scripts and `trend.py`, record the counts of three search cases and
 the stage table on two tori, run one in-process comparison round of
 `bench_ab.py` on a stage, a search and the import case (with a second
 import of this checkout's package as the parent, so no git is needed), and
@@ -53,7 +53,7 @@ def case(search, name):
     return next(i for i, c in enumerate(search.CASES) if c[0] == name)
 
 
-@pytest.mark.parametrize("name", ["E_i^2, box 2", "quartic pair, box 2"])
+@pytest.mark.parametrize("name", ["E_i^2, box 2", "quartic pair, box 2", "survey pair, box 3"])
 def test_count_search_matches_torus_defect(bench, name):
     _, build, box = bench["search"].CASES[case(bench["search"], name)]
     counts = bench["search"].count_search(build, box)

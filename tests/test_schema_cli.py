@@ -278,6 +278,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "skipped" in out and "n >= 3" in out
 
+    def test_verify_on_one_curve_says_what_j_shows(self, tmp_path, capsys):
+        path = write(tmp_path, "curve.json", {"kind": "torus", "blocks": [{"beta": ["1"]}]})
+        assert main(["verify", path, "--checks", "voisin,kunneth"]) == 0
+        out = capsys.readouterr().out
+        assert "voisin: skipped (J has no elliptic block beside another diagonal block)" in out
+        assert "kunneth: skipped (J has a single diagonal block)" in out
+
     def test_verify_unknown_check(self, capsys):
         code = main(["verify", str(SAMPLES / "torus_ei_ei.json"),
                      "--checks", "nonsense"])

@@ -32,7 +32,7 @@ from lefdefect.torus import (
     subtorus,
 )
 
-from references import elliptic_products, field_j, squares_to_minus_identity
+from references import elliptic_products, field_j, rebased, squares_to_minus_identity
 
 F = Fraction
 # alpha^4 = 2, alpha the positive real fourth root (the `quartic_field` fixture).
@@ -206,6 +206,21 @@ def test_coordinate_quotient_is_checked():
     checks = {c.name: c.status for c in run_checks(B, CHECK_NAMES, box=2)}
     assert checks == {"voisin": "pass", "kunneth": "pass", "lefschetz": "skipped",
                       "oracle": "pass"}
+
+
+def test_skipped_checks_say_what_j_shows(corpus):
+    """E_i x E_i on a basis that mixes its curves has one diagonal block of
+    J, and two copies of it two blocks, neither a curve: kunneth needs two
+    blocks and voisin an elliptic one beside another."""
+    surface = rebased(corpus["ei2"], random.Random(0))
+    pair = product([surface, surface])
+    assert factor_blocks(surface) is None
+    assert [len(idx) for idx, _ in factor_blocks(pair)] == [4, 4]
+    voisin = "J has no elliptic block beside another diagonal block"
+    assert [(c.status, c.detail) for c in run_checks(surface, ("voisin", "kunneth"))] == [
+        ("skipped", voisin), ("skipped", "J has a single diagonal block")]
+    assert [(c.status, c.detail) for c in run_checks(pair, ("voisin",))] == [("skipped", voisin)]
+    assert run_checks(pair, ("kunneth",))[0].status == "pass"
 
 
 class TestHomRank:

@@ -33,10 +33,7 @@ call on inputs prepared from the torus:
 * `search_data`: the search's set-up (`_search`: the symmetric parts'
   nonzero entries, the cup table from `ns_cup_matrix` and the test plan) on
   the torus, whose NS basis is already built,
-* `structured_candidates`: the search's structured candidate vectors
-  (`_structured_candidate_vectors`, on the torus, whose NS basis is
-  already built), and `ns_coordinates` on fresh copies of the fiber forms,
-  and
+* `ns_coordinates` on fresh copies of the fiber forms, and
 * the search's scalar layers: `integral_sign` and `nf_sign` on every
   nonzero entry of the sample forms' symmetric parts (as
   `IntegralElement`s and as `AlgebraicReal`s), `psd_rank` on those
@@ -49,9 +46,8 @@ nonzero radicals, the quotients' Picard numbers summed, the Iitaka
 dimensions and defects summed, the radical ranks and NS cup-matrix ranks
 summed, the Voisin verdict, the document's Picard number, the entry signs
 summed, the `psd_rank` values summed, the nonzero entries of the search's
-symmetric parts, the number of structured candidate vectors, the number of
-fiber forms that are NS classes, and the J denominators of the curves and
-of the product).  Stages that share a count key must agree on it
+symmetric parts, the number of fiber forms that are NS classes, and the J
+denominators of the curves and of the product).  Stages that share a count key must agree on it
 (`integral_sign` and `nf_sign`; `radical` and `saturate`; `ns_cup_matrix`
 and `rank`).
 
@@ -260,14 +256,10 @@ STAGES = (
     Stage("ns_cup_matrix", lambda T: fresh(T.A, T.effective), each(ns_cup_matrix),
           lambda matrices: {"ns_cup_rank_sum": sum(map(rank, matrices))}),
     Stage("check_voisin", lambda T: T.A, check_voisin, lambda result: {"voisin": result.status}),
-    # `_search` and `_structured_candidate_vectors` are read at call time:
-    # `bench_ab.py` imports this script for an older package too, where
-    # these names may differ.
+    # `_search` is read at call time: `bench_ab.py` imports this script for
+    # an older package too, where this name may differ.
     Stage("search_data", lambda T: T.A, lambda A: effectivity._search(A),
           lambda search: {"search_entries": sum(map(len, search.nonzero))}),
-    Stage("structured_candidates", lambda T: T.A,
-          lambda A: effectivity._structured_candidate_vectors(A),
-          lambda vectors: {"structured_vectors": len(vectors)}),
     Stage("ns_coordinates", lambda T: fresh(T.A, fiber_forms(T.A)), each(ns_coordinates),
           lambda coords: {"fiber_ns_classes": sum(c is not None for c in coords)}),
     Stage("integral_sign", lambda T: T.entries, lambda xs: sum(map(integral_sign, xs)),

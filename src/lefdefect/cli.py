@@ -100,7 +100,7 @@ def _class_rows(doc: SpecDocument, selected) -> list:
         names = [f"ns basis {i}" for i in range(len(forms))]
     if selected is not None:
         if not 0 <= selected < len(forms):
-            raise SchemaError("$.classes", f"--class index {selected} out of range")
+            raise SchemaError("--class", f"--class index {selected} out of range")
         forms = [forms[selected]]
         names = [names[selected]]
     rows = []

@@ -10,13 +10,12 @@ elimination, `_purekernels.psd_rank`, which also returns the rank.
 
 `torus_defect` maximizes the cup-product kernel dimension over all effective
 integer classes in a coefficient box over the NS basis, plus the structured
-candidates that lie outside the box.  When J is block diagonal these are
-the sums of the blocks' fiber classes over nonempty subsets of blocks, when
-every fiber is an NS class, and the fiber classes of the elliptic blocks,
-which up to sign are the Poincare duals of the corank-2 coordinate-factor
-sublattices; all come from reading each block's fiber class off the NS
-basis once (`ns_coordinates`, no elimination), and none is built when those
-coordinates show that every one lies in the box (`_extras_inside_box`).
+candidates that lie outside the box.  These exist only beside a block
+that is not a curve: when J is block diagonal with such a block, they are
+the sums of the blocks' fiber classes over nonempty subsets of blocks,
+when every fiber is an NS class, read off the NS basis once per block
+(`ns_coordinates`, no elimination).  On a product of curves every such sum
+lies in the box (`_structured_candidate_vectors`).
 The box is covered by a pruned depth-first search (see `_purekernels`):
 `classes_scanned` counts every box candidate it decides, visited or pruned,
 and `nodes_visited` the search-tree nodes it actually enters.  `_search`
@@ -275,70 +274,34 @@ def _fiber_coordinates(A: ComplexTorus, pairs):
     return fibers
 
 
-def _candidates_from_fibers(pairs, fibers):
-    """The structured candidate vectors, both signs, sorted, from the
-    blocks' `fiber_pairs` and their fibers' coordinates: the primitive
-    forms of every nonempty subset sum, when every fiber is an NS class,
-    and, on two or more blocks, of each elliptic block's fiber."""
-    coords = []
-    if None not in fibers:
-        for size in range(1, len(fibers) + 1):
-            for subset in combinations(fibers, size):
-                coords.append([sum(c) for c in zip(*subset)])
-    if len(pairs) >= 2:
-        coords.extend(f for f, block in zip(fibers, pairs) if f is not None and len(block) == 1)
-    vectors = set()
-    for c in coords:
-        prim = primitive_integer_vector(c)
-        vectors.add(prim)
-        vectors.add(tuple(-x for x in prim))
-    return sorted(vectors)
-
-
-def _extras_inside_box(fibers, box: int) -> bool:
-    """Whether every structured candidate built from these fiber
-    coordinates lies in the box, decided without building one: when the
-    coordinates of the NS-class fibers are integral and, entry by entry,
-    the sum of their absolute values is at most `box`.  Every candidate is
-    a subset sum of these fibers, or one of them, so its entries are
-    bounded by that sum, and its primitive form only divides by its
-    content.  (An elliptic block's fiber is a single pair slot, a free
-    slot of the echelon NS basis, so its coordinates are a unit vector.)
-    False means only that the candidates must be built."""
-    known = [f for f in fibers if f is not None]
-    if any(x.denominator != 1 for f in known for x in f):
-        return False
-    return all(sum(abs(x.numerator) for x in column) <= box for column in zip(*known))
-
-
 def _structured_candidate_vectors(A: ComplexTorus):
     """Coefficient vectors of the structured candidates over the NS basis.
 
-    When J is block diagonal these are the sums of the fiber forms over every
-    nonempty subset of blocks (the pullbacks of the product polarizations of
-    all coordinate quotients, the torus itself included), offered only when
-    every fiber form is an NS class, and the Poincare duals of the corank-2
-    coordinate-factor sublattices.  Such a sublattice omits one elliptic
-    block; its Hermite basis is the unit vectors of the other blocks, so its
-    projection is the identity on that block's two coordinates and zero
-    elsewhere, and its dual is that block's fiber form.  Both signs are
-    offered and the effectivity filter keeps the right one.  Subset sums
-    add the fibers' coordinate vectors (`_fiber_coordinates`).
+    When J is block diagonal with a block that is not a curve, these are
+    the primitive forms of the sums of the blocks' fiber forms over every
+    nonempty subset of blocks (the pullbacks of the product polarizations
+    of all coordinate quotients, the torus itself included), offered only
+    when every fiber form is an NS class.  Both signs are offered and the
+    effectivity filter keeps the right one.  Subset sums add the fibers'
+    coordinate vectors (`_fiber_coordinates`).
+
+    On a product of curves there are none: an elliptic block's fiber is a
+    single pair slot, a free slot of the echelon NS basis, so its
+    coordinates are a unit vector, and every subset sum is a 0/1 vector,
+    which lies in every box.
     """
     pairs = fiber_pairs(A)
-    if pairs is None:
+    if pairs is None or all(len(block) == 1 for block in pairs):
         return []
-    return _candidates_from_fibers(pairs, _fiber_coordinates(A, pairs))
-
-
-def _box_extras(pairs, fibers, box: int):
-    """The structured candidates, from the blocks' `fiber_pairs` and their
-    fibers' coordinates, that lie outside the box, which the box search
-    does not cover; none is built when `_extras_inside_box` shows that
-    every one lies inside."""
-    if _extras_inside_box(fibers, box):
+    fibers = _fiber_coordinates(A, pairs)
+    if None in fibers:
         return []
-    return [v for v in _candidates_from_fibers(pairs, fibers) if any(abs(c) > box for c in v)]
+    vectors = set()
+    for size in range(1, len(fibers) + 1):
+        for subset in combinations(fibers, size):
+            prim = primitive_integer_vector([sum(c) for c in zip(*subset)])
+            vectors |= {prim, tuple(-x for x in prim)}
+    return sorted(vectors)
 
 
 def _combine(best, candidate):
@@ -367,8 +330,7 @@ def _run_search(A: ComplexTorus, box: int, collect: bool):
     total = (2 * box + 1) ** search.rho
     delta, pos, scanned, nodes, records = _purekernels.scan_range(search, box, collect)
     best = (delta, pos)
-    pairs = fiber_pairs(A)
-    extras = [] if pairs is None else _box_extras(pairs, _fiber_coordinates(A, pairs), box)
+    extras = [v for v in _structured_candidate_vectors(A) if any(abs(c) > box for c in v)]
     if extras:
         delta, pos, extra_scanned, extra_nodes, extra_records = _purekernels.scan_vectors(
             search, extras, total, collect

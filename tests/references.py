@@ -256,9 +256,10 @@ def reference_wedge(N, p, q, u, v):
 
 
 @st.composite
-def elliptic_products(draw, max_count=3):
-    """Products of 2 to `max_count` elliptic curves over Q or over Q(2^(1/4))."""
-    K = draw(st.sampled_from(["Q", "K"]))
+def elliptic_products(draw, max_count=3, fields=("Q", "K")):
+    """Products of 2 to `max_count` elliptic curves over Q or over Q(2^(1/4))
+    (`fields`, of "Q" and "K")."""
+    K = draw(st.sampled_from(fields))
     a = st.fractions(min_value=-1, max_value=1, max_denominator=3)
     scale = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)])
     count = draw(st.integers(2, max_count))

@@ -33,6 +33,9 @@ FLOAT_DOCUMENTS = [
      "$.blocks[0].a", "2e0"),
     ('{"kind": "isogeny", "note": NaN, "factors": [{"type": "elliptic", "cm": true, '
      '"mult": -Infinity}]}', "$.note", "NaN"),
+    # under a key that a later duplicate replaces: no path is left to name
+    ('{"kind": "torus", "note": 1.5, "note": "x", "blocks": [{"beta": ["1"]}, {"beta": ["1"]}]}',
+     "$", "1.5"),
 ]
 
 
@@ -263,6 +266,7 @@ class TestCli:
     def test_torus_class_out_of_range(self, capsys):
         assert main(["torus", str(SAMPLES / "torus_ei_ei.json"),
                      "--class", "7"]) == 2
+        assert "input error: --class: --class index 7 out of range" in capsys.readouterr().err
 
     def test_verify_all_checks(self, capsys):
         code = main(["verify", str(SAMPLES / "torus_triple_product.json"),
@@ -497,6 +501,9 @@ FAULTS = {
     "checks": "--checks",
     "bool": "integer",
     "rational": "not an exact rational string",
+    "json": "input error: $: invalid JSON",
+    "torus_kind": "input error: $.kind: torus expects a torus document",
+    "verify_kind": "input error: $.kind: verify expects a torus document",
 }
 
 
@@ -530,7 +537,9 @@ def torus_documents(draw):
 @st.composite
 def faulty_runs(draw, fault):
     """(document text, arguments after the file): a `torus_documents`
-    document with one input fault in the document or on the command line."""
+    document with one input fault in the document or on the command line,
+    the document cut short, or an isogeny document given to `torus` or
+    `verify`."""
     doc = draw(torus_documents())
     blocks, classes = doc["blocks"], doc["classes"]
     size = 2 * len(blocks)
@@ -584,6 +593,12 @@ def faulty_runs(draw, fault):
         box = draw(st.integers(-2, 0))
         args = draw(st.sampled_from([["torus", f"--box={box}"],
                                      ["verify", "--checks=oracle", f"--box={box}"]]))
+    elif fault == "json":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(1, len(text) - 1))], args  # no closing brace
+    elif fault.endswith("_kind"):
+        doc = {"kind": "isogeny", "factors": [{"type": "elliptic", "cm": True, "mult": 2}]}
+        args = ["torus", "--box=1"] if fault == "torus_kind" else ["verify", "--checks=oracle"]
     elif fault == "class":
         # rho is at most 9 on three curves, so index 10 is out of range
         # even when the NS basis stands in for missing classes.

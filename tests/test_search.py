@@ -22,13 +22,14 @@ every effective class the reference finds.
 The search's set-up (`_search`, which keeps the S_b as nonzero entries
 read off the integer products E_b * (D J_k) and takes its cup table from
 `ns_cup_matrix`) is compared with one built from the dense
-`symmetric_part` matrices and a `wedge` of every ordered pair.  The rule
-that skips the structured extras when every one lies in the box is checked
-on synthetic fiber coordinates and against the candidates a search would
-otherwise build.  The structured candidates are compared with a reference that
-builds every candidate as a form: the fiber forms with their Hodge test, their subset
-sums, the Poincare duals of the corank-2 coordinate-factor sublattices, and
-one reference `solve` over the NS basis per form.
+`symmetric_part` matrices and a `wedge` of every ordered pair.  The
+structured candidates are compared with a reference that builds every
+candidate as a form: the fiber forms with their Hodge test and their subset
+sums, on tori with a block that is not a curve, and one reference `solve`
+over the NS basis per form.  The fact that lets a product of curves offer
+none, that every elliptic block's fiber has a unit coordinate vector over
+the NS basis, is checked on its own, and the search's wiring of the extras
+(positions, witness, records) on a candidate patched in outside the box.
 
 `ns_basis`, `is_hodge`, `hom_rank` and `is_effective_class` read J only as
 its integer components D * J_k; they are compared with the field-level
@@ -52,14 +53,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lefdefect import _purekernels
+from lefdefect import _purekernels, effectivity
 from lefdefect.classifier import classify
 from lefdefect.checks import isogeny_spec_of
-from lefdefect.cohomology import poincare_dual, wedge, wedge_basis
+from lefdefect.cohomology import defect_of_class, wedge, wedge_basis
 from lefdefect.effectivity import (
-    _box_extras,
-    _candidates_from_fibers,
-    _extras_inside_box,
     _search,
     _structured_candidate_vectors,
     defect_survey,
@@ -99,7 +97,6 @@ from references import (
 from lefdefect.torus import (
     AlternatingForm,
     ComplexTorus,
-    coordinate_factor_sublattices,
     elliptic,
     factor_blocks,
     fiber_pairs,
@@ -1045,35 +1042,36 @@ def test_ei4_box1_reaches_2k_minus_1():
     assert result.nodes_visited < 10_000
 
 
-def reference_structured_vectors(A):
-    blocks = factor_blocks(A)
-    if blocks is None:
-        return []
+def fiber_form(A, idx):
+    """The fiber form of the diagonal block of J on lattice indices idx:
+    the sum of e_idx[2t] ^ e_idx[2t+1]."""
     size = 2 * A.n
-    fibers = []
-    for idx, f in blocks:
-        rows = [[0] * size for _ in range(size)]
-        for t in range(f.n):
-            rows[idx[2 * t]][idx[2 * t + 1]] = 1
-            rows[idx[2 * t + 1]][idx[2 * t]] = -1
-        fibers.append(AlternatingForm(A, rows))
-    forms = []
-    if all(f.is_hodge for f in fibers):
-        for k in range(1, len(fibers) + 1):
-            for subset in itertools.combinations(fibers, k):
-                form = subset[0]
-                for other in subset[1:]:
-                    form = form + other
-                forms.append(form)
-    for _, W in coordinate_factor_sublattices(A, corank=2):
-        forms.append(AlternatingForm._from_pair_num(A, 1, poincare_dual(A, W)))
+    rows = [[0] * size for _ in range(size)]
+    for t in range(0, len(idx), 2):
+        rows[idx[t]][idx[t + 1]] = 1
+        rows[idx[t + 1]][idx[t]] = -1
+    return AlternatingForm(A, rows)
+
+
+def reference_structured_vectors(A):
+    """The structured candidates built as forms: when J is block diagonal
+    with a block that is not a curve and every fiber form is a Hodge class,
+    the sums of the fiber forms over every nonempty subset of blocks, as
+    primitive coordinate vectors over the NS basis, both signs."""
+    blocks = factor_blocks(A)
+    if blocks is None or all(f.n == 1 for _, f in blocks):
+        return []
+    fibers = [fiber_form(A, idx) for idx, _ in blocks]
+    if not all(f.is_hodge for f in fibers):
+        return []
     vectors = set()
-    for form in forms:
-        coords = reference_ns_coordinates(A, form)
-        if coords is None or not any(coords):
-            continue
-        prim = primitive_integer_vector(coords)
-        vectors |= {prim, tuple(-c for c in prim)}
+    for k in range(1, len(fibers) + 1):
+        for subset in itertools.combinations(fibers, k):
+            form = subset[0]
+            for other in subset[1:]:
+                form = form + other
+            prim = primitive_integer_vector(reference_ns_coordinates(A, form))
+            vectors |= {prim, tuple(-c for c in prim)}
     return sorted(vectors)
 
 
@@ -1093,35 +1091,45 @@ def test_structured_candidates_match_reference_on_samples():
         assert_structured_vectors_match_reference(A)
 
 
+# A lattice basis V = (x -> x + fiber(v, x) v, v = e0 + e2) for a product
+# of two curves: a symplectic matrix that mixes the curves, so J is one
+# block and the fiber form e0^e1 + e2^e3 stays a Hodge class.
+SYMPLECTIC = [[1, 1, 0, 1], [0, 1, 0, 0], [0, 1, 1, 1], [0, 0, 0, 1]]
+SYMPLECTIC_INV = [[1, -1, 0, -1], [0, 1, 0, 0], [0, -1, 1, -1], [0, 0, 0, 1]]
+
+
+def symplectic_mix(B):
+    """A product B of two curves on the basis `SYMPLECTIC`."""
+    return rebase(B, SYMPLECTIC, SYMPLECTIC_INV)
+
+
 def test_structured_candidates_with_undeclared_surface_blocks():
     # B = E_i x E_tau (tau = 1/2 + 2i) enters on its own lattice basis
-    # (`plain`, whose J splits into the two curves' blocks) and as one
-    # 2-dimensional block on two bases that mix the two curves: U, whose
-    # fiber form is not a Hodge class (no subset sums, only the Poincare
-    # duals of the elliptic blocks), and the symplectic V, which keeps the
-    # fiber form e0^e1 + e2^e3 a Hodge class (its subset sums).
+    # (`plain`, whose J splits into the two curves' blocks) and on two
+    # bases that mix the two curves into one 2-dimensional block: U, whose
+    # fiber form is not a Hodge class, and the symplectic V, which keeps
+    # the fiber form e0^e1 + e2^e3 a Hodge class.
     B = product([elliptic(0, 1), elliptic(Fraction(1, 2), 2)])
     identity = [[int(i == j) for j in range(4)] for i in range(4)]
     fiber = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     U = [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     U_inv = [[1, 0, -1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    V = [[1, 1, 0, 1], [0, 1, 0, 0], [0, 1, 1, 1], [0, 0, 0, 1]]  # x + fiber(v, x) v, v = e0 + e2
-    V_inv = [[1, -1, 0, -1], [0, 1, 0, 0], [0, -1, 1, -1], [0, 0, 0, 1]]
-    assert dense_matmul(U, U_inv) == dense_matmul(V, V_inv) == identity
+    V = SYMPLECTIC
+    assert dense_matmul(U, U_inv) == dense_matmul(V, SYMPLECTIC_INV) == identity
     assert dense_matmul(dense_matmul([list(c) for c in zip(*V)], fiber), V) == fiber
     plain = ComplexTorus(B.field, field_j(B))
-    mixed = ComplexTorus(B.field, field_product(B.field, U_inv, field_j(B), U))
-    symplectic = ComplexTorus(B.field, field_product(B.field, V_inv, field_j(B), V))
+    mixed = rebase(B, U, U_inv)
+    symplectic = symplectic_mix(B)
     assert AlternatingForm(plain, fiber).is_hodge
     assert not AlternatingForm(mixed, fiber).is_hodge
     assert AlternatingForm(symplectic, fiber).is_hodge
     assert factor_blocks(plain) == factor_blocks(B)
     assert factor_blocks(mixed) is None and factor_blocks(symplectic) is None
     E = elliptic(0, 1, label="E_i")
-    # [plain, E]: three isogenous CM curves, 7 subset sums; [mixed, plain,
-    # E]: the fibers of the three elliptic blocks; [symplectic, E]: the
-    # surface block's fiber, E's and their sum.
-    for blocks, count in (([plain, E], 14), ([mixed, E], 2), ([mixed, plain, E], 6),
+    # [plain, E]: three curves, whose subset sums lie in every box; [mixed,
+    # E] and [mixed, plain, E]: a surface block whose fiber is not an NS
+    # class; [symplectic, E]: the surface block's fiber, E's and their sum.
+    for blocks, count in (([plain, E], 0), ([mixed, E], 0), ([mixed, plain, E], 0),
                           ([symplectic, E], 6)):
         A = product(blocks)
         vectors = _structured_candidate_vectors(A)
@@ -1129,18 +1137,23 @@ def test_structured_candidates_with_undeclared_surface_blocks():
         assert len(vectors) == count
 
 
-def test_structured_candidates_on_interleaved_blocks():
-    # E_i x E_tau x E_tau' (tau = 1/2 + 2i, tau' = 1/3 + 3i) on the lattice
-    # basis e0, e2, e4, e1, e3, e5: J's blocks are (0, 3), (1, 4), (2, 5),
-    # and the fiber forms and coordinate sublattices follow them.
+def interleaved_product():
+    """E_i x E_tau x E_tau' (tau = 1/2 + 2i, tau' = 1/3 + 3i) on the
+    lattice basis e0, e2, e4, e1, e3, e5: J's blocks are (0, 3), (1, 4),
+    (2, 5)."""
     A = product([elliptic(0, 1), elliptic(Fraction(1, 2), 2), elliptic(Fraction(1, 3), 3)])
     order = [0, 2, 4, 1, 3, 5]
     U = [[int(order[j] == i) for j in range(6)] for i in range(6)]
-    P = rebase(A, U, [list(col) for col in zip(*U)])
+    return A, rebase(A, U, [list(col) for col in zip(*U)])
+
+
+def test_structured_candidates_on_interleaved_blocks():
+    # All three blocks are curves, so there are no structured candidates,
+    # and the box still holds the classifier's witness.
+    A, P = interleaved_product()
     assert [idx for idx, _ in factor_blocks(P)] == [(0, 3), (1, 4), (2, 5)]
     assert [f for _, f in factor_blocks(P)] == [f for _, f in factor_blocks(A)]
-    vectors = _structured_candidate_vectors(P)
-    assert vectors == reference_structured_vectors(P) and len(vectors) == 14
+    assert _structured_candidate_vectors(P) == reference_structured_vectors(P) == []
     assert torus_defect(P, box=1).delta == classify(isogeny_spec_of(P)).delta == 5
 
 
@@ -1150,68 +1163,59 @@ def test_structured_candidates_match_reference_on_random_products(A):
     assert_structured_vectors_match_reference(A)
 
 
-F = Fraction
+def assert_elliptic_fibers_are_unit_vectors(A):
+    """Every elliptic block's fiber form has a unit coordinate vector over
+    the NS basis (`reference_ns_coordinates`): its single pair slot is a
+    free slot of the echelon basis.  So on a product of curves every subset
+    sum of fibers is a 0/1 vector, which lies in every box, and
+    `_structured_candidate_vectors` offers none."""
+    curves = [idx for idx, f in factor_blocks(A) or [] if f.n == 1]
+    assert curves
+    for idx in curves:
+        coords = reference_ns_coordinates(A, fiber_form(A, idx))
+        assert coords is not None
+        assert sorted(coords) == [0] * (len(coords) - 1) + [1], (idx, coords)
 
 
-ELLIPTIC_PAIR = [[(0, 1)], [(2, 3)]]
+def test_elliptic_fibers_are_unit_vectors_on_corpus(corpus):
+    for A in corpus.values():
+        assert_elliptic_fibers_are_unit_vectors(A)
+    assert_elliptic_fibers_are_unit_vectors(interleaved_product()[1])
 
 
-@pytest.mark.parametrize("pairs, fibers, box, inside, outside", [
-    # unit vectors, as the fibers of declared elliptic blocks are
-    (ELLIPTIC_PAIR, [(F(1), F(0)), (F(0), F(1))], 1, True, []),
-    ([[(0, 1)], [(2, 3), (4, 5)]], [(F(1), F(0)), None], 1, True, []),
-    (ELLIPTIC_PAIR, [(F(1), F(1)), (F(0), F(-1))], 2, True, []),
-    # a column sum of 2: built, and every candidate is inside after all
-    (ELLIPTIC_PAIR, [(F(1), F(0)), (F(1), F(0))], 1, False, []),
-    # the primitive form of (1/2, 1) is (1, 2), outside box 1
-    (ELLIPTIC_PAIR, [(F(1, 2), F(0)), (F(0), F(1))], 1, False, [(-1, -2), (1, 2)]),
-    (ELLIPTIC_PAIR, [(F(2), F(0)), (F(0), F(1))], 1, False, [(-2, -1), (2, 1)]),
-])
-def test_box_rule_on_synthetic_fiber_coordinates(pairs, fibers, box, inside, outside):
-    """`_box_extras` builds nothing when `_extras_inside_box` holds, and
-    otherwise keeps exactly the candidates outside the box."""
-    assert _extras_inside_box(fibers, box) == inside
-    candidates = _candidates_from_fibers(pairs, fibers)
-    assert [v for v in candidates if max(map(abs, v)) > box] == outside
-    assert _box_extras(pairs, fibers, box) == outside
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(st.none(), st.lists(
-    st.fractions(min_value=-2, max_value=2, max_denominator=3), min_size=3, max_size=3)),
-    min_size=1, max_size=4), st.integers(1, 3), st.data())
-def test_box_rule_is_sound(fibers, box, data):
-    """Whenever the rule says every candidate lies in the box, every one
-    does; otherwise `_box_extras` keeps exactly the ones outside."""
-    fibers = [None if f is None else tuple(f) for f in fibers]
-    known = [f for f in fibers if f is not None]
-    # Fiber forms are linearly independent: no subset sums to zero.
-    assume(all(any(map(sum, zip(*subset))) for size in range(1, len(known) + 1)
-               for subset in itertools.combinations(known, size)))
-    sizes = [data.draw(st.integers(1, 2)) for _ in fibers]
-    pairs = [[(2 * t, 2 * t + 1)] * size for t, size in enumerate(sizes)]
-    candidates = _candidates_from_fibers(pairs, fibers)
-    if _extras_inside_box(fibers, box):
-        assert all(max(map(abs, v)) <= box for v in candidates)
-    assert _box_extras(pairs, fibers, box) == [v for v in candidates if max(map(abs, v)) > box]
+@pytest.mark.parametrize("field", ["Q", "K"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_elliptic_fibers_are_unit_vectors_on_random_products(field, data):
+    A = data.draw(elliptic_products(fields=[field]))
+    assert A.field.degree == (1 if field == "Q" else 4)
+    assert_elliptic_fibers_are_unit_vectors(A)
 
 
 @st.composite
 def products_with_surface_blocks(draw):
     """A product of curves, or a pair of curves entered as one torus next
     to one of its curves, in either order: on its own lattice basis
-    (`plain`, whose J splits into the curves' blocks) or on one that mixes
-    the curves (`mixed`, mostly one 2-dimensional block)."""
+    (`plain`, whose J splits into the curves' blocks), on one that mixes
+    the curves (`mixed`, mostly one 2-dimensional block whose fiber form is
+    not a Hodge class), or on the symplectic basis `SYMPLECTIC` (one block
+    whose fiber form is a Hodge class, so its subset sums are offered)."""
     B = draw(elliptic_products(max_count=2))
-    shape = draw(st.sampled_from(["curves", "plain", "mixed"]))
+    shape = draw(st.sampled_from(["curves", "plain", "mixed", "symplectic"]))
     if shape == "curves":
         return B, draw(st.integers(1, 2))
     surface = ComplexTorus(B.field, field_j(B))
     if shape == "mixed":
         surface = rebased(B, random.Random(draw(st.integers(0, 2**32))))
+    elif shape == "symplectic":
+        surface = symplectic_mix(B)
+        assert factor_blocks(surface) is None
     curve = factor_blocks(B)[draw(st.integers(0, 1))][1]
     blocks = [surface, curve] if draw(st.booleans()) else [curve, surface]
-    return product(blocks), 1
+    A = product(blocks)
+    if shape == "symplectic":
+        assert len(_structured_candidate_vectors(A)) == 6
+    return A, 1
 
 
 def extras_of_search(A, box):
@@ -1236,7 +1240,42 @@ def extras_of_search(A, box):
 def test_search_extras_are_the_structured_candidates_outside_the_box(case):
     A, box = case
     vectors = _structured_candidate_vectors(A)
+    assert vectors == reference_structured_vectors(A)
     assert extras_of_search(A, box) == [v for v in vectors if max(map(abs, v)) > box]
+
+
+@pytest.mark.parametrize("collect", [False, True])
+def test_search_scans_an_extra_outside_the_box(corpus, monkeypatch, collect):
+    """The extras path of the search, which no product of curves reaches:
+    on E_i x E_i with the box reporting no effective class, a structured
+    candidate 2 f1 + f2 (f1, f2 the fiber classes), effective, primitive
+    and outside box 1, is scanned after the box, at position
+    (2 box + 1)^rho, and becomes the witness."""
+    A, box = corpus["ei2"], 1
+    f1, f2 = [fiber_form(A, idx) for idx, _ in factor_blocks(A)]
+    form = 2 * f1 + f2
+    vector = primitive_integer_vector(reference_ns_coordinates(A, form))
+    assert vector == tuple(reference_ns_coordinates(A, form))
+    assert max(map(abs, vector)) > box and is_effective_class(A, form)
+    rho = ns_rank(A)
+    total = (2 * box + 1) ** rho
+
+    def no_effective_class(search, box, collect):
+        return -1, -1, (2 * box + 1) ** search.rho - 1, 1, []
+
+    monkeypatch.setattr(effectivity, "_structured_candidate_vectors", lambda A: [vector])
+    monkeypatch.setattr(_purekernels, "scan_range", no_effective_class)
+    if collect:
+        result, records = defect_survey(A, box=box)
+        assert [(r.position, r.coefficients) for r in records] == [(total, vector)]
+        assert records[-1].defect == result.delta
+    else:
+        result = torus_defect(A, box=box)
+    assert result.classes_scanned == total - 1 + 1
+    assert result.nodes_visited == 1 + 1
+    assert result.witness_coefficients == vector
+    assert result.witness == form
+    assert result.delta == defect_of_class(A, form) > 0
 
 
 # The torus code reads J only as the integer components D * J_k.  The

@@ -211,16 +211,23 @@ def test_coordinate_quotient_is_checked():
 def test_skipped_checks_say_what_j_shows(corpus):
     """E_i x E_i on a basis that mixes its curves has one diagonal block of
     J, and two copies of it two blocks, neither a curve: kunneth needs two
-    blocks and voisin an elliptic one beside another."""
+    blocks, voisin an elliptic one beside another and the oracle only
+    curves.  E_i^3 on such a basis is one block too, with no fiber forms
+    for lefschetz to add up."""
     surface = rebased(corpus["ei2"], random.Random(0))
     pair = product([surface, surface])
-    assert factor_blocks(surface) is None
+    threefold = rebased(corpus["ei3"], random.Random(0))
+    assert factor_blocks(surface) is None and factor_blocks(threefold) is None
     assert [len(idx) for idx, _ in factor_blocks(pair)] == [4, 4]
     voisin = "J has no elliptic block beside another diagonal block"
-    assert [(c.status, c.detail) for c in run_checks(surface, ("voisin", "kunneth"))] == [
-        ("skipped", voisin), ("skipped", "J has a single diagonal block")]
+    checks = run_checks(surface, ("voisin", "kunneth", "oracle"))
+    assert [(c.status, c.detail) for c in checks] == [
+        ("skipped", voisin), ("skipped", "J has a single diagonal block"),
+        ("skipped", "J is not block diagonal in elliptic curves")]
     assert [(c.status, c.detail) for c in run_checks(pair, ("voisin",))] == [("skipped", voisin)]
     assert run_checks(pair, ("kunneth",))[0].status == "pass"
+    assert [(c.status, c.detail) for c in run_checks(threefold, ("lefschetz",))] == [
+        ("skipped", "no product polarization available")]
 
 
 class TestHomRank:

@@ -31,7 +31,7 @@ call on inputs prepared from the torus:
 * `check_voisin`, the restriction and Poincare-dual kernels on every
   corank-2 coordinate sublattice,
 * `search_data`: the search's set-up (`_search`: the symmetric parts'
-  nonzero entries, the cup table from `ns_cup_matrix` and the test plan) on
+  nonzero entries, the NS basis's pair coordinates and the test plan) on
   the torus, whose NS basis is already built,
 * `ns_coordinates` on fresh copies of the fiber forms, and
 * the search's scalar layers: `integral_sign` and `nf_sign` on every

@@ -24,7 +24,7 @@ and the work of one search (`count_search`): the delta, the box candidates
 decided (`classes_scanned`), the search-tree nodes entered
 (`nodes_visited`), the number of `psd_rank` eliminations, the size of the
 search's pool of cuts (`cuts`) and the number of leaves that `evaluate`
-found effective (`leaves`, from the box and the structured extras).  The
+found effective (`leaves`).  The
 results are stored in BENCH_search.json next to this script as one run
 under `--label`, replacing an earlier run with the same label, so the counts
 of two checkouts sit side by side.

@@ -28,7 +28,11 @@ counted as decided without being visited (Fincke-Pohst style partial-bound
 pruning).  A component is tested whole once, at the depth where all its
 entries become fixed, and its rank is carried down the path: a leaf
 eliminates only the components its own coefficient touches, and the leaves
-that survive get the cup-product kernel dimension.
+that survive get the cup-product kernel dimension: rho minus the rank of
+the rows b ^ x in H^4 of the leaf's class x = sum c_b b, one per basis
+class b.  `cup_rows` forms these rows from the nonzero pair coordinates of
+the b and the table of `cohomology.wedge_table(N, 2, 2)`, as
+`ns_cup_matrix` does, and `rank_int` eliminates them.
 
 Most tested blocks are touched by one level only: no S_b of an earlier
 level has an entry in them, so at level t the block is c * S_{order[t]}
@@ -79,6 +83,27 @@ from .exactmath.linalg import bareiss_echelon
 def rank_int(rows) -> int:
     """Rank of an integer matrix (row list is copied)."""
     return len(bareiss_echelon([list(r) for r in rows]))
+
+
+def cup_rows(vectors, d, table, m4):
+    """The H^4 coordinates of x ^ d for each degree-2 vector x, given as its
+    nonzero entries (i, x_i), and the degree-2 coordinates d.
+
+    `table` is `wedge_table(N, 2, 2)` (row i: the entries (j, k, sign) of
+    the pairs j disjoint from pair i) and m4 the dimension of H^4, so
+    coordinate k of x ^ d is the sum of sign * x_i * d_j.  Zero entries of
+    d are skipped.
+    """
+    rows = []
+    for x in vectors:
+        row = [0] * m4
+        for i, a in x:
+            for j, k, sign in table[i]:
+                b = d[j]
+                if b:
+                    row[k] += sign * a * b
+        rows.append(row)
+    return rows
 
 
 def psd_rank(M, idx, sign, quotient):
@@ -225,23 +250,25 @@ class _Search:
 
     `nonzero[b]` lists the nonzero entries (r, c, value) of the N x N
     symmetric part S_b of basis element b, both (r, c) and (c, r), row by
-    row; no dense S_b is kept.  `w_pairs[i][j]` is the coordinate vector
-    in H^4 of the cup product of basis elements i and j.  `zero` is the
-    scalar zero.  The Picard number rho is the number of S_b, and m4, the
-    length of a cup product, is read off the table.  Subclasses fix the
-    scalar kind: its `sign` and exact `quotient`, as `psd_rank` takes them.
+    row; no dense S_b is kept.  `pairs[b]` lists the nonzero entries
+    (i, value) of b's degree-2 coordinates, and `table` and m4 are the
+    cup-product table and the dimension of H^4 that `cup_rows` takes.
+    `zero` is the scalar zero.  The Picard number rho is the number of
+    S_b.  Subclasses fix the scalar kind: its `sign` and exact `quotient`,
+    as `psd_rank` takes them.
 
     `order[t]` is the basis element of level t, ordered for `box`
     (`_level_order`; fibers first without one), and `tests` and `single`
     follow from it.  A scan at another box is still exact.
     """
 
-    def __init__(self, nonzero, w_pairs, N, zero, box=None):
+    def __init__(self, nonzero, pairs, table, m4, N, zero, box=None):
         self.nonzero = nonzero
-        self.w_pairs = w_pairs
+        self.pairs = pairs
+        self.table = table
+        self.m4 = m4
         rho = self.rho = len(nonzero)
         self.N = N
-        self.m4 = len(w_pairs[0][0]) if rho else 0
         self.zero = zero
         self.full = tuple(range(N))
         self.order = self._level_order(box)
@@ -340,20 +367,18 @@ class _Search:
 
     def evaluate(self, leaf):
         """(is_effective, defect, form_rank) of a leaf (coeffs, form_rank),
-        where form_rank is the rank of S, or -1 when S is not PSD."""
+        where form_rank is the rank of S, or -1 when S is not PSD.  The
+        defect is rho minus the rank of the rows b ^ x of the leaf's class
+        x = sum c_b b (`cup_rows`)."""
         coeffs, form_rank = leaf
         if form_rank < 0:
             return False, -1, -1
-        rows = []
-        for j in range(self.rho):
-            acc = [0] * self.m4
-            for i in range(self.rho):
-                ci = coeffs[i]
-                if ci:
-                    wij = self.w_pairs[i][j]
-                    for t in range(self.m4):
-                        acc[t] += ci * wij[t]
-            rows.append(acc)
+        x = [0] * len(self.table)
+        for c, entries in zip(coeffs, self.pairs):
+            if c:
+                for i, v in entries:
+                    x[i] += c * v
+        rows = cup_rows(self.pairs, x, self.table, self.m4)
         return True, self.rho - rank_int(rows), form_rank
 
 
@@ -595,7 +620,8 @@ def scan_range(search, box: int, collect: bool):
 
 
 def scan_vectors(search, vectors, base_position: int, collect: bool):
-    """Evaluate an explicit list of coefficient vectors (structured extras).
+    """Evaluate an explicit list of coefficient vectors, each on its full
+    symmetric part.  The search itself scans only the box (`scan_range`).
 
     Same return shape as `scan_range`; each vector is one node, at position
     base_position + its index in the list.

@@ -12,7 +12,10 @@ basis vectors as rows, and the class of a subtorus (`poincare_dual`) is the
 wedge of the rows of its quotient projection.  The central operation is
 the kernel of cup product with a divisor class on the Neron-Severi subspace
 of H^2: its dimension is the per-divisor defect, and every such rank is one
-fraction-free (Bareiss) elimination on ints.
+fraction-free (Bareiss) elimination on ints.  Every matrix of x -> x ^ d
+from H^2 to H^4 (`cup_matrix`, `ns_cup_matrix`, `lambda_defect` and the
+search's leaves) comes from one routine, `_purekernels.cup_rows`, on the
+nonzero pair coordinates of the x.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
+from ._purekernels import cup_rows
 from .errors import NotHodgeClass
 from .exactmath.linalg import bareiss_echelon
 from .torus import AlternatingForm, ComplexTorus, Sublattice, ns_basis
@@ -80,28 +84,48 @@ def wedge(N: int, p: int, q: int, u, v) -> list:
     return out
 
 
+def _cup_rows(N: int, vectors, d) -> list:
+    """`cup_rows` on Z^N: the H^4 coordinates of x ^ d for each degree-2
+    vector x, given as its nonzero entries (i, x_i)."""
+    return cup_rows(vectors, d, wedge_table(N, 2, 2), len(wedge_basis(N, 4)))
+
+
+def _entries(x) -> list:
+    """The nonzero entries (i, x_i) of a coordinate vector."""
+    return [(i, a) for i, a in enumerate(x) if a]
+
+
+def _ns_pairs(A: ComplexTorus) -> list:
+    """The nonzero entries of the pair coordinates of each NS basis class."""
+    return [_entries(b.pair_num()) for b in ns_basis(A)]
+
+
 def cup_matrix(A: ComplexTorus, d) -> list:
     """Integer rows (one per 4-subset) of the matrix of x -> x ^ d from
-    H^2 to H^4, for the degree-2 coordinates d (one per pair)."""
+    H^2 to H^4, for the degree-2 coordinates d (one per pair): the
+    transpose of the rows e_p ^ d over the unit pair vectors e_p."""
     if A.n < 2:
         raise ValueError("H^4 trivial in dimension one")
     N = 2 * A.n
     if len(d) != len(wedge_basis(N, 2)):
         raise ValueError("expected a degree-2 class on the same lattice")
-    rows = [[0] * len(d) for _ in wedge_basis(N, 4)]
-    for i, row in enumerate(wedge_table(N, 2, 2)):
-        for j, k, sign in row:
-            if d[j]:
-                rows[k][i] += sign * d[j]
-    return rows
+    units = [((p, 1),) for p in range(len(d))]
+    return [list(column) for column in zip(*_cup_rows(N, units, d))]
+
+
+def _require_torus(A: ComplexTorus, form: AlternatingForm):
+    if form.torus != A:
+        raise ValueError("form belongs to a different torus")
 
 
 def _in_ns(A: ComplexTorus, form: AlternatingForm) -> bool:
-    """Whether the form lies in the span of ns_basis(A).
+    """Whether the form lies in the span of ns_basis(A); a form on another
+    torus raises `ValueError`.
 
     The NS basis spans exactly the J-compatible forms, so this is the Hodge
     test of the form (cached on it); an empty basis spans no class at all.
     """
+    _require_torus(A, form)
     return form.is_hodge and bool(ns_basis(A))
 
 
@@ -110,18 +134,12 @@ def _require_ns(A: ComplexTorus, D: AlternatingForm, what: str):
         raise NotHodgeClass(f"{what} is not a Hodge class")
 
 
-def _images(N: int, rows, D: AlternatingForm) -> list:
-    """The H^4 coordinates of x ^ (den D) for the integer pair coordinates
-    x of each row."""
-    d = D.pair_num()
-    return [wedge(N, 2, 2, x, d) for x in rows]
-
-
 def ns_cup_matrix(A: ComplexTorus, D: AlternatingForm) -> list:
     """Integer matrix of x -> x ^ [den D] on the NS subspace of H^2: one
     row per NS basis class b, the H^4 coordinates of b ^ (den D).  The
     positive factor den (D's denominator) changes no kernel."""
-    return _images(2 * A.n, [b.pair_num() for b in ns_basis(A)], D)
+    _require_torus(A, D)
+    return _cup_rows(2 * A.n, _ns_pairs(A), D.pair_num())
 
 
 def defect_of_class(A: ComplexTorus, D: AlternatingForm) -> int:
@@ -194,5 +212,5 @@ def lambda_defect(A: ComplexTorus, L, D: AlternatingForm) -> int:
     if not rows:
         return 0
     span = [rows[c] for c in bareiss_echelon([list(col) for col in zip(*rows)])]
-    images = _images(2 * A.n, span, D)
+    images = _cup_rows(2 * A.n, [_entries(x) for x in span], D.pair_num())
     return len(span) - len(bareiss_echelon(images))

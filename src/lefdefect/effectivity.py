@@ -9,19 +9,15 @@ are precisely the interesting ones here) is decided by one exact symmetric
 elimination, `_purekernels.psd_rank`, which also returns the rank.
 
 `torus_defect` maximizes the cup-product kernel dimension over all effective
-integer classes in a coefficient box over the NS basis, plus the structured
-candidates that lie outside the box.  These exist only beside a block
-that is not a curve: when J is block diagonal with such a block, they are
-the sums of the blocks' fiber classes over nonempty subsets of blocks,
-when every fiber is an NS class, read off the NS basis once per block
-(`ns_coordinates`, no elimination).  On a product of curves every such sum
-lies in the box (`_structured_candidate_vectors`).
-The box is covered by a pruned depth-first search (see `_purekernels`):
-`classes_scanned` counts every box candidate it decides, visited or pruned,
-and `nodes_visited` the search-tree nodes it actually enters.  `_search`
-builds the search straight from the torus: the symmetric parts of the NS
-basis and a cup table whose row i is `ns_cup_matrix(A, b_i)`, so a leaf's
-defect comes from the same products that `defect_of_class` eliminates.
+integer classes in a coefficient box over the NS basis.  The box is covered
+by a pruned depth-first search (see `_purekernels`): `classes_scanned`
+counts every box candidate it decides, visited or pruned, so it is
+(2 box + 1)^rho - 1, and `nodes_visited` the search-tree nodes it actually
+enters.  `_search` builds the search straight from the torus: the
+symmetric parts of the NS basis and its pair coordinates, from which a
+leaf forms its class x and the rows b ^ x with the routine
+(`_purekernels.cup_rows`) that `ns_cup_matrix` uses, so a leaf's defect
+comes from the same products that `defect_of_class` eliminates.
 
 Everything here runs on the torus's integer J data, with one scalar kind per
 torus.  With J = sum_k alpha^k J_k on the power basis and D the common
@@ -38,21 +34,18 @@ with the same sign and exact quotient.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Optional
 
 from . import _purekernels
-from .cohomology import ns_cup_matrix, wedge_index
+from .cohomology import _ns_pairs, wedge_basis, wedge_table
 from .errors import ConsistencyError, FrozenRecord, NotHodgeClass, _setattr
-from .exactmath import IntegralElement, kernel_basis, primitive_integer_vector, rank
+from .exactmath import IntegralElement, kernel_basis, rank
 from .torus import (
     AlternatingForm,
     ComplexTorus,
     Sublattice,
     _matmul,
-    _ns_pair_coordinates,
     factor_curves,
-    fiber_pairs,
     hom_rank,
     ns_basis,
     ns_rank,
@@ -241,74 +234,18 @@ def _search(A: ComplexTorus, box: Optional[int] = None):
 
     Each symmetric part D * S_b = sum_k alpha^k (E_b * D J_k) is kept as its
     nonzero entries (`_symmetric_entries`); the positive factor D changes
-    neither semidefiniteness nor rank.  Row i of the cup table is
-    `ns_cup_matrix(A, b_i)`, whose row j is b_j ^ b_i.  By bilinearity the
-    rows sum_i c_i (b_j ^ b_i) that `evaluate` adds up for a leaf
-    x = sum_i c_i b_i are `ns_cup_matrix(A, x)`, the matrix that
-    `defect_of_class` eliminates.
+    neither semidefiniteness nor rank.  The basis classes' pair coordinates
+    are kept as their nonzero entries too (`_ns_pairs`), with the cup table
+    `wedge_table(N, 2, 2)`: for a leaf x = sum_i c_i b_i, `evaluate` forms
+    x and the rows b_j ^ x, which are `ns_cup_matrix(A, x)`, the matrix
+    that `defect_of_class` eliminates.
     """
     if A.n < 2:
         raise ValueError("global defect search needs dimension at least 2")
-    basis = ns_basis(A)
-    nonzero = [_symmetric_entries(A, b) for b in basis]
-    w_pairs = [ns_cup_matrix(A, b) for b in basis]
-    return _search_class(A)(nonzero, w_pairs, 2 * A.n, _zero(A), box)
-
-
-def _fiber_coordinates(A: ComplexTorus, pairs):
-    """Per diagonal block of J (`fiber_pairs`), the coordinates of its fiber
-    form over the NS basis, or None when the fiber is not an NS class.
-
-    Each block's fiber form is read off the NS basis once, on its integer
-    pair coordinates (`ns_coordinates` without building the form).  The
-    basis spans the J-compatible forms over Q, so a fiber without
-    coordinates is exactly one that is not a Hodge class.
-    """
-    index = wedge_index(2 * A.n, 2)
-    fibers = []
-    for block in pairs:
-        x = [0] * len(index)
-        for pair in block:
-            x[index[pair]] = 1
-        fibers.append(_ns_pair_coordinates(A, x, 1))
-    return fibers
-
-
-def _structured_candidate_vectors(A: ComplexTorus):
-    """Coefficient vectors of the structured candidates over the NS basis.
-
-    When J is block diagonal with a block that is not a curve, these are
-    the primitive forms of the sums of the blocks' fiber forms over every
-    nonempty subset of blocks (the pullbacks of the product polarizations
-    of all coordinate quotients, the torus itself included), offered only
-    when every fiber form is an NS class.  Both signs are offered and the
-    effectivity filter keeps the right one.  Subset sums add the fibers'
-    coordinate vectors (`_fiber_coordinates`).
-
-    On a product of curves there are none: an elliptic block's fiber is a
-    single pair slot, a free slot of the echelon NS basis, so its
-    coordinates are a unit vector, and every subset sum is a 0/1 vector,
-    which lies in every box.
-    """
-    pairs = fiber_pairs(A)
-    if pairs is None or all(len(block) == 1 for block in pairs):
-        return []
-    fibers = _fiber_coordinates(A, pairs)
-    if None in fibers:
-        return []
-    vectors = set()
-    for size in range(1, len(fibers) + 1):
-        for subset in combinations(fibers, size):
-            prim = primitive_integer_vector([sum(c) for c in zip(*subset)])
-            vectors |= {prim, tuple(-x for x in prim)}
-    return sorted(vectors)
-
-
-def _combine(best, candidate):
-    delta, pos = candidate
-    if delta > best[0] or (delta == best[0] and pos >= 0 and (best[1] < 0 or pos < best[1])):
-        return (delta, pos)
-    return best
+    N = 2 * A.n
+    nonzero = [_symmetric_entries(A, b) for b in ns_basis(A)]
+    return _search_class(A)(nonzero, _ns_pairs(A), wedge_table(N, 2, 2),
+                            len(wedge_basis(N, 4)), N, _zero(A), box)
 
 
 def _position_coeffs(position: int, rho: int, box: int):
@@ -327,31 +264,13 @@ def _run_search(A: ComplexTorus, box: int, collect: bool):
     search = _search(A, box)
     if search.rho == 0:
         return DefectSearchResult(0, None, 0, 0, box, None), []
-    total = (2 * box + 1) ** search.rho
-    delta, pos, scanned, nodes, records = _purekernels.scan_range(search, box, collect)
-    best = (delta, pos)
-    extras = [v for v in _structured_candidate_vectors(A) if any(abs(c) > box for c in v)]
-    if extras:
-        delta, pos, extra_scanned, extra_nodes, extra_records = _purekernels.scan_vectors(
-            search, extras, total, collect
-        )
-        best = _combine(best, (delta, pos))
-        scanned += extra_scanned
-        nodes += extra_nodes
-        records.extend(extra_records)
-
-    if best[0] < 0:
-        result = DefectSearchResult(0, None, scanned, nodes, box, None)
-        return result, []
-    position = best[1]
-    if position < total:
-        coeffs = _position_coeffs(position, search.rho, box)
-    else:
-        coeffs = tuple(extras[position - total])
+    delta, position, scanned, nodes, records = _purekernels.scan_range(search, box, collect)
+    if delta < 0:
+        return DefectSearchResult(0, None, scanned, nodes, box, None), []
+    coeffs = _position_coeffs(position, search.rho, box)
     witness = _form_from_coeffs(A, coeffs)
-    result = DefectSearchResult(best[0], witness, scanned, nodes, box, coeffs)
-    out_records = [EffectiveClassRecord(*r) for r in records] if collect else []
-    return result, out_records
+    result = DefectSearchResult(delta, witness, scanned, nodes, box, coeffs)
+    return result, [EffectiveClassRecord(*r) for r in records]
 
 
 def _form_from_coeffs(A, coeffs) -> AlternatingForm:

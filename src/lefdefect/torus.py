@@ -578,12 +578,7 @@ def ns_coordinates(A: ComplexTorus, form: AlternatingForm):
     L x = sum_k t_k b_k for t_k = x[f_k] (L / b_k[f_k]), L the lcm of the
     b_k[f_k]: one check on integers, without an elimination.
     """
-    return _ns_pair_coordinates(A, form.pair_num(), form.den)
-
-
-def _ns_pair_coordinates(A: ComplexTorus, x, den: int):
-    """`ns_coordinates` of the form with integer pair coordinates x over
-    den, without building the form."""
+    x, den = form.pair_num(), form.den
     if A._ns_cache is None:  # read the cached basis, built once by ns_basis
         ns_basis(A)
     _, echelon, scale = A._ns_cache

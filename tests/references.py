@@ -22,7 +22,10 @@ with no use of the field's reduction rows.  `numeric_value` evaluates an
 element at a numeric alpha, for the mpmath cross-checks; the package itself
 never leaves exact arithmetic.
 `reference_wedge` is the cup product as a loop over all subset pairs on
-coordinate lists, as it was before the cached table.
+coordinate lists, as it was before the cached table.  `dense_cup_table` is
+the search's cup table as it was before each leaf formed its class: the
+products of every ordered pair of degree-2 vectors, on dense vectors with
+no zero skipped, and `dense_cup_defect` the dense sum that ranked it.
 `elliptic_products` draws product tori and `rebased` moves a torus to a
 lattice basis that mixes its blocks.
 """
@@ -253,6 +256,34 @@ def reference_wedge(N, p, q, u, v):
             inversions = sum(x > y for x in I for y in J)
             out[index[tuple(sorted(I + J))]] += (-1) ** inversions * a * b
     return out
+
+
+def dense_cup_table(vectors, table, m4):
+    """w[i][j]: the m4 coordinates of x_j ^ x_i for the dense degree-2
+    vectors x, through `table` (one row per degree-2 index of (j, k, sign)
+    entries, the shape of `wedge_table(N, 2, 2)`)."""
+    w = []
+    for xi in vectors:
+        row = []
+        for xj in vectors:
+            out = [0] * m4
+            for a, entries in zip(xj, table):
+                for j, k, sign in entries:
+                    out[k] += sign * a * xi[j]
+            row.append(out)
+        w.append(row)
+    return w
+
+
+def dense_cup_defect(w_pairs, coeffs):
+    """rho minus the rank of the rows sum_i c_i w[i][j], one per j: the
+    cup-product kernel dimension of the class x = sum_i c_i x_i on the span
+    of the x_j, from the table of `dense_cup_table`."""
+    rho = len(w_pairs)
+    m4 = len(w_pairs[0][0])
+    rows = [[sum(coeffs[i] * w_pairs[i][j][t] for i in range(rho)) for t in range(m4)]
+            for j in range(rho)]
+    return rho - rank(rows)
 
 
 @st.composite

@@ -7,6 +7,7 @@ from lefdefect.cohomology import (
     cup_matrix,
     defect_of_class,
     lambda_defect,
+    ns_cup_matrix,
     poincare_dual,
     restriction_map,
     wedge,
@@ -204,6 +205,21 @@ class TestDefectOfClass:
         rows[0][2], rows[2][0] = 1, -1
         with pytest.raises(NotHodgeClass):
             defect_of_class(A, AlternatingForm(A, rows))
+
+
+def test_forms_of_another_torus_are_rejected():
+    """D is an NS class of B, and its matrix is not a Hodge class on A, yet
+    each call used to read D's Hodge test off B and return 3 on A."""
+    A = product([elliptic(0, 1), elliptic(0, 1)])
+    B = product([elliptic(F(1, 3), F(7, 2)), elliptic(F(1, 2), 5)])
+    D = ns_basis(B)[1]
+    assert D.is_hodge and not AlternatingForm(A, D.matrix).is_hodge
+    for call in (lambda: defect_of_class(A, D), lambda: ns_cup_matrix(A, D),
+                 lambda: lambda_defect(A, ns_basis(B), D),
+                 lambda: lambda_defect(A, ns_basis(A), D),
+                 lambda: lambda_defect(A, ns_basis(B), ns_basis(A)[0])):
+        with pytest.raises(ValueError, match="form belongs to a different torus"):
+            call()
 
 
 class TestRestrictionMap:

@@ -20,16 +20,18 @@ in the search's pool against its weights computed exactly and against
 every effective class the reference finds.
 
 The search's set-up (`_search`, which keeps the S_b as nonzero entries
-read off the integer products E_b * (D J_k) and takes its cup table from
-`ns_cup_matrix`) is compared with one built from the dense
-`symmetric_part` matrices and a `wedge` of every ordered pair.  The
-structured candidates are compared with a reference that builds every
-candidate as a form: the fiber forms with their Hodge test and their subset
-sums, on tori with a block that is not a curve, and one reference `solve`
-over the NS basis per form.  The fact that lets a product of curves offer
-none, that every elliptic block's fiber has a unit coordinate vector over
-the NS basis, is checked on its own, and the search's wiring of the extras
-(positions, witness, records) on a candidate patched in outside the box.
+read off the integer products E_b * (D J_k) and the basis classes' pair
+coordinates as nonzero entries) is compared with one built from the dense
+`symmetric_part` matrices and the forms' matrices.  A leaf's defect, which
+`evaluate` takes from the rows b ^ x of the leaf's class x (`cup_rows`), is
+compared with the dense cup table of every ordered pair of basis classes
+(`references.dense_cup_table`), and `ns_cup_matrix` with a `wedge` per row.
+The reference scans take their defects from that dense table, and the
+synthetic searches draw their cup data (pair vectors and a table of
+`wedge_table`'s shape) at random.  The fact that makes the box hold every
+subset sum of fibers on a product of curves, that every elliptic block's
+fiber has a unit coordinate vector over the NS basis, is checked on its
+own.
 
 `ns_basis`, `is_hodge`, `hom_rank` and `is_effective_class` read J only as
 its integer components D * J_k; they are compared with the field-level
@@ -46,20 +48,18 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lefdefect import _purekernels, effectivity
+from lefdefect import _purekernels
 from lefdefect.classifier import classify
 from lefdefect.checks import isogeny_spec_of
-from lefdefect.cohomology import defect_of_class, wedge, wedge_basis
+from lefdefect.cohomology import ns_cup_matrix, wedge, wedge_basis, wedge_table
 from lefdefect.effectivity import (
     _search,
-    _structured_candidate_vectors,
     defect_survey,
     is_effective_class,
     symmetric_part,
@@ -80,8 +80,9 @@ from lefdefect.exactmath import (
     rank,
     restrict_scalars,
 )
-from lefdefect.schema import load_document
 from references import (
+    dense_cup_defect,
+    dense_cup_table,
     dense_matmul,
     elliptic_products,
     field_j,
@@ -106,9 +107,6 @@ from lefdefect.torus import (
     ns_rank,
     product,
 )
-
-SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
-
 
 def _sign(x):
     if isinstance(x, AlgebraicReal):
@@ -150,15 +148,13 @@ def reference_psd_rank(M):
 
 def reference_record(s_basis, w_pairs, coeffs):
     """(defect, form_rank) of an effective coefficient vector, else None."""
-    rho, N = len(s_basis), len(s_basis[0])
+    N = len(s_basis[0])
     S = [[sum((c * m[r][k] for c, m in zip(coeffs, s_basis)), 0) for k in range(N)]
          for r in range(N)]
     form_rank = reference_psd_rank(S)
     if form_rank < 0:
         return None
-    rows = [[sum(coeffs[i] * w_pairs[i][j][t] for i in range(rho))
-             for t in range(len(w_pairs[0][0]))] for j in range(rho)]
-    return rho - rank(rows), form_rank
+    return dense_cup_defect(w_pairs, coeffs), form_rank
 
 
 def reference_scan(s_basis, w_pairs, box):
@@ -279,6 +275,26 @@ def dense_parts(search):
     return out
 
 
+def torus_cup_table(A):
+    """`dense_cup_table` of A's NS basis, through `wedge_table`: the table
+    that the search summed before each leaf formed its class."""
+    N = 2 * A.n
+    return dense_cup_table([b.pair_num() for b in ns_basis(A)], wedge_table(N, 2, 2),
+                           len(wedge_basis(N, 4)))
+
+
+def reference_cup_table(search):
+    """`dense_cup_table` of the search's pair vectors, made dense, through
+    its own table."""
+    dense = []
+    for entries in search.pairs:
+        x = [0] * len(search.table)
+        for i, v in entries:
+            x[i] = v
+        dense.append(x)
+    return dense_cup_table(dense, search.table, search.m4)
+
+
 def as_algebraic(M):
     """A matrix with its Z[alpha] entries converted exactly to AlgebraicReals."""
     return [[x.field.element(x.coeffs) if isinstance(x, IntegralElement) else x for x in row]
@@ -312,7 +328,7 @@ def assert_search_matches_reference(search, box):
     the number of cuts."""
     delta, position, scanned, nodes, records = _purekernels.scan_range(search, box, True)
     s_basis = [as_algebraic(m) for m in dense_parts(search)]
-    expected = reference_scan(s_basis, search.w_pairs, box)
+    expected = reference_scan(s_basis, reference_cup_table(search), box)
     assert (delta, position, scanned, records) == expected
     assert scanned == (2 * box + 1) ** search.rho - 1
     assert 0 < nodes
@@ -343,7 +359,9 @@ class LooseIntSearch(_purekernels.IntSearch):
 
 @st.composite
 def synthetic_search(draw):
-    """Random symmetric integer S_b with random zero patterns, random w.
+    """Random symmetric integer S_b with random zero patterns, random cup
+    data: pair vectors on m2 <= 6 indices and a table of `wedge_table`'s
+    shape into m4 <= 5 coordinates, so the defect takes every value.
 
     Half the draws give every S_b the same block-diagonal pattern of 2-3
     components on N <= 6 indices (as on a product of non-isogenous factors),
@@ -362,6 +380,7 @@ def synthetic_search(draw):
     else:
         N = draw(st.integers(1, 4))
         component = [0] * N
+    m2 = draw(st.integers(1, 6))
     m4 = draw(st.integers(1, 5))
     s_basis = []
     for _ in range(rho):
@@ -372,13 +391,16 @@ def synthetic_search(draw):
                 if component[i] == component[j] and rng.random() < density:
                     m[i][j] = m[j][i] = rng.randint(-3, 3)
         s_basis.append(m)
-    w_pairs = [[[rng.randint(-2, 2) for _ in range(m4)] for _ in range(rho)]
-               for _ in range(rho)]
+    pairs = [[(i, v) for i, v in enumerate(rng.randint(-2, 2) for _ in range(m2)) if v]
+             for _ in range(rho)]
+    table = [[(rng.randrange(m2), rng.randrange(m4), rng.choice((1, -1)))
+              for _ in range(rng.randint(0, 3))] for _ in range(m2)]
+    cup = (pairs, table, m4)
     box = 1 if rho == 4 else draw(st.integers(1, 3))
     slack = draw(st.integers(0, 2))
     if slack:
-        return LooseIntSearch(slack, sparse_parts(s_basis), w_pairs, N, 0, box), box
-    return _purekernels.IntSearch(sparse_parts(s_basis), w_pairs, N, 0, box), box
+        return LooseIntSearch(slack, sparse_parts(s_basis), *cup, N, 0, box), box
+    return _purekernels.IntSearch(sparse_parts(s_basis), *cup, N, 0, box), box
 
 
 @settings(max_examples=60, deadline=None)
@@ -386,7 +408,8 @@ def synthetic_search(draw):
 # S = x_0 + x_1 at box 1: at x = (-1, -1) the cut of v = e_0 has bound 0 at
 # the prefix x_0 = -1, and (-1, 1), on that bound, is effective; a backjump
 # on a bound that is not negative would skip it.
-@example((_purekernels.IntSearch([[(0, 0, 1)], [(0, 0, 1)]], [[[1], [0]], [[0], [1]]], 1, 0), 1))
+@example((_purekernels.IntSearch([[(0, 0, 1)], [(0, 0, 1)]], [[(0, 1)], [(1, 1)]],
+                                 [[(0, 0, 1)], [(1, 0, 1)]], 1, 1, 0), 1))
 def test_search_matches_reference_on_synthetic_data(case):
     """Answers (`classes_scanned` among them) as the reference's; nodes
     at most the definition's count, since the pool of cuts also decides live
@@ -432,7 +455,7 @@ def test_level_counts_match_reference_on_synthetic_data(case):
     s_basis = dense_parts(search)
     passed = reference_counts(s_basis, box)
     assert search._counts(box) == [len(values) for values in passed]
-    for _, coeffs, _, _ in reference_scan(s_basis, search.w_pairs, box)[3]:
+    for _, coeffs, _, _ in reference_scan(s_basis, reference_cup_table(search), box)[3]:
         assert all(c in values for c, values in zip(coeffs, passed))
 
 
@@ -502,23 +525,23 @@ def test_search_matches_reference_on_random_products(A, seed):
 
 def dense_search(A, box):
     """The search of A for `box` built from dense `symmetric_part` matrices,
-    with the cup product of every ordered pair of basis elements."""
+    with the pair coordinates read off the forms' matrices."""
     basis = ns_basis(A)
     N = 2 * A.n
-    pairs = [b.pair_num() for b in basis]
-    w_pairs = [[wedge(N, 2, 2, p, q) for q in pairs] for p in pairs]
+    pairs = [[(k, int(b.matrix[i][j])) for k, (i, j) in enumerate(wedge_basis(N, 2))
+              if b.matrix[i][j]] for b in basis]
+    cup = (pairs, wedge_table(N, 2, 2), len(wedge_basis(N, 4)))
     nonzero = sparse_parts([symmetric_part(A, b) for b in basis])
     if A.rational_j:
-        return _purekernels.IntSearch(nonzero, w_pairs, N, 0, box)
+        return _purekernels.IntSearch(nonzero, *cup, N, 0, box)
     zero = IntegralElement(A.field, (0,) * A.field.degree)
-    return _purekernels.FieldSearch(nonzero, w_pairs, N, zero, box)
+    return _purekernels.FieldSearch(nonzero, *cup, N, zero, box)
 
 
 def assert_search_data_matches_dense(A):
     """`_search` reads the S_b off the integer products E_b * (D J_k) and
-    its cup table off `ns_cup_matrix`, and the kernel counts rho and m4
-    itself; its search must equal the one built from the dense matrices and
-    a `wedge` of every ordered pair, without a box and for box 1."""
+    the pair coordinates off `pair_num`; its search must equal the one
+    built from the dense matrices, without a box and for box 1."""
     for box in (None, 1):
         assert_same_search(A, _search(A, box), dense_search(A, box))
 
@@ -535,7 +558,8 @@ def assert_same_search(A, search, expected):
     assert search.entries == expected.entries
     assert search.components == expected.components
     assert search.tests == expected.tests
-    assert search.w_pairs == expected.w_pairs
+    assert search.pairs == expected.pairs
+    assert search.table == expected.table
 
 
 def test_search_data_matches_dense_set_up_on_corpus(corpus):
@@ -548,6 +572,42 @@ def test_search_data_matches_dense_set_up_on_corpus(corpus):
 def test_search_data_matches_dense_set_up_on_random_products(A, seed):
     assert_search_data_matches_dense(A)
     assert_search_data_matches_dense(rebased(A, random.Random(seed)))
+
+
+@pytest.mark.parametrize("field", ["Q", "K"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_evaluate_matches_dense_cup_table_on_random_products(field, data):
+    """Every effective leaf of a box-1 survey, on a random product and on a
+    basis that mixes its blocks, gets from `evaluate` the defect of the
+    dense cup table of every ordered pair of basis classes."""
+    A = data.draw(elliptic_products(fields=[field]))
+    seed = data.draw(st.integers(0, 2**32))
+    for X in (A, rebased(A, random.Random(seed))):
+        w_pairs = torus_cup_table(X)
+        search = _search(X, 1)
+        _, records = defect_survey(X, box=1)
+        assert records
+        for r in records:
+            expected = (True, dense_cup_defect(w_pairs, r.coefficients), r.form_rank)
+            assert search.evaluate((list(r.coefficients), r.form_rank)) == expected
+            assert r.defect == expected[1]
+
+
+@settings(max_examples=12, deadline=None)
+@given(elliptic_products(), st.integers(0, 2**32))
+def test_ns_cup_matrix_is_the_wedge_rows_on_random_products(A, seed):
+    """`ns_cup_matrix(A, D)` is the `wedge` of each basis class with den D,
+    for the basis classes, a sum with a denominator and a form that is not
+    a Hodge class."""
+    for X in (A, rebased(A, random.Random(seed))):
+        N = 2 * X.n
+        basis = ns_basis(X)
+        scaled = (basis[0] + 2 * basis[-1]) * Fraction(1, 3)
+        other = AlternatingForm._from_pair_num(X, 1, [1] * len(wedge_basis(N, 2)))
+        for D in basis + [scaled, other]:
+            assert ns_cup_matrix(X, D) == [wedge(N, 2, 2, b.pair_num(), D.pair_num())
+                                           for b in basis]
 
 
 def reference_single(s_basis, order, tests):
@@ -682,8 +742,8 @@ def test_field_search_does_not_depend_on_earlier_signs(corpus):
 def test_patched_evaluate_sees_exactly_the_effective_records(corpus, monkeypatch):
     """The benchmark's tracer counts effective candidates by patching
     `evaluate` on `IntSearch` and `FieldSearch`: every effective class a
-    survey records, from the box and from the structured extras, must pass
-    through `evaluate` with a True verdict, and no other leaf may."""
+    survey records must pass through `evaluate` with a True verdict, and no
+    other leaf may."""
     seen = []
     for cls in (_purekernels.IntSearch, _purekernels.FieldSearch):
         def counted(search, leaf, original=cls.evaluate):
@@ -708,9 +768,10 @@ def test_structured_vectors_match_reference(corpus):
         search, vectors, 100, True
     )
     s_basis = [as_algebraic(m) for m in dense_parts(search)]
+    w_pairs = torus_cup_table(corpus["ei2_x_nocm"])
     expected = []
     for offset, coeffs in enumerate(vectors):
-        found = reference_record(s_basis, search.w_pairs, coeffs)
+        found = reference_record(s_basis, w_pairs, coeffs)
         if found is not None:
             expected.append((100 + offset, coeffs) + found)
     assert records == expected
@@ -1053,90 +1114,6 @@ def fiber_form(A, idx):
     return AlternatingForm(A, rows)
 
 
-def reference_structured_vectors(A):
-    """The structured candidates built as forms: when J is block diagonal
-    with a block that is not a curve and every fiber form is a Hodge class,
-    the sums of the fiber forms over every nonempty subset of blocks, as
-    primitive coordinate vectors over the NS basis, both signs."""
-    blocks = factor_blocks(A)
-    if blocks is None or all(f.n == 1 for _, f in blocks):
-        return []
-    fibers = [fiber_form(A, idx) for idx, _ in blocks]
-    if not all(f.is_hodge for f in fibers):
-        return []
-    vectors = set()
-    for k in range(1, len(fibers) + 1):
-        for subset in itertools.combinations(fibers, k):
-            form = subset[0]
-            for other in subset[1:]:
-                form = form + other
-            prim = primitive_integer_vector(reference_ns_coordinates(A, form))
-            vectors |= {prim, tuple(-c for c in prim)}
-    return sorted(vectors)
-
-
-def assert_structured_vectors_match_reference(A):
-    assert _structured_candidate_vectors(A) == reference_structured_vectors(A)
-
-
-def test_structured_candidates_match_reference_on_corpus(corpus):
-    for A in corpus.values():
-        assert_structured_vectors_match_reference(A)
-
-
-def test_structured_candidates_match_reference_on_samples():
-    tori = [load_document(path).torus for path in sorted(SAMPLES.glob("torus_*.json"))]
-    assert len(tori) >= 2
-    for A in tori:
-        assert_structured_vectors_match_reference(A)
-
-
-# A lattice basis V = (x -> x + fiber(v, x) v, v = e0 + e2) for a product
-# of two curves: a symplectic matrix that mixes the curves, so J is one
-# block and the fiber form e0^e1 + e2^e3 stays a Hodge class.
-SYMPLECTIC = [[1, 1, 0, 1], [0, 1, 0, 0], [0, 1, 1, 1], [0, 0, 0, 1]]
-SYMPLECTIC_INV = [[1, -1, 0, -1], [0, 1, 0, 0], [0, -1, 1, -1], [0, 0, 0, 1]]
-
-
-def symplectic_mix(B):
-    """A product B of two curves on the basis `SYMPLECTIC`."""
-    return rebase(B, SYMPLECTIC, SYMPLECTIC_INV)
-
-
-def test_structured_candidates_with_undeclared_surface_blocks():
-    # B = E_i x E_tau (tau = 1/2 + 2i) enters on its own lattice basis
-    # (`plain`, whose J splits into the two curves' blocks) and on two
-    # bases that mix the two curves into one 2-dimensional block: U, whose
-    # fiber form is not a Hodge class, and the symplectic V, which keeps
-    # the fiber form e0^e1 + e2^e3 a Hodge class.
-    B = product([elliptic(0, 1), elliptic(Fraction(1, 2), 2)])
-    identity = [[int(i == j) for j in range(4)] for i in range(4)]
-    fiber = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-    U = [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    U_inv = [[1, 0, -1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    V = SYMPLECTIC
-    assert dense_matmul(U, U_inv) == dense_matmul(V, SYMPLECTIC_INV) == identity
-    assert dense_matmul(dense_matmul([list(c) for c in zip(*V)], fiber), V) == fiber
-    plain = ComplexTorus(B.field, field_j(B))
-    mixed = rebase(B, U, U_inv)
-    symplectic = symplectic_mix(B)
-    assert AlternatingForm(plain, fiber).is_hodge
-    assert not AlternatingForm(mixed, fiber).is_hodge
-    assert AlternatingForm(symplectic, fiber).is_hodge
-    assert factor_blocks(plain) == factor_blocks(B)
-    assert factor_blocks(mixed) is None and factor_blocks(symplectic) is None
-    E = elliptic(0, 1, label="E_i")
-    # [plain, E]: three curves, whose subset sums lie in every box; [mixed,
-    # E] and [mixed, plain, E]: a surface block whose fiber is not an NS
-    # class; [symplectic, E]: the surface block's fiber, E's and their sum.
-    for blocks, count in (([plain, E], 0), ([mixed, E], 0), ([mixed, plain, E], 0),
-                          ([symplectic, E], 6)):
-        A = product(blocks)
-        vectors = _structured_candidate_vectors(A)
-        assert vectors == reference_structured_vectors(A)
-        assert len(vectors) == count
-
-
 def interleaved_product():
     """E_i x E_tau x E_tau' (tau = 1/2 + 2i, tau' = 1/3 + 3i) on the
     lattice basis e0, e2, e4, e1, e3, e5: J's blocks are (0, 3), (1, 4),
@@ -1147,28 +1124,21 @@ def interleaved_product():
     return A, rebase(A, U, [list(col) for col in zip(*U)])
 
 
-def test_structured_candidates_on_interleaved_blocks():
-    # All three blocks are curves, so there are no structured candidates,
-    # and the box still holds the classifier's witness.
+def test_box_holds_the_witness_on_interleaved_blocks():
+    # All three blocks are curves, so the box holds the classifier's
+    # witness on the interleaved basis too.
     A, P = interleaved_product()
     assert [idx for idx, _ in factor_blocks(P)] == [(0, 3), (1, 4), (2, 5)]
     assert [f for _, f in factor_blocks(P)] == [f for _, f in factor_blocks(A)]
-    assert _structured_candidate_vectors(P) == reference_structured_vectors(P) == []
     assert torus_defect(P, box=1).delta == classify(isogeny_spec_of(P)).delta == 5
-
-
-@settings(max_examples=25, deadline=None)
-@given(elliptic_products())
-def test_structured_candidates_match_reference_on_random_products(A):
-    assert_structured_vectors_match_reference(A)
 
 
 def assert_elliptic_fibers_are_unit_vectors(A):
     """Every elliptic block's fiber form has a unit coordinate vector over
     the NS basis (`reference_ns_coordinates`): its single pair slot is a
     free slot of the echelon basis.  So on a product of curves every subset
-    sum of fibers is a 0/1 vector, which lies in every box, and
-    `_structured_candidate_vectors` offers none."""
+    sum of fibers (the pullback of a product polarization of a coordinate
+    quotient) is a 0/1 vector, which lies in every box."""
     curves = [idx for idx, f in factor_blocks(A) or [] if f.n == 1]
     assert curves
     for idx in curves:
@@ -1190,92 +1160,6 @@ def test_elliptic_fibers_are_unit_vectors_on_random_products(field, data):
     A = data.draw(elliptic_products(fields=[field]))
     assert A.field.degree == (1 if field == "Q" else 4)
     assert_elliptic_fibers_are_unit_vectors(A)
-
-
-@st.composite
-def products_with_surface_blocks(draw):
-    """A product of curves, or a pair of curves entered as one torus next
-    to one of its curves, in either order: on its own lattice basis
-    (`plain`, whose J splits into the curves' blocks), on one that mixes
-    the curves (`mixed`, mostly one 2-dimensional block whose fiber form is
-    not a Hodge class), or on the symplectic basis `SYMPLECTIC` (one block
-    whose fiber form is a Hodge class, so its subset sums are offered)."""
-    B = draw(elliptic_products(max_count=2))
-    shape = draw(st.sampled_from(["curves", "plain", "mixed", "symplectic"]))
-    if shape == "curves":
-        return B, draw(st.integers(1, 2))
-    surface = ComplexTorus(B.field, field_j(B))
-    if shape == "mixed":
-        surface = rebased(B, random.Random(draw(st.integers(0, 2**32))))
-    elif shape == "symplectic":
-        surface = symplectic_mix(B)
-        assert factor_blocks(surface) is None
-    curve = factor_blocks(B)[draw(st.integers(0, 1))][1]
-    blocks = [surface, curve] if draw(st.booleans()) else [curve, surface]
-    A = product(blocks)
-    if shape == "symplectic":
-        assert len(_structured_candidate_vectors(A)) == 6
-    return A, 1
-
-
-def extras_of_search(A, box):
-    """The structured extras a search of A scans, caught at `scan_vectors`."""
-    seen = []
-    scan_vectors = _purekernels.scan_vectors
-
-    def caught(search, vectors, *args):
-        seen.extend(vectors)
-        return scan_vectors(search, vectors, *args)
-
-    _purekernels.scan_vectors = caught
-    try:
-        torus_defect(A, box=box)
-    finally:
-        _purekernels.scan_vectors = scan_vectors
-    return seen
-
-
-@settings(max_examples=15, deadline=None)
-@given(products_with_surface_blocks())
-def test_search_extras_are_the_structured_candidates_outside_the_box(case):
-    A, box = case
-    vectors = _structured_candidate_vectors(A)
-    assert vectors == reference_structured_vectors(A)
-    assert extras_of_search(A, box) == [v for v in vectors if max(map(abs, v)) > box]
-
-
-@pytest.mark.parametrize("collect", [False, True])
-def test_search_scans_an_extra_outside_the_box(corpus, monkeypatch, collect):
-    """The extras path of the search, which no product of curves reaches:
-    on E_i x E_i with the box reporting no effective class, a structured
-    candidate 2 f1 + f2 (f1, f2 the fiber classes), effective, primitive
-    and outside box 1, is scanned after the box, at position
-    (2 box + 1)^rho, and becomes the witness."""
-    A, box = corpus["ei2"], 1
-    f1, f2 = [fiber_form(A, idx) for idx, _ in factor_blocks(A)]
-    form = 2 * f1 + f2
-    vector = primitive_integer_vector(reference_ns_coordinates(A, form))
-    assert vector == tuple(reference_ns_coordinates(A, form))
-    assert max(map(abs, vector)) > box and is_effective_class(A, form)
-    rho = ns_rank(A)
-    total = (2 * box + 1) ** rho
-
-    def no_effective_class(search, box, collect):
-        return -1, -1, (2 * box + 1) ** search.rho - 1, 1, []
-
-    monkeypatch.setattr(effectivity, "_structured_candidate_vectors", lambda A: [vector])
-    monkeypatch.setattr(_purekernels, "scan_range", no_effective_class)
-    if collect:
-        result, records = defect_survey(A, box=box)
-        assert [(r.position, r.coefficients) for r in records] == [(total, vector)]
-        assert records[-1].defect == result.delta
-    else:
-        result = torus_defect(A, box=box)
-    assert result.classes_scanned == total - 1 + 1
-    assert result.nodes_visited == 1 + 1
-    assert result.witness_coefficients == vector
-    assert result.witness == form
-    assert result.delta == defect_of_class(A, form) > 0
 
 
 # The torus code reads J only as the integer components D * J_k.  The
